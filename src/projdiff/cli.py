@@ -15,7 +15,6 @@ import math
 import os
 import statistics
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -96,10 +95,6 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     changes = {}
     if args.out is not None:
         changes["out_dir"] = args.out
-    if args.threads is not None:
-        if args.threads < 1:
-            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
-        changes["threads"] = args.threads
     if args.seed_override is not None:
         changes["trial_seeds"] = tuple(
             args.seed_override + i for i in range(len(cfg.trial_seeds))
@@ -129,47 +124,38 @@ def cmd_simulate(args) -> int:
     mu = _resolve_mu(cfg.sensing.mu, operator)
     os.makedirs(cfg.out_dir, exist_ok=True)
 
-    def one_run(task):
-        schedule_name, schedule, seed = task
-        x_true = realized.draw(seed)
-        problem = SensingProblem(operator, mu, operator @ x_true, x_true=x_true, seed=seed)
-        metadata = {
-            "schedule_name": schedule_name,
-            "trial_seed": seed,
-            "prior": realized.descriptor,
-        }
-        component = realized.true_component(x_true)
-        if component is not None:
-            metadata["true_component"] = component
-        # overflow inside a diverging run is reported via DivergenceError
-        with np.errstate(over="ignore", invalid="ignore"):
-            trace = run_recovery(
-                problem,
-                realized.denoise,
-                schedule,
-                n_iters=cfg.n_iters,
-                prior=realized.prior,
-                record_iterates=False,
-                metadata=metadata,
-            )
-        name = _trace_name(schedule_name, seed)
-        trace.write_csv(os.path.join(cfg.out_dir, name))
-        return name
-
-    tasks = [
-        (name, schedule, seed)
-        for seed in cfg.trial_seeds
-        for name, schedule in cfg.schedules
-    ]
     files = []
     diverged = []
-    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        futures = {pool.submit(one_run, task): task for task in tasks}
-        for future, task in futures.items():
+    for seed in cfg.trial_seeds:
+        for schedule_name, schedule in cfg.schedules:
+            x_true = realized.draw(seed)
+            problem = SensingProblem(operator, mu, operator @ x_true, x_true=x_true, seed=seed)
+            metadata = {
+                "schedule_name": schedule_name,
+                "trial_seed": seed,
+                "prior": realized.descriptor,
+            }
+            component = realized.true_component(x_true)
+            if component is not None:
+                metadata["true_component"] = component
             try:
-                files.append(future.result())
+                # overflow inside a diverging run is reported via DivergenceError
+                with np.errstate(over="ignore", invalid="ignore"):
+                    trace = run_recovery(
+                        problem,
+                        realized.denoise,
+                        schedule,
+                        n_iters=cfg.n_iters,
+                        prior=realized.prior,
+                        record_iterates=False,
+                        metadata=metadata,
+                    )
             except DivergenceError as exc:
-                diverged.append((task[0], task[2], exc))
+                diverged.append((schedule_name, seed, exc))
+                continue
+            name = _trace_name(schedule_name, seed)
+            trace.write_csv(os.path.join(cfg.out_dir, name))
+            files.append(name)
     if diverged:
         diverged.sort(key=lambda item: (item[0], item[1]))
         for schedule_name, seed, exc in diverged:
@@ -246,6 +232,18 @@ def cmd_analyze(args) -> int:
     out_dir = args.out if args.out is not None else directory
     os.makedirs(out_dir, exist_ok=True)
 
+    # A manifest names the traces of the last simulate into this directory;
+    # older traces left beside them are not part of that run.
+    listed = None
+    manifest_path = os.path.join(directory, MANIFEST_NAME)
+    if os.path.exists(manifest_path):
+        try:
+            with open(manifest_path, "r") as fh:
+                listed = set(json.load(fh)["files"])
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            print(f"unreadable {MANIFEST_NAME}: {exc!r}", file=sys.stderr)
+            return 2
+
     rows = []
     candidates = sorted(
         fname
@@ -253,6 +251,9 @@ def cmd_analyze(args) -> int:
         if fname.endswith(".csv") and fname not in ANALYZE_OUTPUTS
     )
     for fname in candidates:
+        if listed is not None and fname not in listed:
+            print(f"skipping {fname}: not listed in {MANIFEST_NAME}", file=sys.stderr)
+            continue
         path = os.path.join(directory, fname)
         if not _is_trace_file(path):
             print(f"skipping {fname}: not a trace file", file=sys.stderr)
@@ -383,9 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="replace trial seeds (simulate) or the generation seed (gen-model)",
     )
-    common.add_argument(
-        "--threads", type=int, default=None, help="worker pool size override"
-    )
     common.add_argument("--out", default=None, help="output directory override")
 
     parser = argparse.ArgumentParser(
@@ -404,8 +402,7 @@ are written back into <out>/resolved.cfg):
   [sensing]             m, seed, mu (auto_1.9 or a positive float)
   [schedule.<name>]     kind (defaults to <name>), sigma_max,
                         sigma_min + horizon, or a (infinite_geometric)
-  [run]                 n_iters, trials + base_seed or trial_seeds,
-                        out_dir, threads
+  [run]                 n_iters, trials + base_seed or trial_seeds, out_dir
 """
     p_sim = sub.add_parser(
         "simulate",

@@ -2,7 +2,7 @@
 
 A config names a prior, a sensing setup, one or more noise schedules, and
 the trial plan.  Parsing resolves every implicit choice (seed defaults,
-trial counts, thread counts) so that the serialized form is a fixed point:
+trial counts) so that the serialized form is a fixed point:
 parse(serialize(cfg)) == cfg, and two runs of the same resolved config are
 byte-identical.
 
@@ -30,14 +30,14 @@ byte-identical.
     trials = 20             # or: trial_seeds = 7000 7001 ...
     base_seed = 7000
     out_dir = out
-    threads = 4
 """
 
 import configparser
-import os
 from dataclasses import dataclass
 
-from .recovery_engine import SCHEDULE_KINDS, NoiseSchedule
+import numpy as np
+
+from .recovery_engine import SCHEDULE_KINDS, NoiseSchedule, schedule_sigma
 
 PRIOR_KINDS = ("lrgmm", "sparse", "box", "file")
 
@@ -56,7 +56,7 @@ _PRIOR_KEYS = {
 
 _SCHEDULE_KEYS = {"kind", "sigma_max", "sigma_min", "horizon", "a"}
 
-_RUN_KEYS = {"n_iters", "trials", "base_seed", "trial_seeds", "out_dir", "threads"}
+_RUN_KEYS = {"n_iters", "trials", "base_seed", "trial_seeds", "out_dir"}
 
 
 class ConfigError(ValueError):
@@ -92,7 +92,6 @@ class ExperimentConfig:
     n_iters: int
     trial_seeds: tuple
     out_dir: str
-    threads: int
 
     def schedule_map(self) -> dict:
         return dict(self.schedules)
@@ -248,11 +247,8 @@ def _parse_run(values):
         raise _fail("run", "trial_seeds", "at least one trial seed is required")
     if len(set(seeds)) != len(seeds):
         raise _fail("run", "trial_seeds", "trial seeds must be distinct")
-    threads = _get_int("run", values, "threads", os.cpu_count() or 1)
-    if threads < 1:
-        raise _fail("run", "threads", f"must be >= 1, got {threads}")
     n_iters = _get_int("run", values, "n_iters", 0)
-    return n_iters, seeds, values.get("out_dir", "out"), threads
+    return n_iters, seeds, values.get("out_dir", "out")
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -284,7 +280,7 @@ def parse_config(text: str) -> ExperimentConfig:
     if len(set(names)) != len(names):
         raise ConfigError("schedule names must be distinct")
 
-    n_iters, seeds, out_dir, threads = _parse_run(dict(cp["run"]))
+    n_iters, seeds, out_dir = _parse_run(dict(cp["run"]))
     finite = [s.horizon for _, s in schedules if s.kind != "infinite_geometric"]
     if n_iters == 0:
         if not finite:
@@ -299,6 +295,12 @@ def parse_config(text: str) -> ExperimentConfig:
                 "horizon",
                 f"n_iters={n_iters} exceeds the horizon {sched.horizon}",
             )
+        # Every kind decreases in n: the last sigma^2 is the run's smallest.
+        sigma2 = schedule_sigma(sched, n_iters) ** 2
+        if sigma2 < np.finfo(float).tiny:
+            key = "a" if sched.kind == "infinite_geometric" else "sigma_min"
+            raise _fail(f"schedule.{name}", key,
+                        f"sigma^2 at n_iters={n_iters} underflows to {sigma2!r}")
 
     return ExperimentConfig(
         prior=prior,
@@ -307,7 +309,6 @@ def parse_config(text: str) -> ExperimentConfig:
         n_iters=n_iters,
         trial_seeds=seeds,
         out_dir=out_dir,
-        threads=threads,
     )
 
 
@@ -374,6 +375,5 @@ def serialize_config(cfg: ExperimentConfig) -> str:
         f"n_iters = {cfg.n_iters}",
         "trial_seeds = " + " ".join(str(s) for s in cfg.trial_seeds),
         f"out_dir = {cfg.out_dir}",
-        f"threads = {cfg.threads}",
     ]
     return "\n".join(lines) + "\n"

@@ -17,8 +17,7 @@ import numpy as np
 
 from .errors import FrontierError, InsufficientDataError
 from .lrgmm_prior import LrGmmPrior, denoiser
-from .model_sets import frontier_gap as union_frontier_gap
-from .model_sets import project_union, squared_projection_norms, _check_vector
+from .model_sets import component_parts, gap_from_norms, _check_vector
 from .recovery_engine import RecoveryTrace
 
 MSE_FLOOR = 1e-28
@@ -41,15 +40,14 @@ def projection_gap(prior: LrGmmPrior, x: np.ndarray, sigma) -> ProjectionGap:
     norm_x = float(np.linalg.norm(x))
     if norm_x == 0.0:
         raise ValueError("the gap envelope is undefined at x = 0")
-    eta = union_frontier_gap(prior.union, x)
+    projections, norms2, _ = component_parts(prior.union, x)
+    eta = gap_from_norms(norms2)
     if eta <= 0.0:
         raise FrontierError(f"x lies on a tie frontier (margin {eta!r})")
-    point, _ = project_union(prior.union, x)
-    ev = denoiser(prior, x, sigma)
-    gap = float(np.linalg.norm(ev.value - point)) / norm_x
-    t = float(sigma) ** 2
-    norms2 = squared_projection_norms(prior.union, x)
     k_star = int(np.argmax(norms2))
+    ev = denoiser(prior, x, sigma)
+    gap = float(np.linalg.norm(ev.value - projections[k_star])) / norm_x
+    t = float(sigma) ** 2
     pi = prior.pi
     others = np.delete(pi, k_star)
     decay = math.exp(-eta / (2.0 * t * (1.0 + t))) if math.isfinite(eta) else 0.0

@@ -18,13 +18,12 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import ResourceLimitError, UnsupportedCaseError
 from .model_sets import (
     DEFAULT_TIE_TOL,
-    Subspace,
     UnionOfSubspaces,
+    component_parts,
     coordinate_subspace,
     project_union,
     random_union,
@@ -52,7 +51,7 @@ class LrGmmPrior:
             )
         if not np.all(np.isfinite(log_pi)):
             raise ValueError("log_pi entries must be finite")
-        total = np.exp(logsumexp(log_pi))
+        total = float(np.sum(np.exp(log_pi)))
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"mixture weights must sum to 1, got {total!r}")
         log_pi = log_pi.copy()
@@ -122,28 +121,19 @@ def log_component_density(prior: LrGmmPrior, k: int, x: np.ndarray, t) -> float:
     return float(prior.log_pi[k]) - 0.5 * (d * LOG_2PI + log_det + quad)
 
 
-def _informative_parts(prior: LrGmmPrior, x: np.ndarray, t: float):
-    """Per-component log nu_k split off its dominant shared term.
+def _posterior(prior: LrGmmPrior, sq_in: np.ndarray, sq_out: np.ndarray, t):
+    """Posterior weights and blurred log density from one pass's norms.
 
-    Returns (c, projections, shift) with log nu_k = c_k + shift, where
+    Takes the vectors ||P_k x||^2 and ||x - P_k x||^2 and returns
+    (w, log nu(x)).  Each log nu_k is evaluated as c_k + shift with
     shift = -min_j ||x - P_j x||^2 / (2t) - (d/2) log(2pi).  The split matters
     numerically: the residual-over-t term dwarfs the informative differences
     for small t, and carrying it inside every log nu_k would round those
     differences away.
     """
-    k_count = prior.n_components
-    d = x.shape[0]
-    sq_in = np.empty(k_count)
-    sq_out = np.empty(k_count)
-    projections = np.empty((k_count, d))
-    for k, subspace in enumerate(prior.union.subspaces):
-        coeffs = subspace.basis.T @ x
-        inside = subspace.basis @ coeffs
-        residual = x - inside
-        sq_in[k] = np.dot(coeffs, coeffs)
-        sq_out[k] = np.dot(residual, residual)
-        projections[k] = inside
-    ranks = np.array([s.rank for s in prior.union.subspaces])
+    t = _check_t(t)
+    d = prior.ambient_dim
+    ranks = prior.union.ranks
     log_det = ranks * math.log1p(t) + (d - ranks) * math.log(t)
     sq_out_min = float(np.min(sq_out))
     c = (
@@ -153,20 +143,16 @@ def _informative_parts(prior: LrGmmPrior, x: np.ndarray, t: float):
         - (sq_out - sq_out_min) / (2.0 * t)
     )
     shift = -sq_out_min / (2.0 * t) - 0.5 * d * LOG_2PI
-    return c, projections, shift
-
-
-def _normalized_weights(c: np.ndarray) -> np.ndarray:
-    w = np.exp(c - np.max(c))
-    return w / np.sum(w)
+    c_max = float(np.max(c))
+    w = np.exp(c - c_max)
+    total = float(np.sum(w))
+    return w / total, c_max + math.log(total) + shift
 
 
 def weights(prior: LrGmmPrior, x: np.ndarray, t) -> np.ndarray:
     """Posterior component weights w_k(x, t); stable down to t ~ 1e-10."""
-    t = _check_t(t)
-    x = _check_vector(x, prior.ambient_dim)
-    c, _, _ = _informative_parts(prior, x, t)
-    return _normalized_weights(c)
+    _, sq_in, sq_out = component_parts(prior.union, x)
+    return _posterior(prior, sq_in, sq_out, t)[0]
 
 
 def denoiser(prior: LrGmmPrior, x: np.ndarray, sigma) -> DenoiserEval:
@@ -174,11 +160,9 @@ def denoiser(prior: LrGmmPrior, x: np.ndarray, sigma) -> DenoiserEval:
     sigma = float(sigma)
     if not (sigma > 0.0 and math.isfinite(sigma)):
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
-    x = _check_vector(x, prior.ambient_dim)
     t = sigma * sigma
-    c, projections, shift = _informative_parts(prior, x, t)
-    log_density = float(logsumexp(c)) + shift
-    w = _normalized_weights(c)
+    projections, sq_in, sq_out = component_parts(prior.union, x)
+    w, log_density = _posterior(prior, sq_in, sq_out, t)
     value = (w @ projections) / (1.0 + t)
     return DenoiserEval(value=value, weights=w, log_density=log_density, sigma=sigma)
 
@@ -202,19 +186,14 @@ def limiting_projection(prior: LrGmmPrior, x: np.ndarray, tie_tol: float = DEFAU
     point, argmin_set = project_union(prior.union, x, tie_tol=tie_tol)
     if len(argmin_set) == 1:
         return point
-    ranks = {prior.union.subspaces[k].rank for k in argmin_set}
-    if len(ranks) != 1:
+    if len(set(prior.union.ranks[argmin_set])) != 1:
         raise UnsupportedCaseError(
             "limiting projection is multi-valued for a rank-mixed tie "
             f"(components {argmin_set})"
         )
     pi = np.exp(prior.log_pi[argmin_set])
     pi = pi / pi.sum()
-    out = np.zeros_like(x)
-    for weight, k in zip(pi, argmin_set):
-        subspace = prior.union.subspaces[k]
-        out += weight * (subspace.basis @ (subspace.basis.T @ x))
-    return out
+    return pi @ component_parts(prior.union, x)[0][argmin_set]
 
 
 def sample(prior: LrGmmPrior, rng: np.random.Generator) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Low-dimensional model sets: unions of subspaces and centered boxes.
 
-A union of subspaces is stored as a list of orthonormal bases.  Projections
-never materialise d-by-d matrices; everything runs through the d-by-r bases.
+A union of subspaces is stored as a zero-padded (K, d, r_max) stack of
+orthonormal bases, so per-component quantities are one stacked pass; zero
+columns add nothing to a projection.  No d-by-d matrix is ever formed.
 """
 
 from dataclasses import dataclass, field
@@ -53,10 +54,12 @@ class Subspace:
 
 @dataclass(frozen=True)
 class UnionOfSubspaces:
-    """A finite union of subspaces of a common ambient space."""
+    """A finite union of subspaces; ``bases`` stacks them zero-padded to r_max."""
 
     subspaces: tuple
     equal_rank: bool = field(init=False)
+    bases: np.ndarray = field(init=False, repr=False, compare=False)
+    ranks: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         subspaces = tuple(self.subspaces)
@@ -66,8 +69,15 @@ class UnionOfSubspaces:
         if len(dims) != 1:
             raise ValueError(f"mixed ambient dimensions: {sorted(dims)}")
         object.__setattr__(self, "subspaces", subspaces)
-        ranks = {s.rank for s in subspaces}
-        object.__setattr__(self, "equal_rank", len(ranks) == 1)
+        ranks = np.array([s.rank for s in subspaces])
+        bases = np.zeros((len(subspaces), dims.pop(), int(ranks.max())))
+        for k, subspace in enumerate(subspaces):
+            bases[k, :, : subspace.rank] = subspace.basis
+        bases.flags.writeable = False
+        ranks.flags.writeable = False
+        object.__setattr__(self, "equal_rank", bool(np.all(ranks == ranks[0])))
+        object.__setattr__(self, "bases", bases)
+        object.__setattr__(self, "ranks", ranks)
 
     @property
     def ambient_dim(self) -> int:
@@ -139,10 +149,20 @@ def project_subspace(subspace: Subspace, x: np.ndarray) -> np.ndarray:
     return subspace.basis @ (subspace.basis.T @ x)
 
 
+def component_parts(union: UnionOfSubspaces, x: np.ndarray):
+    """(P_k x as a (K, d) array, ||P_k x||^2, ||x - P_k x||^2) in one pass."""
+    x = _check_vector(x, union.ambient_dim)
+    coeffs = x @ union.bases
+    projections = np.matmul(union.bases, coeffs[:, :, None])[:, :, 0]
+    residuals = x - projections
+    sq_in = np.einsum("kr,kr->k", coeffs, coeffs)
+    sq_out = np.einsum("kd,kd->k", residuals, residuals)
+    return projections, sq_in, sq_out
+
+
 def squared_projection_norms(union: UnionOfSubspaces, x: np.ndarray) -> np.ndarray:
     """Vector of ||P_k x||^2 over components k."""
-    x = _check_vector(x, union.ambient_dim)
-    return np.array([np.dot(c, c) for c in (s.basis.T @ x for s in union.subspaces)])
+    return component_parts(union, x)[1]
 
 
 def project_union(union: UnionOfSubspaces, x: np.ndarray, tie_tol: float = DEFAULT_TIE_TOL):
@@ -167,10 +187,13 @@ def frontier_gap(union: UnionOfSubspaces, x: np.ndarray) -> float:
     Defined as min over losers of ||P_best x||^2 - ||P_loser x||^2; zero on
     the tie frontier and +inf for single-component unions.
     """
-    x = _check_vector(x, union.ambient_dim)
-    if union.n_components == 1:
+    return gap_from_norms(squared_projection_norms(union, x))
+
+
+def gap_from_norms(norms2: np.ndarray) -> float:
+    """frontier_gap from the vector of ||P_k x||^2; +inf for one component."""
+    if norms2.shape[0] == 1:
         return float("inf")
-    norms2 = squared_projection_norms(union, x)
     k_star = int(np.argmax(norms2))
     others = np.delete(norms2, k_star)
     return float(norms2[k_star] - np.max(others))

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DivergenceError
-from .lrgmm_prior import LrGmmPrior, denoiser as lrgmm_denoiser, weights as posterior_weights
-from .model_sets import UnionOfSubspaces, frontier_gap as union_frontier_gap
+from .lrgmm_prior import LrGmmPrior, _posterior, denoiser as lrgmm_denoiser
+from .model_sets import UnionOfSubspaces, component_parts, gap_from_norms
 from .sensing_analysis import SensingProblem
 
 SCHEDULE_KINDS = ("geometric", "linear", "cosine", "infinite_geometric")
@@ -274,16 +274,14 @@ def run_recovery(problem: SensingProblem, denoise, schedule: NoiseSchedule,
             trace.mse[n] = float(diff @ diff) / d
         trace.residual[n] = float(np.linalg.norm(a @ x - y))
         if union is not None:
-            for k, subspace in enumerate(union.subspaces):
-                coeffs = subspace.basis.T @ x
-                trace.subspace_distances[n, k] = float(
-                    np.linalg.norm(x - subspace.basis @ coeffs)
-                )
-            trace.frontier_gap[n] = union_frontier_gap(union, x)
+            _, sq_in, sq_out = component_parts(union, x)
+            trace.subspace_distances[n] = np.sqrt(sq_out)
+            trace.frontier_gap[n] = gap_from_norms(sq_in)
         if prior is not None:
-            trace.weight_entropy[n] = _entropy(
-                posterior_weights(prior, x, sigma_n * sigma_n)
-            )
+            if prior.union is not union:
+                _, sq_in, sq_out = component_parts(prior.union, x)
+            w, _ = _posterior(prior, sq_in, sq_out, sigma_n * sigma_n)
+            trace.weight_entropy[n] = _entropy(w)
         if record_iterates:
             trace.iterates[n] = x
         if n == n_iters:

@@ -15,7 +15,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .errors import NumericFailureError
-from .model_sets import UnionOfSubspaces, squared_projection_norms
+from .model_sets import UnionOfSubspaces
 from .randomness import normal_matrix, normal_stream
 
 POWER_ITERATION_TOL = 1e-10
@@ -159,10 +159,21 @@ def _component_sample_rows(union: UnionOfSubspaces, component_of_row: np.ndarray
     return out
 
 
-def _squared_projection_matrix(union: UnionOfSubspaces, points: np.ndarray) -> np.ndarray:
-    # (n, K) matrix of ||P_k z||^2 for a batch of rows z.
-    cols = [np.sum((points @ s.basis) ** 2, axis=1) for s in union.subspaces]
-    return np.stack(cols, axis=1)
+def _projection_coeffs(union: UnionOfSubspaces, points: np.ndarray) -> np.ndarray:
+    # (n, K, r_max) coefficients B_k^T z for a batch of rows z, in one matmul
+    # against the stacked bases.
+    k, d, r = union.bases.shape
+    flat = union.bases.transpose(1, 0, 2).reshape(d, k * r)
+    return (points @ flat).reshape(points.shape[0], k, r)
+
+
+def _project_rows(union: UnionOfSubspaces, coeffs: np.ndarray,
+                  component_of_row: np.ndarray) -> np.ndarray:
+    # P_k z for each row z, from its (n, K, r_max) coefficients, with k
+    # given per row.
+    rows = np.arange(coeffs.shape[0])
+    return np.einsum("ndr,nr->nd", union.bases[component_of_row],
+                     coeffs[rows, component_of_row])
 
 
 def _frontier_points(union: UnionOfSubspaces, ks: np.ndarray, ells: np.ndarray,
@@ -176,7 +187,7 @@ def _frontier_points(union: UnionOfSubspaces, ks: np.ndarray, ells: np.ndarray,
     rows = np.arange(n)
 
     def imbalance(points):
-        sq = _squared_projection_matrix(union, points)
+        sq = np.sum(_projection_coeffs(union, points) ** 2, axis=2)
         return sq[rows, ks] - sq[rows, ells]
 
     lo = np.zeros(n)
@@ -219,14 +230,10 @@ def restricted_lipschitz_estimate(union: UnionOfSubspaces, n_samples: int,
         probes.append(frontier + 0.1 * normal_matrix(rng, n_frontier, d))
     z = np.vstack(probes)
 
-    sq = _squared_projection_matrix(union, z)
-    order = np.argsort(-sq, axis=1, kind="stable")
+    coeffs = _projection_coeffs(union, z)
+    order = np.argsort(-np.sum(coeffs ** 2, axis=2), axis=1, kind="stable")
     winner = order[:, 0]
-    proj = np.zeros_like(z)
-    for k, subspace in enumerate(union.subspaces):
-        rows = np.flatnonzero(winner == k)
-        if rows.size:
-            proj[rows] = (z[rows] @ subspace.basis) @ subspace.basis.T
+    proj = _project_rows(union, coeffs, winner)
 
     def ratios(anchors, keep=None):
         denom = np.linalg.norm(z - anchors, axis=1)
@@ -239,13 +246,7 @@ def restricted_lipschitz_estimate(union: UnionOfSubspaces, n_samples: int,
     best = ratios(_component_sample_rows(union, rng.integers(n_comp, size=n_samples), rng))
 
     if n_comp >= 2:
-        runner = order[:, 1]
-        runner_proj = np.zeros_like(z)
-        for k, subspace in enumerate(union.subspaces):
-            rows = np.flatnonzero(runner == k)
-            if rows.size:
-                runner_proj[rows] = (z[rows] @ subspace.basis) @ subspace.basis.T
-        best = max(best, ratios(runner_proj))
+        best = max(best, ratios(_project_rows(union, coeffs, order[:, 1])))
 
     out_of_set = np.linalg.norm(z - proj, axis=1)
     on_set = out_of_set < 1e-12

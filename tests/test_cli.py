@@ -99,7 +99,6 @@ def test_parse_resolves_every_default():
     assert cfg.trial_seeds == tuple(DEFAULT_BASE_SEED + i for i in range(3))
     assert cfg.n_iters == 30  # shortest finite horizon
     assert cfg.out_dir == "out"
-    assert cfg.threads == (os.cpu_count() or 1)
 
 
 def test_serialize_parse_is_a_fixed_point():
@@ -112,7 +111,7 @@ def test_serialize_parse_is_a_fixed_point():
         + "\n[sensing]\nm = 4\nseed = 9\nmu = 0.125\n"
         "[schedule.slow]\nkind = infinite_geometric\nsigma_max = 0.5\na = 0.96\n"
         "[schedule.geometric]\nsigma_max = 0.5\nsigma_min = 1e-4\nhorizon = 40\n"
-        "[run]\ntrials = 2\nbase_seed = 7\nn_iters = 40\nout_dir = elsewhere\nthreads = 2\n",
+        "[run]\ntrials = 2\nbase_seed = 7\nn_iters = 40\nout_dir = elsewhere\n",
         "[prior]\nkind = box\nlower = -1 -2\nupper = 1 0.5\n"
         "[sensing]\nm = 2\n"
         "[schedule.cosine]\nsigma_max = 0.3\nsigma_min = 1e-3\nhorizon = 25\n"
@@ -175,6 +174,18 @@ def test_serialize_parse_is_a_fixed_point():
          "[schedule.geometric]\nsigma_max = 0.5\nsigma_min = 1e-4\nhorizon = 10\n"
          "[run]\ntrials = 1\n",
          r"\[prior\] d: expected an integer"),
+        ("[prior]\nkind = lrgmm\nd = 4\nr = 1\nk = 1\n[sensing]\nm = 2\n"
+         "[schedule.fast]\nkind = infinite_geometric\nsigma_max = 0.5\na = 0.5\n"
+         "[run]\ntrials = 1\nn_iters = 600\n",
+         r"\[schedule\.fast\] a: sigma\^2 at n_iters=600 underflows"),
+        ("[prior]\nkind = lrgmm\nd = 4\nr = 1\nk = 1\n[sensing]\nm = 2\n"
+         "[schedule.geometric]\nsigma_max = 0.5\nsigma_min = 1e-200\nhorizon = 10\n"
+         "[run]\ntrials = 1\n",
+         r"\[schedule\.geometric\] sigma_min: sigma\^2 at n_iters=10 underflows"),
+        ("[prior]\nkind = lrgmm\nd = 4\nr = 1\nk = 1\n[sensing]\nm = 2\n"
+         "[schedule.geometric]\nsigma_max = 0.5\nsigma_min = 1e-4\nhorizon = 10\n"
+         "[run]\ntrials = 1\nthreads = 2\n",
+         r"\[run\] threads: unknown key"),
     ],
 )
 def test_config_errors_name_the_offender(text, match):
@@ -284,19 +295,6 @@ def test_simulate_is_byte_identical_across_reruns(tmp_path):
         assert first[name] == second[name], name
 
 
-def test_simulate_single_thread_matches_default_pool(tmp_path):
-    cfg_path = write_config(tmp_path, TWO_SCHEDULE_CONFIG)
-    out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
-    assert cli.main(["simulate", cfg_path, "--out", out1]) == 0
-    assert cli.main(["simulate", cfg_path, "--out", out2, "--threads", "1"]) == 0
-    for name in sorted(os.listdir(out1)):
-        if name.startswith("trace_"):
-            with open(os.path.join(out1, name), "rb") as f1, open(
-                os.path.join(out2, name), "rb"
-            ) as f2:
-                assert f1.read() == f2.read(), name
-
-
 def test_simulate_manifest_lists_every_output(tmp_path):
     cfg_path = write_config(tmp_path, TWO_SCHEDULE_CONFIG)
     out = str(tmp_path / "out")
@@ -317,10 +315,9 @@ def test_simulate_manifest_lists_every_output(tmp_path):
 def test_simulate_resolved_config_reparses_to_the_same_plan(tmp_path):
     cfg_path = write_config(tmp_path, TWO_SCHEDULE_CONFIG)
     out = str(tmp_path / "out")
-    assert cli.main(["simulate", cfg_path, "--out", out, "--threads", "1"]) == 0
+    assert cli.main(["simulate", cfg_path, "--out", out]) == 0
     resolved = pd.load_config(os.path.join(out, "resolved.cfg"))
     assert resolved.trial_seeds == (43, 44)
-    assert resolved.threads == 1
     assert resolved.out_dir == out
     assert [name for name, _ in resolved.schedules] == ["geometric", "lin"]
 
@@ -463,6 +460,22 @@ def test_analyze_writes_rates_and_summary(tmp_path):
     first = summary[1].split(",")
     assert first[0] == "geometric" and first[1] == "2"
     assert float(first[2]) >= 0.0
+
+
+def test_analyze_reads_only_the_traces_in_the_manifest(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, TWO_SCHEDULE_CONFIG)
+    out = str(tmp_path / "out")
+    assert cli.main(["simulate", cfg_path, "--out", out]) == 0
+    cfg_path = write_config(
+        tmp_path, TWO_SCHEDULE_CONFIG.replace("43 44", "43"), name="one.cfg"
+    )
+    assert cli.main(["simulate", cfg_path, "--out", out]) == 0
+    capsys.readouterr()
+    assert cli.main(["analyze", out]) == 0
+    assert "skipping trace_geometric_00044.csv" in capsys.readouterr().err
+    with open(os.path.join(out, "rates.csv")) as fh:
+        rows = [line.split(",") for line in fh.read().strip().split("\n")[1:]]
+    assert sorted((row[1], row[2]) for row in rows) == [("geometric", "43"), ("lin", "43")]
 
 
 def test_analyze_recovers_a_planted_linear_rate(tmp_path):

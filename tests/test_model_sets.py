@@ -180,6 +180,40 @@ def test_frontier_gap_matches_bruteforce_loop():
     assert got == pytest.approx(want, rel=1e-12)
     assert got > 0.0
 
+    # Rank-mixed unions run through the zero-padded stack; the per-Subspace
+    # formulas stay here as the reference.
+    for _ in range(20):
+        d = int(rng.integers(2, 12))
+        ranks = [int(r) for r in rng.integers(1, d + 1, size=int(rng.integers(1, 6)))]
+        prior = pd.uniform_lrgmm(pd.random_union(d, ranks, rng))
+        u = prior.union
+        x = rng.normal(size=d)
+        scale = float(x @ x)
+        coeffs = [s.basis.T @ x for s in u.subspaces]
+        want_norms = np.array([float(c @ c) for c in coeffs])
+        assert np.allclose(pd.squared_projection_norms(u, x), want_norms,
+                           rtol=1e-12, atol=1e-12 * scale)
+        if len(ranks) == 1:
+            assert pd.frontier_gap(u, x) == math.inf
+        else:
+            k_star = int(np.argmax(want_norms))
+            want_gap = min(want_norms[k_star] - want_norms[ell]
+                           for ell in range(len(ranks)) if ell != k_star)
+            assert pd.frontier_gap(u, x) == pytest.approx(want_gap, rel=1e-12,
+                                                          abs=1e-12 * scale)
+        sigma = float(rng.uniform(0.05, 1.0))
+        t = sigma * sigma
+        log_nu = np.array([
+            pd.log_component_density(prior, k, x, t) for k in range(len(ranks))
+        ])
+        w = np.exp(log_nu - log_nu.max())
+        w /= w.sum()
+        want_value = sum(
+            wk * (s.basis @ c) for wk, s, c in zip(w, u.subspaces, coeffs)
+        ) / (1.0 + t)
+        assert np.allclose(pd.denoiser(prior, x, sigma).value, want_value,
+                           rtol=1e-12, atol=1e-12 * math.sqrt(scale))
+
 
 def test_frontier_gap_zero_iff_tied():
     rng = np.random.default_rng(17)
