@@ -1,8 +1,11 @@
 """Executable invariant suite behind the ``check`` subcommand.
 
-Each check reduces to one number compared against one bound, so the report
-is a flat CSV.  The two checks most likely to catch a silent regression
-(the posterior-mean identity and weight normalisation at tiny noise) accept
+Each invariant is one measurement function that returns one number; this
+module is its only implementation.  ``run_checks`` compares each number with
+the bound in ``CHECKS`` and reports a flat CSV, and ``tests/test_acceptance.py``
+calls the same functions at the ``--full`` sizes against its own fixed
+bounds.  The two checks most likely to catch a silent regression (the
+posterior-mean identity and weight normalisation at tiny noise) accept
 injectable implementations, which is also how the tests confirm that a
 broken build actually trips them.
 """
@@ -18,7 +21,7 @@ from . import convex_prior, lrgmm_prior
 from .diagnostics import fit_linear_rate, projection_gap
 from .errors import FrontierError
 from .model_sets import BoxSet, UnionOfSubspaces, coordinate_subspace, project_box, \
-    project_union, random_union, squared_projection_norms
+    project_union, random_union
 from .recovery_engine import NoiseSchedule, RecoveryTrace, gpgd_step, kadkhodaie_step, \
     run_recovery, schedule_sigma
 from .sensing_analysis import SensingProblem, gaussian_operator, ric_union
@@ -34,15 +37,19 @@ class CheckResult:
     passed: bool
 
 
-def _result(name, value, bound) -> CheckResult:
-    value = float(value)
-    return CheckResult(name=name, value=value, bound=float(bound),
-                       passed=bool(value <= bound))
+def worst_case(values) -> float:
+    """Largest of ``values`` (0.0 for none), or inf if any is not finite.
+
+    Every maximum below goes through here: ``max(0.0, nan)`` would drop a NaN.
+    """
+    values = [float(v) for v in values]
+    return max(values, default=0.0) if all(map(math.isfinite, values)) else math.inf
 
 
-def _check_tweedie_identity(n_instances, denoiser_fn) -> CheckResult:
+def tweedie_defect(n_instances, denoiser_fn=lrgmm_prior.denoiser) -> float:
+    """Worst relative gap between sigma^2 * grad log-density and D(x) - x."""
     r = np.random.default_rng(31337)
-    worst = 0.0
+    defects = []
     for trial in range(n_instances):
         d = int(r.integers(2, 9))
         k = int(r.integers(1, 5))
@@ -56,25 +63,21 @@ def _check_tweedie_identity(n_instances, denoiser_fn) -> CheckResult:
         ev = denoiser_fn(prior, x, sigma)
         h = 1e-5
         grad = np.empty(d)
-        for i in range(d):
-            e = np.zeros(d)
-            e[i] = h
+        for i, e in enumerate(np.eye(d) * h):
             grad[i] = (
                 denoiser_fn(prior, x + e, sigma).log_density
                 - denoiser_fn(prior, x - e, sigma).log_density
             ) / (2 * h)
         lhs = sigma * sigma * grad
         rhs = ev.value - x
-        rel = float(np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs))
-        if not math.isfinite(rel):
-            rel = math.inf
-        worst = max(worst, rel)
-    return _result("tweedie_identity", worst, 1e-4)
+        defects.append(np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs))
+    return worst_case(defects)
 
 
-def _check_weight_stability(weights_fn) -> CheckResult:
+def weight_sum_defect(weights_fn=lrgmm_prior.weights) -> float:
+    """Worst |sum of posterior weights - 1| at t = 1e-8 and 1e-10."""
     r = np.random.default_rng(808)
-    worst = 0.0
+    defects = []
     for _ in range(6):
         d = int(r.integers(3, 9))
         k = int(r.integers(2, 5))
@@ -84,32 +87,29 @@ def _check_weight_stability(weights_fn) -> CheckResult:
         for scale in (1.0, 1e3):
             x = r.normal(size=d) * scale
             for t in (1e-8, 1e-10):
+                # A non-finite weight makes the sum, hence the defect, non-finite.
                 w = np.asarray(weights_fn(prior, x, t), dtype=float)
-                defect = abs(float(np.sum(w)) - 1.0)
-                if not np.all(np.isfinite(w)):
-                    defect = math.inf
-                worst = max(worst, defect)
-    return _result("weight_stability", worst, 1e-10)
+                defects.append(abs(float(np.sum(w)) - 1.0))
+    return worst_case(defects)
 
 
-def _check_k1_operator_law() -> CheckResult:
+def k1_law_defect() -> float:
+    """Worst distance of the one-subspace sup-gap from sigma^2 / (1 + sigma^2)."""
     sub = coordinate_subspace(6, [0, 1])
     prior = lrgmm_prior.uniform_lrgmm(UnionOfSubspaces((sub,)))
-    worst = 0.0
+    defects = []
     for sigma in (1e-4, 1e-2, 0.5):
         t = sigma * sigma
-        sup_gap = 0.0
-        for i in range(6):
-            e = np.zeros(6)
-            e[i] = 1.0
+        gaps = []
+        for e in np.eye(6):
             ev = lrgmm_prior.denoiser(prior, e, sigma)
-            gap = float(np.linalg.norm(ev.value - sub.basis @ (sub.basis.T @ e)))
-            sup_gap = max(sup_gap, gap)
-        worst = max(worst, abs(sup_gap - t / (1.0 + t)))
-    return _result("k1_operator_law", worst, 1e-12)
+            gaps.append(np.linalg.norm(ev.value - sub.basis @ (sub.basis.T @ e)))
+        defects.append(abs(worst_case(gaps) - t / (1.0 + t)))
+    return worst_case(defects)
 
 
-def _check_gap_envelope(n_instances) -> CheckResult:
+def gap_envelope_violations(n_instances) -> int:
+    """Off-frontier instances whose denoiser-vs-projection gap exceeds its envelope."""
     r = np.random.default_rng(4242)
     violations = 0
     n_checked = 0
@@ -127,15 +127,16 @@ def _check_gap_envelope(n_instances) -> CheckResult:
             res = projection_gap(prior, x, sigma)
         except FrontierError:
             continue
-        if res.gap > res.bound + 1e-12:
+        if not res.gap <= res.bound + 1e-12:  # a NaN gap is a violation
             violations += 1
         n_checked += 1
-    return _result("gap_envelope", violations, 0)
+    return violations
 
 
-def _check_union_pythagoras() -> CheckResult:
+def pythagoras_defect() -> float:
+    """Worst relative defect of |x|^2 = |P(x)|^2 + |x - P(x)|^2 on random unions."""
     r = np.random.default_rng(909)
-    worst = 0.0
+    defects = []
     for _ in range(200):
         d = int(r.integers(2, 12))
         k = int(r.integers(1, 5))
@@ -144,11 +145,12 @@ def _check_union_pythagoras() -> CheckResult:
         point, _ = project_union(union, x)
         lhs = float(x @ x)
         rhs = float(point @ point) + float((x - point) @ (x - point))
-        worst = max(worst, abs(lhs - rhs) / max(lhs, 1.0))
-    return _result("union_pythagoras", worst, 1e-9)
+        defects.append(abs(lhs - rhs) / max(lhs, 1.0))
+    return worst_case(defects)
 
 
-def _check_schedule_monotone() -> CheckResult:
+def schedule_increases() -> int:
+    """Steps at which some schedule's sigma rises over 150 iterations."""
     schedules = [
         NoiseSchedule("geometric", 0.5, 1e-4, 150),
         NoiseSchedule("linear", 0.5, 1e-4, 150),
@@ -157,39 +159,38 @@ def _check_schedule_monotone() -> CheckResult:
     ]
     increases = 0
     for sched in schedules:
-        horizon = 150
-        values = [schedule_sigma(sched, n) for n in range(horizon + 1)]
-        increases += sum(1 for a, b in zip(values, values[1:]) if b > a * (1 + 1e-12))
-    return _result("schedule_monotone", increases, 0)
+        values = [schedule_sigma(sched, n) for n in range(151)]
+        # Written so that a NaN sigma counts as an increase.
+        increases += sum(1 for a, b in zip(values, values[1:]) if not b <= a * (1 + 1e-12))
+    return increases
 
 
-def _check_form_equivalence(n_states) -> CheckResult:
+def step_form_defect(n_states) -> float:
+    """Worst gap between the one-shot step and the callback step at mu = 1."""
     prior = lrgmm_prior.random_lrgmm(16, 2, 3, np.random.default_rng(61))
     a = gaussian_operator(8, 16, np.random.default_rng(67))
     xs = np.random.default_rng(71).normal(size=(n_states, 16))
     y = a @ lrgmm_prior.sample(prior, np.random.default_rng(73))
     denoise = lambda z, sg: lrgmm_prior.denoiser(prior, z, sg).value
-    worst = 0.0
+    defects = []
     for x in xs:
         lhs = kadkhodaie_step(prior, a, y, x, 0.25)
         rhs = gpgd_step(denoise, a, 1.0, y, x, 0.25)
-        worst = max(
-            worst, float(np.max(np.abs(lhs - rhs))) / (1.0 + float(np.linalg.norm(x)))
-        )
-    return _result("form_equivalence", worst, 1e-10)
+        defects.append(float(np.max(np.abs(lhs - rhs))) / (1.0 + float(np.linalg.norm(x))))
+    return worst_case(defects)
 
 
-def _check_box_tail_value() -> CheckResult:
+def box_tail_defect() -> float:
+    """Error of a far-tail truncated-normal mean against its exact value."""
     got = float(convex_prior.truncated_normal_mean(-1.0, 1.0, 5.0, 1e-3))
-    defect = abs(got - 0.99999975000003125)
-    if got >= 1.0:
-        defect = math.inf
-    return _result("box_tail_value", defect, 1e-12)
+    # The exact mean is below 1; reaching 1 (or NaN) means the tail was lost.
+    return abs(got - 0.99999975000003125) if got < 1.0 else math.inf
 
 
-def _check_box_mc_agreement(n_configs, n_samples) -> CheckResult:
+def box_mc_max_z(n_configs, n_samples) -> float:
+    """Largest z-score of the exact box denoiser against a Monte Carlo estimate."""
     r = np.random.default_rng(5150)
-    max_z = 0.0
+    z_scores = []
     for cfg in range(n_configs):
         s_dim = int(r.integers(1, 4))
         lo = -(0.3 + 1.2 * r.random(s_dim))
@@ -201,37 +202,36 @@ def _check_box_mc_agreement(n_configs, n_samples) -> CheckResult:
         est = convex_prior.mc_denoiser(
             box, y, sigma, n_samples, np.random.default_rng(9000 + cfg)
         )
-        z = np.abs(exact - est.value) / est.stderr
-        max_z = max(max_z, float(np.max(z)))
-    return _result("box_mc_agreement", max_z, 4.0)
+        z_scores.extend(np.abs(exact - est.value) / est.stderr)
+    return worst_case(z_scores)
 
 
-def _check_ric_exact_probes() -> CheckResult:
+def ric_probe_defect() -> float:
+    """Error of ric_union on two probes with known answers: zero map 1, isometry 0."""
     union = UnionOfSubspaces(
         tuple(coordinate_subspace(8, sup) for sup in ([0, 1], [2, 3], [4, 5]))
     )
-    worst = abs(ric_union(np.zeros((4, 8)), 1.0, union) - 1.0)
     perm = np.eye(8)[np.array([3, 1, 4, 0, 6, 2, 7, 5])]
     perm[0] *= -1
-    worst = max(worst, ric_union(perm, 1.0, union))
-    return _result("ric_exact_probes", worst, 1e-12)
+    return worst_case([abs(ric_union(np.zeros((4, 8)), 1.0, union) - 1.0),
+                       abs(ric_union(perm, 1.0, union))])
 
 
-def _check_rate_fit_exact() -> CheckResult:
-    mse = 1.0 * 0.25 ** np.arange(12)
+def rate_fit_defect() -> float:
+    """Error of fit_linear_rate on an exact 0.5-per-step decay."""
     trace = RecoveryTrace(
         n=np.arange(12),
         sigma=np.geomspace(0.5, 1e-4, 12),
-        mse=mse,
+        mse=0.25 ** np.arange(12),
         residual=np.zeros(12),
         frontier_gap=np.full(12, np.nan),
         weight_entropy=np.full(12, np.nan),
     )
-    fit = fit_linear_rate(trace)
-    return _result("rate_fit_exact", abs(fit.rate - 0.5), 1e-12)
+    return abs(fit_linear_rate(trace).rate - 0.5)
 
 
-def _check_trace_roundtrip() -> CheckResult:
+def trace_roundtrip_mismatches() -> int:
+    """Trace fields that differ after a CSV write and read."""
     prior = lrgmm_prior.random_lrgmm(5, 1, 2, np.random.default_rng(303))
     a = gaussian_operator(3, 5, np.random.default_rng(304))
     x_true = lrgmm_prior.sample(prior, np.random.default_rng(305))
@@ -247,16 +247,30 @@ def _check_trace_roundtrip() -> CheckResult:
         back = RecoveryTrace.read_csv(path)
     finally:
         os.unlink(path)
-    mismatches = 0
-    for col in ("n", "sigma", "mse", "residual", "frontier_gap", "weight_entropy"):
-        av, bv = getattr(trace, col), getattr(back, col)
-        if not np.array_equal(np.nan_to_num(av, nan=-1), np.nan_to_num(bv, nan=-1)):
-            mismatches += 1
-    if not np.array_equal(trace.subspace_distances, back.subspace_distances):
-        mismatches += 1
-    if trace.metadata != back.metadata:
-        mismatches += 1
-    return _result("trace_roundtrip", mismatches, 0)
+    columns = ("n", "sigma", "mse", "residual", "frontier_gap", "weight_entropy",
+               "subspace_distances")
+    mismatches = sum(
+        not np.array_equal(getattr(trace, col), getattr(back, col), equal_nan=True)
+        for col in columns
+    )
+    return mismatches + (trace.metadata != back.metadata)
+
+
+# (name, measurement, fast-level arguments, full-level arguments, bound)
+CHECKS = (
+    ("tweedie_identity", tweedie_defect, (40,), (200,), 1e-4),
+    ("weight_stability", weight_sum_defect, (), (), 1e-10),
+    ("k1_operator_law", k1_law_defect, (), (), 1e-12),
+    ("gap_envelope", gap_envelope_violations, (300,), (10_000,), 0),
+    ("union_pythagoras", pythagoras_defect, (), (), 1e-9),
+    ("schedule_monotone", schedule_increases, (), (), 0),
+    ("form_equivalence", step_form_defect, (20,), (100,), 1e-10),
+    ("box_tail_value", box_tail_defect, (), (), 1e-12),
+    ("box_mc_agreement", box_mc_max_z, (5, 30_000), (50, 150_000), 4.0),
+    ("ric_exact_probes", ric_probe_defect, (), (), 1e-12),
+    ("rate_fit_exact", rate_fit_defect, (), (), 1e-12),
+    ("trace_roundtrip", trace_roundtrip_mismatches, (), (), 0),
+)
 
 
 def run_checks(level: str = "fast", denoiser_fn=None, weights_fn=None) -> list:
@@ -267,25 +281,14 @@ def run_checks(level: str = "fast", denoiser_fn=None, weights_fn=None) -> list:
     """
     if level not in CHECK_LEVELS:
         raise ValueError(f"level must be one of {CHECK_LEVELS}, got {level!r}")
-    full = level == "full"
-    if denoiser_fn is None:
-        denoiser_fn = lrgmm_prior.denoiser
-    if weights_fn is None:
-        weights_fn = lrgmm_prior.weights
-    return [
-        _check_tweedie_identity(200 if full else 40, denoiser_fn),
-        _check_weight_stability(weights_fn),
-        _check_k1_operator_law(),
-        _check_gap_envelope(10_000 if full else 300),
-        _check_union_pythagoras(),
-        _check_schedule_monotone(),
-        _check_form_equivalence(100 if full else 20),
-        _check_box_tail_value(),
-        _check_box_mc_agreement(*((50, 150_000) if full else (5, 30_000))),
-        _check_ric_exact_probes(),
-        _check_rate_fit_exact(),
-        _check_trace_roundtrip(),
-    ]
+    injected = {tweedie_defect: {"denoiser_fn": denoiser_fn or lrgmm_prior.denoiser},
+                weight_sum_defect: {"weights_fn": weights_fn or lrgmm_prior.weights}}
+    results = []
+    for name, measure, fast_args, full_args, bound in CHECKS:
+        args = full_args if level == "full" else fast_args
+        value = float(measure(*args, **injected.get(measure, {})))
+        results.append(CheckResult(name, value, float(bound), value <= bound))
+    return results
 
 
 def report_csv(results) -> str:

@@ -11,7 +11,6 @@ Exit codes: 0 ok, 2 config error, 3 numeric divergence, 4 check failures.
 
 import argparse
 import json
-import math
 import os
 import statistics
 import sys

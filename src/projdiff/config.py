@@ -93,9 +93,6 @@ class ExperimentConfig:
     trial_seeds: tuple
     out_dir: str
 
-    def schedule_map(self) -> dict:
-        return dict(self.schedules)
-
 
 def _fail(section, key, problem) -> ConfigError:
     where = f"[{section}] {key}" if key else f"[{section}]"
@@ -148,10 +145,13 @@ def _parse_prior(values) -> PriorSpec:
         pi = None
         if values.get("pi", "uniform") != "uniform":
             pi = _get_floats("prior", values, "pi")
+        d, r = _get_int("prior", values, "d"), _get_int("prior", values, "r")
+        if not 1 <= r <= d:
+            raise _fail("prior", "r", f"must be between 1 and d = {d}, got {r}")
         return PriorSpec(
             kind=kind,
-            d=_get_int("prior", values, "d"),
-            r=_get_int("prior", values, "r"),
+            d=d,
+            r=r,
             k=_get_int("prior", values, "k"),
             seed=_get_int("prior", values, "seed", DEFAULT_PRIOR_SEED),
             pi=pi,
@@ -192,8 +192,11 @@ def _parse_sensing(values) -> SensingSpec:
             ) from None
         if mu <= 0.0:
             raise _fail("sensing", "mu", f"must be positive, got {mu}")
+    m = _get_int("sensing", values, "m")
+    if m < 1:
+        raise _fail("sensing", "m", f"must be >= 1, got {m}")
     return SensingSpec(
-        m=_get_int("sensing", values, "m"),
+        m=m,
         seed=_get_int("sensing", values, "seed", DEFAULT_SENSING_SEED),
         mu=mu,
     )

@@ -57,7 +57,6 @@ class UnionOfSubspaces:
     """A finite union of subspaces; ``bases`` stacks them zero-padded to r_max."""
 
     subspaces: tuple
-    equal_rank: bool = field(init=False)
     bases: np.ndarray = field(init=False, repr=False, compare=False)
     ranks: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -75,7 +74,6 @@ class UnionOfSubspaces:
             bases[k, :, : subspace.rank] = subspace.basis
         bases.flags.writeable = False
         ranks.flags.writeable = False
-        object.__setattr__(self, "equal_rank", bool(np.all(ranks == ranks[0])))
         object.__setattr__(self, "bases", bases)
         object.__setattr__(self, "ranks", ranks)
 
@@ -227,6 +225,8 @@ def project_box(box: BoxSet, x: np.ndarray) -> np.ndarray:
 
 def random_subspace(d: int, r: int, rng: np.random.Generator) -> Subspace:
     """Haar-ish random r-dimensional subspace of R^d via QR of a Gaussian."""
+    if not 1 <= r <= d:
+        raise ValueError(f"need 1 <= r <= d, got r={r}, d={d}")
     g = normal_matrix(rng, d, r)
     q, rr = np.linalg.qr(g)
     # Fix signs so the basis is a deterministic function of g.

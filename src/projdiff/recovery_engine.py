@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DivergenceError
 from .lrgmm_prior import LrGmmPrior, _posterior, denoiser as lrgmm_denoiser
-from .model_sets import UnionOfSubspaces, component_parts, gap_from_norms
+from .model_sets import component_parts, gap_from_norms
 from .sensing_analysis import SensingProblem
 
 SCHEDULE_KINDS = ("geometric", "linear", "cosine", "infinite_geometric")
@@ -214,20 +214,18 @@ def _entropy(w: np.ndarray) -> float:
 
 def run_recovery(problem: SensingProblem, denoise, schedule: NoiseSchedule,
                  x0: np.ndarray = None, n_iters: int = None,
-                 record_iterates: bool = None, union: UnionOfSubspaces = None,
-                 prior: LrGmmPrior = None, metadata: dict = None) -> RecoveryTrace:
+                 record_iterates: bool = None, prior: LrGmmPrior = None,
+                 metadata: dict = None) -> RecoveryTrace:
     """Run the iteration for n_iters steps, recording one row per iterate.
 
     ``denoise`` is any callable (x, sigma) -> array.  Passing ``prior``
-    enables the weight-entropy column (and, via its union, the per-component
-    distance columns); passing only ``union`` enables the distances.  There
-    is no early stopping: the run always performs n_iters steps unless an
-    iterate leaves the finite range, which raises DivergenceError.
+    enables the weight-entropy, frontier-gap and per-component distance
+    columns, all from one pass over its union.  There is no early stopping:
+    the run always performs n_iters steps unless an iterate leaves the
+    finite range, which raises DivergenceError.
     """
     a, y, mu = problem.operator, problem.y, problem.mu
     d = problem.ambient_dim
-    if prior is not None and union is None:
-        union = prior.union
     if n_iters is None:
         if schedule.kind == "infinite_geometric":
             raise ValueError("n_iters is required for an infinite schedule")
@@ -254,7 +252,7 @@ def run_recovery(problem: SensingProblem, denoise, schedule: NoiseSchedule,
         residual=np.empty(rows),
         frontier_gap=np.full(rows, np.nan),
         weight_entropy=np.full(rows, np.nan),
-        subspace_distances=np.empty((rows, union.n_components)) if union is not None else None,
+        subspace_distances=np.empty((rows, prior.union.n_components)) if prior is not None else None,
         iterates=np.empty((rows, d)) if record_iterates else None,
         metadata=dict(metadata or {}),
     )
@@ -273,13 +271,10 @@ def run_recovery(problem: SensingProblem, denoise, schedule: NoiseSchedule,
             diff = x - problem.x_true
             trace.mse[n] = float(diff @ diff) / d
         trace.residual[n] = float(np.linalg.norm(a @ x - y))
-        if union is not None:
-            _, sq_in, sq_out = component_parts(union, x)
+        if prior is not None:
+            _, sq_in, sq_out = component_parts(prior.union, x)
             trace.subspace_distances[n] = np.sqrt(sq_out)
             trace.frontier_gap[n] = gap_from_norms(sq_in)
-        if prior is not None:
-            if prior.union is not union:
-                _, sq_in, sq_out = component_parts(prior.union, x)
             w, _ = _posterior(prior, sq_in, sq_out, sigma_n * sigma_n)
             trace.weight_entropy[n] = _entropy(w)
         if record_iterates:

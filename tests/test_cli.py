@@ -1,6 +1,7 @@
 """Config dialect, check-suite hooks, and the command line surface."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import projdiff as pd
-from projdiff import cli
+from projdiff import checks, cli
 from projdiff.checks import run_checks
 from projdiff.config import (
     DEFAULT_BASE_SEED,
@@ -186,6 +187,14 @@ def test_serialize_parse_is_a_fixed_point():
          "[schedule.geometric]\nsigma_max = 0.5\nsigma_min = 1e-4\nhorizon = 10\n"
          "[run]\ntrials = 1\nthreads = 2\n",
          r"\[run\] threads: unknown key"),
+        ("[prior]\nkind = lrgmm\nd = 4\nr = 1\nk = 1\n[sensing]\nm = 0\n"
+         "[schedule.geometric]\nsigma_max = 0.5\nsigma_min = 1e-4\nhorizon = 10\n"
+         "[run]\ntrials = 1\n",
+         r"\[sensing\] m: must be >= 1"),
+        ("[prior]\nkind = lrgmm\nd = 8\nr = 9\nk = 3\n[sensing]\nm = 2\n"
+         "[schedule.geometric]\nsigma_max = 0.5\nsigma_min = 1e-4\nhorizon = 10\n"
+         "[run]\ntrials = 1\n",
+         r"\[prior\] r: must be between 1 and d = 8, got 9"),
     ],
 )
 def test_config_errors_name_the_offender(text, match):
@@ -239,8 +248,28 @@ def test_checks_catch_a_denoiser_without_shrinkage():
 
         return Ev
 
-    results = _by_name(run_checks("fast", denoiser_fn=shrinkless))
-    assert not results["tweedie_identity"].passed
+    def all_nan(prior, x, sigma):
+        class Ev:
+            value = np.full(x.shape, np.nan)
+            log_density = np.nan
+
+        return Ev
+
+    for broken in (shrinkless, all_nan):
+        results = _by_name(run_checks("fast", denoiser_fn=broken))
+        assert not results["tweedie_identity"].passed, broken.__name__
+    assert results["tweedie_identity"].value == math.inf
+
+
+def test_check_maxima_do_not_drop_nan(monkeypatch):
+    assert checks.worst_case([]) == 0.0
+    assert checks.worst_case([1.0, 3.0, 2.0]) == 3.0
+    assert checks.worst_case([1.0, float("nan"), 2.0]) == math.inf
+    assert checks.worst_case([1.0, -math.inf]) == math.inf
+
+    nan_gap = pd.ProjectionGap(gap=float("nan"), bound=1.0, eta=1.0)
+    monkeypatch.setattr(checks, "projection_gap", lambda prior, x, sigma: nan_gap)
+    assert checks.gap_envelope_violations(5) == 5
 
 
 def test_checks_catch_weights_computed_without_log_stabilisation():

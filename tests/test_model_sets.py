@@ -58,14 +58,6 @@ def test_union_validation():
         UnionOfSubspaces(mixed)
 
 
-def test_union_equal_rank_flag():
-    assert axes_union().equal_rank
-    u = UnionOfSubspaces(
-        (pd.coordinate_subspace(4, [0]), pd.coordinate_subspace(4, [1, 2]))
-    )
-    assert not u.equal_rank
-
-
 # ------------------------------------------------------- project_subspace
 
 
@@ -316,6 +308,13 @@ def test_random_subspace_is_deterministic_and_orthonormal():
     assert np.array_equal(a.basis, b.basis)
     gram = a.basis.T @ a.basis
     assert gram == pytest.approx(np.eye(4), abs=1e-12)
+
+
+@pytest.mark.parametrize("r", [0, 9])
+def test_random_subspace_rejects_rank_outside_one_to_d(r):
+    # A QR of an 8 x 9 Gaussian would silently return rank 8.
+    with pytest.raises(ValueError, match="1 <= r <= d"):
+        pd.random_subspace(8, r, np.random.default_rng(0))
 
 
 def test_coordinate_subspace_basis():
