@@ -28,9 +28,6 @@ def build_setup():
 
 
 def run_all(prior, operator, mu, schedules, trial_seeds):
-    def denoise(z, sg):
-        return pd.denoiser(prior, z, sg).value
-
     rows = []
     for seed in trial_seeds:
         x_true = pd.sample(prior, np.random.default_rng(seed))
@@ -38,7 +35,7 @@ def run_all(prior, operator, mu, schedules, trial_seeds):
         problem = pd.SensingProblem(operator, mu, operator @ x_true, x_true=x_true, seed=seed)
         for name, schedule in schedules.items():
             trace = pd.run_recovery(
-                problem, denoise, schedule, n_iters=150, prior=prior,
+                problem, None, schedule, n_iters=150, prior=prior,
                 record_iterates=False,
             )
             burn_in = pd.detect_burn_in(trace, true_k)

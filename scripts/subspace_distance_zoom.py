@@ -32,12 +32,7 @@ def main():
         operator, mu, operator @ x_true, x_true=x_true, seed=args.seed
     )
     trace = pd.run_recovery(
-        problem,
-        lambda z, sg: pd.denoiser(prior, z, sg).value,
-        schedule,
-        n_iters=150,
-        prior=prior,
-        record_iterates=False,
+        problem, None, schedule, n_iters=150, prior=prior, record_iterates=False
     )
     burn_in = pd.detect_burn_in(trace, true_k)
     rows = min(args.iters, trace.n_rows)

@@ -236,10 +236,7 @@ def trace_roundtrip_mismatches() -> int:
     a = gaussian_operator(3, 5, np.random.default_rng(304))
     x_true = lrgmm_prior.sample(prior, np.random.default_rng(305))
     problem = SensingProblem(a, 1.0 / 50.0, a @ x_true, x_true=x_true, seed=305)
-    denoise = lambda z, sg: lrgmm_prior.denoiser(prior, z, sg).value
-    trace = run_recovery(
-        problem, denoise, NoiseSchedule("geometric", 0.5, 1e-3, 10), prior=prior
-    )
+    trace = run_recovery(problem, None, NoiseSchedule("geometric", 0.5, 1e-3, 10), prior=prior)
     fd, path = tempfile.mkstemp(suffix=".csv")
     os.close(fd)
     try:

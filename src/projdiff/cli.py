@@ -22,7 +22,7 @@ from .config import ConfigError, ExperimentConfig, MU_AUTO, load_config, seriali
 from .convex_prior import box_denoiser, sample_box
 from .diagnostics import detect_burn_in, fit_linear_rate
 from .errors import DivergenceError, InsufficientDataError, ResourceLimitError
-from .lrgmm_prior import LrGmmPrior, denoiser, random_lrgmm, sample, sparse_gmm, uniform_lrgmm
+from .lrgmm_prior import LrGmmPrior, random_lrgmm, sample, sparse_gmm, uniform_lrgmm
 from .model_sets import BoxSet, UnionOfSubspaces, random_union, squared_projection_norms
 from .modelio import load_model, save_model
 from .recovery_engine import TRACE_FORMAT_LINE, RecoveryTrace, run_recovery
@@ -35,7 +35,11 @@ ANALYZE_OUTPUTS = ("rates.csv", "summary.csv")
 
 
 class _RealizedPrior:
-    """A config prior turned into sampler + denoiser + trace context."""
+    """A config prior turned into sampler + trace context.
+
+    A mixture prior is handed to ``run_recovery`` as ``prior``, whose own
+    denoiser evaluation makes the step; only a box needs ``denoise``.
+    """
 
     def __init__(self, spec):
         self.descriptor = {"kind": spec.kind}
@@ -61,16 +65,15 @@ class _RealizedPrior:
                 )
             self.descriptor.update(path=spec.path)
 
+        self.ambient_dim = model.ambient_dim
         if isinstance(model, BoxSet):
             self.box = model
             self.prior = None
-            self.ambient_dim = model.ambient_dim
             self.denoise = lambda z, sg: box_denoiser(model, z, sg)
         else:
             self.box = None
             self.prior = model
-            self.ambient_dim = model.ambient_dim
-            self.denoise = lambda z, sg: denoiser(model, z, sg).value
+            self.denoise = None
 
     def draw(self, seed: int) -> np.ndarray:
         rng = np.random.default_rng(seed)
@@ -126,17 +129,18 @@ def cmd_simulate(args) -> int:
     files = []
     diverged = []
     for seed in cfg.trial_seeds:
+        x_true = realized.draw(seed)
+        problem = SensingProblem(operator, mu, operator @ x_true, x_true=x_true, seed=seed)
+        component = realized.true_component(x_true)
         for schedule_name, schedule in cfg.schedules:
-            x_true = realized.draw(seed)
-            problem = SensingProblem(operator, mu, operator @ x_true, x_true=x_true, seed=seed)
             metadata = {
                 "schedule_name": schedule_name,
                 "trial_seed": seed,
                 "prior": realized.descriptor,
             }
-            component = realized.true_component(x_true)
             if component is not None:
                 metadata["true_component"] = component
+            name = _trace_name(schedule_name, seed)
             try:
                 # overflow inside a diverging run is reported via DivergenceError
                 with np.errstate(over="ignore", invalid="ignore"):
@@ -150,24 +154,19 @@ def cmd_simulate(args) -> int:
                         metadata=metadata,
                     )
             except DivergenceError as exc:
-                diverged.append((schedule_name, seed, exc))
+                diverged.append((name, exc))
                 continue
-            name = _trace_name(schedule_name, seed)
             trace.write_csv(os.path.join(cfg.out_dir, name))
             files.append(name)
-    if diverged:
-        diverged.sort(key=lambda item: (item[0], item[1]))
-        for schedule_name, seed, exc in diverged:
-            print(
-                f"divergence in run {_trace_name(schedule_name, seed)}: {exc}",
-                file=sys.stderr,
-            )
-        return 3
 
+    # The manifest is written on divergence too: it replaces any earlier
+    # run's manifest, so analyze never summarises that run's traces instead.
     with open(os.path.join(cfg.out_dir, RESOLVED_NAME), "w", newline="\n") as fh:
         fh.write(serialize_config(cfg))
+    diverged.sort(key=lambda item: item[0])
     manifest = {
         "files": sorted(files + [RESOLVED_NAME, MANIFEST_NAME]),
+        "diverged": [{"file": name, "iteration": exc.iteration} for name, exc in diverged],
         "prior": realized.descriptor,
         "sensing_seed": cfg.sensing.seed,
         "trial_seeds": list(cfg.trial_seeds),
@@ -175,8 +174,10 @@ def cmd_simulate(args) -> int:
     }
     with open(os.path.join(cfg.out_dir, MANIFEST_NAME), "w", newline="\n") as fh:
         fh.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    for name, exc in diverged:
+        print(f"divergence in run {name}: {exc}", file=sys.stderr)
     print(f"wrote {len(files)} traces to {cfg.out_dir}")
-    return 0
+    return 3 if diverged else 0
 
 
 def cmd_check(args) -> int:

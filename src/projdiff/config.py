@@ -33,10 +33,12 @@ byte-identical.
 """
 
 import configparser
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .lrgmm_prior import log_mixture_weights
 from .recovery_engine import SCHEDULE_KINDS, NoiseSchedule, schedule_sigma
 
 PRIOR_KINDS = ("lrgmm", "sparse", "box", "file")
@@ -136,36 +138,43 @@ def _check_keys(section, values, allowed):
         raise _fail(section, sorted(unknown)[0], "unknown key")
 
 
+def _get_pi(values, n_components):
+    """None for uniform weights, else the explicit weights, checked as the prior checks them."""
+    if values.get("pi", "uniform") == "uniform":
+        return None
+    pi = _get_floats("prior", values, "pi")
+    try:
+        log_mixture_weights(pi, n_components)
+    except ValueError as exc:
+        raise _fail("prior", "pi", str(exc)) from None
+    return pi
+
+
 def _parse_prior(values) -> PriorSpec:
     kind = values.get("kind")
     if kind not in PRIOR_KINDS:
         raise _fail("prior", "kind", f"must be one of {PRIOR_KINDS}, got {kind!r}")
     _check_keys("prior", values, _PRIOR_KEYS[kind])
     if kind == "lrgmm":
-        pi = None
-        if values.get("pi", "uniform") != "uniform":
-            pi = _get_floats("prior", values, "pi")
         d, r = _get_int("prior", values, "d"), _get_int("prior", values, "r")
         if not 1 <= r <= d:
             raise _fail("prior", "r", f"must be between 1 and d = {d}, got {r}")
+        k = _get_int("prior", values, "k")
+        if k < 1:
+            raise _fail("prior", "k", f"must be >= 1, got {k}")
         return PriorSpec(
             kind=kind,
             d=d,
             r=r,
-            k=_get_int("prior", values, "k"),
+            k=k,
             seed=_get_int("prior", values, "seed", DEFAULT_PRIOR_SEED),
-            pi=pi,
+            pi=_get_pi(values, k),
         )
     if kind == "sparse":
-        pi = None
-        if values.get("pi", "uniform") != "uniform":
-            pi = _get_floats("prior", values, "pi")
-        return PriorSpec(
-            kind=kind,
-            d=_get_int("prior", values, "d"),
-            s=_get_int("prior", values, "s"),
-            pi=pi,
-        )
+        d, s = _get_int("prior", values, "d"), _get_int("prior", values, "s")
+        if not 1 <= s <= d:
+            raise _fail("prior", "s", f"must be between 1 and d = {d}, got {s}")
+        return PriorSpec(kind=kind, d=d, s=s, pi=_get_pi(values, math.comb(d, s)))
     if kind == "box":
         lower = _get_floats("prior", values, "lower")
         upper = _get_floats("prior", values, "upper")

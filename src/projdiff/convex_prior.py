@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfcx, ndtr
 
 from .errors import DegenerateWeightsError
 from .model_sets import BoxSet, project_box, _check_vector
@@ -33,6 +32,8 @@ def _check_sigma(sigma) -> float:
 def _tail_ratio(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     # (phi(alpha) - phi(beta)) / (Phi(beta) - Phi(alpha)) for 0 <= alpha <= beta,
     # rescaled by exp(alpha^2/2) in numerator and denominator.
+    from scipy.special import erfcx  # deferred: scipy.special dominates import time
+
     delta = 0.5 * (beta - alpha) * (beta + alpha)
     decay = np.exp(-delta)
     num = -np.expm1(-delta) * SQRT_2_OVER_PI
@@ -59,6 +60,8 @@ def truncated_normal_mean(lower, upper, y, sigma) -> np.ndarray:
         ratio[neg] = -_tail_ratio(-beta[neg], -alpha[neg])
     if np.any(mid):
         # Signs differ, so Phi(beta) - Phi(alpha) involves no cancellation.
+        from scipy.special import ndtr
+
         a, b = alpha[mid], beta[mid]
         num = (np.exp(-0.5 * a * a) - np.exp(-0.5 * b * b)) / math.sqrt(2.0 * math.pi)
         ratio[mid] = num / (ndtr(b) - ndtr(a))

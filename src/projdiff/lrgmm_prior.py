@@ -36,6 +36,24 @@ LOG_2PI = math.log(2.0 * math.pi)
 SPARSE_COMPONENT_CAP = 200_000
 
 
+def _check_sums_to_one(log_pi: np.ndarray) -> None:
+    total = float(np.sum(np.exp(log_pi)))
+    if abs(total - 1.0) > 1e-12:
+        raise ValueError(f"mixture weights must sum to 1, got {total!r}")
+
+
+def log_mixture_weights(pi, n_components: int) -> np.ndarray:
+    """log(pi) for mixture weights pi; raises ValueError unless LrGmmPrior accepts them."""
+    pi = np.asarray(pi, dtype=float)
+    if pi.shape != (n_components,):
+        raise ValueError(f"need {n_components} mixture weights, one per component, got {pi.size}")
+    if not np.all(pi > 0.0):
+        raise ValueError("mixture weights must be positive")
+    log_pi = np.log(pi)
+    _check_sums_to_one(log_pi)
+    return log_pi
+
+
 @dataclass(frozen=True)
 class LrGmmPrior:
     """Mixture of unit Gaussians supported on the components of a union."""
@@ -51,9 +69,7 @@ class LrGmmPrior:
             )
         if not np.all(np.isfinite(log_pi)):
             raise ValueError("log_pi entries must be finite")
-        total = float(np.sum(np.exp(log_pi)))
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"mixture weights must sum to 1, got {total!r}")
+        _check_sums_to_one(log_pi)
         log_pi = log_pi.copy()
         log_pi.flags.writeable = False
         object.__setattr__(self, "log_pi", log_pi)
@@ -73,12 +89,19 @@ class LrGmmPrior:
 
 @dataclass(frozen=True)
 class DenoiserEval:
-    """One denoiser evaluation: value, posterior weights, blurred log density."""
+    """One denoiser evaluation: value, posterior weights, blurred log density.
+
+    ``sq_in`` and ``sq_out`` are the per-component norms ||P_k x||^2 and
+    ||x - P_k x||^2 of the same pass, so distances and the frontier gap at
+    (x, sigma) need no second walk over the union.
+    """
 
     value: np.ndarray
     weights: np.ndarray
     log_density: float
     sigma: float
+    sq_in: np.ndarray
+    sq_out: np.ndarray
 
 
 def uniform_lrgmm(union: UnionOfSubspaces) -> LrGmmPrior:
@@ -87,10 +110,7 @@ def uniform_lrgmm(union: UnionOfSubspaces) -> LrGmmPrior:
 
 
 def lrgmm_from_pi(union: UnionOfSubspaces, pi) -> LrGmmPrior:
-    pi = np.asarray(pi, dtype=float)
-    if np.any(pi <= 0):
-        raise ValueError("mixture weights must be positive")
-    return LrGmmPrior(union, np.log(pi))
+    return LrGmmPrior(union, log_mixture_weights(pi, union.n_components))
 
 
 def random_lrgmm(d: int, r: int, k: int, rng: np.random.Generator, pi=None) -> LrGmmPrior:
@@ -164,7 +184,8 @@ def denoiser(prior: LrGmmPrior, x: np.ndarray, sigma) -> DenoiserEval:
     projections, sq_in, sq_out = component_parts(prior.union, x)
     w, log_density = _posterior(prior, sq_in, sq_out, t)
     value = (w @ projections) / (1.0 + t)
-    return DenoiserEval(value=value, weights=w, log_density=log_density, sigma=sigma)
+    return DenoiserEval(value=value, weights=w, log_density=log_density, sigma=sigma,
+                        sq_in=sq_in, sq_out=sq_out)
 
 
 def score(prior: LrGmmPrior, x: np.ndarray, sigma) -> np.ndarray:

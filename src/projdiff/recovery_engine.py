@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DivergenceError
-from .lrgmm_prior import LrGmmPrior, _posterior, denoiser as lrgmm_denoiser
-from .model_sets import component_parts, gap_from_norms
+from .lrgmm_prior import LrGmmPrior, denoiser as lrgmm_denoiser
+from .model_sets import gap_from_norms
 from .sensing_analysis import SensingProblem
 
 SCHEDULE_KINDS = ("geometric", "linear", "cosine", "infinite_geometric")
@@ -102,7 +102,10 @@ def schedule_sigma(schedule: NoiseSchedule, n: int) -> float:
 def gpgd_step(denoise, a: np.ndarray, mu: float, y: np.ndarray,
               x: np.ndarray, sigma: float) -> np.ndarray:
     """x+ = P(x) - mu A^T (A P(x) - y) with P(x) = denoise(x, sigma)."""
-    p = denoise(x, sigma)
+    return _data_step(a, mu, y, denoise(x, sigma))
+
+
+def _data_step(a: np.ndarray, mu: float, y: np.ndarray, p: np.ndarray) -> np.ndarray:
     return p - mu * (a.T @ (a @ p - y))
 
 
@@ -218,12 +221,16 @@ def run_recovery(problem: SensingProblem, denoise, schedule: NoiseSchedule,
                  metadata: dict = None) -> RecoveryTrace:
     """Run the iteration for n_iters steps, recording one row per iterate.
 
-    ``denoise`` is any callable (x, sigma) -> array.  Passing ``prior``
-    enables the weight-entropy, frontier-gap and per-component distance
-    columns, all from one pass over its union.  There is no early stopping:
-    the run always performs n_iters steps unless an iterate leaves the
-    finite range, which raises DivergenceError.
+    With ``prior``, each row makes one ``denoiser(prior, x_n, sigma_n)``
+    evaluation: its value is the step's projection, and the weight-entropy,
+    frontier-gap and per-component distance columns come from the same pass.
+    ``denoise`` is then never called and may be None.  Without ``prior``,
+    ``denoise`` is any callable (x, sigma) -> array and those columns are
+    NaN.  There is no early stopping: the run always performs n_iters steps
+    unless an iterate leaves the finite range, which raises DivergenceError.
     """
+    if denoise is None and prior is None:
+        raise ValueError("run_recovery needs a prior or a denoise callable")
     a, y, mu = problem.operator, problem.y, problem.mu
     d = problem.ambient_dim
     if n_iters is None:
@@ -272,16 +279,16 @@ def run_recovery(problem: SensingProblem, denoise, schedule: NoiseSchedule,
             trace.mse[n] = float(diff @ diff) / d
         trace.residual[n] = float(np.linalg.norm(a @ x - y))
         if prior is not None:
-            _, sq_in, sq_out = component_parts(prior.union, x)
-            trace.subspace_distances[n] = np.sqrt(sq_out)
-            trace.frontier_gap[n] = gap_from_norms(sq_in)
-            w, _ = _posterior(prior, sq_in, sq_out, sigma_n * sigma_n)
-            trace.weight_entropy[n] = _entropy(w)
+            ev = lrgmm_denoiser(prior, x, sigma_n)
+            trace.subspace_distances[n] = np.sqrt(ev.sq_out)
+            trace.frontier_gap[n] = gap_from_norms(ev.sq_in)
+            trace.weight_entropy[n] = _entropy(ev.weights)
         if record_iterates:
             trace.iterates[n] = x
         if n == n_iters:
             break
-        x = gpgd_step(denoise, a, mu, y, x, sigma_n)
+        p = ev.value if prior is not None else denoise(x, sigma_n)
+        x = _data_step(a, mu, y, p)
         if not np.all(np.isfinite(x)):
             raise DivergenceError(
                 f"iterate left the finite range at iteration {n + 1}", n + 1

@@ -5,6 +5,7 @@ The flagship recovery experiment (d=64, r=5, K=8, m=20, four schedules,
 by every test that inspects its traces.
 """
 
+import os
 import time
 from types import SimpleNamespace
 
@@ -14,6 +15,14 @@ import pytest
 import projdiff as pd
 
 FLAGSHIP_TRIAL_SEEDS = tuple(range(7000, 7020))
+
+
+@pytest.fixture
+def package_env():
+    """Environment in which a child Python imports this checkout's projdiff."""
+    src = os.path.dirname(os.path.dirname(pd.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
 
 
 @pytest.fixture(scope="session")
@@ -40,10 +49,6 @@ def flagship_setup():
 def flagship_traces(flagship_setup):
     """All 80 recovery traces of the flagship experiment, plus wall time."""
     s = flagship_setup
-
-    def denoise(z, sg):
-        return pd.denoiser(s.prior, z, sg).value
-
     traces = {}
     true_component = {}
     start = time.monotonic()
@@ -55,7 +60,7 @@ def flagship_traces(flagship_setup):
         problem = pd.SensingProblem(s.operator, s.mu, y, x_true=x_true, seed=seed)
         for name, schedule in s.schedules.items():
             traces[name, seed] = pd.run_recovery(
-                problem, denoise, schedule, n_iters=150, prior=s.prior,
+                problem, None, schedule, n_iters=150, prior=s.prior,
                 record_iterates=False,
             )
     elapsed = time.monotonic() - start

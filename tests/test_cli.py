@@ -195,6 +195,38 @@ def test_serialize_parse_is_a_fixed_point():
          "[schedule.geometric]\nsigma_max = 0.5\nsigma_min = 1e-4\nhorizon = 10\n"
          "[run]\ntrials = 1\n",
          r"\[prior\] r: must be between 1 and d = 8, got 9"),
+        ("[prior]\nkind = lrgmm\nd = 8\nr = 1\nk = 0\n[sensing]\nm = 2\n"
+         "[schedule.geometric]\nsigma_max = 0.5\nsigma_min = 1e-4\nhorizon = 10\n"
+         "[run]\ntrials = 1\n",
+         r"\[prior\] k: must be >= 1, got 0"),
+        ("[prior]\nkind = sparse\nd = 4\ns = 6\n[sensing]\nm = 2\n"
+         "[schedule.geometric]\nsigma_max = 0.5\nsigma_min = 1e-4\nhorizon = 10\n"
+         "[run]\ntrials = 1\n",
+         r"\[prior\] s: must be between 1 and d = 4, got 6"),
+        ("[prior]\nkind = sparse\nd = 4\ns = 0\n[sensing]\nm = 2\n"
+         "[schedule.geometric]\nsigma_max = 0.5\nsigma_min = 1e-4\nhorizon = 10\n"
+         "[run]\ntrials = 1\n",
+         r"\[prior\] s: must be between 1 and d = 4, got 0"),
+        ("[prior]\nkind = lrgmm\nd = 8\nr = 1\nk = 3\npi = 0.5 0.5\n[sensing]\nm = 2\n"
+         "[schedule.geometric]\nsigma_max = 0.5\nsigma_min = 1e-4\nhorizon = 10\n"
+         "[run]\ntrials = 1\n",
+         r"\[prior\] pi: need 3 mixture weights, one per component, got 2"),
+        ("[prior]\nkind = sparse\nd = 4\ns = 2\npi = 0.5 0.5\n[sensing]\nm = 2\n"
+         "[schedule.geometric]\nsigma_max = 0.5\nsigma_min = 1e-4\nhorizon = 10\n"
+         "[run]\ntrials = 1\n",
+         r"\[prior\] pi: need 6 mixture weights, one per component, got 2"),
+        ("[prior]\nkind = lrgmm\nd = 8\nr = 1\nk = 3\npi = 0.2 0.2 0.2\n[sensing]\nm = 2\n"
+         "[schedule.geometric]\nsigma_max = 0.5\nsigma_min = 1e-4\nhorizon = 10\n"
+         "[run]\ntrials = 1\n",
+         r"\[prior\] pi: mixture weights must sum to 1"),
+        ("[prior]\nkind = lrgmm\nd = 8\nr = 1\nk = 3\npi = 0.5 0.6 -0.1\n[sensing]\nm = 2\n"
+         "[schedule.geometric]\nsigma_max = 0.5\nsigma_min = 1e-4\nhorizon = 10\n"
+         "[run]\ntrials = 1\n",
+         r"\[prior\] pi: mixture weights must be positive"),
+        ("[prior]\nkind = lrgmm\nd = 8\nr = 1\nk = 2\npi = 1 0\n[sensing]\nm = 2\n"
+         "[schedule.geometric]\nsigma_max = 0.5\nsigma_min = 1e-4\nhorizon = 10\n"
+         "[run]\ntrials = 1\n",
+         r"\[prior\] pi: mixture weights must be positive"),
     ],
 )
 def test_config_errors_name_the_offender(text, match):
@@ -412,7 +444,39 @@ def test_simulate_divergence_exits_3_and_names_the_run(tmp_path, capsys):
     assert cli.main(["simulate", cfg_path, "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
     assert "divergence" in err and "trace_geometric_00013" in err
-    assert not os.path.exists(tmp_path / "o" / "manifest.json")
+    with open(tmp_path / "o" / "manifest.json") as fh:
+        manifest = json.load(fh)
+    assert manifest["files"] == ["manifest.json", "resolved.cfg"]
+    [entry] = manifest["diverged"]
+    assert entry["file"] == "trace_geometric_00013.csv"
+    assert 1 <= entry["iteration"] <= 120
+
+
+def test_simulate_divergence_replaces_an_earlier_runs_manifest(tmp_path, capsys):
+    out = str(tmp_path / "o")
+    good = write_config(tmp_path, TWO_SCHEDULE_CONFIG)
+    assert cli.main(["simulate", good, "--out", out]) == 0
+    bad = write_config(
+        tmp_path, TWO_SCHEDULE_CONFIG.replace("seed = 42", "seed = 42\nmu = 1e6"), "bad.cfg"
+    )
+    assert cli.main(["simulate", bad, "--out", out]) == 3
+    assert pd.load_config(os.path.join(out, "resolved.cfg")).sensing.mu == 1e6
+    with open(os.path.join(out, "manifest.json")) as fh:
+        manifest = json.load(fh)
+    assert manifest["mu"] == 1e6
+    assert not [f for f in manifest["files"] if f.startswith("trace_")]
+    assert [entry["file"] for entry in manifest["diverged"]] == [
+        "trace_geometric_00043.csv",
+        "trace_geometric_00044.csv",
+        "trace_lin_00043.csv",
+        "trace_lin_00044.csv",
+    ]
+    capsys.readouterr()
+    # The good run's traces are still on disk, but no longer this directory's run.
+    assert cli.main(["analyze", out]) == 2
+    err = capsys.readouterr().err
+    assert "skipping trace_lin_00044.csv: not listed in manifest.json" in err
+    assert not os.path.exists(os.path.join(out, "rates.csv"))
 
 
 def test_simulate_box_prior_runs_without_union_columns(tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import projdiff as pd
+from projdiff import checks, lrgmm_prior, recovery_engine
 from projdiff.model_sets import UnionOfSubspaces
 from projdiff.recovery_engine import TRACE_FORMAT_LINE
 
@@ -144,17 +145,7 @@ def test_kadkhodaie_step_identity_operator_moves_toward_y():
 
 
 def test_step_forms_agree_at_unit_mu():
-    prior = pd.random_lrgmm(16, 2, 3, np.random.default_rng(61))
-    a = pd.gaussian_operator(8, 16, np.random.default_rng(67))
-    xs = np.random.default_rng(71).normal(size=(100, 16))
-    y = a @ pd.sample(prior, np.random.default_rng(73))
-    denoise = lambda z, sg: pd.denoiser(prior, z, sg).value
-    worst = 0.0
-    for x in xs:
-        lhs = pd.kadkhodaie_step(prior, a, y, x, 0.25)
-        rhs = pd.gpgd_step(denoise, a, 1.0, y, x, 0.25)
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))) / (1.0 + np.linalg.norm(x)))
-    assert worst <= 1e-10
+    assert checks.step_form_defect(100) <= 1e-10
 
 
 def test_union_points_are_fixed_points_of_the_oracle_step():
@@ -257,6 +248,10 @@ def test_run_recovery_trace_rows_recompute_from_iterates():
     sched = geometric(20)
     trace = pd.run_recovery(problem, denoise, sched, prior=prior)
     union = prior.union
+    for n in range(20):
+        step = pd.gpgd_step(denoise, problem.operator, problem.mu, problem.y,
+                            trace.iterates[n], trace.sigma[n])
+        assert np.array_equal(trace.iterates[n + 1], step)
     for i in (0, 7, 20):
         x = trace.iterates[i]
         diff = x - problem.x_true
@@ -271,6 +266,37 @@ def test_run_recovery_trace_rows_recompute_from_iterates():
         for k, sub in enumerate(union.subspaces):
             dist = float(np.linalg.norm(x - sub.basis @ (sub.basis.T @ x)))
             assert trace.subspace_distances[i, k] == dist
+
+    def refuse(z, sg):
+        raise AssertionError("denoise must not be called when prior is given")
+
+    for other in (None, refuse):
+        again = pd.run_recovery(problem, other, sched, prior=prior)
+        for col in ("sigma", "mse", "residual", "frontier_gap", "weight_entropy",
+                    "subspace_distances", "iterates"):
+            assert np.array_equal(getattr(again, col), getattr(trace, col)), col
+
+
+def test_run_recovery_makes_one_union_pass_per_row(monkeypatch):
+    prior, problem, _ = tiny_problem()
+    passes = []
+    original = lrgmm_prior.component_parts
+
+    def counted(union, x):
+        passes.append(1)
+        return original(union, x)
+
+    monkeypatch.setattr(lrgmm_prior, "component_parts", counted)
+    pd.run_recovery(problem, None, geometric(20), prior=prior)
+    assert len(passes) == 21
+    assert not hasattr(recovery_engine, "component_parts")
+    assert not hasattr(recovery_engine, "_posterior")
+
+
+def test_run_recovery_needs_a_prior_or_a_denoiser():
+    _, problem, _ = tiny_problem()
+    with pytest.raises(ValueError, match="prior or a denoise"):
+        pd.run_recovery(problem, None, geometric(5))
 
 
 def test_run_recovery_divergence_reports_iteration():
