@@ -22,8 +22,8 @@ from .diagnostics import fit_linear_rate, projection_gap
 from .errors import FrontierError
 from .model_sets import BoxSet, UnionOfSubspaces, coordinate_subspace, project_box, \
     project_union, random_union
-from .recovery_engine import NoiseSchedule, RecoveryTrace, gpgd_step, kadkhodaie_step, \
-    run_recovery, schedule_sigma
+from .recovery_engine import TRACE_COLUMNS, NoiseSchedule, RecoveryTrace, gpgd_step, \
+    kadkhodaie_step, run_recovery, schedule_sigma
 from .sensing_analysis import SensingProblem, gaussian_operator, ric_union
 
 CHECK_LEVELS = ("fast", "full")
@@ -244,8 +244,7 @@ def trace_roundtrip_mismatches() -> int:
         back = RecoveryTrace.read_csv(path)
     finally:
         os.unlink(path)
-    columns = ("n", "sigma", "mse", "residual", "frontier_gap", "weight_entropy",
-               "subspace_distances")
+    columns = TRACE_COLUMNS + ("subspace_distances",)
     mismatches = sum(
         not np.array_equal(getattr(trace, col), getattr(back, col), equal_nan=True)
         for col in columns

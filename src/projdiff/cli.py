@@ -18,20 +18,38 @@ import sys
 import numpy as np
 
 from .checks import report_csv, report_table, run_checks
-from .config import ConfigError, ExperimentConfig, MU_AUTO, load_config, serialize_config
+from .config import _PRIOR_KEYS, MU_AUTO, PRIOR_KINDS, ConfigError, ExperimentConfig, \
+    PriorSpec, _check_keys, _fail, _get_int, _get_ints, _parse_prior, load_config, \
+    serialize_config
 from .convex_prior import box_denoiser, sample_box
 from .diagnostics import detect_burn_in, fit_linear_rate
 from .errors import DivergenceError, InsufficientDataError, ResourceLimitError
 from .lrgmm_prior import LrGmmPrior, random_lrgmm, sample, sparse_gmm, uniform_lrgmm
 from .model_sets import BoxSet, UnionOfSubspaces, random_union, squared_projection_norms
 from .modelio import load_model, save_model
-from .recovery_engine import TRACE_FORMAT_LINE, RecoveryTrace, run_recovery
+from .recovery_engine import RecoveryTrace, run_recovery
 from .sensing_analysis import SensingProblem, gaussian_operator, spectral_norm
 
 MANIFEST_NAME = "manifest.json"
 RESOLVED_NAME = "resolved.cfg"
 REPORT_NAME = "check_report.csv"
 ANALYZE_OUTPUTS = ("rates.csv", "summary.csv")
+
+
+def _build_prior(spec: PriorSpec):
+    """The model a ``[prior]`` spec describes: an LrGmmPrior or a BoxSet."""
+    if spec.kind == "lrgmm":
+        return random_lrgmm(spec.d, spec.r, spec.k, np.random.default_rng(spec.seed), pi=spec.pi)
+    if spec.kind == "sparse":
+        return sparse_gmm(spec.d, spec.s, pi=spec.pi)
+    if spec.kind == "box":
+        return BoxSet(lower=spec.lower, upper=spec.upper)
+    model = load_model(spec.path)
+    if isinstance(model, UnionOfSubspaces):
+        model = uniform_lrgmm(model)
+    if not isinstance(model, (LrGmmPrior, BoxSet)):
+        raise ConfigError(f"[prior] path: {spec.path} does not hold a prior or a box")
+    return model
 
 
 class _RealizedPrior:
@@ -42,30 +60,16 @@ class _RealizedPrior:
     """
 
     def __init__(self, spec):
-        self.descriptor = {"kind": spec.kind}
-        if spec.kind == "lrgmm":
-            rng = np.random.default_rng(spec.seed)
-            pi = list(spec.pi) if spec.pi is not None else None
-            model = random_lrgmm(spec.d, spec.r, spec.k, rng, pi=pi)
-            self.descriptor.update(d=spec.d, r=spec.r, k=spec.k, seed=spec.seed)
-        elif spec.kind == "sparse":
-            pi = list(spec.pi) if spec.pi is not None else None
-            model = sparse_gmm(spec.d, spec.s, pi=pi)
-            self.descriptor.update(d=spec.d, s=spec.s)
-        elif spec.kind == "box":
-            model = BoxSet(lower=spec.lower, upper=spec.upper)
-            self.descriptor.update(d=model.ambient_dim)
-        else:
-            model = load_model(spec.path)
-            if isinstance(model, UnionOfSubspaces):
-                model = uniform_lrgmm(model)
-            if not isinstance(model, (LrGmmPrior, BoxSet)):
-                raise ConfigError(
-                    f"[prior] path: {spec.path} does not hold a prior or a box"
-                )
-            self.descriptor.update(path=spec.path)
-
+        model = _build_prior(spec)
         self.ambient_dim = model.ambient_dim
+        # Trace metadata names the prior by kind, d and its scalar keys; the
+        # lists (pi, lower, upper) stay in resolved.cfg.
+        self.descriptor = {"kind": spec.kind}
+        if spec.kind != "file":
+            self.descriptor["d"] = self.ambient_dim
+        for key in _PRIOR_KEYS[spec.kind]:
+            if isinstance(getattr(spec, key), (int, str)):
+                self.descriptor[key] = getattr(spec, key)
         if isinstance(model, BoxSet):
             self.box = model
             self.prior = None
@@ -141,6 +145,7 @@ def cmd_simulate(args) -> int:
             if component is not None:
                 metadata["true_component"] = component
             name = _trace_name(schedule_name, seed)
+            path = os.path.join(cfg.out_dir, name)
             try:
                 # overflow inside a diverging run is reported via DivergenceError
                 with np.errstate(over="ignore", invalid="ignore"):
@@ -155,8 +160,11 @@ def cmd_simulate(args) -> int:
                     )
             except DivergenceError as exc:
                 diverged.append((name, exc))
+                # An earlier run's file under this name is not this run's result.
+                if os.path.exists(path):
+                    os.remove(path)
                 continue
-            trace.write_csv(os.path.join(cfg.out_dir, name))
+            trace.write_csv(path)
             files.append(name)
 
     # The manifest is written on divergence too: it replaces any earlier
@@ -190,14 +198,6 @@ def cmd_check(args) -> int:
     print(report_table(results), end="")
     print(f"report: {report_path}")
     return 0 if all(res.passed for res in results) else 4
-
-
-def _is_trace_file(path) -> bool:
-    try:
-        with open(path, "r") as fh:
-            return fh.readline().rstrip("\n") == TRACE_FORMAT_LINE
-    except OSError:
-        return False
 
 
 def _fit_row(trace: RecoveryTrace, fname: str):
@@ -254,13 +254,9 @@ def cmd_analyze(args) -> int:
         if listed is not None and fname not in listed:
             print(f"skipping {fname}: not listed in {MANIFEST_NAME}", file=sys.stderr)
             continue
-        path = os.path.join(directory, fname)
-        if not _is_trace_file(path):
-            print(f"skipping {fname}: not a trace file", file=sys.stderr)
-            continue
         try:
-            trace = RecoveryTrace.read_csv(path)
-        except (ValueError, json.JSONDecodeError) as exc:
+            trace = RecoveryTrace.read_csv(os.path.join(directory, fname))
+        except (OSError, ValueError) as exc:
             print(f"skipping {fname}: {exc}", file=sys.stderr)
             continue
         rows.append(_fit_row(trace, fname))
@@ -297,6 +293,7 @@ def cmd_analyze(args) -> int:
 
 
 def _parse_model_spec(spec: str) -> dict:
+    """``kind:key=v|v,...`` as a config section: lists become space-separated."""
     if ":" not in spec:
         raise ConfigError(f"model spec needs kind:key=value,..., got {spec!r}")
     kind, _, rest = spec.partition(":")
@@ -307,65 +304,34 @@ def _parse_model_spec(spec: str) -> dict:
         key, sep, value = item.partition("=")
         if not sep:
             raise ConfigError(f"model spec item {item!r} is not key=value")
-        fields[key.strip()] = value.strip()
+        fields[key.strip()] = value.strip().replace("|", " ")
     fields["kind"] = kind.strip()
     return fields
-
-
-def _spec_int(fields, key) -> int:
-    if key not in fields:
-        raise ConfigError(f"model spec: missing {key}")
-    try:
-        return int(fields[key])
-    except ValueError:
-        raise ConfigError(f"model spec: {key} must be an integer") from None
-
-
-def _spec_floats(fields, key):
-    if key not in fields:
-        raise ConfigError(f"model spec: missing {key}")
-    try:
-        return [float(v) for v in fields[key].split("|")]
-    except ValueError:
-        raise ConfigError(f"model spec: {key} must be numbers separated by |") from None
 
 
 def cmd_gen_model(args) -> int:
     try:
         fields = _parse_model_spec(args.spec)
-        kind = fields.pop("kind")
-        seed = args.seed_override
-        if kind == "lrgmm":
-            if seed is None:
-                seed = _spec_int(fields, "seed")
-            pi = _spec_floats(fields, "pi") if "pi" in fields else None
-            model = random_lrgmm(
-                _spec_int(fields, "d"),
-                _spec_int(fields, "r"),
-                _spec_int(fields, "k"),
-                np.random.default_rng(seed),
-                pi=pi,
-            )
-        elif kind == "sparse":
-            pi = _spec_floats(fields, "pi") if "pi" in fields else None
-            model = sparse_gmm(_spec_int(fields, "d"), _spec_int(fields, "s"), pi=pi)
-        elif kind == "box":
-            model = BoxSet(
-                lower=_spec_floats(fields, "lower"), upper=_spec_floats(fields, "upper")
-            )
-        elif kind == "union":
-            if seed is None:
-                seed = _spec_int(fields, "seed")
-            ranks = [int(v) for v in _spec_floats(fields, "ranks")]
-            model = random_union(
-                _spec_int(fields, "d"), ranks, np.random.default_rng(seed)
-            )
+        kind = fields["kind"]
+        seeded = kind in ("union", "matrix") or "seed" in _PRIOR_KEYS.get(kind, ())
+        if args.seed_override is not None and seeded:
+            fields["seed"] = str(args.seed_override)
+        if kind == "union":
+            _check_keys(kind, fields, ("kind", "d", "ranks", "seed"))
+            d, ranks = _get_int(kind, fields, "d"), _get_ints(kind, fields, "ranks")
+            if not ranks or not all(1 <= r <= d for r in ranks):
+                raise _fail(kind, "ranks", f"need ranks between 1 and d = {d}, "
+                                           f"got {fields['ranks']!r}")
+            model = random_union(d, ranks, np.random.default_rng(_get_int(kind, fields, "seed")))
         elif kind == "matrix":
-            if seed is None:
-                seed = _spec_int(fields, "seed")
-            model = gaussian_operator(
-                _spec_int(fields, "m"), _spec_int(fields, "d"), np.random.default_rng(seed)
-            )
+            _check_keys(kind, fields, ("kind", "m", "d", "seed"))
+            m, d = _get_int(kind, fields, "m"), _get_int(kind, fields, "d")
+            if min(m, d) < 1:
+                key = "m" if m < 1 else "d"
+                raise _fail(kind, key, f"must be >= 1, got {fields[key]}")
+            model = gaussian_operator(m, d, np.random.default_rng(_get_int(kind, fields, "seed")))
+        elif kind in PRIOR_KINDS and kind != "file":
+            model = _build_prior(_parse_prior(fields))
         else:
             raise ConfigError(f"unknown model kind {kind!r}")
         save_model(args.output, model)
@@ -426,6 +392,9 @@ are written back into <out>/resolved.cfg):
         "gen-model",
         parents=[common],
         help="write a model file from kind:key=value,... (lists use |)",
+        epilog="kinds: lrgmm, sparse and box take their [prior] keys (see simulate --help);\n"
+               "union: d, ranks, seed; matrix: m, d, seed",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     p_gen.add_argument("spec", help="e.g. lrgmm:d=16,r=2,k=4,seed=11 or box:lower=-1|-1,upper=1|1")
     p_gen.add_argument("-o", "--output", required=True, help="output model file")

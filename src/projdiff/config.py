@@ -7,17 +7,20 @@ parse(serialize(cfg)) == cfg, and two runs of the same resolved config are
 byte-identical.
 
     [prior]
-    kind = lrgmm            # or sparse / box / file
+    # or sparse / box / file; _PRIOR_KEYS lists the keys of each kind
+    kind = lrgmm
     d = 64
     r = 5
     k = 8
     seed = 101
-    pi = uniform            # or explicit: 0.2 0.5 0.3
+    # uniform, or explicit weights: 0.2 0.5 0.3 ...
+    pi = uniform
 
     [sensing]
     m = 20
     seed = 202
-    mu = auto_1.9           # or an explicit float
+    # or an explicit positive float
+    mu = auto_1.9
 
     [schedule.geometric]
     kind = geometric
@@ -27,9 +30,12 @@ byte-identical.
 
     [run]
     n_iters = 150
-    trials = 20             # or: trial_seeds = 7000 7001 ...
+    # or: trial_seeds = 7000 7001 ...
+    trials = 20
     base_seed = 7000
     out_dir = out
+
+A ``#`` starts a comment only at the start of a line.
 """
 
 import configparser
@@ -38,10 +44,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lrgmm_prior import log_mixture_weights
+from .lrgmm_prior import SPARSE_COMPONENT_CAP, log_mixture_weights
+from .model_sets import BoxSet
 from .recovery_engine import SCHEDULE_KINDS, NoiseSchedule, schedule_sigma
-
-PRIOR_KINDS = ("lrgmm", "sparse", "box", "file")
 
 MU_AUTO = "auto_1.9"
 
@@ -49,12 +54,15 @@ DEFAULT_PRIOR_SEED = 1
 DEFAULT_SENSING_SEED = 2
 DEFAULT_BASE_SEED = 1000
 
+# The keys each prior kind takes besides ``kind``, in resolved.cfg order.
 _PRIOR_KEYS = {
-    "lrgmm": {"kind", "d", "r", "k", "seed", "pi"},
-    "sparse": {"kind", "d", "s", "pi"},
-    "box": {"kind", "lower", "upper"},
-    "file": {"kind", "path"},
+    "lrgmm": ("d", "r", "k", "seed", "pi"),
+    "sparse": ("d", "s", "pi"),
+    "box": ("lower", "upper"),
+    "file": ("path",),
 }
+
+PRIOR_KINDS = tuple(_PRIOR_KEYS)
 
 _SCHEDULE_KEYS = {"kind", "sigma_max", "sigma_min", "horizon", "a"}
 
@@ -127,13 +135,25 @@ def _get_floats(section, values, key):
     if key not in values:
         raise _fail(section, key, "required key is missing")
     try:
-        return tuple(float(v) for v in values[key].split())
+        floats = tuple(float(v) for v in values[key].split())
     except ValueError:
         raise _fail(section, key, f"expected numbers, got {values[key]!r}") from None
+    if not all(math.isfinite(v) for v in floats):
+        raise _fail(section, key, f"expected finite numbers, got {values[key]!r}")
+    return floats
+
+
+def _get_ints(section, values, key):
+    if key not in values:
+        raise _fail(section, key, "required key is missing")
+    try:
+        return tuple(int(v) for v in values[key].split())
+    except ValueError:
+        raise _fail(section, key, f"expected integers, got {values[key]!r}") from None
 
 
 def _check_keys(section, values, allowed):
-    unknown = set(values) - allowed
+    unknown = set(values) - set(allowed)
     if unknown:
         raise _fail(section, sorted(unknown)[0], "unknown key")
 
@@ -154,7 +174,7 @@ def _parse_prior(values) -> PriorSpec:
     kind = values.get("kind")
     if kind not in PRIOR_KINDS:
         raise _fail("prior", "kind", f"must be one of {PRIOR_KINDS}, got {kind!r}")
-    _check_keys("prior", values, _PRIOR_KEYS[kind])
+    _check_keys("prior", values, ("kind",) + _PRIOR_KEYS[kind])
     if kind == "lrgmm":
         d, r = _get_int("prior", values, "d"), _get_int("prior", values, "r")
         if not 1 <= r <= d:
@@ -174,12 +194,24 @@ def _parse_prior(values) -> PriorSpec:
         d, s = _get_int("prior", values, "d"), _get_int("prior", values, "s")
         if not 1 <= s <= d:
             raise _fail("prior", "s", f"must be between 1 and d = {d}, got {s}")
-        return PriorSpec(kind=kind, d=d, s=s, pi=_get_pi(values, math.comb(d, s)))
+        n_components = math.comb(d, s)
+        if n_components > SPARSE_COMPONENT_CAP:
+            raise _fail("prior", "s", f"C({d},{s}) = {n_components} components exceeds "
+                                      f"the cap of {SPARSE_COMPONENT_CAP}")
+        return PriorSpec(kind=kind, d=d, s=s, pi=_get_pi(values, n_components))
     if kind == "box":
         lower = _get_floats("prior", values, "lower")
         upper = _get_floats("prior", values, "upper")
+        if not lower:
+            raise _fail("prior", "lower", "at least one coordinate is required")
         if len(lower) != len(upper):
             raise _fail("prior", "upper", "lower and upper must have equal length")
+        try:
+            BoxSet(lower=lower, upper=upper)
+        except ValueError as exc:
+            # Every BoxSet rule on finite bounds comes down to lower <= 0 <= upper.
+            key = "lower" if max(lower) > 0.0 else "upper"
+            raise _fail("prior", key, str(exc)) from None
         return PriorSpec(kind=kind, d=len(lower), lower=lower, upper=upper)
     path = values.get("path")
     if not path:
@@ -199,8 +231,8 @@ def _parse_sensing(values) -> SensingSpec:
             raise _fail(
                 "sensing", "mu", f"expected {MU_AUTO!r} or a number, got {raw_mu!r}"
             ) from None
-        if mu <= 0.0:
-            raise _fail("sensing", "mu", f"must be positive, got {mu}")
+        if not 0.0 < mu < math.inf:
+            raise _fail("sensing", "mu", f"must be positive and finite, got {mu}")
     m = _get_int("sensing", values, "m")
     if m < 1:
         raise _fail("sensing", "m", f"must be >= 1, got {m}")
@@ -241,12 +273,7 @@ def _parse_run(values):
     if "trial_seeds" in values:
         if "trials" in values:
             raise _fail("run", "trials", "give either trials or trial_seeds, not both")
-        try:
-            seeds = tuple(int(v) for v in values["trial_seeds"].split())
-        except ValueError:
-            raise _fail(
-                "run", "trial_seeds", f"expected integers, got {values['trial_seeds']!r}"
-            ) from None
+        seeds = _get_ints("run", values, "trial_seeds")
     elif "trials" in values:
         count = _get_int("run", values, "trials")
         if count < 1:
@@ -334,6 +361,10 @@ def load_config(path) -> ExperimentConfig:
 
 
 def _fmt(value) -> str:
+    if value is None:  # only an omitted pi, whose canonical text is "uniform"
+        return "uniform"
+    if isinstance(value, tuple):
+        return " ".join(_fmt(v) for v in value)
     if isinstance(value, float):
         return format(value, ".17g")
     return str(value)
@@ -342,30 +373,7 @@ def _fmt(value) -> str:
 def serialize_config(cfg: ExperimentConfig) -> str:
     """Canonical resolved text; parse_config inverts it exactly."""
     lines = ["[prior]", f"kind = {cfg.prior.kind}"]
-    if cfg.prior.kind == "lrgmm":
-        lines += [
-            f"d = {cfg.prior.d}",
-            f"r = {cfg.prior.r}",
-            f"k = {cfg.prior.k}",
-            f"seed = {cfg.prior.seed}",
-            "pi = " + ("uniform" if cfg.prior.pi is None
-                       else " ".join(_fmt(v) for v in cfg.prior.pi)),
-        ]
-    elif cfg.prior.kind == "sparse":
-        lines += [
-            f"d = {cfg.prior.d}",
-            f"s = {cfg.prior.s}",
-            "pi = " + ("uniform" if cfg.prior.pi is None
-                       else " ".join(_fmt(v) for v in cfg.prior.pi)),
-        ]
-    elif cfg.prior.kind == "box":
-        lines += [
-            "lower = " + " ".join(_fmt(v) for v in cfg.prior.lower),
-            "upper = " + " ".join(_fmt(v) for v in cfg.prior.upper),
-        ]
-    else:
-        lines.append(f"path = {cfg.prior.path}")
-
+    lines += [f"{key} = {_fmt(getattr(cfg.prior, key))}" for key in _PRIOR_KEYS[cfg.prior.kind]]
     lines += [
         "",
         "[sensing]",
@@ -385,7 +393,7 @@ def serialize_config(cfg: ExperimentConfig) -> str:
         "",
         "[run]",
         f"n_iters = {cfg.n_iters}",
-        "trial_seeds = " + " ".join(str(s) for s in cfg.trial_seeds),
+        f"trial_seeds = {_fmt(cfg.trial_seeds)}",
         f"out_dir = {cfg.out_dir}",
     ]
     return "\n".join(lines) + "\n"

@@ -10,6 +10,7 @@ null space; both forms are provided and agree to rounding.
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +23,9 @@ from .sensing_analysis import SensingProblem
 SCHEDULE_KINDS = ("geometric", "linear", "cosine", "infinite_geometric")
 
 TRACE_FORMAT_LINE = "# projdiff-trace v1"
+
+# The fixed trace columns, in file order; dist_0 ... dist_{K-1} follow them.
+TRACE_COLUMNS = ("n", "sigma", "mse", "residual", "frontier_gap", "weight_entropy")
 
 # Above this ambient dimension full iterates are not kept by default.
 RECORD_ITERATES_DIM_LIMIT = 256
@@ -151,13 +155,14 @@ class RecoveryTrace:
         return float(self.mse[-1])
 
     def column_names(self) -> list:
-        names = ["n", "sigma", "mse", "residual", "frontier_gap", "weight_entropy"]
+        names = list(TRACE_COLUMNS)
         if self.subspace_distances is not None:
             names += [f"dist_{k}" for k in range(self.subspace_distances.shape[1])]
         return names
 
     def write_csv(self, path) -> None:
-        cols = [self.sigma, self.mse, self.residual, self.frontier_gap, self.weight_entropy]
+        """Write the trace; a reader never sees a partly written file at ``path``."""
+        cols = [getattr(self, name) for name in TRACE_COLUMNS[1:]]
         if self.subspace_distances is not None:
             cols += [self.subspace_distances[:, k] for k in range(self.subspace_distances.shape[1])]
         lines = [TRACE_FORMAT_LINE, "# " + json.dumps(self.metadata, sort_keys=True)]
@@ -166,8 +171,14 @@ class RecoveryTrace:
             lines.append(
                 ",".join([str(int(self.n[i]))] + [format(c[i], ".17g") for c in cols])
             )
-        with open(path, "w", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        tmp = f"{path}.{os.getpid()}.tmp"  # not *.csv, so analyze never picks it up
+        try:
+            with open(tmp, "w", newline="\n") as fh:
+                fh.write("\n".join(lines) + "\n")
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
 
     @classmethod
     def read_csv(cls, path) -> "RecoveryTrace":
@@ -178,8 +189,10 @@ class RecoveryTrace:
         if len(lines) < 3 or not lines[1].startswith("# "):
             raise ValueError(f"{path}: missing metadata line")
         metadata = json.loads(lines[1][2:])
+        if not isinstance(metadata, dict):
+            raise ValueError(f"{path}: metadata line is not a JSON object")
         header = lines[2].split(",")
-        expected = ["n", "sigma", "mse", "residual", "frontier_gap", "weight_entropy"]
+        expected = list(TRACE_COLUMNS)
         if header[: len(expected)] != expected:
             raise ValueError(f"{path}: unexpected columns {header}")
         dist_names = header[len(expected):]
@@ -190,16 +203,9 @@ class RecoveryTrace:
             raise ValueError(f"{path}: malformed data rows")
         data = np.array([[float(v) for v in r] for r in rows])
         dists = data[:, len(expected):] if dist_names else None
-        return cls(
-            n=data[:, 0].astype(int),
-            sigma=data[:, 1],
-            mse=data[:, 2],
-            residual=data[:, 3],
-            frontier_gap=data[:, 4],
-            weight_entropy=data[:, 5],
-            subspace_distances=dists,
-            metadata=metadata,
-        )
+        fixed = {name: data[:, i] for i, name in enumerate(TRACE_COLUMNS)}
+        fixed["n"] = fixed["n"].astype(int)
+        return cls(**fixed, subspace_distances=dists, metadata=metadata)
 
 
 def problem_hash(problem: SensingProblem) -> str:

@@ -5,18 +5,23 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import projdiff as pd
 from projdiff import checks, cli
 from projdiff.checks import run_checks
 from projdiff.config import (
+    _PRIOR_KEYS,
     DEFAULT_BASE_SEED,
     DEFAULT_PRIOR_SEED,
     DEFAULT_SENSING_SEED,
     MU_AUTO,
+    _parse_prior,
 )
 
 
@@ -160,6 +165,14 @@ def test_serialize_parse_is_a_fixed_point():
          "[schedule.geometric]\nsigma_max = 0.5\nsigma_min = 1e-4\nhorizon = 10\n"
          "[run]\ntrials = 1\n",
          r"\[sensing\] mu"),
+        ("[prior]\nkind = lrgmm\nd = 4\nr = 1\nk = 1\n[sensing]\nm = 2\nmu = nan\n"
+         "[schedule.geometric]\nsigma_max = 0.5\nsigma_min = 1e-4\nhorizon = 10\n"
+         "[run]\ntrials = 1\n",
+         r"\[sensing\] mu: must be positive and finite, got nan"),
+        ("[prior]\nkind = lrgmm\nd = 4\nr = 1\nk = 1\n[sensing]\nm = 2\nmu = inf\n"
+         "[schedule.geometric]\nsigma_max = 0.5\nsigma_min = 1e-4\nhorizon = 10\n"
+         "[run]\ntrials = 1\n",
+         r"\[sensing\] mu: must be positive and finite, got inf"),
         ("[prior]\nkind = lrgmm\nd = 4\nr = 1\nk = 1\n[sensing]\nm = 2\n"
          "[schedule.geometric]\nsigma_max = 0.5\nsigma_min = 1e-4\nhorizon = 10\n"
          "[bogus]\nx = 1\n[run]\ntrials = 1\n",
@@ -227,11 +240,47 @@ def test_serialize_parse_is_a_fixed_point():
          "[schedule.geometric]\nsigma_max = 0.5\nsigma_min = 1e-4\nhorizon = 10\n"
          "[run]\ntrials = 1\n",
          r"\[prior\] pi: mixture weights must be positive"),
+        ("[prior]\nkind = box\nlower = 1 -1\nupper = 2 1\n[sensing]\nm = 2\n"
+         "[schedule.geometric]\nsigma_max = 0.5\nsigma_min = 1e-4\nhorizon = 10\n"
+         "[run]\ntrials = 1\n",
+         r"\[prior\] lower: active coordinates must contain the origin"),
+        ("[prior]\nkind = box\nlower = -1 -1\nupper = 1 -0.5\n[sensing]\nm = 2\n"
+         "[schedule.geometric]\nsigma_max = 0.5\nsigma_min = 1e-4\nhorizon = 10\n"
+         "[run]\ntrials = 1\n",
+         r"\[prior\] upper: active coordinates must contain the origin"),
+        ("[prior]\nkind = box\nlower = -1 2\nupper = 1 2\n[sensing]\nm = 2\n"
+         "[schedule.geometric]\nsigma_max = 0.5\nsigma_min = 1e-4\nhorizon = 10\n"
+         "[run]\ntrials = 1\n",
+         r"\[prior\] lower: inactive coordinates must be pinned to zero"),
+        ("[prior]\nkind = box\nlower = -1 nan\nupper = 1 1\n[sensing]\nm = 2\n"
+         "[schedule.geometric]\nsigma_max = 0.5\nsigma_min = 1e-4\nhorizon = 10\n"
+         "[run]\ntrials = 1\n",
+         r"\[prior\] lower: expected finite numbers"),
+        ("[prior]\nkind = box\nlower = -1 -1\nupper = 1 inf\n[sensing]\nm = 2\n"
+         "[schedule.geometric]\nsigma_max = 0.5\nsigma_min = 1e-4\nhorizon = 10\n"
+         "[run]\ntrials = 1\n",
+         r"\[prior\] upper: expected finite numbers"),
+        ("[prior]\nkind = box\nlower =\nupper =\n[sensing]\nm = 2\n"
+         "[schedule.geometric]\nsigma_max = 0.5\nsigma_min = 1e-4\nhorizon = 10\n"
+         "[run]\ntrials = 1\n",
+         r"\[prior\] lower: at least one coordinate is required"),
+        ("[prior]\nkind = sparse\nd = 40\ns = 8\n[sensing]\nm = 2\n"
+         "[schedule.geometric]\nsigma_max = 0.5\nsigma_min = 1e-4\nhorizon = 10\n"
+         "[run]\ntrials = 1\n",
+         r"\[prior\] s: C\(40,8\) = 76904685 components exceeds the cap of 200000"),
     ],
 )
 def test_config_errors_name_the_offender(text, match):
     with pytest.raises(pd.ConfigError, match=match):
         pd.parse_config(text)
+
+
+def test_readme_config_example_is_a_valid_config():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        text = fh.read().split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg = pd.parse_config(text)
+    assert (cfg.prior.kind, cfg.prior.k, cfg.sensing.mu) == ("lrgmm", 8, MU_AUTO)
 
 
 def test_load_config_reports_missing_file(tmp_path):
@@ -249,6 +298,70 @@ def test_n_iters_required_when_all_schedules_infinite():
         pd.parse_config(text)
     cfg = pd.parse_config(text.replace("trials = 1", "trials = 1\nn_iters = 25"))
     assert cfg.n_iters == 25
+
+
+def _bound():
+    return st.one_of(st.just(math.nan), st.floats(-2.0, 2.0))
+
+
+@st.composite
+def prior_sections(draw):
+    """Small [prior] sections of the three built-in kinds, valid or not."""
+    kind = draw(st.sampled_from(("lrgmm", "sparse", "box")))
+    d = draw(st.integers(0, 6))
+    count = st.integers(-1, 7)
+    if kind == "box":
+        return {
+            "kind": kind,
+            "lower": " ".join(str(v) for v in draw(st.lists(_bound(), min_size=d, max_size=d))),
+            "upper": " ".join(str(v) for v in draw(st.lists(_bound(), min_size=d, max_size=d))),
+        }
+    section = {"kind": kind, "d": str(d), "pi": draw(st.sampled_from(("uniform", "1", "0.5 0.5")))}
+    if kind == "lrgmm":
+        section.update(r=str(draw(count)), k=str(draw(count)), seed=str(draw(st.integers(0, 9))))
+    else:
+        section["s"] = str(draw(count))
+    return section
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    prior=prior_sections(),
+    m=st.integers(0, 6),
+    mu=st.one_of(
+        st.sampled_from((MU_AUTO, "0", "-0.5", "nan", "inf")),
+        st.floats(1e-3, 1e3).map(str),
+    ),
+    horizon=st.integers(1, 5),
+)
+def test_generated_configs_exit_0_2_or_3(prior, m, mu, horizon):
+    try:
+        _parse_prior(prior)
+        prior_ok = True
+    except pd.ConfigError:
+        prior_ok = False
+    text = "".join(
+        f"[{section}]\n" + "".join(f"{key} = {value}\n" for key, value in body.items())
+        for section, body in (
+            ("prior", prior),
+            ("sensing", {"m": m, "seed": 3, "mu": mu}),
+            ("schedule.geometric", {"sigma_max": 0.5, "sigma_min": 1e-3, "horizon": horizon}),
+            ("run", {"trials": 1}),
+        )
+    )
+    spec = prior["kind"] + ":" + ",".join(
+        f"{key}={value.replace(' ', '|')}" for key, value in prior.items() if key != "kind"
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = os.path.join(tmp, "gen.cfg")
+        with open(cfg_path, "w") as fh:
+            fh.write(text)
+        code = cli.main(["simulate", cfg_path, "--out", os.path.join(tmp, "out")])
+        assert code in (0, 2, 3)
+        assert prior_ok or code == 2
+        # gen-model reads the same grammar: it accepts exactly the priors the config does.
+        code = cli.main(["gen-model", spec, "-o", os.path.join(tmp, "prior.model")])
+        assert code == (0 if prior_ok else 2)
 
 
 # ------------------------------------------------------------------ checks
@@ -406,6 +519,8 @@ def test_simulate_help_documents_the_config_format(capsys):
     out = capsys.readouterr().out
     for token in ("[prior]", "[sensing]", "[schedule.<name>]", "[run]", "auto_1.9"):
         assert token in out
+    for kind, keys in _PRIOR_KEYS.items():
+        assert f"{kind}: {', '.join(keys)}" in out
 
 
 def test_simulate_seed_override_renames_and_changes_trials(tmp_path):
@@ -471,11 +586,12 @@ def test_simulate_divergence_replaces_an_earlier_runs_manifest(tmp_path, capsys)
         "trace_lin_00043.csv",
         "trace_lin_00044.csv",
     ]
+    # The good run's traces had the diverged runs' names: they are gone, not stale.
+    assert not [f for f in os.listdir(out) if f.startswith("trace_")]
     capsys.readouterr()
-    # The good run's traces are still on disk, but no longer this directory's run.
     assert cli.main(["analyze", out]) == 2
     err = capsys.readouterr().err
-    assert "skipping trace_lin_00044.csv: not listed in manifest.json" in err
+    assert "skipping" not in err and "no readable traces" in err
     assert not os.path.exists(os.path.join(out, "rates.csv"))
 
 
@@ -592,9 +708,15 @@ def test_analyze_recovers_a_planted_linear_rate(tmp_path):
 
 def test_analyze_skips_malformed_files_with_a_warning(tmp_path, capsys):
     out = _simulated(tmp_path, SMALL_CONFIG, name="ok")
+    os.remove(os.path.join(out, "manifest.json"))  # so analyze opens every .csv
     (tmp_path / "ok" / "garbage.csv").write_text("n,sigma\n0,0.5\n")
+    (tmp_path / "ok" / "bin.csv").write_bytes(b"\xff\xfe")
+    (tmp_path / "ok" / "x.csv").mkdir()
     assert cli.main(["analyze", out]) == 0
-    assert "skipping garbage.csv" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "skipping garbage.csv: " in err and "not a trace file" in err
+    assert "skipping bin.csv: " in err
+    assert "skipping x.csv: " in err
     with open(os.path.join(out, "rates.csv")) as fh:
         assert len(fh.read().strip().split("\n")) == 2
 
@@ -673,20 +795,45 @@ def test_gen_model_seed_override_wins(tmp_path):
         assert fa.read() == fb.read()
 
 
+def test_gen_model_prior_kinds_take_the_config_keys(tmp_path):
+    explicit, default = str(tmp_path / "a.model"), str(tmp_path / "b.model")
+    assert cli.main(["gen-model", f"lrgmm:d=6,r=2,k=3,seed={DEFAULT_PRIOR_SEED},pi=uniform",
+                     "-o", explicit]) == 0
+    assert cli.main(["gen-model", "lrgmm:d=6,r=2,k=3", "-o", default]) == 0
+    with open(explicit, "rb") as fa, open(default, "rb") as fb:
+        assert fa.read() == fb.read()
+    overridden = str(tmp_path / "c.model")
+    assert cli.main(["gen-model", "lrgmm:d=6,r=2,k=3,seed=4", "-o", overridden,
+                     "--seed-override", str(DEFAULT_PRIOR_SEED)]) == 0
+    with open(explicit, "rb") as fa, open(overridden, "rb") as fc:
+        assert fa.read() == fc.read()
+
+
 @pytest.mark.parametrize(
-    "spec",
+    "spec,message",
     [
-        "union:d=8,ranks=2|3",       # missing seed
-        "nope:d=3",                  # unknown kind
-        "lrgmm:d=x,r=1,k=1,seed=1",  # non-integer
-        "box:lower=-1|-1",           # missing upper
-        "justakind",                 # no colon
-        "union:d=8,ranks",           # item without '='
+        ("union:d=8,ranks=2|3", "[union] seed: required key is missing"),
+        ("nope:d=3", "unknown model kind 'nope'"),
+        ("file:path=x.model", "unknown model kind 'file'"),
+        ("lrgmm:d=x,r=1,k=1,seed=1", "[prior] d: expected an integer"),
+        ("lrgmm:d=4,r=9,k=2,seed=1", "[prior] r: must be between 1 and d = 4, got 9"),
+        ("lrgmm:d=4,r=1,k=2,pi=0.5|0.6", "[prior] pi: mixture weights must sum to 1"),
+        ("box:lower=-1|-1", "[prior] upper: required key is missing"),
+        ("box:lower=1|-1,upper=2|1", "[prior] lower: active coordinates must contain the origin"),
+        ("sparse:d=4,s=2,seed=3", "[prior] seed: unknown key"),
+        ("justakind", "model spec needs kind:key=value"),
+        ("union:d=8,ranks", "is not key=value"),
+        ("union:d=8,ranks=2.5|3,seed=5", "[union] ranks: expected integers"),
+        ("union:d=8,ranks=2|3,seed=5,bogus=1", "[union] bogus: unknown key"),
+        ("union:d=4,ranks=2|9,seed=5", "[union] ranks: need ranks between 1 and d = 4"),
+        ("matrix:m=0,d=3,seed=1", "[matrix] m: must be >= 1, got 0"),
     ],
 )
-def test_gen_model_rejects_bad_specs(tmp_path, spec, capsys):
+def test_gen_model_rejects_bad_specs(tmp_path, spec, message, capsys):
     assert cli.main(["gen-model", spec, "-o", str(tmp_path / "x.model")]) == 2
-    assert "gen-model error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "gen-model error" in err and message in err
+    assert not os.path.exists(tmp_path / "x.model")
 
 
 # ------------------------------------------------------------- entry point

@@ -340,6 +340,8 @@ def test_trace_file_starts_with_format_line(tmp_path):
     [
         (["n,sigma", "0,1"], "format line"),
         ([TRACE_FORMAT_LINE, "n,sigma,mse", "0,1,2"], "metadata"),
+        ([TRACE_FORMAT_LINE, "# [1]", "n,sigma,mse,residual,frontier_gap,weight_entropy",
+          "0,0,0,0,0,0"], "metadata line is not a JSON object"),
         ([TRACE_FORMAT_LINE, "# {}", "a,b,c,d,e,f", "0,0,0,0,0,0"], "columns"),
         (
             [
