@@ -77,6 +77,7 @@ from .recovery_engine import (
     gpgd_step,
     kadkhodaie_step,
     problem_hash,
+    run_recoveries,
     run_recovery,
     schedule_sigma,
 )

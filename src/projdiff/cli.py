@@ -19,15 +19,16 @@ import numpy as np
 
 from .checks import report_csv, report_table, run_checks
 from .config import _PRIOR_KEYS, MU_AUTO, PRIOR_KINDS, ConfigError, ExperimentConfig, \
-    PriorSpec, _check_keys, _fail, _get_int, _get_ints, _parse_prior, load_config, \
+    PriorSpec, _check_keys, _fail, _get_int, _get_ints, _get_seed, _parse_prior, load_config, \
     serialize_config
-from .convex_prior import box_denoiser, sample_box
+from .convex_prior import sample_box
 from .diagnostics import detect_burn_in, fit_linear_rate
-from .errors import DivergenceError, InsufficientDataError, ResourceLimitError
+from .errors import DivergenceError, InsufficientDataError, NumericFailureError, \
+    ResourceLimitError
 from .lrgmm_prior import LrGmmPrior, random_lrgmm, sample, sparse_gmm, uniform_lrgmm
 from .model_sets import BoxSet, UnionOfSubspaces, random_union, squared_projection_norms
 from .modelio import load_model, save_model
-from .recovery_engine import RecoveryTrace, run_recovery
+from .recovery_engine import RecoveryTrace, run_recoveries
 from .sensing_analysis import SensingProblem, gaussian_operator, spectral_norm
 
 MANIFEST_NAME = "manifest.json"
@@ -55,13 +56,13 @@ def _build_prior(spec: PriorSpec):
 class _RealizedPrior:
     """A config prior turned into sampler + trace context.
 
-    A mixture prior is handed to ``run_recovery`` as ``prior``, whose own
-    denoiser evaluation makes the step; only a box needs ``denoise``.
+    ``model`` is the LrGmmPrior or BoxSet that ``run_recoveries`` takes as
+    ``prior``; its denoiser makes every run's step.
     """
 
     def __init__(self, spec):
-        model = _build_prior(spec)
-        self.ambient_dim = model.ambient_dim
+        self.model = _build_prior(spec)
+        self.ambient_dim = self.model.ambient_dim
         # Trace metadata names the prior by kind, d and its scalar keys; the
         # lists (pi, lower, upper) stay in resolved.cfg.
         self.descriptor = {"kind": spec.kind}
@@ -70,30 +71,25 @@ class _RealizedPrior:
         for key in _PRIOR_KEYS[spec.kind]:
             if isinstance(getattr(spec, key), (int, str)):
                 self.descriptor[key] = getattr(spec, key)
-        if isinstance(model, BoxSet):
-            self.box = model
-            self.prior = None
-            self.denoise = lambda z, sg: box_denoiser(model, z, sg)
-        else:
-            self.box = None
-            self.prior = model
-            self.denoise = None
 
     def draw(self, seed: int) -> np.ndarray:
         rng = np.random.default_rng(seed)
-        if self.box is not None:
-            return sample_box(self.box, rng)[0]
-        return sample(self.prior, rng)
+        if isinstance(self.model, BoxSet):
+            return sample_box(self.model, rng)[0]
+        return sample(self.model, rng)
 
     def true_component(self, x: np.ndarray):
-        if self.prior is None:
+        if isinstance(self.model, BoxSet):
             return None
-        return int(np.argmax(squared_projection_norms(self.prior.union, x)))
+        return int(np.argmax(squared_projection_norms(self.model.union, x)))
 
 
 def _resolve_mu(mu, operator) -> float:
     if mu == MU_AUTO:
-        return 1.9 / spectral_norm(operator) ** 2
+        try:
+            return 1.9 / spectral_norm(operator) ** 2
+        except NumericFailureError as exc:
+            raise _fail("sensing", "mu", f"{MU_AUTO} needs the operator norm: {exc}") from None
     return float(mu)
 
 
@@ -102,6 +98,8 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     if args.out is not None:
         changes["out_dir"] = args.out
     if args.seed_override is not None:
+        if args.seed_override < 0:
+            raise ConfigError(f"--seed-override: seeds must be >= 0, got {args.seed_override}")
         changes["trial_seeds"] = tuple(
             args.seed_override + i for i in range(len(cfg.trial_seeds))
         )
@@ -120,52 +118,50 @@ def cmd_simulate(args) -> int:
     try:
         cfg = _apply_overrides(load_config(args.config), args)
         realized = _RealizedPrior(cfg.prior)
+        operator = gaussian_operator(
+            cfg.sensing.m, realized.ambient_dim, np.random.default_rng(cfg.sensing.seed)
+        )
+        mu = _resolve_mu(cfg.sensing.mu, operator)
     except (ConfigError, ResourceLimitError, ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    operator = gaussian_operator(
-        cfg.sensing.m, realized.ambient_dim, np.random.default_rng(cfg.sensing.seed)
-    )
-    mu = _resolve_mu(cfg.sensing.mu, operator)
     os.makedirs(cfg.out_dir, exist_ok=True)
 
-    files = []
-    diverged = []
+    names, problems, schedules, metadata = [], [], [], []
     for seed in cfg.trial_seeds:
         x_true = realized.draw(seed)
         problem = SensingProblem(operator, mu, operator @ x_true, x_true=x_true, seed=seed)
         component = realized.true_component(x_true)
         for schedule_name, schedule in cfg.schedules:
-            metadata = {
+            meta = {
                 "schedule_name": schedule_name,
                 "trial_seed": seed,
                 "prior": realized.descriptor,
             }
             if component is not None:
-                metadata["true_component"] = component
-            name = _trace_name(schedule_name, seed)
-            path = os.path.join(cfg.out_dir, name)
-            try:
-                # overflow inside a diverging run is reported via DivergenceError
-                with np.errstate(over="ignore", invalid="ignore"):
-                    trace = run_recovery(
-                        problem,
-                        realized.denoise,
-                        schedule,
-                        n_iters=cfg.n_iters,
-                        prior=realized.prior,
-                        record_iterates=False,
-                        metadata=metadata,
-                    )
-            except DivergenceError as exc:
-                diverged.append((name, exc))
-                # An earlier run's file under this name is not this run's result.
-                if os.path.exists(path):
-                    os.remove(path)
-                continue
-            trace.write_csv(path)
-            files.append(name)
+                meta["true_component"] = component
+            names.append(_trace_name(schedule_name, seed))
+            problems.append(problem)
+            schedules.append(schedule)
+            metadata.append(meta)
+    # overflow inside a diverging run is reported via DivergenceError
+    with np.errstate(over="ignore", invalid="ignore"):
+        results = run_recoveries(problems, schedules, cfg.n_iters, prior=realized.model,
+                                 record_iterates=False, metadata=metadata)
+
+    files = []
+    diverged = []
+    for name, result in zip(names, results):
+        path = os.path.join(cfg.out_dir, name)
+        if isinstance(result, DivergenceError):
+            diverged.append((name, result))
+            # An earlier run's file under this name is not this run's result.
+            if os.path.exists(path):
+                os.remove(path)
+            continue
+        result.write_csv(path)
+        files.append(name)
 
     # The manifest is written on divergence too: it replaces any earlier
     # run's manifest, so analyze never summarises that run's traces instead.
@@ -200,13 +196,24 @@ def cmd_check(args) -> int:
     return 0 if all(res.passed for res in results) else 4
 
 
+def _field(meta: dict, key: str, kind, default=None):
+    """meta[key] when it has the type a trace writer gives it, else ``default``."""
+    value = meta.get(key)
+    return value if isinstance(value, kind) and not isinstance(value, bool) else default
+
+
 def _fit_row(trace: RecoveryTrace, fname: str):
+    # Metadata is whatever JSON the file holds: a field of the wrong type
+    # counts as absent.
     meta = trace.metadata
-    schedule = meta.get("schedule_name") or meta.get("schedule", {}).get("kind", "")
-    seed = meta.get("trial_seed", meta.get("seed", ""))
+    schedule_dict = _field(meta, "schedule", dict, {})
+    schedule = _field(meta, "schedule_name", str) or _field(schedule_dict, "kind", str, "")
+    seed = _field(meta, "trial_seed", int, _field(meta, "seed", int, ""))
+    component = _field(meta, "true_component", int)
     burn_in = None
-    if trace.subspace_distances is not None and "true_component" in meta:
-        burn_in = detect_burn_in(trace, int(meta["true_component"]))
+    dists = trace.subspace_distances
+    if dists is not None and component is not None and 0 <= component < dists.shape[1]:
+        burn_in = detect_burn_in(trace, component)
     try:
         fit = fit_linear_rate(trace, from_n=burn_in or 0)
         rate, r2 = format(fit.rate, ".17g"), format(fit.r2, ".17g")
@@ -322,14 +329,14 @@ def cmd_gen_model(args) -> int:
             if not ranks or not all(1 <= r <= d for r in ranks):
                 raise _fail(kind, "ranks", f"need ranks between 1 and d = {d}, "
                                            f"got {fields['ranks']!r}")
-            model = random_union(d, ranks, np.random.default_rng(_get_int(kind, fields, "seed")))
+            model = random_union(d, ranks, np.random.default_rng(_get_seed(kind, fields, "seed")))
         elif kind == "matrix":
             _check_keys(kind, fields, ("kind", "m", "d", "seed"))
             m, d = _get_int(kind, fields, "m"), _get_int(kind, fields, "d")
             if min(m, d) < 1:
                 key = "m" if m < 1 else "d"
                 raise _fail(kind, key, f"must be >= 1, got {fields[key]}")
-            model = gaussian_operator(m, d, np.random.default_rng(_get_int(kind, fields, "seed")))
+            model = gaussian_operator(m, d, np.random.default_rng(_get_seed(kind, fields, "seed")))
         elif kind in PRIOR_KINDS and kind != "file":
             model = _build_prior(_parse_prior(fields))
         else:

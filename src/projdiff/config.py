@@ -120,6 +120,13 @@ def _get_int(section, values, key, default=None):
         raise _fail(section, key, f"expected an integer, got {values[key]!r}") from None
 
 
+def _get_seed(section, values, key, default=None):
+    seed = _get_int(section, values, key, default)
+    if seed < 0:
+        raise _fail(section, key, f"seeds must be >= 0, got {seed}")
+    return seed
+
+
 def _get_float(section, values, key, default=None):
     if key not in values:
         if default is None:
@@ -187,7 +194,7 @@ def _parse_prior(values) -> PriorSpec:
             d=d,
             r=r,
             k=k,
-            seed=_get_int("prior", values, "seed", DEFAULT_PRIOR_SEED),
+            seed=_get_seed("prior", values, "seed", DEFAULT_PRIOR_SEED),
             pi=_get_pi(values, k),
         )
     if kind == "sparse":
@@ -238,7 +245,7 @@ def _parse_sensing(values) -> SensingSpec:
         raise _fail("sensing", "m", f"must be >= 1, got {m}")
     return SensingSpec(
         m=m,
-        seed=_get_int("sensing", values, "seed", DEFAULT_SENSING_SEED),
+        seed=_get_seed("sensing", values, "seed", DEFAULT_SENSING_SEED),
         mu=mu,
     )
 
@@ -274,11 +281,13 @@ def _parse_run(values):
         if "trials" in values:
             raise _fail("run", "trials", "give either trials or trial_seeds, not both")
         seeds = _get_ints("run", values, "trial_seeds")
+        if any(seed < 0 for seed in seeds):
+            raise _fail("run", "trial_seeds", f"seeds must be >= 0, got {min(seeds)}")
     elif "trials" in values:
         count = _get_int("run", values, "trials")
         if count < 1:
             raise _fail("run", "trials", f"must be >= 1, got {count}")
-        base = _get_int("run", values, "base_seed", DEFAULT_BASE_SEED)
+        base = _get_seed("run", values, "base_seed", DEFAULT_BASE_SEED)
         seeds = tuple(base + i for i in range(count))
     else:
         raise _fail("run", "trials", "required key is missing (or give trial_seeds)")

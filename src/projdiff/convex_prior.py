@@ -14,19 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateWeightsError
-from .model_sets import BoxSet, project_box, _check_vector
+from .model_sets import BoxSet, project_box, _check_block, _check_positive, _check_vector
 
 SQRT_2 = math.sqrt(2.0)
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 MIN_EFFECTIVE_SAMPLES = 10.0
-
-
-def _check_sigma(sigma) -> float:
-    sigma = float(sigma)
-    if not (sigma > 0.0 and math.isfinite(sigma)):
-        raise ValueError(f"sigma must be positive and finite, got {sigma}")
-    return sigma
 
 
 def _tail_ratio(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -42,11 +35,14 @@ def _tail_ratio(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
 
 
 def truncated_normal_mean(lower, upper, y, sigma) -> np.ndarray:
-    """Mean of N(y, sigma^2) conditioned on [lower, upper], elementwise."""
+    """Mean of N(y, sigma^2) conditioned on [lower, upper], elementwise.
+
+    ``sigma`` is a scalar or an array that broadcasts against ``y``.
+    """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
     y = np.asarray(y, dtype=float)
-    sigma = _check_sigma(sigma)
+    sigma = _check_positive(sigma, "sigma")
     alpha = (lower - y) / sigma
     beta = (upper - y) / sigma
 
@@ -69,20 +65,25 @@ def truncated_normal_mean(lower, upper, y, sigma) -> np.ndarray:
 
 
 def box_denoiser(box: BoxSet, y: np.ndarray, sigma) -> np.ndarray:
-    """Posterior mean under a uniform prior on the box, coordinatewise exact."""
-    y = _check_vector(y, box.ambient_dim, name="y")
-    if not np.all(np.isfinite(y)):
+    """Posterior mean under a uniform prior on the box, coordinatewise exact.
+
+    ``y`` is one (d,) vector with a scalar sigma, or a (B, d) block of rows
+    with one sigma per row.  Every entry is computed on its own, so a row's
+    result is the same alone or in a block.
+    """
+    block, single = _check_block(y, box.ambient_dim, name="y")
+    if not np.all(np.isfinite(block)):
         raise ValueError("y must be finite")
-    sigma = _check_sigma(sigma)
-    out = np.zeros_like(y)
+    sigma = np.broadcast_to(_check_positive(sigma, "sigma"), block.shape[:1])[:, None]
+    out = np.zeros_like(block)
     active = box.active_mask
     lo, hi = box.lower[active], box.upper[active]
-    mean = truncated_normal_mean(lo, hi, y[active], sigma)
+    mean = truncated_normal_mean(lo, hi, block[:, active], sigma)
     # The exact mean is strictly interior; keep it there if rounding lands
     # on a bound.
     mean = np.minimum(np.maximum(mean, np.nextafter(lo, hi)), np.nextafter(hi, lo))
-    out[active] = mean
-    return out
+    out[:, active] = mean
+    return out[0] if single else out
 
 
 def sample_box(box: BoxSet, rng: np.random.Generator, n: int = 1) -> np.ndarray:
@@ -112,7 +113,7 @@ def mc_denoiser(box: BoxSet, y: np.ndarray, sigma, n_samples: int, rng: np.rando
     y = _check_vector(y, box.ambient_dim, name="y")
     if not np.all(np.isfinite(y)):
         raise ValueError("y must be finite")
-    sigma = _check_sigma(sigma)
+    sigma = _check_positive(sigma, "sigma")
     n_samples = int(n_samples)
     if n_samples < 1000:
         raise ValueError(f"need at least 1000 samples, got {n_samples}")

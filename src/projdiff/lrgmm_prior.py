@@ -27,6 +27,7 @@ from .model_sets import (
     coordinate_subspace,
     project_union,
     random_union,
+    _check_positive,
     _check_vector,
 )
 from .randomness import categorical, normal_stream
@@ -93,13 +94,14 @@ class DenoiserEval:
 
     ``sq_in`` and ``sq_out`` are the per-component norms ||P_k x||^2 and
     ||x - P_k x||^2 of the same pass, so distances and the frontier gap at
-    (x, sigma) need no second walk over the union.
+    (x, sigma) need no second walk over the union.  For a (B, d) block every
+    field has a leading axis of B rows.
     """
 
     value: np.ndarray
     weights: np.ndarray
-    log_density: float
-    sigma: float
+    log_density: object  # float, or (B,) for a block
+    sigma: object
     sq_in: np.ndarray
     sq_out: np.ndarray
 
@@ -118,16 +120,9 @@ def random_lrgmm(d: int, r: int, k: int, rng: np.random.Generator, pi=None) -> L
     return uniform_lrgmm(union) if pi is None else lrgmm_from_pi(union, pi)
 
 
-def _check_t(t) -> float:
-    t = float(t)
-    if not (t > 0.0 and math.isfinite(t)):
-        raise ValueError(f"blur variance t must be positive and finite, got {t}")
-    return t
-
-
 def log_component_density(prior: LrGmmPrior, k: int, x: np.ndarray, t) -> float:
     """log of pi_k N(x; 0, U_k U_k^T + t I), evaluated without d x d matrices."""
-    t = _check_t(t)
+    t = float(_check_positive(t, "blur variance t"))
     x = _check_vector(x, prior.ambient_dim)
     subspace = prior.union.subspaces[k]
     d, r = subspace.ambient_dim, subspace.rank
@@ -141,21 +136,22 @@ def log_component_density(prior: LrGmmPrior, k: int, x: np.ndarray, t) -> float:
     return float(prior.log_pi[k]) - 0.5 * (d * LOG_2PI + log_det + quad)
 
 
-def _posterior(prior: LrGmmPrior, sq_in: np.ndarray, sq_out: np.ndarray, t):
-    """Posterior weights and blurred log density from one pass's norms.
+def _posterior(prior: LrGmmPrior, sq_in: np.ndarray, sq_out: np.ndarray, t: np.ndarray):
+    """Posterior weights and blurred log density from one pass's (B, K) norms.
 
-    Takes the vectors ||P_k x||^2 and ||x - P_k x||^2 and returns
-    (w, log nu(x)).  Each log nu_k is evaluated as c_k + shift with
+    Takes the rows of ||P_k x||^2 and ||x - P_k x||^2 with one variance t per
+    row and returns (w, log nu(x)), one row of weights and one log density per
+    row.  Each log nu_k is evaluated as c_k + shift with
     shift = -min_j ||x - P_j x||^2 / (2t) - (d/2) log(2pi).  The split matters
     numerically: the residual-over-t term dwarfs the informative differences
     for small t, and carrying it inside every log nu_k would round those
     differences away.
     """
-    t = _check_t(t)
     d = prior.ambient_dim
     ranks = prior.union.ranks
-    log_det = ranks * math.log1p(t) + (d - ranks) * math.log(t)
-    sq_out_min = float(np.min(sq_out))
+    t = t[:, None]
+    log_det = ranks * np.log1p(t) + (d - ranks) * np.log(t)
+    sq_out_min = np.min(sq_out, axis=1, keepdims=True)
     c = (
         prior.log_pi
         - 0.5 * log_det
@@ -163,29 +159,50 @@ def _posterior(prior: LrGmmPrior, sq_in: np.ndarray, sq_out: np.ndarray, t):
         - (sq_out - sq_out_min) / (2.0 * t)
     )
     shift = -sq_out_min / (2.0 * t) - 0.5 * d * LOG_2PI
-    c_max = float(np.max(c))
+    c_max = np.max(c, axis=1, keepdims=True)
     w = np.exp(c - c_max)
-    total = float(np.sum(w))
-    return w / total, c_max + math.log(total) + shift
+    total = np.sum(w, axis=1, keepdims=True)
+    return w / total, (c_max + np.log(total) + shift)[:, 0]
+
+
+def _evaluate(prior: LrGmmPrior, x: np.ndarray, t):
+    """One component_parts pass and the posterior, with x as a (B, d) block."""
+    projections, sq_in, sq_out = component_parts(prior.union, x)
+    if sq_in.ndim == 1:
+        projections, sq_in, sq_out = projections[None], sq_in[None], sq_out[None]
+    t = np.broadcast_to(_check_positive(t, "blur variance t"), sq_in.shape[:1])
+    w, log_density = _posterior(prior, sq_in, sq_out, t)
+    return projections, sq_in, sq_out, t, w, log_density
 
 
 def weights(prior: LrGmmPrior, x: np.ndarray, t) -> np.ndarray:
-    """Posterior component weights w_k(x, t); stable down to t ~ 1e-10."""
-    _, sq_in, sq_out = component_parts(prior.union, x)
-    return _posterior(prior, sq_in, sq_out, t)[0]
+    """Posterior component weights w_k(x, t); stable down to t ~ 1e-10.
+
+    ``x`` is a (d,) vector with a scalar t, or a (B, d) block with one t per
+    row (or one t for all rows).
+    """
+    w = _evaluate(prior, x, t)[4]
+    return w[0] if np.ndim(x) == 1 else w
 
 
 def denoiser(prior: LrGmmPrior, x: np.ndarray, sigma) -> DenoiserEval:
-    """Exact posterior mean E[x0 | x0 + sigma z = x] for the mixture prior."""
-    sigma = float(sigma)
-    if not (sigma > 0.0 and math.isfinite(sigma)):
-        raise ValueError(f"sigma must be positive and finite, got {sigma}")
-    t = sigma * sigma
-    projections, sq_in, sq_out = component_parts(prior.union, x)
-    w, log_density = _posterior(prior, sq_in, sq_out, t)
-    value = (w @ projections) / (1.0 + t)
-    return DenoiserEval(value=value, weights=w, log_density=log_density, sigma=sigma,
-                        sq_in=sq_in, sq_out=sq_out)
+    """Exact posterior mean E[x0 | x0 + sigma z = x] for the mixture prior.
+
+    ``x`` is one (d,) vector with a scalar sigma, or a (B, d) block of rows
+    with one sigma per row (or one sigma for all rows); every field of the
+    result then gains a leading row axis.  One ``component_parts`` pass
+    serves the whole block, and a row's result does not depend on the rows
+    beside it: the posterior mean is one gemv of the row's weights against
+    its projections.
+    """
+    sigma = _check_positive(sigma, "sigma")
+    projections, sq_in, sq_out, t, w, log_density = _evaluate(prior, x, sigma * sigma)
+    value = np.matmul(w[:, None, :], projections)[:, 0, :] / (1.0 + t)[:, None]
+    if np.ndim(x) == 1:
+        return DenoiserEval(value=value[0], weights=w[0], log_density=float(log_density[0]),
+                            sigma=float(sigma), sq_in=sq_in[0], sq_out=sq_out[0])
+    return DenoiserEval(value=value, weights=w, log_density=log_density,
+                        sigma=np.broadcast_to(sigma, t.shape), sq_in=sq_in, sq_out=sq_out)
 
 
 def score(prior: LrGmmPrior, x: np.ndarray, sigma) -> np.ndarray:

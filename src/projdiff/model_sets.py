@@ -147,14 +147,45 @@ def project_subspace(subspace: Subspace, x: np.ndarray) -> np.ndarray:
     return subspace.basis @ (subspace.basis.T @ x)
 
 
+def _check_positive(values, name):
+    """``values`` as a float array whose entries are all positive and finite."""
+    values = np.asarray(values, dtype=float)
+    if not np.all((values > 0.0) & np.isfinite(values)):
+        raise ValueError(f"{name} must be positive and finite, got {values}")
+    return values
+
+
+def _check_block(x, d, name="x"):
+    """x as a (B, d) block of row vectors, and whether it was a single (d,) vector."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 1:
+        return _check_vector(x, d, name)[None, :], True
+    if x.ndim != 2 or x.shape[1] != d:
+        raise ValueError(f"{name} must have shape ({d},) or (B, {d}), got {x.shape}")
+    return x, False
+
+
 def component_parts(union: UnionOfSubspaces, x: np.ndarray):
-    """(P_k x as a (K, d) array, ||P_k x||^2, ||x - P_k x||^2) in one pass."""
-    x = _check_vector(x, union.ambient_dim)
-    coeffs = x @ union.bases
-    projections = np.matmul(union.bases, coeffs[:, :, None])[:, :, 0]
-    residuals = x - projections
-    sq_in = np.einsum("kr,kr->k", coeffs, coeffs)
-    sq_out = np.einsum("kd,kd->k", residuals, residuals)
+    """(P_k x, ||P_k x||^2, ||x - P_k x||^2) for every component, in one pass.
+
+    ``x`` is one (d,) vector, giving shapes (K, d), (K,) and (K,), or a
+    (B, d) block of rows, giving (B, K, d), (B, K) and (B, K).  A row's
+    results do not depend on the rows beside it: the coefficients are one
+    BLAS gemv per row against the (d, K r_max) stack of basis columns, each
+    projection one gemv per row and component, and the squared norms sum
+    along the row's own contiguous axis.  No gemm ever sees the block.
+    """
+    block, single = _check_block(x, union.ambient_dim)
+    k, d, r_max = union.bases.shape
+    columns = union.bases.transpose(1, 0, 2).reshape(d, k * r_max)
+    coeffs = np.matmul(block[:, None, :], columns)[:, 0, :].reshape(-1, k, r_max)
+    projections = np.matmul(union.bases, coeffs[..., None])[..., 0]
+    squares = block[:, None, :] - projections
+    squares *= squares  # in place: one (B, K, d) temporary fewer
+    sq_in = np.sum(coeffs * coeffs, axis=-1)
+    sq_out = np.sum(squares, axis=-1)
+    if single:
+        return projections[0], sq_in[0], sq_out[0]
     return projections, sq_in, sq_out
 
 
@@ -188,13 +219,19 @@ def frontier_gap(union: UnionOfSubspaces, x: np.ndarray) -> float:
     return gap_from_norms(squared_projection_norms(union, x))
 
 
-def gap_from_norms(norms2: np.ndarray) -> float:
-    """frontier_gap from the vector of ||P_k x||^2; +inf for one component."""
-    if norms2.shape[0] == 1:
-        return float("inf")
-    k_star = int(np.argmax(norms2))
-    others = np.delete(norms2, k_star)
-    return float(norms2[k_star] - np.max(others))
+def gap_from_norms(norms2: np.ndarray):
+    """frontier_gap from ||P_k x||^2 along the last axis; +inf for one component.
+
+    Takes a (K,) vector and returns a float, or a (B, K) block and returns
+    one gap per row.
+    """
+    norms2 = np.asarray(norms2)
+    if norms2.shape[-1] == 1:
+        gap = np.full(norms2.shape[:-1], np.inf)
+    else:
+        top2 = np.partition(norms2, -2, axis=-1)[..., -2:]
+        gap = top2[..., 1] - top2[..., 0]
+    return float(gap) if norms2.ndim == 1 else gap
 
 
 def hard_threshold(x: np.ndarray, s: int) -> np.ndarray:

@@ -5,6 +5,15 @@ denoiser acts as a soft projection whose target set sharpens as sigma_n
 decreases along a schedule.  With mu = 1 the same update can be written as a
 data-fit direction plus a prior direction restricted to the measurement
 null space; both forms are provided and agree to rounding.
+
+``run_recoveries`` is the one implementation of the iteration.  It advances
+a (B, d) block of iterates, one row per (problem, schedule) run, each row on
+its own sigma_n; ``run_recovery`` is a batch of one.  A mixture prior's
+``denoiser`` and a box's ``box_denoiser`` take the whole block, while a
+``denoise`` callable is applied row by row.  A run's trace bytes do not
+depend on the batch width or on which runs share the block, because no
+computation mixes rows: sums run along each row's own axis, and every
+matrix-vector product is one BLAS gemv per row, never a gemm.
 """
 
 import hashlib
@@ -15,9 +24,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .convex_prior import box_denoiser
 from .errors import DivergenceError
 from .lrgmm_prior import LrGmmPrior, denoiser as lrgmm_denoiser
-from .model_sets import gap_from_norms
+from .model_sets import BoxSet, gap_from_norms
 from .sensing_analysis import SensingProblem
 
 SCHEDULE_KINDS = ("geometric", "linear", "cosine", "infinite_geometric")
@@ -109,8 +119,19 @@ def gpgd_step(denoise, a: np.ndarray, mu: float, y: np.ndarray,
     return _data_step(a, mu, y, denoise(x, sigma))
 
 
+def _matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """a @ v for v of shape (d,) or (B, d): one gemv per row, never a gemm."""
+    return np.matmul(a, v[..., None])[..., 0]
+
+
+def _row_dots(v: np.ndarray) -> np.ndarray:
+    """v_b . v_b for each row of a (B, d) block, one BLAS dot per row."""
+    return np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0]
+
+
 def _data_step(a: np.ndarray, mu: float, y: np.ndarray, p: np.ndarray) -> np.ndarray:
-    return p - mu * (a.T @ (a @ p - y))
+    """p - mu A^T (A p - y) for one vector p or for each row of a block."""
+    return p - mu * _matvec(a.T, _matvec(a, p) - y)
 
 
 def kadkhodaie_step(prior: LrGmmPrior, a: np.ndarray, y: np.ndarray,
@@ -162,19 +183,19 @@ class RecoveryTrace:
 
     def write_csv(self, path) -> None:
         """Write the trace; a reader never sees a partly written file at ``path``."""
-        cols = [getattr(self, name) for name in TRACE_COLUMNS[1:]]
+        cols = [getattr(self, name)[:, None] for name in TRACE_COLUMNS[1:]]
         if self.subspace_distances is not None:
-            cols += [self.subspace_distances[:, k] for k in range(self.subspace_distances.shape[1])]
-        lines = [TRACE_FORMAT_LINE, "# " + json.dumps(self.metadata, sort_keys=True)]
-        lines.append(",".join(self.column_names()))
-        for i in range(self.n_rows):
-            lines.append(
-                ",".join([str(int(self.n[i]))] + [format(c[i], ".17g") for c in cols])
-            )
+            cols.append(self.subspace_distances)
+        values = np.hstack(cols)
+        row_format = "%d" + ",%.17g" * values.shape[1] + "\n"
+        header = [TRACE_FORMAT_LINE, "# " + json.dumps(self.metadata, sort_keys=True),
+                  ",".join(self.column_names())]
         tmp = f"{path}.{os.getpid()}.tmp"  # not *.csv, so analyze never picks it up
         try:
             with open(tmp, "w", newline="\n") as fh:
-                fh.write("\n".join(lines) + "\n")
+                fh.write("\n".join(header) + "\n")
+                fh.writelines(row_format % (n, *row.tolist())
+                              for n, row in zip(self.n.tolist(), values))
             os.replace(tmp, path)
         finally:
             if os.path.exists(tmp):
@@ -208,95 +229,185 @@ class RecoveryTrace:
         return cls(**fixed, subspace_distances=dists, metadata=metadata)
 
 
-def problem_hash(problem: SensingProblem) -> str:
+def _operator_digest(operator: np.ndarray):
     digest = hashlib.sha256()
-    digest.update(problem.operator.tobytes())
+    digest.update(operator.tobytes())
+    return digest
+
+
+def _problem_hash(operator_digest, problem: SensingProblem) -> str:
+    digest = operator_digest.copy()
     digest.update(problem.y.tobytes())
     digest.update(format(problem.mu, ".17g").encode())
     return digest.hexdigest()[:16]
 
 
-def _entropy(w: np.ndarray) -> float:
-    positive = w[w > 0.0]
-    return float(-np.sum(positive * np.log(positive)))
+def problem_hash(problem: SensingProblem) -> str:
+    return _problem_hash(_operator_digest(problem.operator), problem)
+
+
+def _entropy(w: np.ndarray) -> np.ndarray:
+    """-sum w log w over the positive weights of each row of a (B, K) block.
+
+    Rows are grouped by their number of positive weights, so each row sums
+    exactly its positive entries, in order, along a contiguous axis: the
+    result is the one a single (K,) row gives, whatever B is.
+    """
+    positive = w > 0.0
+    counts = positive.sum(axis=1)
+    out = np.empty(w.shape[0])
+    for count in set(counts.tolist()):
+        rows = counts == count
+        kept = w[rows][positive[rows]].reshape(np.count_nonzero(rows), count)
+        out[rows] = -np.sum(kept * np.log(kept), axis=1)
+    return out
+
+
+def run_recoveries(problems, schedules, n_iters: int, denoise=None, prior=None,
+                   x0: np.ndarray = None, record_iterates: bool = None,
+                   metadata=None) -> list:
+    """Run one recovery per (problem, schedule) pair, all of them in lock step.
+
+    The iterates of the B runs form a (B, d) block, each row on its own
+    sigma_n.  Every iteration is one pass over the block:
+    mse and residual, one ``denoiser`` evaluation (its value is the step's
+    projection; weight entropy, frontier gap and distances come from the
+    same pass), and the data step.  The problems must share their operator
+    and mu; their y, x_true and seeds are per row.
+
+    ``prior`` is an LrGmmPrior, a BoxSet (whose ``box_denoiser`` takes the
+    block) or None; with None, ``denoise(x, sigma)`` is called once per row.
+    ``x0`` is None (start at zero) or a (B, d) block, ``metadata`` None or a
+    list of B dicts.
+
+    A run's trace bytes do not depend on B or on which runs share the block:
+    every reduction runs along a row's own contiguous axis or in a fixed
+    order, and each matrix-vector product is one BLAS gemv per row.
+
+    Returns one entry per run: its RecoveryTrace, or the DivergenceError of
+    a run whose iterate left the finite range.  That run leaves the block
+    at that iteration; the others go on.
+    """
+    problems, schedules = list(problems), list(schedules)
+    if not problems or len(problems) != len(schedules):
+        raise ValueError("need one schedule per problem, and at least one problem")
+    if denoise is None and prior is None:
+        raise ValueError("run_recovery needs a prior or a denoise callable")
+    a, mu = problems[0].operator, problems[0].mu
+    for problem in problems[1:]:
+        if problem.mu != mu or not (problem.operator is a or np.array_equal(problem.operator, a)):
+            raise ValueError("the runs of one batch must share the operator and mu")
+    n_iters = int(n_iters)
+    if n_iters < 1:
+        raise ValueError(f"n_iters must be >= 1, got {n_iters}")
+    for schedule in schedules:
+        if schedule.kind != "infinite_geometric" and n_iters > schedule.horizon:
+            raise ValueError(
+                f"n_iters={n_iters} exceeds the schedule horizon {schedule.horizon}"
+            )
+    b_runs, d = len(problems), a.shape[1]
+    if record_iterates is None:
+        record_iterates = d <= RECORD_ITERATES_DIM_LIMIT
+    x = np.zeros((b_runs, d)) if x0 is None else np.array(x0, dtype=float)
+    if x.shape != (b_runs, d):
+        raise ValueError(f"x0 must have shape ({b_runs}, {d}), got {x.shape}")
+
+    rows = n_iters + 1
+    table = {s: [schedule_sigma(s, n) for n in range(rows)] for s in set(schedules)}
+    sigma = np.array([table[s] for s in schedules])
+    y = np.array([problem.y for problem in problems])
+    truth = np.array([np.full(d, np.nan) if problem.x_true is None else problem.x_true
+                      for problem in problems])
+    mse = np.empty((b_runs, rows))
+    residual = np.empty((b_runs, rows))
+    frontier_gap = np.full((b_runs, rows), np.nan)
+    weight_entropy = np.full((b_runs, rows), np.nan)
+    mixture = isinstance(prior, LrGmmPrior)
+    distances = np.empty((b_runs, rows, prior.n_components)) if mixture else None
+    iterates = np.empty((b_runs, rows, d)) if record_iterates else None
+
+    results = [None] * b_runs
+    live = np.arange(b_runs)  # x, y and truth hold the rows of these runs
+    for n in range(rows):
+        sigma_n = sigma[live, n]
+        mse[live, n] = _row_dots(x - truth) / d
+        residual[live, n] = np.sqrt(_row_dots(_matvec(a, x) - y))
+        if mixture:
+            ev = lrgmm_denoiser(prior, x, sigma_n)
+            distances[live, n] = np.sqrt(ev.sq_out)
+            frontier_gap[live, n] = gap_from_norms(ev.sq_in)
+            weight_entropy[live, n] = _entropy(ev.weights)
+        if record_iterates:
+            iterates[live, n] = x
+        if n == n_iters:
+            break
+        if mixture:
+            p = ev.value
+        elif isinstance(prior, BoxSet):
+            p = box_denoiser(prior, x, sigma_n)
+        else:
+            p = np.array([denoise(row, s) for row, s in zip(x, sigma_n.tolist())])
+        x = _data_step(a, mu, y, p)
+        finite = np.all(np.isfinite(x), axis=1)
+        if not finite.all():
+            for b in live[~finite]:
+                results[b] = DivergenceError(
+                    f"iterate left the finite range at iteration {n + 1}", n + 1
+                )
+            live, x, y, truth = live[finite], x[finite], y[finite], truth[finite]
+            if live.size == 0:
+                break
+
+    operator_digest = _operator_digest(a)
+    for b in live:
+        problem = problems[b]
+        trace = RecoveryTrace(
+            n=np.arange(rows),
+            sigma=sigma[b],
+            mse=mse[b],
+            residual=residual[b],
+            frontier_gap=frontier_gap[b],
+            weight_entropy=weight_entropy[b],
+            subspace_distances=distances[b] if mixture else None,
+            iterates=iterates[b] if record_iterates else None,
+            metadata=dict(metadata[b] or {}) if metadata is not None else {},
+        )
+        trace.metadata.setdefault("format", "projdiff-trace")
+        trace.metadata.update(
+            problem_hash=_problem_hash(operator_digest, problem),
+            schedule=schedules[b].to_dict(),
+            mu=mu,
+            seed=problem.seed,
+        )
+        results[b] = trace
+    return results
 
 
 def run_recovery(problem: SensingProblem, denoise, schedule: NoiseSchedule,
                  x0: np.ndarray = None, n_iters: int = None,
-                 record_iterates: bool = None, prior: LrGmmPrior = None,
+                 record_iterates: bool = None, prior=None,
                  metadata: dict = None) -> RecoveryTrace:
     """Run the iteration for n_iters steps, recording one row per iterate.
 
-    With ``prior``, each row makes one ``denoiser(prior, x_n, sigma_n)``
+    This is ``run_recoveries`` on a batch of one, so its trace is
+    byte-identical to the same run's trace in any batch.  With ``prior``
+    (an LrGmmPrior), each row makes one ``denoiser(prior, x_n, sigma_n)``
     evaluation: its value is the step's projection, and the weight-entropy,
     frontier-gap and per-component distance columns come from the same pass.
-    ``denoise`` is then never called and may be None.  Without ``prior``,
-    ``denoise`` is any callable (x, sigma) -> array and those columns are
-    NaN.  There is no early stopping: the run always performs n_iters steps
-    unless an iterate leaves the finite range, which raises DivergenceError.
+    ``denoise`` is then never called and may be None.  A BoxSet ``prior``
+    makes the step with ``box_denoiser``.  Otherwise ``denoise`` is any
+    callable (x, sigma) -> array and the mixture columns are NaN.  There is
+    no early stopping: the run always performs n_iters steps unless an
+    iterate leaves the finite range, which raises DivergenceError.
     """
-    if denoise is None and prior is None:
-        raise ValueError("run_recovery needs a prior or a denoise callable")
-    a, y, mu = problem.operator, problem.y, problem.mu
-    d = problem.ambient_dim
     if n_iters is None:
         if schedule.kind == "infinite_geometric":
             raise ValueError("n_iters is required for an infinite schedule")
         n_iters = schedule.horizon
-    n_iters = int(n_iters)
-    if n_iters < 1:
-        raise ValueError(f"n_iters must be >= 1, got {n_iters}")
-    if schedule.kind != "infinite_geometric" and n_iters > schedule.horizon:
-        raise ValueError(
-            f"n_iters={n_iters} exceeds the schedule horizon {schedule.horizon}"
-        )
-    if record_iterates is None:
-        record_iterates = d <= RECORD_ITERATES_DIM_LIMIT
-
-    x = np.zeros(d) if x0 is None else np.asarray(x0, dtype=float).copy()
-    if x.shape != (d,):
-        raise ValueError(f"x0 must have shape ({d},), got {x.shape}")
-
-    rows = n_iters + 1
-    trace = RecoveryTrace(
-        n=np.arange(rows),
-        sigma=np.empty(rows),
-        mse=np.full(rows, np.nan),
-        residual=np.empty(rows),
-        frontier_gap=np.full(rows, np.nan),
-        weight_entropy=np.full(rows, np.nan),
-        subspace_distances=np.empty((rows, prior.union.n_components)) if prior is not None else None,
-        iterates=np.empty((rows, d)) if record_iterates else None,
-        metadata=dict(metadata or {}),
-    )
-    trace.metadata.setdefault("format", "projdiff-trace")
-    trace.metadata.update(
-        problem_hash=problem_hash(problem),
-        schedule=schedule.to_dict(),
-        mu=mu,
-        seed=problem.seed,
-    )
-
-    for n in range(rows):
-        sigma_n = schedule_sigma(schedule, n)
-        trace.sigma[n] = sigma_n
-        if problem.x_true is not None:
-            diff = x - problem.x_true
-            trace.mse[n] = float(diff @ diff) / d
-        trace.residual[n] = float(np.linalg.norm(a @ x - y))
-        if prior is not None:
-            ev = lrgmm_denoiser(prior, x, sigma_n)
-            trace.subspace_distances[n] = np.sqrt(ev.sq_out)
-            trace.frontier_gap[n] = gap_from_norms(ev.sq_in)
-            trace.weight_entropy[n] = _entropy(ev.weights)
-        if record_iterates:
-            trace.iterates[n] = x
-        if n == n_iters:
-            break
-        p = ev.value if prior is not None else denoise(x, sigma_n)
-        x = _data_step(a, mu, y, p)
-        if not np.all(np.isfinite(x)):
-            raise DivergenceError(
-                f"iterate left the finite range at iteration {n + 1}", n + 1
-            )
-    return trace
+    (result,) = run_recoveries([problem], [schedule], n_iters, denoise=denoise, prior=prior,
+                               x0=None if x0 is None else np.asarray(x0, dtype=float)[None],
+                               record_iterates=record_iterates,
+                               metadata=None if metadata is None else [metadata])
+    if isinstance(result, DivergenceError):
+        raise result
+    return result

@@ -268,6 +268,22 @@ def test_serialize_parse_is_a_fixed_point():
          "[schedule.geometric]\nsigma_max = 0.5\nsigma_min = 1e-4\nhorizon = 10\n"
          "[run]\ntrials = 1\n",
          r"\[prior\] s: C\(40,8\) = 76904685 components exceeds the cap of 200000"),
+        ("[prior]\nkind = lrgmm\nd = 4\nr = 1\nk = 1\nseed = -2\n[sensing]\nm = 2\n"
+         "[schedule.geometric]\nsigma_max = 0.5\nsigma_min = 1e-4\nhorizon = 10\n"
+         "[run]\ntrials = 1\n",
+         r"\[prior\] seed: seeds must be >= 0, got -2"),
+        ("[prior]\nkind = lrgmm\nd = 4\nr = 1\nk = 1\n[sensing]\nm = 2\nseed = -5\n"
+         "[schedule.geometric]\nsigma_max = 0.5\nsigma_min = 1e-4\nhorizon = 10\n"
+         "[run]\ntrials = 1\n",
+         r"\[sensing\] seed: seeds must be >= 0, got -5"),
+        ("[prior]\nkind = lrgmm\nd = 4\nr = 1\nk = 1\n[sensing]\nm = 2\n"
+         "[schedule.geometric]\nsigma_max = 0.5\nsigma_min = 1e-4\nhorizon = 10\n"
+         "[run]\ntrial_seeds = 4 -1 2\n",
+         r"\[run\] trial_seeds: seeds must be >= 0, got -1"),
+        ("[prior]\nkind = lrgmm\nd = 4\nr = 1\nk = 1\n[sensing]\nm = 2\n"
+         "[schedule.geometric]\nsigma_max = 0.5\nsigma_min = 1e-4\nhorizon = 10\n"
+         "[run]\ntrials = 3\nbase_seed = -1\n",
+         r"\[run\] base_seed: seeds must be >= 0, got -1"),
     ],
 )
 def test_config_errors_name_the_offender(text, match):
@@ -318,7 +334,7 @@ def prior_sections(draw):
         }
     section = {"kind": kind, "d": str(d), "pi": draw(st.sampled_from(("uniform", "1", "0.5 0.5")))}
     if kind == "lrgmm":
-        section.update(r=str(draw(count)), k=str(draw(count)), seed=str(draw(st.integers(0, 9))))
+        section.update(r=str(draw(count)), k=str(draw(count)), seed=str(draw(st.integers(-2, 9))))
     else:
         section["s"] = str(draw(count))
     return section
@@ -333,8 +349,10 @@ def prior_sections(draw):
         st.floats(1e-3, 1e3).map(str),
     ),
     horizon=st.integers(1, 5),
+    sensing_seed=st.integers(-2, 5),
+    base_seed=st.integers(-2, 5),
 )
-def test_generated_configs_exit_0_2_or_3(prior, m, mu, horizon):
+def test_generated_configs_exit_0_2_or_3(prior, m, mu, horizon, sensing_seed, base_seed):
     try:
         _parse_prior(prior)
         prior_ok = True
@@ -344,9 +362,9 @@ def test_generated_configs_exit_0_2_or_3(prior, m, mu, horizon):
         f"[{section}]\n" + "".join(f"{key} = {value}\n" for key, value in body.items())
         for section, body in (
             ("prior", prior),
-            ("sensing", {"m": m, "seed": 3, "mu": mu}),
+            ("sensing", {"m": m, "seed": sensing_seed, "mu": mu}),
             ("schedule.geometric", {"sigma_max": 0.5, "sigma_min": 1e-3, "horizon": horizon}),
-            ("run", {"trials": 1}),
+            ("run", {"trials": 1, "base_seed": base_seed}),
         )
     )
     spec = prior["kind"] + ":" + ",".join(
@@ -358,7 +376,7 @@ def test_generated_configs_exit_0_2_or_3(prior, m, mu, horizon):
             fh.write(text)
         code = cli.main(["simulate", cfg_path, "--out", os.path.join(tmp, "out")])
         assert code in (0, 2, 3)
-        assert prior_ok or code == 2
+        assert (prior_ok and min(sensing_seed, base_seed) >= 0) or code == 2
         # gen-model reads the same grammar: it accepts exactly the priors the config does.
         code = cli.main(["gen-model", spec, "-o", os.path.join(tmp, "prior.model")])
         assert code == (0 if prior_ok else 2)
@@ -554,6 +572,26 @@ def test_simulate_missing_config_file_exits_2(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_simulate_rejects_a_negative_seed_override(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, SMALL_CONFIG)
+    out = tmp_path / "o"
+    assert cli.main(["simulate", cfg_path, "--out", str(out), "--seed-override", "-3"]) == 2
+    assert "config error: --seed-override: seeds must be >= 0, got -3" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_maps_an_unresolvable_auto_mu_to_exit_2(tmp_path, monkeypatch, capsys):
+    def stalled(a):
+        raise pd.NumericFailureError("power iteration did not converge")
+
+    monkeypatch.setattr(cli, "spectral_norm", stalled)
+    cfg_path = write_config(tmp_path, SMALL_CONFIG)
+    assert cli.main(["simulate", cfg_path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: [sensing] mu: auto_1.9 needs the operator norm" in err
+    assert "did not converge" in err and "Traceback" not in err
+
+
 def test_simulate_divergence_exits_3_and_names_the_run(tmp_path, capsys):
     cfg_path = write_config(tmp_path, SMALL_CONFIG.replace("seed = 12", "seed = 12\nmu = 1e9"))
     assert cli.main(["simulate", cfg_path, "--out", str(tmp_path / "o")]) == 3
@@ -721,6 +759,30 @@ def test_analyze_skips_malformed_files_with_a_warning(tmp_path, capsys):
         assert len(fh.read().strip().split("\n")) == 2
 
 
+@pytest.mark.parametrize(
+    "metadata",
+    [
+        {"schedule": 5},
+        {"schedule": {"kind": 3}, "trial_seed": [1]},
+        {"true_component": "x"},
+        {"true_component": 9, "schedule_name": 4},
+        {"true_component": True, "seed": "s"},
+    ],
+)
+def test_analyze_treats_mistyped_metadata_as_absent(tmp_path, metadata, capsys):
+    rows = 14
+    lines = ["# projdiff-trace v1", "# " + json.dumps(metadata),
+             "n,sigma,mse,residual,frontier_gap,weight_entropy,dist_0,dist_1"]
+    lines += [f"{n},0.5,{0.25 ** n!r},0,nan,nan,{0.5 ** n!r},1" for n in range(rows)]
+    (tmp_path / "trace_hand_00001.csv").write_text("\n".join(lines) + "\n")
+    assert cli.main(["analyze", str(tmp_path)]) == 0
+    assert "skipping" not in capsys.readouterr().err
+    with open(tmp_path / "rates.csv") as fh:
+        row = fh.read().strip().split("\n")[1].split(",")
+    assert row[:4] == ["trace_hand_00001.csv", "", "", ""]
+    assert float(row[4]) == pytest.approx(0.5, rel=1e-12)
+
+
 def test_analyze_exits_2_when_nothing_is_readable(tmp_path, capsys):
     (tmp_path / "garbage.csv").write_text("not a trace\n")
     assert cli.main(["analyze", str(tmp_path)]) == 2
@@ -827,6 +889,9 @@ def test_gen_model_prior_kinds_take_the_config_keys(tmp_path):
         ("union:d=8,ranks=2|3,seed=5,bogus=1", "[union] bogus: unknown key"),
         ("union:d=4,ranks=2|9,seed=5", "[union] ranks: need ranks between 1 and d = 4"),
         ("matrix:m=0,d=3,seed=1", "[matrix] m: must be >= 1, got 0"),
+        ("lrgmm:d=4,r=1,k=2,seed=-1", "[prior] seed: seeds must be >= 0, got -1"),
+        ("union:d=8,ranks=2|3,seed=-1", "[union] seed: seeds must be >= 0, got -1"),
+        ("matrix:m=2,d=3,seed=-4", "[matrix] seed: seeds must be >= 0, got -4"),
     ],
 )
 def test_gen_model_rejects_bad_specs(tmp_path, spec, message, capsys):

@@ -229,3 +229,13 @@ def test_gap_curve_interior_point_decays_fast():
     curve = pd.convex_gap_curve(box, interior, list(np.geomspace(0.5, 0.05, 12)))
     fit = pd.fit_convex_rate(curve)
     assert fit.slope >= 2.0
+
+
+def test_box_denoiser_rows_match_single_calls():
+    box = pd.BoxSet(lower=[-1.0, -2.0, 0.0, -0.5], upper=[1.0, 0.5, 0.0, 3.0])
+    rng = np.random.default_rng(5)
+    block = rng.normal(scale=3.0, size=(9, 4))
+    sigmas = np.geomspace(2.0, 1e-6, 9)
+    out = pd.box_denoiser(box, block, sigmas)
+    for row, sigma, got in zip(block, sigmas, out):
+        assert np.array_equal(got, pd.box_denoiser(box, row, float(sigma)))

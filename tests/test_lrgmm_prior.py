@@ -212,6 +212,24 @@ def test_denoiser_rejects_bad_sigma_and_shape():
         pd.denoiser(prior, np.ones(3), 0.5)
 
 
+def test_denoiser_block_rows_match_single_calls():
+    # rank-mixed, so the stacked bases carry zero padding
+    union = pd.random_union(7, [1, 3, 2], np.random.default_rng(16))
+    prior = pd.lrgmm_from_pi(union, [0.2, 0.5, 0.3])
+    block = np.random.default_rng(17).normal(size=(11, 7))
+    sigmas = np.geomspace(2.0, 1e-5, 11)
+    ev = pd.denoiser(prior, block, sigmas)
+    for b in range(11):
+        one = pd.denoiser(prior, block[b], sigmas[b])
+        for name in ("value", "weights", "sq_in", "sq_out"):
+            assert np.array_equal(getattr(ev, name)[b], getattr(one, name)), name
+        assert ev.log_density[b] == one.log_density
+        assert np.array_equal(pd.weights(prior, block, sigmas**2)[b],
+                              pd.weights(prior, block[b], sigmas[b] ** 2))
+    with pytest.raises(ValueError):
+        pd.denoiser(prior, block, np.append(sigmas[:-1], 0.0))
+
+
 def test_denoiser_shrinks_toward_union():
     prior = pd.random_lrgmm(10, 3, 4, np.random.default_rng(14))
     x = np.random.default_rng(15).normal(size=10)

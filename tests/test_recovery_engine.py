@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import projdiff as pd
-from projdiff import checks, lrgmm_prior, recovery_engine
+from projdiff import checks, cli, lrgmm_prior, recovery_engine
 from projdiff.model_sets import UnionOfSubspaces
 from projdiff.recovery_engine import TRACE_FORMAT_LINE
 
@@ -293,6 +293,76 @@ def test_run_recovery_makes_one_union_pass_per_row(monkeypatch):
     assert not hasattr(recovery_engine, "_posterior")
 
 
+def _written(trace, tmp_path, name):
+    path = tmp_path / name
+    trace.write_csv(path)
+    return path.read_bytes()
+
+
+def test_trace_bytes_do_not_depend_on_the_batch(flagship_setup, tmp_path):
+    s = flagship_setup
+    runs = []
+    for seed in s.trial_seeds:
+        x_true = pd.sample(s.prior, np.random.default_rng(seed))
+        problem = pd.SensingProblem(s.operator, s.mu, s.operator @ x_true, x_true=x_true,
+                                    seed=seed)
+        runs += [(problem, schedule) for schedule in s.schedules.values()]
+    target = 4 * 5 + 2  # one seed's cosine run
+    problem, schedule = runs[target]
+    alone = _written(pd.run_recovery(problem, None, schedule, n_iters=150, prior=s.prior,
+                                     record_iterates=False), tmp_path, "alone.csv")
+    for width, start in ((7, target - 3), (len(runs), 0)):
+        batch = runs[start:start + width]
+        traces = recovery_engine.run_recoveries(
+            [p for p, _ in batch], [sch for _, sch in batch], 150, prior=s.prior,
+            record_iterates=False)
+        assert _written(traces[target - start], tmp_path, f"w{width}.csv") == alone, width
+
+
+def test_simulate_trace_bytes_do_not_depend_on_the_other_seeds(tmp_path):
+    """Two --seed-override subsets that share seeds write those seeds' traces identically."""
+    cfg = tmp_path / "flagship.cfg"
+    cfg.write_text(
+        "[prior]\nkind = lrgmm\nd = 64\nr = 5\nk = 8\nseed = 101\n"
+        "[sensing]\nm = 20\nseed = 202\n"
+        + "".join(f"[schedule.{kind}]\nsigma_max = 0.5\nsigma_min = 1e-4\nhorizon = 150\n"
+                  for kind in ("geometric", "linear", "cosine"))
+        + "[schedule.infinite_geometric]\nsigma_max = 0.5\na = 0.96\n"
+        "[run]\nn_iters = 150\ntrials = 4\n"
+    )
+    outs = []
+    for first in (7000, 7002):
+        out = tmp_path / str(first)
+        assert cli.main(["simulate", str(cfg), "--seed-override", str(first),
+                         "--out", str(out)]) == 0
+        outs.append(out)
+    shared = sorted(p.name for p in outs[0].glob("trace_*_0700[23].csv"))
+    assert len(shared) == 8
+    for name in shared:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+def test_run_recoveries_leaves_a_diverged_run_out_and_goes_on():
+    prior, problem, _ = tiny_problem()
+    x0 = np.zeros((3, 6))
+    x0[1] = 1e308  # this row overflows in its first step
+    with np.errstate(over="ignore", invalid="ignore"):
+        results = recovery_engine.run_recoveries([problem] * 3, [geometric(20)] * 3, 20,
+                                                 prior=prior, x0=x0)
+    assert isinstance(results[1], pd.DivergenceError) and results[1].iteration == 1
+    alone = pd.run_recovery(problem, None, geometric(20), prior=prior)
+    for trace in (results[0], results[2]):
+        assert np.array_equal(trace.mse, alone.mse)
+        assert np.array_equal(trace.iterates, alone.iterates)
+
+
+def test_run_recoveries_needs_one_operator():
+    prior, problem, _ = tiny_problem()
+    other = pd.SensingProblem(problem.operator * 2.0, problem.mu, problem.y * 2.0)
+    with pytest.raises(ValueError, match="share the operator and mu"):
+        recovery_engine.run_recoveries([problem, other], [geometric(5)] * 2, 5, prior=prior)
+
+
 def test_run_recovery_needs_a_prior_or_a_denoiser():
     _, problem, _ = tiny_problem()
     with pytest.raises(ValueError, match="prior or a denoise"):
@@ -324,6 +394,30 @@ def test_trace_csv_round_trip_is_exact(tmp_path):
     assert np.array_equal(back.subspace_distances, trace.subspace_distances)
     assert back.metadata == trace.metadata
     assert back.iterates is None
+
+
+def test_trace_rows_match_per_element_formatting(tmp_path):
+    rows = 6
+    special = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 2.2250738585072014e-308])
+    trace = pd.RecoveryTrace(
+        n=np.arange(rows),
+        sigma=np.geomspace(0.5, 1e-4, rows),
+        mse=special,
+        residual=special[::-1].copy(),
+        frontier_gap=np.array([0.0, -0.0, np.inf, 1e300, -1e-300, np.nan]),
+        weight_entropy=np.full(rows, np.nan),
+        subspace_distances=np.column_stack([special, np.full(rows, 1.0 / 3.0)]),
+        metadata={"label": "special values"},
+    )
+    path = tmp_path / "t.csv"
+    trace.write_csv(path)
+    cols = [getattr(trace, name) for name in recovery_engine.TRACE_COLUMNS[1:]]
+    cols += [trace.subspace_distances[:, k] for k in range(2)]
+    lines = [TRACE_FORMAT_LINE, "# " + json.dumps(trace.metadata, sort_keys=True),
+             ",".join(trace.column_names())]
+    lines += [",".join([str(i)] + [format(c[i], ".17g") for c in cols]) for i in range(rows)]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+    assert b",nan," in path.read_bytes() and b",-0," in path.read_bytes()
 
 
 def test_trace_file_starts_with_format_line(tmp_path):
