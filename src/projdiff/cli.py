@@ -28,7 +28,7 @@ from .errors import DivergenceError, InsufficientDataError, NumericFailureError,
 from .lrgmm_prior import LrGmmPrior, random_lrgmm, sample, sparse_gmm, uniform_lrgmm
 from .model_sets import BoxSet, UnionOfSubspaces, random_union, squared_projection_norms
 from .modelio import load_model, save_model
-from .recovery_engine import RecoveryTrace, run_recoveries
+from .recovery_engine import RecoveryTrace, batch_width, run_recoveries
 from .sensing_analysis import SensingProblem, gaussian_operator, spectral_norm
 
 MANIFEST_NAME = "manifest.json"
@@ -114,6 +114,24 @@ def _trace_name(schedule_name: str, seed: int) -> str:
     return f"trace_{schedule_name}_{seed:05d}.csv"
 
 
+def _simulate_batch(cfg, prior, names, problems, schedules, metadata, files, diverged):
+    """Run one batch, write its traces, and append to ``files`` and ``diverged``."""
+    # overflow inside a diverging run is reported via DivergenceError
+    with np.errstate(over="ignore", invalid="ignore"):
+        results = run_recoveries(problems, schedules, cfg.n_iters, prior=prior,
+                                 record_iterates=False, metadata=metadata)
+    for name, result in zip(names, results):
+        path = os.path.join(cfg.out_dir, name)
+        if isinstance(result, DivergenceError):
+            diverged.append((name, result))
+            # An earlier run's file under this name is not this run's result.
+            if os.path.exists(path):
+                os.remove(path)
+            continue
+        result.write_csv(path)
+        files.append(name)
+
+
 def cmd_simulate(args) -> int:
     try:
         cfg = _apply_overrides(load_config(args.config), args)
@@ -145,23 +163,16 @@ def cmd_simulate(args) -> int:
             problems.append(problem)
             schedules.append(schedule)
             metadata.append(meta)
-    # overflow inside a diverging run is reported via DivergenceError
-    with np.errstate(over="ignore", invalid="ignore"):
-        results = run_recoveries(problems, schedules, cfg.n_iters, prior=realized.model,
-                                 record_iterates=False, metadata=metadata)
-
+    # The runs go through the engine in batches that fit BATCH_BYTES, and a
+    # batch's traces are written and let go before the next batch starts.
+    # Trace bytes do not depend on the batching.
+    width = batch_width(realized.model, realized.ambient_dim, cfg.n_iters)
     files = []
     diverged = []
-    for name, result in zip(names, results):
-        path = os.path.join(cfg.out_dir, name)
-        if isinstance(result, DivergenceError):
-            diverged.append((name, result))
-            # An earlier run's file under this name is not this run's result.
-            if os.path.exists(path):
-                os.remove(path)
-            continue
-        result.write_csv(path)
-        files.append(name)
+    for start in range(0, len(names), width):
+        batch = slice(start, start + width)
+        _simulate_batch(cfg, realized.model, names[batch], problems[batch], schedules[batch],
+                        metadata[batch], files, diverged)
 
     # The manifest is written on divergence too: it replaces any earlier
     # run's manifest, so analyze never summarises that run's traces instead.

@@ -1,7 +1,8 @@
 """Low-dimensional model sets: unions of subspaces and centered boxes.
 
 A union of subspaces is stored as a zero-padded (K, d, r_max) stack of
-orthonormal bases, so per-component quantities are one stacked pass; zero
+orthonormal bases, and once more as the (d, K r_max) matrix of their
+columns side by side, so per-component quantities are one stacked pass; zero
 columns add nothing to a projection.  No d-by-d matrix is ever formed.
 """
 
@@ -54,10 +55,15 @@ class Subspace:
 
 @dataclass(frozen=True)
 class UnionOfSubspaces:
-    """A finite union of subspaces; ``bases`` stacks them zero-padded to r_max."""
+    """A finite union of subspaces; ``bases`` stacks them zero-padded to r_max.
+
+    ``columns`` holds the same numbers as one (d, K r_max) matrix, the
+    columns of component k in positions k r_max ... (k + 1) r_max - 1.
+    """
 
     subspaces: tuple
     bases: np.ndarray = field(init=False, repr=False, compare=False)
+    columns: np.ndarray = field(init=False, repr=False, compare=False)
     ranks: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -72,9 +78,12 @@ class UnionOfSubspaces:
         bases = np.zeros((len(subspaces), dims.pop(), int(ranks.max())))
         for k, subspace in enumerate(subspaces):
             bases[k, :, : subspace.rank] = subspace.basis
-        bases.flags.writeable = False
-        ranks.flags.writeable = False
+        k, d, r_max = bases.shape
+        columns = bases.transpose(1, 0, 2).reshape(d, k * r_max)
+        for array in (bases, columns, ranks):
+            array.flags.writeable = False
         object.__setattr__(self, "bases", bases)
+        object.__setattr__(self, "columns", columns)
         object.__setattr__(self, "ranks", ranks)
 
     @property
@@ -176,9 +185,8 @@ def component_parts(union: UnionOfSubspaces, x: np.ndarray):
     along the row's own contiguous axis.  No gemm ever sees the block.
     """
     block, single = _check_block(x, union.ambient_dim)
-    k, d, r_max = union.bases.shape
-    columns = union.bases.transpose(1, 0, 2).reshape(d, k * r_max)
-    coeffs = np.matmul(block[:, None, :], columns)[:, 0, :].reshape(-1, k, r_max)
+    k, _, r_max = union.bases.shape
+    coeffs = np.matmul(block[:, None, :], union.columns)[:, 0, :].reshape(-1, k, r_max)
     projections = np.matmul(union.bases, coeffs[..., None])[..., 0]
     squares = block[:, None, :] - projections
     squares *= squares  # in place: one (B, K, d) temporary fewer

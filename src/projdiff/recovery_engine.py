@@ -8,7 +8,9 @@ null space; both forms are provided and agree to rounding.
 
 ``run_recoveries`` is the one implementation of the iteration.  It advances
 a (B, d) block of iterates, one row per (problem, schedule) run, each row on
-its own sigma_n; ``run_recovery`` is a batch of one.  A mixture prior's
+its own sigma_n; ``run_recovery`` is a batch of one, and ``simulate``
+passes its runs in batches of ``batch_width``, so its memory stays bounded
+however many runs it has.  A mixture prior's
 ``denoiser`` and a box's ``box_denoiser`` take the whole block, while a
 ``denoise`` callable is applied row by row.  A run's trace bytes do not
 depend on the batch width or on which runs share the block, because no
@@ -39,6 +41,10 @@ TRACE_COLUMNS = ("n", "sigma", "mse", "residual", "frontier_gap", "weight_entrop
 
 # Above this ambient dimension full iterates are not kept by default.
 RECORD_ITERATES_DIM_LIMIT = 256
+
+# simulate splits its runs into batches whose per-run arrays take about this
+# many bytes, so its memory does not grow with the number of runs.
+BATCH_BYTES = 16 * 2**20
 
 
 @dataclass(frozen=True)
@@ -229,21 +235,12 @@ class RecoveryTrace:
         return cls(**fixed, subspace_distances=dists, metadata=metadata)
 
 
-def _operator_digest(operator: np.ndarray):
+def problem_hash(problem: SensingProblem) -> str:
     digest = hashlib.sha256()
-    digest.update(operator.tobytes())
-    return digest
-
-
-def _problem_hash(operator_digest, problem: SensingProblem) -> str:
-    digest = operator_digest.copy()
+    digest.update(problem.operator.tobytes())
     digest.update(problem.y.tobytes())
     digest.update(format(problem.mu, ".17g").encode())
     return digest.hexdigest()[:16]
-
-
-def problem_hash(problem: SensingProblem) -> str:
-    return _problem_hash(_operator_digest(problem.operator), problem)
 
 
 def _entropy(w: np.ndarray) -> np.ndarray:
@@ -261,6 +258,20 @@ def _entropy(w: np.ndarray) -> np.ndarray:
         kept = w[rows][positive[rows]].reshape(np.count_nonzero(rows), count)
         out[rows] = -np.sum(kept * np.log(kept), axis=1)
     return out
+
+
+def batch_width(prior, d: int, n_iters: int) -> int:
+    """How many runs of ``n_iters`` steps one ``run_recoveries`` call holds in BATCH_BYTES.
+
+    A mixture run's row holds its (n_iters + 1, K) distance columns and,
+    while an iteration is in flight, its (K, d) projections and squared
+    residuals; every run also holds a few vectors of length d or
+    n_iters + 1.  Iterates are not recorded.  At least one run always fits.
+    """
+    rows = int(n_iters) + 1
+    k = prior.n_components if isinstance(prior, LrGmmPrior) else 0
+    per_run = 8 * (k * (rows + 2 * d) + 8 * (d + rows))
+    return max(1, BATCH_BYTES // per_run)
 
 
 def run_recoveries(problems, schedules, n_iters: int, denoise=None, prior=None,
@@ -358,7 +369,6 @@ def run_recoveries(problems, schedules, n_iters: int, denoise=None, prior=None,
             if live.size == 0:
                 break
 
-    operator_digest = _operator_digest(a)
     for b in live:
         problem = problems[b]
         trace = RecoveryTrace(
@@ -374,7 +384,7 @@ def run_recoveries(problems, schedules, n_iters: int, denoise=None, prior=None,
         )
         trace.metadata.setdefault("format", "projdiff-trace")
         trace.metadata.update(
-            problem_hash=_problem_hash(operator_digest, problem),
+            problem_hash=problem_hash(problem),
             schedule=schedules[b].to_dict(),
             mu=mu,
             seed=problem.seed,

@@ -162,9 +162,8 @@ def _component_sample_rows(union: UnionOfSubspaces, component_of_row: np.ndarray
 def _projection_coeffs(union: UnionOfSubspaces, points: np.ndarray) -> np.ndarray:
     # (n, K, r_max) coefficients B_k^T z for a batch of rows z, in one matmul
     # against the stacked bases.
-    k, d, r = union.bases.shape
-    flat = union.bases.transpose(1, 0, 2).reshape(d, k * r)
-    return (points @ flat).reshape(points.shape[0], k, r)
+    k, _, r = union.bases.shape
+    return (points @ union.columns).reshape(points.shape[0], k, r)
 
 
 def _project_rows(union: UnionOfSubspaces, coeffs: np.ndarray,

@@ -342,6 +342,59 @@ def test_simulate_trace_bytes_do_not_depend_on_the_other_seeds(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
+def test_simulate_trace_bytes_do_not_depend_on_its_batches(tmp_path, monkeypatch):
+    """simulate in one batch, in batches of 3 and one run at a time writes the same bytes."""
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text(
+        "[prior]\nkind = lrgmm\nd = 16\nr = 2\nk = 4\nseed = 11\n"
+        "[sensing]\nm = 8\nseed = 12\n"
+        "[schedule.geometric]\nsigma_max = 0.5\nsigma_min = 1e-4\nhorizon = 40\n"
+        "[schedule.infinite_geometric]\nsigma_max = 0.5\na = 0.9\n"
+        "[run]\nn_iters = 40\ntrials = 4\n"
+    )
+    widths = []
+
+    def counted(problems, *args, **kwargs):
+        widths.append(len(problems))
+        return recovery_engine.run_recoveries(problems, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_recoveries", counted)
+    outs = {}
+    with monkeypatch.context() as patch:
+        outs["one batch"] = tmp_path / "one"
+        assert cli.main(["simulate", str(cfg), "--out", str(outs["one batch"])]) == 0
+        assert widths == [8]
+        patch.setattr(cli, "batch_width", lambda prior, d, n_iters: 3)
+        outs["batches of 3"] = tmp_path / "three"
+        assert cli.main(["simulate", str(cfg), "--out", str(outs["batches of 3"])]) == 0
+        assert widths[1:] == [3, 3, 2]
+    monkeypatch.setattr(recovery_engine, "BATCH_BYTES", 1)
+    outs["single runs"] = tmp_path / "single"
+    assert cli.main(["simulate", str(cfg), "--out", str(outs["single runs"])]) == 0
+    assert widths[4:] == [1] * 8
+    names = sorted(p.name for p in outs["one batch"].iterdir())
+    assert len(names) == 10  # 8 traces, resolved.cfg and manifest.json
+    for label, out in outs.items():
+        assert sorted(p.name for p in out.iterdir()) == names, label
+        for name in names:
+            if name != "resolved.cfg":  # it names its out_dir
+                assert (out / name).read_bytes() == (outs["one batch"] / name).read_bytes(), \
+                    (label, name)
+
+
+def test_batch_width_keeps_a_batch_within_its_byte_budget():
+    flagship = pd.random_lrgmm(64, 5, 8, np.random.default_rng(0))
+    assert recovery_engine.batch_width(flagship, 64, 150) >= 80  # one batch
+    box = pd.BoxSet(-np.ones(1024), np.ones(1024))
+    assert recovery_engine.batch_width(box, 1024, 150) >= 40
+    sparse = pd.sparse_gmm(16, 3)
+    width = recovery_engine.batch_width(sparse, 16, 1000)
+    # Each run holds (1001, 560) distance columns: 4.5 MB.
+    assert 1 < width and width * 1001 * 560 * 8 <= recovery_engine.BATCH_BYTES
+    many = pd.sparse_gmm(24, 4)  # K = 10626
+    assert recovery_engine.batch_width(many, 24, 2000) == 1
+
+
 def test_run_recoveries_leaves_a_diverged_run_out_and_goes_on():
     prior, problem, _ = tiny_problem()
     x0 = np.zeros((3, 6))
