@@ -47,7 +47,6 @@ from .lrgmm_prior import (
     LrGmmPrior,
     denoiser,
     limiting_projection,
-    log_component_density,
     lrgmm_from_pi,
     random_lrgmm,
     sample,
@@ -64,7 +63,6 @@ from .model_sets import (
     frontier_gap,
     hard_threshold,
     project_box,
-    project_subspace,
     project_union,
     random_subspace,
     random_union,

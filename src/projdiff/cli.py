@@ -331,7 +331,7 @@ def cmd_gen_model(args) -> int:
     try:
         fields = _parse_model_spec(args.spec)
         kind = fields["kind"]
-        seeded = kind in ("union", "matrix") or "seed" in _PRIOR_KEYS.get(kind, ())
+        seeded = kind == "union" or "seed" in _PRIOR_KEYS.get(kind, ())
         if args.seed_override is not None and seeded:
             fields["seed"] = str(args.seed_override)
         if kind == "union":
@@ -341,13 +341,6 @@ def cmd_gen_model(args) -> int:
                 raise _fail(kind, "ranks", f"need ranks between 1 and d = {d}, "
                                            f"got {fields['ranks']!r}")
             model = random_union(d, ranks, np.random.default_rng(_get_seed(kind, fields, "seed")))
-        elif kind == "matrix":
-            _check_keys(kind, fields, ("kind", "m", "d", "seed"))
-            m, d = _get_int(kind, fields, "m"), _get_int(kind, fields, "d")
-            if min(m, d) < 1:
-                key = "m" if m < 1 else "d"
-                raise _fail(kind, key, f"must be >= 1, got {fields[key]}")
-            model = gaussian_operator(m, d, np.random.default_rng(_get_seed(kind, fields, "seed")))
         elif kind in PRIOR_KINDS and kind != "file":
             model = _build_prior(_parse_prior(fields))
         else:
@@ -411,7 +404,7 @@ are written back into <out>/resolved.cfg):
         parents=[common],
         help="write a model file from kind:key=value,... (lists use |)",
         epilog="kinds: lrgmm, sparse and box take their [prior] keys (see simulate --help);\n"
-               "union: d, ranks, seed; matrix: m, d, seed",
+               "union: d, ranks, seed",
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     p_gen.add_argument("spec", help="e.g. lrgmm:d=16,r=2,k=4,seed=11 or box:lower=-1|-1,upper=1|1")

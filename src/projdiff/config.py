@@ -22,6 +22,7 @@ byte-identical.
     # or an explicit positive float
     mu = auto_1.9
 
+    # the name may use only letters, digits, '_' and '-'
     [schedule.geometric]
     kind = geometric
     sigma_max = 0.5
@@ -40,6 +41,7 @@ A ``#`` starts a comment only at the start of a line.
 
 import configparser
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +67,8 @@ _PRIOR_KEYS = {
 PRIOR_KINDS = tuple(_PRIOR_KEYS)
 
 _SCHEDULE_KEYS = {"kind", "sigma_max", "sigma_min", "horizon", "a"}
+# A schedule name becomes a trace file name and a field of analyze's CSV reports.
+_SCHEDULE_NAME = re.compile(r"[A-Za-z0-9_-]+")
 
 _RUN_KEYS = {"n_iters", "trials", "base_seed", "trial_seeds", "out_dir"}
 
@@ -251,8 +255,10 @@ def _parse_sensing(values) -> SensingSpec:
 
 
 def _parse_schedule(section, values) -> NoiseSchedule:
-    _check_keys(section, values, _SCHEDULE_KEYS)
     name = section.split(".", 1)[1]
+    if not _SCHEDULE_NAME.fullmatch(name):
+        raise _fail(section, None, "a schedule name may use only letters, digits, '_' and '-'")
+    _check_keys(section, values, _SCHEDULE_KEYS)
     kind = values.get("kind", name if name in SCHEDULE_KINDS else None)
     if kind is None:
         raise _fail(section, "kind", "required key is missing")

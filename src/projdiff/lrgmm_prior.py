@@ -55,7 +55,7 @@ def log_mixture_weights(pi, n_components: int) -> np.ndarray:
     return log_pi
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LrGmmPrior:
     """Mixture of unit Gaussians supported on the components of a union."""
 
@@ -118,22 +118,6 @@ def lrgmm_from_pi(union: UnionOfSubspaces, pi) -> LrGmmPrior:
 def random_lrgmm(d: int, r: int, k: int, rng: np.random.Generator, pi=None) -> LrGmmPrior:
     union = random_union(d, [r] * k, rng)
     return uniform_lrgmm(union) if pi is None else lrgmm_from_pi(union, pi)
-
-
-def log_component_density(prior: LrGmmPrior, k: int, x: np.ndarray, t) -> float:
-    """log of pi_k N(x; 0, U_k U_k^T + t I), evaluated without d x d matrices."""
-    t = float(_check_positive(t, "blur variance t"))
-    x = _check_vector(x, prior.ambient_dim)
-    subspace = prior.union.subspaces[k]
-    d, r = subspace.ambient_dim, subspace.rank
-    coeffs = subspace.basis.T @ x
-    inside = subspace.basis @ coeffs
-    residual = x - inside
-    sq_in = float(np.dot(coeffs, coeffs))
-    sq_out = float(np.dot(residual, residual))
-    log_det = r * math.log1p(t) + (d - r) * math.log(t)
-    quad = sq_in / (1.0 + t) + sq_out / t
-    return float(prior.log_pi[k]) - 0.5 * (d * LOG_2PI + log_det + quad)
 
 
 def _posterior(prior: LrGmmPrior, sq_in: np.ndarray, sq_out: np.ndarray, t: np.ndarray):
@@ -237,9 +221,8 @@ def limiting_projection(prior: LrGmmPrior, x: np.ndarray, tie_tol: float = DEFAU
 def sample(prior: LrGmmPrior, rng: np.random.Generator) -> np.ndarray:
     """Draw x = U_k g with k ~ pi and g standard normal on the component."""
     k = categorical(rng, prior.pi)
-    subspace = prior.union.subspaces[k]
-    g = normal_stream(rng, subspace.rank)
-    return subspace.basis @ g
+    g = normal_stream(rng, prior.union.ranks[k])
+    return prior.union.basis(k) @ g
 
 
 def sparse_gmm(d: int, s: int, pi=None, component_cap: int = SPARSE_COMPONENT_CAP) -> LrGmmPrior:

@@ -1,9 +1,12 @@
 """Low-dimensional model sets: unions of subspaces and centered boxes.
 
-A union of subspaces is stored as a zero-padded (K, d, r_max) stack of
-orthonormal bases, and once more as the (d, K r_max) matrix of their
+A union of subspaces is a zero-padded (K, d, r_max) stack of orthonormal
+bases plus their ranks, kept once more as the (d, K r_max) matrix of their
 columns side by side, so per-component quantities are one stacked pass; zero
-columns add nothing to a projection.  No d-by-d matrix is ever formed.
+columns add nothing to a projection.  ``Subspace`` is only the validated
+input a union is built from; the union's ``subspaces`` property is a view
+rebuilt from the stack for readers outside the package.  No d-by-d matrix is
+ever formed.
 """
 
 from dataclasses import dataclass, field
@@ -19,7 +22,7 @@ ORTHONORMALITY_TOL = 1e-10
 DEFAULT_TIE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Subspace:
     """A linear subspace of R^d given by an orthonormal basis (d x r)."""
 
@@ -53,27 +56,27 @@ class Subspace:
         return self.basis.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class UnionOfSubspaces:
-    """A finite union of subspaces; ``bases`` stacks them zero-padded to r_max.
+    """A finite union of subspaces, built from a sequence of ``Subspace``.
 
-    ``columns`` holds the same numbers as one (d, K r_max) matrix, the
-    columns of component k in positions k r_max ... (k + 1) r_max - 1.
+    ``bases`` stacks the components zero-padded to r_max: component k's
+    basis is its first ``ranks[k]`` columns (``basis(k)``).  ``columns``
+    holds the same numbers as one (d, K r_max) matrix, the columns of
+    component k in positions k r_max ... (k + 1) r_max - 1.
     """
 
-    subspaces: tuple
-    bases: np.ndarray = field(init=False, repr=False, compare=False)
-    columns: np.ndarray = field(init=False, repr=False, compare=False)
-    ranks: np.ndarray = field(init=False, repr=False, compare=False)
+    bases: np.ndarray = field(repr=False)
+    ranks: np.ndarray
+    columns: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        subspaces = tuple(self.subspaces)
+    def __init__(self, subspaces):
+        subspaces = tuple(subspaces)
         if len(subspaces) < 1:
             raise ValueError("a union needs at least one subspace")
         dims = {s.ambient_dim for s in subspaces}
         if len(dims) != 1:
             raise ValueError(f"mixed ambient dimensions: {sorted(dims)}")
-        object.__setattr__(self, "subspaces", subspaces)
         ranks = np.array([s.rank for s in subspaces])
         bases = np.zeros((len(subspaces), dims.pop(), int(ranks.max())))
         for k, subspace in enumerate(subspaces):
@@ -88,14 +91,23 @@ class UnionOfSubspaces:
 
     @property
     def ambient_dim(self) -> int:
-        return self.subspaces[0].ambient_dim
+        return self.bases.shape[1]
 
     @property
     def n_components(self) -> int:
-        return len(self.subspaces)
+        return self.bases.shape[0]
+
+    def basis(self, k: int) -> np.ndarray:
+        """Component k's (d, r_k) orthonormal basis, a read-only view of ``bases``."""
+        return self.bases[k, :, : self.ranks[k]]
+
+    @property
+    def subspaces(self) -> tuple:
+        """The components as ``Subspace`` objects, rebuilt from the stack on each call."""
+        return tuple(Subspace(self.basis(k)) for k in range(self.n_components))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoxSet:
     """An axis-aligned box containing the origin.
 
@@ -148,12 +160,6 @@ def _check_vector(x, d, name="x"):
     if x.shape != (d,):
         raise ValueError(f"{name} must have shape ({d},), got {x.shape}")
     return x
-
-
-def project_subspace(subspace: Subspace, x: np.ndarray) -> np.ndarray:
-    """Orthogonal projection of x onto the subspace."""
-    x = _check_vector(x, subspace.ambient_dim)
-    return subspace.basis @ (subspace.basis.T @ x)
 
 
 def _check_positive(values, name):
@@ -210,12 +216,10 @@ def project_union(union: UnionOfSubspaces, x: np.ndarray, tie_tol: float = DEFAU
     (absolute, on the squared norms) of the maximum is reported, and the
     returned point uses the lowest-index member so selection stays auditable.
     """
-    x = _check_vector(x, union.ambient_dim)
-    norms2 = squared_projection_norms(union, x)
+    projections, norms2, _ = component_parts(union, _check_vector(x, union.ambient_dim))
     best = float(np.max(norms2))
     argmin_set = [int(k) for k in np.flatnonzero(norms2 >= best - tie_tol)]
-    point = project_subspace(union.subspaces[argmin_set[0]], x)
-    return point, argmin_set
+    return projections[argmin_set[0]], argmin_set
 
 
 def frontier_gap(union: UnionOfSubspaces, x: np.ndarray) -> float:

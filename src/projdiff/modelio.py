@@ -1,4 +1,4 @@
-"""Plain-text serialisation of model sets, priors, and matrices.
+"""Plain-text serialisation of model sets and priors.
 
 The formats are line oriented and diff friendly.  Floats are written with 17
 significant digits, which round-trips IEEE doubles exactly.
@@ -9,8 +9,6 @@ significant digits, which round-trips IEEE doubles exactly.
     pi <K values>            optional trailing row turns a union into a prior
 
     box d=<d>                followed by a lower row and an upper row
-
-    matrix m=<m> d=<d>       followed by m rows of d entries
 """
 
 import numpy as np
@@ -47,10 +45,9 @@ def _parse_header(line: str, keyword: str, fields) -> dict:
 
 def union_to_text(union: UnionOfSubspaces) -> str:
     lines = [f"union d={union.ambient_dim} K={union.n_components}"]
-    for subspace in union.subspaces:
-        lines.append(f"subspace r={subspace.rank}")
-        for j in range(subspace.rank):
-            lines.append(_format_row(subspace.basis[:, j]))
+    for k, rank in enumerate(union.ranks):
+        lines.append(f"subspace r={rank}")
+        lines.extend(_format_row(column) for column in union.basis(k).T)
     return "\n".join(lines) + "\n"
 
 
@@ -62,13 +59,6 @@ def box_to_text(box: BoxSet) -> str:
     return "\n".join(
         [f"box d={box.ambient_dim}", _format_row(box.lower), _format_row(box.upper)]
     ) + "\n"
-
-
-def matrix_to_text(a: np.ndarray) -> str:
-    a = np.asarray(a, dtype=float)
-    lines = [f"matrix m={a.shape[0]} d={a.shape[1]}"]
-    lines.extend(_format_row(row) for row in a)
-    return "\n".join(lines) + "\n"
 
 
 def _lines_of(text: str) -> list:
@@ -126,17 +116,6 @@ def box_from_text(text: str) -> BoxSet:
     return BoxSet(lower, upper)
 
 
-def matrix_from_text(text: str) -> np.ndarray:
-    lines = _lines_of(text)
-    if not lines:
-        raise ValueError("empty matrix text")
-    header = _parse_header(lines[0], "matrix", ["m", "d"])
-    m, d = header["m"], header["d"]
-    if len(lines) != 1 + m:
-        raise ValueError(f"matrix: expected {m} rows, got {len(lines) - 1}")
-    return np.array([_parse_row(lines[1 + i], d, f"matrix row {i}") for i in range(m)])
-
-
 def load_model(path):
     """Load a model file, dispatching on its header keyword."""
     with open(path, "r") as fh:
@@ -150,8 +129,6 @@ def load_model(path):
         return lrgmm_from_pi(union, pi) if pi is not None else union
     if keyword == "box":
         return box_from_text(text)
-    if keyword == "matrix":
-        return matrix_from_text(text)
     raise ValueError(f"{path}: unknown model header {lines[0]!r}")
 
 
@@ -162,8 +139,6 @@ def save_model(path, obj) -> None:
         text = union_to_text(obj)
     elif isinstance(obj, BoxSet):
         text = box_to_text(obj)
-    elif isinstance(obj, np.ndarray):
-        text = matrix_to_text(obj)
     else:
         raise TypeError(f"cannot serialise {type(obj)!r}")
     with open(path, "w", newline="\n") as fh:

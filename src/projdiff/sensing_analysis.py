@@ -118,8 +118,8 @@ def spectral_norm(a: np.ndarray, tol: float = POWER_ITERATION_TOL,
 def _pair_basis(union: UnionOfSubspaces, k: int, ell: int) -> np.ndarray:
     # Orthonormal basis of E_k + E_ell via SVD with a fixed rank cutoff.
     if k == ell:
-        return union.subspaces[k].basis
-    stacked = np.hstack([union.subspaces[k].basis, union.subspaces[ell].basis])
+        return union.basis(k)
+    stacked = np.hstack([union.basis(k), union.basis(ell)])
     u, s, _ = np.linalg.svd(stacked, full_matrices=False)
     rank = int(np.sum(s > RANK_CUTOFF))
     return u[:, :rank]
@@ -151,11 +151,11 @@ def _component_sample_rows(union: UnionOfSubspaces, component_of_row: np.ndarray
     # One prior-style draw U_k g per row, with k given per row.
     n = component_of_row.shape[0]
     out = np.zeros((n, union.ambient_dim))
-    for k, subspace in enumerate(union.subspaces):
+    for k, rank in enumerate(union.ranks):
         rows = np.flatnonzero(component_of_row == k)
         if rows.size:
-            coeffs = normal_stream(rng, rows.size * subspace.rank)
-            out[rows] = coeffs.reshape(rows.size, subspace.rank) @ subspace.basis.T
+            coeffs = normal_stream(rng, rows.size * rank)
+            out[rows] = coeffs.reshape(rows.size, rank) @ union.basis(k).T
     return out
 
 

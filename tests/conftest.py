@@ -3,8 +3,12 @@
 The flagship recovery experiment (d=64, r=5, K=8, m=20, four schedules,
 20 trials) is expensive enough that it is run once per session and shared
 by every test that inspects its traces.
+
+``log_component_density`` is a one-component oracle for the library's
+stacked posterior; tests import it with ``from conftest import ...``.
 """
 
+import math
 import os
 import time
 from types import SimpleNamespace
@@ -15,6 +19,21 @@ import pytest
 import projdiff as pd
 
 FLAGSHIP_TRIAL_SEEDS = tuple(range(7000, 7020))
+
+
+def log_component_density(prior, k, x, t):
+    """log of pi_k N(x; 0, U_k U_k^T + t I), evaluated without d x d matrices.
+
+    Uses det(U U^T + t I) = (1+t)^r t^(d-r) and
+    x^T (U U^T + t I)^{-1} x = ||U^T x||^2/(1+t) + ||x - U U^T x||^2/t.
+    """
+    basis = prior.union.basis(k)
+    d, r = basis.shape
+    coeffs = basis.T @ x
+    residual = x - basis @ coeffs
+    log_det = r * math.log1p(t) + (d - r) * math.log(t)
+    quad = float(coeffs @ coeffs) / (1.0 + t) + float(residual @ residual) / t
+    return float(prior.log_pi[k]) - 0.5 * (d * math.log(2.0 * math.pi) + log_det + quad)
 
 
 @pytest.fixture

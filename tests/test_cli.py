@@ -1,5 +1,6 @@
 """Config dialect, check-suite hooks, and the command line surface."""
 
+import hashlib
 import json
 import math
 import os
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import projdiff as pd
+from conftest import log_component_density
 from projdiff import checks, cli
 from projdiff.checks import run_checks
 from projdiff.config import (
@@ -284,6 +286,14 @@ def test_serialize_parse_is_a_fixed_point():
          "[schedule.geometric]\nsigma_max = 0.5\nsigma_min = 1e-4\nhorizon = 10\n"
          "[run]\ntrials = 3\nbase_seed = -1\n",
          r"\[run\] base_seed: seeds must be >= 0, got -1"),
+        ("[prior]\nkind = lrgmm\nd = 4\nr = 1\nk = 1\n[sensing]\nm = 2\n"
+         "[schedule.a,b]\nkind = geometric\nsigma_max = 0.5\nsigma_min = 1e-4\nhorizon = 10\n"
+         "[run]\ntrials = 1\n",
+         r"\[schedule\.a,b\]: a schedule name may use only letters, digits, '_' and '-'"),
+        ("[prior]\nkind = lrgmm\nd = 4\nr = 1\nk = 1\n[sensing]\nm = 2\n"
+         "[schedule.a/b]\nkind = geometric\nsigma_max = 0.5\nsigma_min = 1e-4\nhorizon = 10\n"
+         "[run]\ntrials = 1\n",
+         r"\[schedule\.a/b\]: a schedule name may use only letters, digits, '_' and '-'"),
     ],
 )
 def test_config_errors_name_the_offender(text, match):
@@ -438,7 +448,7 @@ def test_check_maxima_do_not_drop_nan(monkeypatch):
 def test_checks_catch_weights_computed_without_log_stabilisation():
     def naive(prior, x, t):
         logs = np.array(
-            [pd.log_component_density(prior, k, x, t) for k in range(prior.n_components)]
+            [log_component_density(prior, k, x, t) for k in range(prior.n_components)]
         )
         with np.errstate(under="ignore", over="ignore", invalid="ignore"):
             w = np.exp(logs)
@@ -820,25 +830,35 @@ def test_gen_model_union_round_trip(tmp_path):
         np.testing.assert_allclose(got.basis, want.basis, atol=1e-15)
 
 
-def test_gen_model_lrgmm_and_matrix_and_box(tmp_path):
+def test_gen_model_lrgmm_and_box(tmp_path):
     lp = str(tmp_path / "p.model")
     assert cli.main(["gen-model", "lrgmm:d=6,r=2,k=3,seed=9,pi=0.2|0.5|0.3", "-o", lp]) == 0
     prior = pd.load_model(lp)
     np.testing.assert_allclose(prior.pi, [0.2, 0.5, 0.3], atol=1e-15)
     assert prior.ambient_dim == 6
 
-    mp = str(tmp_path / "a.model")
-    assert cli.main(["gen-model", "matrix:m=4,d=6,seed=2", "-o", mp]) == 0
-    operator = pd.load_model(mp)
-    np.testing.assert_array_equal(
-        operator, pd.gaussian_operator(4, 6, np.random.default_rng(2))
-    )
-
     bp = str(tmp_path / "b.model")
     assert cli.main(["gen-model", "box:lower=-1|-2,upper=1|0.5", "-o", bp]) == 0
     box = pd.load_model(bp)
     np.testing.assert_array_equal(box.lower, [-1.0, -2.0])
     np.testing.assert_array_equal(box.upper, [1.0, 0.5])
+
+
+@pytest.mark.parametrize(
+    "spec,sha256",
+    [
+        # Other runs read these files back, so their bytes are pinned.  The
+        # rank-mixed union writes each component's own columns of the
+        # zero-padded stack, not its padding.
+        ("union:d=8,ranks=2|3,seed=5",
+         "2166e15220eadaa96da703c7380df9662bad704aebfdbec90d16afb116222c75"),
+        ("sparse:d=4,s=2", "b5e0f517037459026d49e38e8998040253e1dca2c6b55ff86748b959f79481b0"),
+    ],
+)
+def test_gen_model_file_bytes_are_pinned(tmp_path, spec, sha256):
+    path = tmp_path / "m.model"
+    assert cli.main(["gen-model", spec, "-o", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
 
 
 def test_gen_model_sparse_spec(tmp_path):
@@ -888,10 +908,9 @@ def test_gen_model_prior_kinds_take_the_config_keys(tmp_path):
         ("union:d=8,ranks=2.5|3,seed=5", "[union] ranks: expected integers"),
         ("union:d=8,ranks=2|3,seed=5,bogus=1", "[union] bogus: unknown key"),
         ("union:d=4,ranks=2|9,seed=5", "[union] ranks: need ranks between 1 and d = 4"),
-        ("matrix:m=0,d=3,seed=1", "[matrix] m: must be >= 1, got 0"),
+        ("matrix:m=2,d=3", "unknown model kind 'matrix'"),
         ("lrgmm:d=4,r=1,k=2,seed=-1", "[prior] seed: seeds must be >= 0, got -1"),
         ("union:d=8,ranks=2|3,seed=-1", "[union] seed: seeds must be >= 0, got -1"),
-        ("matrix:m=2,d=3,seed=-4", "[matrix] seed: seeds must be >= 0, got -4"),
     ],
 )
 def test_gen_model_rejects_bad_specs(tmp_path, spec, message, capsys):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import projdiff as pd
+from conftest import log_component_density
 from projdiff.model_sets import UnionOfSubspaces
 
 
@@ -60,11 +61,11 @@ def test_random_lrgmm_is_deterministic():
 def test_log_component_density_known_values():
     prior = line_prior(d=2, support=(0,))
     # at the origin with unit blur the quadratic vanishes
-    got = pd.log_component_density(prior, 0, np.zeros(2), 1.0)
+    got = log_component_density(prior, 0, np.zeros(2), 1.0)
     assert got == pytest.approx(-math.log(2 * math.pi) - 0.5 * math.log(2.0), rel=1e-15)
     assert got == pytest.approx(-2.184450656689318, rel=1e-15)
     # unit step off the subspace at small blur: residual term dominates
-    got = pd.log_component_density(prior, 0, np.array([0.0, 1.0]), 0.01)
+    got = log_component_density(prior, 0, np.array([0.0, 1.0]), 0.01)
     assert got == pytest.approx(-49.540267138841884, rel=1e-15)
 
 
@@ -88,17 +89,17 @@ def test_log_component_density_matches_dense_covariance():
             _, logdet = np.linalg.slogdet(cov)
             quad = float(x @ np.linalg.solve(cov, x))
             dense = math.log(pi[kk]) - 0.5 * (d * math.log(2 * math.pi) + logdet + quad)
-            ours = pd.log_component_density(prior, kk, x, t)
+            ours = log_component_density(prior, kk, x, t)
             worst = max(worst, abs(dense - ours) / max(1.0, abs(dense)))
     assert worst <= 1e-9
 
 
-def test_log_component_density_rejects_bad_t():
+def test_weights_reject_bad_t():
     prior = axes_prior()
-    with pytest.raises(ValueError):
-        pd.log_component_density(prior, 0, np.ones(2), 0.0)
-    with pytest.raises(ValueError):
-        pd.log_component_density(prior, 0, np.ones(2), -1.0)
+    with pytest.raises(ValueError, match="blur variance t"):
+        pd.weights(prior, np.ones(2), 0.0)
+    with pytest.raises(ValueError, match="blur variance t"):
+        pd.weights(prior, np.ones(2), -1.0)
 
 
 # ----------------------------------------------------------------- weights
@@ -180,7 +181,7 @@ def test_denoiser_single_component_closed_form():
         t = sigma * sigma
         x = r.normal(size=6)
         ev = pd.denoiser(prior, x, sigma)
-        want = pd.project_subspace(sub, x) / (1.0 + t)
+        want = sub.basis @ (sub.basis.T @ x) / (1.0 + t)
         assert ev.value == pytest.approx(want, abs=1e-14)
         assert ev.weights == pytest.approx([1.0])
 
@@ -249,7 +250,7 @@ def test_score_single_component_closed_form():
     sigma = 0.4
     t = sigma * sigma
     got = pd.score(prior, x, sigma)
-    want = (pd.project_subspace(sub, x) / (1.0 + t) - x) / t
+    want = (sub.basis @ (sub.basis.T @ x) / (1.0 + t) - x) / t
     assert got == pytest.approx(want, rel=1e-12)
 
 

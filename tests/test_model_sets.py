@@ -6,13 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import projdiff as pd
-from projdiff.model_sets import Subspace, UnionOfSubspaces, BoxSet
+from conftest import log_component_density
+from projdiff.model_sets import Subspace, UnionOfSubspaces, BoxSet, component_parts
 
 
 def axes_union():
     return UnionOfSubspaces(
         (pd.coordinate_subspace(2, [0]), pd.coordinate_subspace(2, [1]))
     )
+
+
+def project(subspace, x):
+    """P x through the stacked pass of a one-component union."""
+    return component_parts(UnionOfSubspaces((subspace,)), x)[0][0]
 
 
 # ---------------------------------------------------------------- Subspace
@@ -58,30 +64,56 @@ def test_union_validation():
         UnionOfSubspaces(mixed)
 
 
-# ------------------------------------------------------- project_subspace
+def test_union_stores_only_the_padded_stack():
+    given_subspaces = [pd.random_subspace(6, r, np.random.default_rng(r)) for r in (2, 3, 1)]
+    u = UnionOfSubspaces(given_subspaces)
+    assert sorted(vars(u)) == ["bases", "columns", "ranks"]
+    assert (u.ambient_dim, u.n_components, u.bases.shape) == (6, 3, (3, 6, 3))
+    assert list(u.ranks) == [2, 3, 1]
+    for k, s in enumerate(given_subspaces):
+        assert np.array_equal(u.basis(k), s.basis)
+        assert not u.basis(k).flags.writeable
+        assert not np.any(u.bases[k, :, s.rank:])
+        assert np.array_equal(u.columns[:, 3 * k: 3 * k + 3], u.bases[k])
+        assert np.array_equal(u.subspaces[k].basis, s.basis)
+
+
+def test_model_objects_compare_by_identity():
+    def build():
+        union = pd.random_union(6, [2, 3], np.random.default_rng(4))
+        return (union.subspaces[0], union, pd.uniform_lrgmm(union),
+                BoxSet([-1.0, 0.0], [1.0, 0.0]))
+
+    for a, b in zip(build(), build()):
+        assert a == a
+        assert a != b
+        assert len({a, b}) == 2
+
+
+# ------------------------------------------- projection onto one subspace
 
 
 def test_project_onto_first_axis():
     e1 = pd.coordinate_subspace(2, [0])
-    assert np.array_equal(pd.project_subspace(e1, np.array([3.0, 4.0])), [3.0, 0.0])
+    assert np.array_equal(project(e1, np.array([3.0, 4.0])), [3.0, 0.0])
 
 
 def test_project_rank_one_diagonal():
     diag = Subspace(np.array([[1.0], [1.0]]) / math.sqrt(2.0))
-    out = pd.project_subspace(diag, np.array([1.0, 0.0]))
+    out = project(diag, np.array([1.0, 0.0]))
     assert out == pytest.approx([0.5, 0.5], abs=1e-15)
 
 
 def test_project_is_idempotent_on_members():
     s = pd.random_subspace(6, 2, np.random.default_rng(3))
     x = s.basis @ np.array([1.3, -0.7])
-    assert pd.project_subspace(s, x) == pytest.approx(x, abs=1e-12)
+    assert project(s, x) == pytest.approx(x, abs=1e-12)
 
 
 def test_project_dimension_mismatch():
     s = pd.coordinate_subspace(3, [0])
     with pytest.raises(ValueError, match="shape"):
-        pd.project_subspace(s, np.zeros(4))
+        project(s, np.zeros(4))
 
 
 @settings(deadline=None, max_examples=60)
@@ -90,19 +122,19 @@ def test_project_dimension_mismatch():
     coeffs=st.lists(st.floats(-50, 50), min_size=5, max_size=5),
     scale=st.floats(0.1, 10),
 )
-def test_project_subspace_is_linear_selfadjoint_nonexpansive(seed, coeffs, scale):
+def test_projection_is_linear_selfadjoint_nonexpansive(seed, coeffs, scale):
     rng = np.random.default_rng(seed)
     s = pd.random_subspace(5, 2, rng)
     x = np.array(coeffs)
     y = rng.normal(size=5)
-    px = pd.project_subspace(s, x)
-    py = pd.project_subspace(s, y)
+    px = project(s, x)
+    py = project(s, y)
     # linearity
-    assert pd.project_subspace(s, scale * x + y) == pytest.approx(
+    assert project(s, scale * x + y) == pytest.approx(
         scale * px + py, abs=1e-9
     )
     # idempotence
-    assert pd.project_subspace(s, px) == pytest.approx(px, abs=1e-10)
+    assert project(s, px) == pytest.approx(px, abs=1e-10)
     # self-adjointness
     assert float(px @ y) == pytest.approx(float(x @ py), abs=1e-8)
     # non-expansiveness
@@ -196,7 +228,7 @@ def test_frontier_gap_matches_bruteforce_loop():
         sigma = float(rng.uniform(0.05, 1.0))
         t = sigma * sigma
         log_nu = np.array([
-            pd.log_component_density(prior, k, x, t) for k in range(len(ranks))
+            log_component_density(prior, k, x, t) for k in range(len(ranks))
         ])
         w = np.exp(log_nu - log_nu.max())
         w /= w.sum()

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -231,3 +233,17 @@ def test_lipschitz_rejects_zero_samples():
     union = coord_union_8()
     with pytest.raises(ValueError):
         pd.restricted_lipschitz_estimate(union, 0, np.random.default_rng(1))
+
+
+def test_flagship_constants_match_the_bench_reference_exactly():
+    # The constants.ini flagship: bench/reference.json records delta and the
+    # seed-0 beta to the last bit, so any change in the union's storage, the
+    # pair bases or the sampler's draw order shows here.
+    reference_path = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
+    reference = json.loads(reference_path.read_text())
+    union = pd.random_lrgmm(64, 5, 8, np.random.default_rng(101)).union
+    operator = pd.gaussian_operator(20, 64, np.random.default_rng(202))
+    mu = 1.9 / pd.spectral_norm(operator) ** 2
+    assert pd.ric_union(operator, mu, union) == reference["delta"]["flagship"]
+    beta = pd.restricted_lipschitz_estimate(union, 20000, np.random.default_rng(0))
+    assert beta == reference["beta"]["0"]["flagship"]
