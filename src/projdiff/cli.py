@@ -110,6 +110,15 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     return replace(cfg, **changes)
 
 
+def _make_out_dir(path: str, source: str) -> None:
+    """Create the output directory ``path``, or raise ConfigError naming ``source``."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"{source}: cannot create output directory {path!r}: "
+                          f"{exc.strerror or exc}") from None
+
+
 def _trace_name(schedule_name: str, seed: int) -> str:
     return f"trace_{schedule_name}_{seed:05d}.csv"
 
@@ -140,11 +149,10 @@ def cmd_simulate(args) -> int:
             cfg.sensing.m, realized.ambient_dim, np.random.default_rng(cfg.sensing.seed)
         )
         mu = _resolve_mu(cfg.sensing.mu, operator)
+        _make_out_dir(cfg.out_dir, "--out" if args.out is not None else "[run] out_dir")
     except (ConfigError, ResourceLimitError, ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-
-    os.makedirs(cfg.out_dir, exist_ok=True)
 
     names, problems, schedules, metadata = [], [], [], []
     for seed in cfg.trial_seeds:
@@ -196,9 +204,13 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_check(args) -> int:
-    results = run_checks("full" if args.full else "fast")
     out_dir = args.out if args.out is not None else "."
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        _make_out_dir(out_dir, "--out")
+    except ConfigError as exc:
+        print(exc, file=sys.stderr)
+        return 2
+    results = run_checks("full" if args.full else "fast")
     report_path = os.path.join(out_dir, REPORT_NAME)
     with open(report_path, "w", newline="\n") as fh:
         fh.write(report_csv(results))
@@ -248,7 +260,11 @@ def cmd_analyze(args) -> int:
         print(f"not a directory: {directory}", file=sys.stderr)
         return 2
     out_dir = args.out if args.out is not None else directory
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        _make_out_dir(out_dir, "--out")
+    except ConfigError as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
     # A manifest names the traces of the last simulate into this directory;
     # older traces left beside them are not part of that run.

@@ -16,6 +16,18 @@ however many runs it has.  A mixture prior's
 depend on the batch width or on which runs share the block, because no
 computation mixes rows: sums run along each row's own axis, and every
 matrix-vector product is one BLAS gemv per row, never a gemm.
+
+Two things keep the operator work small without giving that up.
+``_matvec`` multiplies a tall matrix MATVEC_ROWS rows at a time, every row
+of the block against one slice before the next, so the slice stays in cache;
+each output is still one gemv's dot product over one matrix row, and the
+slices do not depend on B.  A box pins its inactive coordinates, so its
+projection is exactly zero there, and ``run_recoveries`` forms A p from only
+the FREE_BLOCK-column blocks of A that hold a free coordinate.  Dropping
+whole blocks keeps each kept column's position modulo FREE_BLOCK, which
+leaves every gemv sum unchanged (FREE_BLOCK says where that was checked, and
+up to which width), so a box run writes the same bytes as the same run with
+``box_denoiser`` passed as a ``denoise`` callable.
 """
 
 import hashlib
@@ -45,6 +57,19 @@ RECORD_ITERATES_DIM_LIMIT = 256
 # simulate splits its runs into batches whose per-run arrays take about this
 # many bytes, so its memory does not grow with the number of runs.
 BATCH_BYTES = 16 * 2**20
+
+# _matvec multiplies by at most this many matrix rows at a time: 1 MiB of a
+# 1024-column operator, which stays in cache across the rows of a block.
+MATVEC_ROWS = 128
+
+# A box's A p drops the blocks of this many columns of A that hold no free
+# coordinate.  Each kept column keeps its position modulo FREE_BLOCK, and on
+# OpenBLAS 0.3.31 (SkylakeX kernels) that leaves every gemv sum unchanged to
+# the bit.  Past FREE_COLUMNS_MAX_DIM columns the kernel sums a row in
+# chunks whose bounds the dropped blocks would move, and the sums change, so
+# wider operators are multiplied whole.
+FREE_BLOCK = 64
+FREE_COLUMNS_MAX_DIM = 2048
 
 
 @dataclass(frozen=True)
@@ -126,8 +151,43 @@ def gpgd_step(denoise, a: np.ndarray, mu: float, y: np.ndarray,
 
 
 def _matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """a @ v for v of shape (d,) or (B, d): one gemv per row, never a gemm."""
-    return np.matmul(a, v[..., None])[..., 0]
+    """a @ v for v of shape (d,) or (B, d): one gemv per row, never a gemm.
+
+    A matrix of more than MATVEC_ROWS rows is taken MATVEC_ROWS rows at a
+    time, and every row of v meets one slice before the next slice is read,
+    so the slice stays in cache.  Each output is still one gemv's dot product
+    over one matrix row, and the slices do not depend on how many rows v has.
+    A last slice under 8 rows joins the one before it: numpy hands a one-row
+    matrix to dot, not gemv, which sums in another order.
+    """
+    starts = range(0, a.shape[0] - 7, MATVEC_ROWS)
+    if len(starts) < 2:
+        return np.matmul(a, v[..., None])[..., 0]
+    out = np.empty(v.shape[:-1] + a.shape[:1])
+    for lo, hi in zip(starts, [*starts[1:], a.shape[0]]):
+        out[..., lo:hi] = np.matmul(a[lo:hi], v[..., None])[..., 0]
+    return out
+
+
+def _forward(a: np.ndarray, prior):
+    """p -> A p for a (B, d) block of the projections ``prior`` makes.
+
+    For a BoxSet, the FREE_BLOCK-column blocks of A that hold a free
+    coordinate are gathered once here, and the product equals
+    ``_matvec(a, p)`` bit for bit.  With no free coordinate the gathered
+    matrix has no columns, and A p is 0.
+    """
+    d = a.shape[1]
+    if not isinstance(prior, BoxSet) or d > FREE_COLUMNS_MAX_DIM:
+        return lambda p: _matvec(a, p)
+    blocks = np.pad(prior.active_mask, (0, -d % FREE_BLOCK)).reshape(-1, FREE_BLOCK)
+    cols = np.flatnonzero(np.repeat(blocks.any(axis=1), FREE_BLOCK)[:d])
+    if cols.size == d:
+        return lambda p: _matvec(a, p)
+    # np.take returns C-ordered arrays, so each row is contiguous as it is
+    # in A; a fancy-indexed copy is column-major and its gemv sums otherwise.
+    a_free = np.take(a, cols, axis=1)
+    return lambda p: _matvec(a_free, np.take(p, cols, axis=1))
 
 
 def _row_dots(v: np.ndarray) -> np.ndarray:
@@ -135,9 +195,15 @@ def _row_dots(v: np.ndarray) -> np.ndarray:
     return np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0]
 
 
-def _data_step(a: np.ndarray, mu: float, y: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """p - mu A^T (A p - y) for one vector p or for each row of a block."""
-    return p - mu * _matvec(a.T, _matvec(a, p) - y)
+def _data_step(a: np.ndarray, mu: float, y: np.ndarray, p: np.ndarray,
+               ap: np.ndarray = None) -> np.ndarray:
+    """p - mu A^T (A p - y) for one vector p or for each row of a block.
+
+    ``ap`` is A p when the caller has it, else it is computed here.
+    """
+    if ap is None:
+        ap = _matvec(a, p)
+    return p - mu * _matvec(a.T, ap - y)
 
 
 def kadkhodaie_step(prior: LrGmmPrior, a: np.ndarray, y: np.ndarray,
@@ -235,12 +301,20 @@ class RecoveryTrace:
         return cls(**fixed, subspace_distances=dists, metadata=metadata)
 
 
-def problem_hash(problem: SensingProblem) -> str:
-    digest = hashlib.sha256()
-    digest.update(problem.operator.tobytes())
+def _operator_digest(operator: np.ndarray):
+    """The sha256 state after the operator's bytes, the prefix of every problem_hash."""
+    return hashlib.sha256(operator.tobytes())
+
+
+def _problem_hash(operator_digest, problem: SensingProblem) -> str:
+    digest = operator_digest.copy()
     digest.update(problem.y.tobytes())
     digest.update(format(problem.mu, ".17g").encode())
     return digest.hexdigest()[:16]
+
+
+def problem_hash(problem: SensingProblem) -> str:
+    return _problem_hash(_operator_digest(problem.operator), problem)
 
 
 def _entropy(w: np.ndarray) -> np.ndarray:
@@ -293,7 +367,13 @@ def run_recoveries(problems, schedules, n_iters: int, denoise=None, prior=None,
 
     A run's trace bytes do not depend on B or on which runs share the block:
     every reduction runs along a row's own contiguous axis or in a fixed
-    order, and each matrix-vector product is one BLAS gemv per row.
+    order, and each matrix-vector product is one BLAS gemv per row, made
+    against the same row slices of the matrix (``_matvec``) whatever B is.
+    For a BoxSet, A p is formed once per iteration from the columns of A the
+    box can move, gathered once per call (``_forward``); the product is the
+    full one bit for bit, so the trace equals that of the same run with
+    ``box_denoiser`` passed as ``denoise``.  The operator's bytes are hashed
+    once per call for every run's ``problem_hash``.
 
     Returns one entry per run: its RecoveryTrace, or the DivergenceError of
     a run whose iterate left the finite range.  That run leaves the block
@@ -317,6 +397,7 @@ def run_recoveries(problems, schedules, n_iters: int, denoise=None, prior=None,
                 f"n_iters={n_iters} exceeds the schedule horizon {schedule.horizon}"
             )
     b_runs, d = len(problems), a.shape[1]
+    forward = _forward(a, prior)
     if record_iterates is None:
         record_iterates = d <= RECORD_ITERATES_DIM_LIMIT
     x = np.zeros((b_runs, d)) if x0 is None else np.array(x0, dtype=float)
@@ -358,7 +439,7 @@ def run_recoveries(problems, schedules, n_iters: int, denoise=None, prior=None,
             p = box_denoiser(prior, x, sigma_n)
         else:
             p = np.array([denoise(row, s) for row, s in zip(x, sigma_n.tolist())])
-        x = _data_step(a, mu, y, p)
+        x = _data_step(a, mu, y, p, forward(p))
         finite = np.all(np.isfinite(x), axis=1)
         if not finite.all():
             for b in live[~finite]:
@@ -369,6 +450,7 @@ def run_recoveries(problems, schedules, n_iters: int, denoise=None, prior=None,
             if live.size == 0:
                 break
 
+    operator_digest = _operator_digest(a)
     for b in live:
         problem = problems[b]
         trace = RecoveryTrace(
@@ -384,7 +466,8 @@ def run_recoveries(problems, schedules, n_iters: int, denoise=None, prior=None,
         )
         trace.metadata.setdefault("format", "projdiff-trace")
         trace.metadata.update(
-            problem_hash=problem_hash(problem),
+            problem_hash=(_problem_hash(operator_digest, problem) if problem.operator is a
+                          else problem_hash(problem)),
             schedule=schedules[b].to_dict(),
             mu=mu,
             seed=problem.seed,

@@ -602,6 +602,29 @@ def test_simulate_maps_an_unresolvable_auto_mu_to_exit_2(tmp_path, monkeypatch, 
     assert "did not converge" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command,source", [
+    ("simulate", "--out"),
+    ("simulate", "[run] out_dir"),
+    ("analyze", "--out"),
+    ("check", "--out"),
+])
+def test_an_output_path_naming_a_file_exits_2(tmp_path, command, source, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("not a directory\n")
+    if command == "simulate":
+        text = SMALL_CONFIG + (f"out_dir = {afile}\n" if source == "[run] out_dir" else "")
+        args = [write_config(tmp_path, text)]
+    else:
+        args = [str(tmp_path)] if command == "analyze" else []
+    if source == "--out":
+        args += ["--out", str(afile)]
+    assert cli.main([command, *args]) == 2
+    err = capsys.readouterr().err
+    assert f"{source}: cannot create output directory" in err and "Traceback" not in err
+    assert afile.read_text() == "not a directory\n"
+    assert {p.name for p in tmp_path.iterdir()} <= {"afile", "exp.cfg"}
+
+
 def test_simulate_divergence_exits_3_and_names_the_run(tmp_path, capsys):
     cfg_path = write_config(tmp_path, SMALL_CONFIG.replace("seed = 12", "seed = 12\nmu = 1e9"))
     assert cli.main(["simulate", cfg_path, "--out", str(tmp_path / "o")]) == 3
@@ -656,6 +679,25 @@ def test_simulate_box_prior_runs_without_union_columns(tmp_path):
     assert np.isnan(trace.frontier_gap).all()
     assert "true_component" not in trace.metadata
     assert np.isfinite(trace.final_mse)
+
+
+def test_simulate_box_workload_trace_bytes_are_pinned(tmp_path):
+    """The benchmark's box workload, shortened only in trials and n_iters, writes fixed bytes."""
+    workload = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "workloads", "box.cfg")
+    with open(workload) as fh:
+        text = fh.read()
+    assert "\ntrials = 40\n" in text and "\nn_iters = 150\n" in text
+    text = text.replace("\ntrials = 40\n", "\ntrials = 2\n")
+    text = text.replace("\nn_iters = 150\n", "\nn_iters = 20\n")
+    out = _simulated(tmp_path, text, name="box")
+    sha256 = {name: hashlib.sha256(data).hexdigest()
+              for name, data in read_files(out).items() if name.startswith("trace_")}
+    assert sha256 == {
+        "trace_geometric_07000.csv":
+            "12b459e5c2beb4ef885cad871149ae190bfde8ac6d26d8004eaeefd8d2ded796",
+        "trace_geometric_07001.csv":
+            "df611d20f23307ea37c1f6e5d4109ab8fcae707c6ac389d11c5d3ce7acbd7d75",
+    }
 
 
 def test_simulate_file_prior_wraps_a_saved_union(tmp_path):

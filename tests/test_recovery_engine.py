@@ -319,6 +319,95 @@ def test_trace_bytes_do_not_depend_on_the_batch(flagship_setup, tmp_path):
         assert _written(traces[target - start], tmp_path, f"w{width}.csv") == alone, width
 
 
+def _box_mask(d, kind):
+    """Free coordinates of a test box: which FREE_BLOCK-column blocks of A survive varies."""
+    mask = np.zeros(d, dtype=bool)
+    if kind == "scattered":
+        mask[np.random.default_rng(d).choice(d, size=max(1, d // 40), replace=False)] = True
+    elif kind == "ragged":
+        mask[[3, d // 2 - 1, d // 2, d - 1]] = True
+    elif kind == "trailing":
+        mask[-5:] = True
+    elif kind == "all-free":
+        mask[:] = True
+    return mask
+
+
+def _box(mask):
+    return pd.BoxSet(np.where(mask, -1.0, 0.0), np.where(mask, 1.0, 0.0))
+
+
+def test_box_trace_bytes_do_not_depend_on_the_batch_or_the_denoise_path(tmp_path):
+    """m > MATVEC_ROWS and blocks of pinned columns: both cut-down products stay exact."""
+    d, m = 300, 160  # d is no multiple of FREE_BLOCK; A is taken in two row slices
+    mask = np.zeros(d, dtype=bool)
+    mask[[5, 17, 40, 130, 131, 150, 190, 260, 281, 299]] = True  # blocks 1 and 3 are pinned
+    box = _box(mask)
+    a = pd.gaussian_operator(m, d, np.random.default_rng(5))
+    mu = 1.9 / pd.spectral_norm(a) ** 2
+    schedules = [geometric(30), pd.NoiseSchedule("infinite_geometric", 0.5, a=0.8)]
+    runs = []
+    for seed in range(8):
+        x_true = pd.sample_box(box, np.random.default_rng(seed))[0]
+        problem = pd.SensingProblem(a, mu, a @ x_true, x_true=x_true, seed=seed)
+        runs += [(problem, schedule) for schedule in schedules]
+    target = 9
+    problem, schedule = runs[target]
+    alone = _written(pd.run_recovery(problem, None, schedule, n_iters=30, prior=box),
+                     tmp_path, "alone.csv")
+    for width, start in ((7, target - 3), (len(runs), 0)):
+        batch = runs[start:start + width]
+        traces = recovery_engine.run_recoveries(
+            [p for p, _ in batch], [sch for _, sch in batch], 30, prior=box)
+        assert _written(traces[target - start], tmp_path, f"w{width}.csv") == alone, width
+    denoise = lambda z, sg: pd.box_denoiser(box, z, sg)  # noqa: E731
+    via_denoise = pd.run_recovery(problem, denoise, schedule, n_iters=30)
+    assert _written(via_denoise, tmp_path, "denoise.csv") == alone
+    trace = pd.run_recovery(problem, None, schedule, n_iters=30, prior=box,
+                            record_iterates=True)
+    for n in range(30):
+        step = pd.gpgd_step(denoise, a, mu, problem.y, trace.iterates[n], trace.sigma[n])
+        assert np.array_equal(trace.iterates[n + 1], step), n
+
+
+@pytest.mark.parametrize("d", [200, 1000, 1024, 2112])
+@pytest.mark.parametrize("m", [12, 130, 256])
+def test_box_free_column_product_equals_the_full_product(d, m):
+    # 2112 is past FREE_COLUMNS_MAX_DIM, where dropped blocks would move the
+    # gemv kernel's chunk bounds, so A must be used whole there.
+    rng = np.random.default_rng(d + m)
+    a = pd.gaussian_operator(m, d, rng)
+    for kind in ("scattered", "ragged", "trailing", "all-pinned", "all-free"):
+        mask = _box_mask(d, kind)
+        p = np.where(mask, rng.standard_normal((9, d)), 0.0)  # a box projection block
+        product = recovery_engine._forward(a, _box(mask))(p)
+        assert np.array_equal(product, recovery_engine._matvec(a, p)), kind
+
+
+@pytest.mark.parametrize("m", [129, 135, 136, 256, 300])
+def test_row_slices_round_like_the_whole_matrix(m):
+    """Row slices (and a short last slice joined to the one before) change no bit."""
+    rng = np.random.default_rng(m)
+    a = pd.gaussian_operator(m, 1024, rng)
+    v, w = rng.standard_normal((5, 1024)), rng.standard_normal((5, m))
+    assert np.array_equal(recovery_engine._matvec(a, v), np.matmul(a, v[..., None])[..., 0])
+    assert np.array_equal(recovery_engine._matvec(a.T, w),
+                          np.matmul(a.T, w[..., None])[..., 0])
+    assert np.array_equal(recovery_engine._matvec(a, v[2]), recovery_engine._matvec(a, v)[2])
+
+
+def test_an_all_pinned_box_runs_to_finite_traces():
+    box = _box(np.zeros(70, dtype=bool))
+    a = pd.gaussian_operator(140, 70, np.random.default_rng(3))
+    x_true = pd.sample_box(box, np.random.default_rng(4))[0]
+    problem = pd.SensingProblem(a, 1.0 / pd.spectral_norm(a) ** 2, a @ x_true, x_true=x_true)
+    traces = recovery_engine.run_recoveries([problem] * 3, [geometric(10)] * 3, 10, prior=box)
+    for trace in traces:
+        assert isinstance(trace, pd.RecoveryTrace)
+        assert np.isfinite(trace.mse).all() and np.isfinite(trace.residual).all()
+        assert not trace.iterates.any()
+
+
 def test_simulate_trace_bytes_do_not_depend_on_the_other_seeds(tmp_path):
     """Two --seed-override subsets that share seeds write those seeds' traces identically."""
     cfg = tmp_path / "flagship.cfg"
