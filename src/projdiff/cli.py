@@ -12,8 +12,11 @@ Exit codes: 0 ok, 2 config error, 3 numeric divergence, 4 check failures.
 import argparse
 import json
 import os
+import signal
 import statistics
 import sys
+import traceback
+from functools import partial
 
 import numpy as np
 
@@ -29,7 +32,7 @@ from .lrgmm_prior import LrGmmPrior, random_lrgmm, sample, sparse_gmm, uniform_l
 from .model_sets import BoxSet, UnionOfSubspaces, random_union, squared_projection_norms
 from .modelio import load_model, save_model
 from .recovery_engine import RecoveryTrace, batch_width, run_recoveries
-from .sensing_analysis import SensingProblem, gaussian_operator, spectral_norm
+from .sensing_analysis import SensingProblem, _matvec, gaussian_operator, spectral_norm
 
 MANIFEST_NAME = "manifest.json"
 RESOLVED_NAME = "resolved.cfg"
@@ -124,7 +127,10 @@ def _trace_name(schedule_name: str, seed: int) -> str:
 
 
 def _simulate_batch(cfg, prior, names, problems, schedules, metadata, files, diverged):
-    """Run one batch, write its traces, and append to ``files`` and ``diverged``."""
+    """Run one batch, write its traces, and append to ``files`` and ``diverged``.
+
+    A ``diverged`` entry is ``[name, iteration, message]``.
+    """
     # overflow inside a diverging run is reported via DivergenceError
     with np.errstate(over="ignore", invalid="ignore"):
         results = run_recoveries(problems, schedules, cfg.n_iters, prior=prior,
@@ -132,13 +138,102 @@ def _simulate_batch(cfg, prior, names, problems, schedules, metadata, files, div
     for name, result in zip(names, results):
         path = os.path.join(cfg.out_dir, name)
         if isinstance(result, DivergenceError):
-            diverged.append((name, result))
+            diverged.append([name, result.iteration, str(result)])
             # An earlier run's file under this name is not this run's result.
             if os.path.exists(path):
                 os.remove(path)
             continue
         result.write_csv(path)
         files.append(name)
+
+
+def _simulate_share(cfg, prior, runs, width) -> dict:
+    """Run ``runs`` (name, problem, schedule, metadata tuples) in batches of ``width``.
+
+    Returns the written trace names and the diverged entries, as JSON values.
+    """
+    files, diverged = [], []
+    for start in range(0, len(runs), width):
+        names, problems, schedules, metadata = zip(*runs[start:start + width])
+        _simulate_batch(cfg, prior, names, problems, schedules, metadata, files, diverged)
+    return {"files": files, "diverged": diverged}
+
+
+def _worker_count(n_runs: int) -> int:
+    """How many processes simulate splits ``n_runs`` runs over.
+
+    One per CPU in this process's affinity mask (so ``taskset`` restricts
+    it), never more than the runs, and 1 where the platform cannot fork or
+    report its affinity.
+    """
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), n_runs))
+
+
+def _child(task, write_fd):
+    """In a forked child: run ``task``, send its JSON reply on ``write_fd``, and leave.
+
+    os._exit skips the parent's atexit handlers and unflushed buffers, which
+    the child holds copies of.
+    """
+    code = 1
+    try:
+        try:
+            reply, code = {"result": task()}, 0
+        except BaseException:
+            reply = {"error": traceback.format_exc()}
+        with os.fdopen(write_fd, "w") as fh:
+            json.dump(reply, fh)
+    finally:
+        os._exit(code)
+
+
+def _run_forked(tasks) -> list:
+    """The results of ``tasks`` (callables returning JSON values), in order.
+
+    tasks[1:] run in forked children and tasks[0] in this process.  A child
+    that fails raises RuntimeError here with the child's traceback.  On any
+    exit, a child not yet reaped is killed and reaped: none outlives the call.
+    Forked, not spawned: a child shares the parent's operator and problems
+    without pickling or a second numpy import, and the command's only other
+    threads are OpenBLAS's, which it winds down around fork itself.
+    """
+    pending, readers = [], []
+    try:
+        for task in tasks[1:]:
+            read_fd, write_fd = os.pipe()
+            readers.append(os.fdopen(read_fd, "r"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _child(task, write_fd)
+            finally:
+                os.close(write_fd)
+            pending.append(pid)
+        results = [tasks[0]()]
+        for pid, reader in zip(list(pending), readers):
+            payload = reader.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            pending.remove(pid)
+            try:
+                reply = json.loads(payload)
+            except ValueError:
+                reply = {}
+            if status != 0 or "result" not in reply:
+                raise RuntimeError(f"simulate worker {pid} failed (exit status {status})"
+                                   + (f":\n{reply['error']}" if "error" in reply else ""))
+            results.append(reply["result"])
+        return results
+    finally:
+        for reader in readers:
+            reader.close()
+        for pid in pending:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            os.waitpid(pid, 0)
 
 
 def cmd_simulate(args) -> int:
@@ -154,10 +249,11 @@ def cmd_simulate(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    names, problems, schedules, metadata = [], [], [], []
+    runs = []
     for seed in cfg.trial_seeds:
         x_true = realized.draw(seed)
-        problem = SensingProblem(operator, mu, operator @ x_true, x_true=x_true, seed=seed)
+        problem = SensingProblem(operator, mu, _matvec(operator, x_true), x_true=x_true,
+                                 seed=seed)
         component = realized.true_component(x_true)
         for schedule_name, schedule in cfg.schedules:
             meta = {
@@ -167,20 +263,22 @@ def cmd_simulate(args) -> int:
             }
             if component is not None:
                 meta["true_component"] = component
-            names.append(_trace_name(schedule_name, seed))
-            problems.append(problem)
-            schedules.append(schedule)
-            metadata.append(meta)
-    # The runs go through the engine in batches that fit BATCH_BYTES, and a
-    # batch's traces are written and let go before the next batch starts.
-    # Trace bytes do not depend on the batching.
+            runs.append((_trace_name(schedule_name, seed), problem, schedule, meta))
+    # The runs, in seed-major order, are cut into one contiguous share per
+    # worker (_worker_count: one per CPU this process may run on, so taskset
+    # restricts it).  This process runs share 0 and forked children the rest.
+    # A worker runs its share in batches that fit BATCH_BYTES and writes a
+    # batch's traces before the next starts, so memory is one batch per
+    # worker.  Trace bytes depend on neither the batching nor the workers.
     width = batch_width(realized.model, realized.ambient_dim, cfg.n_iters)
-    files = []
-    diverged = []
-    for start in range(0, len(names), width):
-        batch = slice(start, start + width)
-        _simulate_batch(cfg, realized.model, names[batch], problems[batch], schedules[batch],
-                        metadata[batch], files, diverged)
+    workers = _worker_count(len(runs))
+    bounds = [len(runs) * i // workers for i in range(workers + 1)]
+    shares = [runs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    files, diverged = [], []
+    for result in _run_forked([partial(_simulate_share, cfg, realized.model, share, width)
+                               for share in shares]):
+        files += result["files"]
+        diverged += result["diverged"]
 
     # The manifest is written on divergence too: it replaces any earlier
     # run's manifest, so analyze never summarises that run's traces instead.
@@ -189,7 +287,7 @@ def cmd_simulate(args) -> int:
     diverged.sort(key=lambda item: item[0])
     manifest = {
         "files": sorted(files + [RESOLVED_NAME, MANIFEST_NAME]),
-        "diverged": [{"file": name, "iteration": exc.iteration} for name, exc in diverged],
+        "diverged": [{"file": name, "iteration": iteration} for name, iteration, _ in diverged],
         "prior": realized.descriptor,
         "sensing_seed": cfg.sensing.seed,
         "trial_seeds": list(cfg.trial_seeds),
@@ -197,8 +295,8 @@ def cmd_simulate(args) -> int:
     }
     with open(os.path.join(cfg.out_dir, MANIFEST_NAME), "w", newline="\n") as fh:
         fh.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-    for name, exc in diverged:
-        print(f"divergence in run {name}: {exc}", file=sys.stderr)
+    for name, _, message in diverged:
+        print(f"divergence in run {name}: {message}", file=sys.stderr)
     print(f"wrote {len(files)} traces to {cfg.out_dir}")
     return 3 if diverged else 0
 

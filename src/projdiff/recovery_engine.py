@@ -8,26 +8,30 @@ null space; both forms are provided and agree to rounding.
 
 ``run_recoveries`` is the one implementation of the iteration.  It advances
 a (B, d) block of iterates, one row per (problem, schedule) run, each row on
-its own sigma_n; ``run_recovery`` is a batch of one, and ``simulate``
-passes its runs in batches of ``batch_width``, so its memory stays bounded
-however many runs it has.  A mixture prior's
-``denoiser`` and a box's ``box_denoiser`` take the whole block, while a
-``denoise`` callable is applied row by row.  A run's trace bytes do not
-depend on the batch width or on which runs share the block, because no
-computation mixes rows: sums run along each row's own axis, and every
-matrix-vector product is one BLAS gemv per row, never a gemm.
+its own sigma_n; ``run_recovery`` is a batch of one.  ``simulate`` cuts its
+runs into one contiguous share per CPU it may use (``taskset`` restricts
+that), runs the first share itself and each other share in a forked worker
+process, and passes a share's runs in batches of ``batch_width``: its
+memory is one BATCH_BYTES batch per worker, however many runs it has.  A
+mixture prior's ``denoiser`` and a box's ``box_denoiser`` take the whole
+block, while a ``denoise`` callable is applied row by row.  A run's trace
+bytes do not depend on the batch width, on which runs share the block or on
+the number of workers, because no computation mixes rows: sums run along
+each row's own axis, and every matrix-vector product is one BLAS gemv per
+row, never a gemm.
 
 Two things keep the operator work small without giving that up.
-``_matvec`` multiplies a tall matrix MATVEC_ROWS rows at a time, every row
-of the block against one slice before the next, so the slice stays in cache;
-each output is still one gemv's dot product over one matrix row, and the
-slices do not depend on B.  A box pins its inactive coordinates, so its
-projection is exactly zero there, and ``run_recoveries`` forms A p from only
-the FREE_BLOCK-column blocks of A that hold a free coordinate.  Dropping
-whole blocks keeps each kept column's position modulo FREE_BLOCK, which
-leaves every gemv sum unchanged (FREE_BLOCK says where that was checked, and
-up to which width), so a box run writes the same bytes as the same run with
-``box_denoiser`` passed as a ``denoise`` callable.
+``sensing_analysis._matvec`` multiplies a tall matrix MATVEC_ROWS rows at a
+time, every row of the block against one slice before the next, so the
+slice stays in cache; each output is still one gemv's dot product over one
+matrix row, and the slices do not depend on B.  A box pins its inactive
+coordinates, so its projection is exactly zero there, and ``run_recoveries``
+forms A p from only the FREE_BLOCK-column blocks of A that hold a free
+coordinate.  Dropping whole blocks keeps each kept column's position modulo
+FREE_BLOCK, which leaves every gemv sum unchanged (FREE_BLOCK says where
+that was checked, and up to which width), so a box run writes the same
+bytes as the same run with ``box_denoiser`` passed as a ``denoise``
+callable.
 """
 
 import hashlib
@@ -42,7 +46,7 @@ from .convex_prior import box_denoiser
 from .errors import DivergenceError
 from .lrgmm_prior import LrGmmPrior, denoiser as lrgmm_denoiser
 from .model_sets import BoxSet, gap_from_norms
-from .sensing_analysis import SensingProblem
+from .sensing_analysis import SensingProblem, _matvec
 
 SCHEDULE_KINDS = ("geometric", "linear", "cosine", "infinite_geometric")
 
@@ -57,10 +61,6 @@ RECORD_ITERATES_DIM_LIMIT = 256
 # simulate splits its runs into batches whose per-run arrays take about this
 # many bytes, so its memory does not grow with the number of runs.
 BATCH_BYTES = 16 * 2**20
-
-# _matvec multiplies by at most this many matrix rows at a time: 1 MiB of a
-# 1024-column operator, which stays in cache across the rows of a block.
-MATVEC_ROWS = 128
 
 # A box's A p drops the blocks of this many columns of A that hold no free
 # coordinate.  Each kept column keeps its position modulo FREE_BLOCK, and on
@@ -148,25 +148,6 @@ def gpgd_step(denoise, a: np.ndarray, mu: float, y: np.ndarray,
               x: np.ndarray, sigma: float) -> np.ndarray:
     """x+ = P(x) - mu A^T (A P(x) - y) with P(x) = denoise(x, sigma)."""
     return _data_step(a, mu, y, denoise(x, sigma))
-
-
-def _matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """a @ v for v of shape (d,) or (B, d): one gemv per row, never a gemm.
-
-    A matrix of more than MATVEC_ROWS rows is taken MATVEC_ROWS rows at a
-    time, and every row of v meets one slice before the next slice is read,
-    so the slice stays in cache.  Each output is still one gemv's dot product
-    over one matrix row, and the slices do not depend on how many rows v has.
-    A last slice under 8 rows joins the one before it: numpy hands a one-row
-    matrix to dot, not gemv, which sums in another order.
-    """
-    starts = range(0, a.shape[0] - 7, MATVEC_ROWS)
-    if len(starts) < 2:
-        return np.matmul(a, v[..., None])[..., 0]
-    out = np.empty(v.shape[:-1] + a.shape[:1])
-    for lo, hi in zip(starts, [*starts[1:], a.shape[0]]):
-        out[..., lo:hi] = np.matmul(a[lo:hi], v[..., None])[..., 0]
-    return out
 
 
 def _forward(a: np.ndarray, prior):
@@ -291,10 +272,14 @@ class RecoveryTrace:
         dist_names = header[len(expected):]
         if dist_names != [f"dist_{k}" for k in range(len(dist_names))]:
             raise ValueError(f"{path}: unexpected distance columns {dist_names}")
-        rows = [line.split(",") for line in lines[3:] if line]
-        if not rows or any(len(r) != len(header) for r in rows):
+        rows = [line for line in lines[3:] if line]
+        try:
+            # One C-level parse; it reads each value as float() does, bit for bit.
+            data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2) if rows else None
+        except ValueError:
+            data = None
+        if data is None or data.shape[1] != len(header):
             raise ValueError(f"{path}: malformed data rows")
-        data = np.array([[float(v) for v in r] for r in rows])
         dists = data[:, len(expected):] if dist_names else None
         fixed = {name: data[:, i] for i, name in enumerate(TRACE_COLUMNS)}
         fixed["n"] = fixed["n"].astype(int)

@@ -666,6 +666,186 @@ def test_simulate_divergence_replaces_an_earlier_runs_manifest(tmp_path, capsys)
     assert not os.path.exists(os.path.join(out, "rates.csv"))
 
 
+FLAGSHIP_SHAPED_CONFIG = """\
+[prior]
+kind = lrgmm
+d = 64
+r = 5
+k = 8
+seed = 101
+
+[sensing]
+m = 20
+seed = 202
+
+[schedule.geometric]
+sigma_max = 0.5
+sigma_min = 1e-4
+horizon = 40
+
+[schedule.linear]
+sigma_max = 0.5
+sigma_min = 1e-4
+horizon = 40
+
+[schedule.cosine]
+sigma_max = 0.5
+sigma_min = 1e-4
+horizon = 40
+
+[schedule.infinite_geometric]
+sigma_max = 0.5
+a = 0.9
+
+[run]
+n_iters = 40
+trials = 2
+"""
+
+
+def _engine_calling(action, in_parent):
+    """A run_recoveries that calls ``action(metadata, results)`` here or in children only."""
+    parent = os.getpid()
+
+    def patched(problems, *args, **kwargs):
+        results = pd.run_recoveries(problems, *args, **kwargs)
+        if (os.getpid() == parent) == in_parent:
+            action(kwargs["metadata"], results)
+        return results
+    return patched
+
+
+def test_simulate_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
+    cfg_path = write_config(tmp_path, FLAGSHIP_SHAPED_CONFIG)
+    real_fork = os.fork
+    forks = []
+
+    def counted_fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    outs = {}
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(cli, "_worker_count", lambda n_runs: workers)
+        forks.clear()
+        out = str(tmp_path / f"w{workers}")
+        assert cli.main(["simulate", cfg_path, "--out", out]) == 0
+        assert len(forks) == workers - 1
+        outs[workers] = {name: data for name, data in read_files(out).items()
+                         if name != "resolved.cfg"}  # it names its out_dir
+    assert len(outs[1]) == 9  # 8 traces and manifest.json
+    assert outs[2] == outs[1]
+    assert outs[3] == outs[1]
+
+
+def test_simulate_merges_a_divergence_from_a_childs_share(tmp_path, monkeypatch, capsys):
+    cfg_path = write_config(tmp_path, TWO_SCHEDULE_CONFIG)
+    out = str(tmp_path / "o")
+    assert cli.main(["simulate", cfg_path, "--out", out]) == 0
+    stale = "trace_lin_00044.csv"  # the last run: always in the last worker's share
+
+    def diverge(metadata, results):
+        for i, meta in enumerate(metadata):
+            if (meta["schedule_name"], meta["trial_seed"]) == ("lin", 44):
+                results[i] = pd.DivergenceError("iterate left the finite range", 7)
+
+    monkeypatch.setattr(cli, "_worker_count", lambda n_runs: 2)
+    monkeypatch.setattr(cli, "run_recoveries", _engine_calling(diverge, in_parent=False))
+    capsys.readouterr()
+    assert cli.main(["simulate", cfg_path, "--out", out]) == 3
+    assert f"divergence in run {stale}: iterate left the finite range" in capsys.readouterr().err
+    with open(os.path.join(out, "manifest.json")) as fh:
+        manifest = json.load(fh)
+    assert manifest["diverged"] == [{"file": stale, "iteration": 7}]
+    assert manifest["files"] == ["manifest.json", "resolved.cfg", "trace_geometric_00043.csv",
+                                 "trace_geometric_00044.csv", "trace_lin_00043.csv"]
+    assert sorted(os.listdir(out)) == manifest["files"]
+
+
+@pytest.mark.parametrize("side", ["child", "parent"])
+def test_a_failing_worker_fails_simulate_and_leaves_no_child(tmp_path, monkeypatch, side):
+    def boom(metadata, results):
+        raise ValueError(f"boom in the {side}")
+
+    monkeypatch.setattr(cli, "_worker_count", lambda n_runs: 3)
+    monkeypatch.setattr(cli, "run_recoveries", _engine_calling(boom, side == "parent"))
+    cfg_path = write_config(tmp_path, FLAGSHIP_SHAPED_CONFIG)
+    with pytest.raises((RuntimeError, ValueError), match=f"boom in the {side}") as info:
+        cli.main(["simulate", cfg_path, "--out", str(tmp_path / "o")])
+    if side == "child":
+        # The child's own traceback travels with the error.
+        assert isinstance(info.value, RuntimeError)
+        assert "Traceback" in str(info.value) and "in boom" in str(info.value)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_failing_child_makes_the_command_exit_1_with_its_traceback(tmp_path, package_env):
+    code = (
+        "import os, sys\n"
+        "from projdiff import cli\n"
+        "parent = os.getpid()\n"
+        "def broken(*args, **kwargs):\n"
+        "    if os.getpid() != parent:\n"
+        "        raise KeyError('no such run')\n"
+        "    return real(*args, **kwargs)\n"
+        "real, cli.run_recoveries = cli.run_recoveries, broken\n"
+        "cli._worker_count = lambda n_runs: 2\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    cfg_path = write_config(tmp_path, TWO_SCHEDULE_CONFIG)
+    proc = subprocess.run([sys.executable, "-c", code, "simulate", cfg_path,
+                           "--out", str(tmp_path / "o")],
+                          capture_output=True, text=True, env=package_env, timeout=120)
+    assert proc.returncode == 1
+    assert "simulate worker" in proc.stderr and "KeyError: 'no such run'" in proc.stderr
+    assert "in broken" in proc.stderr
+
+
+def test_simulate_on_one_cpu_does_not_fork(tmp_path, monkeypatch):
+    def no_fork():
+        raise AssertionError("simulate forked on one CPU")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert cli._worker_count(8) == 1
+    out = _simulated(tmp_path, TWO_SCHEDULE_CONFIG)
+    assert len([f for f in os.listdir(out) if f.startswith("trace_")]) == 4
+
+
+def test_worker_count_follows_the_affinity_mask_and_the_runs(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    assert [cli._worker_count(n) for n in (1, 3, 4, 80)] == [1, 3, 4, 4]
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert cli._worker_count(80) == 1
+
+
+def test_simulate_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, package_env):
+    """y and mu at m = 301, d = 2048 used to change with OPENBLAS_NUM_THREADS."""
+    d = 2048
+    free = [i % 7 == 0 for i in range(d)]
+    text = (
+        "[prior]\nkind = box\n"
+        f"lower = {' '.join('-1' if f else '0' for f in free)}\n"
+        f"upper = {' '.join('1' if f else '0' for f in free)}\n"
+        "[sensing]\nm = 301\nseed = 5\n"
+        "[schedule.geometric]\nsigma_max = 0.5\nsigma_min = 1e-4\nhorizon = 30\n"
+        "[run]\nn_iters = 30\ntrials = 4\nbase_seed = 9\n"
+    )
+    cfg_path = write_config(tmp_path, text)
+    outs = {}
+    for threads in ("1", "2"):
+        out = str(tmp_path / f"t{threads}")
+        subprocess.run([sys.executable, "-m", "projdiff", "simulate", cfg_path, "--out", out],
+                       env=dict(package_env, OPENBLAS_NUM_THREADS=threads), check=True,
+                       capture_output=True, timeout=300)
+        outs[threads] = {name: data for name, data in read_files(out).items()
+                         if name != "resolved.cfg"}
+    assert len(outs["1"]) == 5  # 4 traces and manifest.json
+    assert outs["2"] == outs["1"]
+
+
 def test_simulate_box_prior_runs_without_union_columns(tmp_path):
     text = (
         "[prior]\nkind = box\nlower = -1 -1 -1\nupper = 1 2 1\n"

@@ -448,6 +448,8 @@ def test_simulate_trace_bytes_do_not_depend_on_its_batches(tmp_path, monkeypatch
         return recovery_engine.run_recoveries(problems, *args, **kwargs)
 
     monkeypatch.setattr(cli, "run_recoveries", counted)
+    # One worker, so every run_recoveries call is made, and counted, here.
+    monkeypatch.setattr(cli, "_worker_count", lambda n_runs: 1)
     outs = {}
     with monkeypatch.context() as patch:
         outs["one batch"] = tmp_path / "one"
@@ -562,6 +564,21 @@ def test_trace_rows_match_per_element_formatting(tmp_path):
     assert b",nan," in path.read_bytes() and b",-0," in path.read_bytes()
 
 
+def test_trace_reader_parses_values_as_float_does(tmp_path):
+    texts = ["nan", "inf", "-inf", "-0", "5e-324", "2.2250738585072009e-308",
+             "0.10000000000000001", "-1.2345678901234567e-05", "1.7976931348623157e+308",
+             "3", "-nan", "0"]
+    rows = [texts[i:i + 6] for i in range(0, len(texts), 6)]
+    lines = [TRACE_FORMAT_LINE, "# {}", ",".join(recovery_engine.TRACE_COLUMNS)]
+    lines += [",".join([str(n), *row[1:]]) for n, row in enumerate(rows)]
+    path = tmp_path / "t.csv"
+    path.write_text("\n".join(lines) + "\n")
+    trace = pd.RecoveryTrace.read_csv(path)
+    for i, name in enumerate(recovery_engine.TRACE_COLUMNS[1:], start=1):
+        expected = np.array([float(row[i]) for row in rows])
+        assert getattr(trace, name).tobytes() == expected.tobytes(), name
+
+
 def test_trace_file_starts_with_format_line(tmp_path):
     prior, problem, denoise = tiny_problem()
     trace = pd.run_recovery(problem, denoise, geometric(2), prior=prior)
@@ -599,6 +616,16 @@ def test_trace_file_starts_with_format_line(tmp_path):
         ),
         (
             [TRACE_FORMAT_LINE, "# {}", "n,sigma,mse,residual,frontier_gap,weight_entropy"],
+            "malformed",
+        ),
+        (
+            [TRACE_FORMAT_LINE, "# {}", "n,sigma,mse,residual,frontier_gap,weight_entropy",
+             "0,0,0,0,0,0", "1,0,0,0,0"],
+            "malformed",
+        ),
+        (
+            [TRACE_FORMAT_LINE, "# {}", "n,sigma,mse,residual,frontier_gap,weight_entropy",
+             "0,0,zero,0,0,0"],
             "malformed",
         ),
     ],
