@@ -220,7 +220,8 @@ def _parse_prior(values) -> PriorSpec:
         try:
             BoxSet(lower=lower, upper=upper)
         except ValueError as exc:
-            # Every BoxSet rule on finite bounds comes down to lower <= 0 <= upper.
+            # BoxSet's rules on finite bounds: lower <= 0 <= upper, which
+            # lower breaks if any entry is positive, and a finite width.
             key = "lower" if max(lower) > 0.0 else "upper"
             raise _fail("prior", key, str(exc)) from None
         return PriorSpec(kind=kind, d=len(lower), lower=lower, upper=upper)

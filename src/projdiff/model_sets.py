@@ -112,7 +112,8 @@ class BoxSet:
     """An axis-aligned box containing the origin.
 
     Coordinates with lower == upper are inactive and pinned to zero; active
-    coordinates must satisfy lower <= 0 <= upper with lower < upper.
+    coordinates must satisfy lower <= 0 <= upper with lower < upper, and
+    upper - lower must be finite.
     """
 
     lower: np.ndarray
@@ -133,6 +134,10 @@ class BoxSet:
             raise ValueError("inactive coordinates must be pinned to zero")
         if np.any(lower[active] > 0.0) or np.any(upper[active] < 0.0):
             raise ValueError("active coordinates must contain the origin")
+        with np.errstate(over="ignore"):
+            overflow = np.flatnonzero(~np.isfinite(upper - lower))
+        if overflow.size:
+            raise ValueError(f"box width upper - lower overflows at coordinate {overflow[0]}")
         lower = lower.copy()
         upper = upper.copy()
         lower.flags.writeable = False

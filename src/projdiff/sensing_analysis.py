@@ -50,6 +50,8 @@ class SensingProblem:
         y = np.asarray(self.y, dtype=float)
         if y.shape != (a.shape[0],):
             raise ValueError(f"y must have shape ({a.shape[0]},), got {y.shape}")
+        if not np.all(np.isfinite(y)):
+            raise ValueError("y entries must be finite")
         object.__setattr__(self, "operator", a)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "y", y)
@@ -57,6 +59,8 @@ class SensingProblem:
             x = np.asarray(self.x_true, dtype=float)
             if x.shape != (a.shape[1],):
                 raise ValueError(f"x_true must have shape ({a.shape[1]},), got {x.shape}")
+            if not np.all(np.isfinite(x)):
+                raise ValueError("x_true entries must be finite")
             misfit = np.linalg.norm(y - a @ x)
             if misfit > 1e-10 * max(np.linalg.norm(y), 1e-300):
                 raise ValueError(

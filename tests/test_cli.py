@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -577,6 +578,23 @@ def test_simulate_rejects_bad_config_with_exit_2(tmp_path, capsys):
     assert "config error" in err and "kind" in err
 
 
+def test_simulate_rejects_a_box_whose_width_overflows(tmp_path, capsys):
+    # Each bound is finite; before, the run diverged at iteration 1 (exit 3).
+    text = (
+        "[prior]\nkind = box\nlower = -1 -1e308\nupper = 1 1e308\n"
+        "[sensing]\nm = 2\nseed = 4\n"
+        "[schedule.cosine]\nsigma_max = 0.5\nsigma_min = 1e-4\nhorizon = 50\n"
+        "[run]\ntrial_seeds = 31\n"
+    )
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["simulate", write_config(tmp_path, text), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: [prior] upper: box width upper - lower overflows at coordinate 1" in err
+    assert not out.exists()
+
+
 def test_simulate_missing_config_file_exits_2(tmp_path, capsys):
     assert cli.main(["simulate", str(tmp_path / "ghost.cfg")]) == 2
     assert "cannot read" in capsys.readouterr().err
@@ -874,9 +892,9 @@ def test_simulate_box_workload_trace_bytes_are_pinned(tmp_path):
               for name, data in read_files(out).items() if name.startswith("trace_")}
     assert sha256 == {
         "trace_geometric_07000.csv":
-            "12b459e5c2beb4ef885cad871149ae190bfde8ac6d26d8004eaeefd8d2ded796",
+            "de45f8d13748cb1ccde78ede9f4f14952d600a0e98acfd703b8afc2900c9347a",
         "trace_geometric_07001.csv":
-            "df611d20f23307ea37c1f6e5d4109ab8fcae707c6ac389d11c5d3ce7acbd7d75",
+            "842bb8c2950708f5af8af8cf6032b267c4d6247cea24a3bcd8714b88b8b4a4d4",
     }
 
 
@@ -1124,6 +1142,8 @@ def test_gen_model_prior_kinds_take_the_config_keys(tmp_path):
         ("lrgmm:d=4,r=1,k=2,pi=0.5|0.6", "[prior] pi: mixture weights must sum to 1"),
         ("box:lower=-1|-1", "[prior] upper: required key is missing"),
         ("box:lower=1|-1,upper=2|1", "[prior] lower: active coordinates must contain the origin"),
+        ("box:lower=-1e308|-1,upper=1e308|1",
+         "[prior] upper: box width upper - lower overflows at coordinate 0"),
         ("sparse:d=4,s=2,seed=3", "[prior] seed: unknown key"),
         ("justakind", "model spec needs kind:key=value"),
         ("union:d=8,ranks", "is not key=value"),

@@ -1,4 +1,5 @@
 import math
+import os
 import subprocess
 import sys
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import projdiff as pd
-from projdiff import checks
+from projdiff import checks, convex_prior
 from projdiff.model_sets import BoxSet
 
 
@@ -26,6 +27,72 @@ def mp_truncated_mean(lo, hi, y, s, dps=30):
         den = mp.quad(dens, pts)
         num = mp.quad(lambda v: v * dens(v), pts)
         return float(num / den)
+
+
+def mp_truncated_mean_closed(lo, hi, y, s, dps=60):
+    """y + s (phi(a) - phi(b)) / (Phi(b) - Phi(a)) at 60 digits, with the mass
+    taken from whichever tail or erf difference loses the fewest digits."""
+    with mp.workdps(dps):
+        lo_, hi_, y_, s_ = (mp.mpf(float(v)) for v in (lo, hi, y, s))
+        a, b = (lo_ - y_) / s_, (hi_ - y_) / s_
+        r2 = mp.sqrt(2)
+        if a >= 0:
+            mass = mp.erfc(a / r2) - mp.erfc(b / r2)
+        elif b <= 0:
+            mass = mp.erfc(-b / r2) - mp.erfc(-a / r2)
+        else:
+            mass = mp.erf(b / r2) - mp.erf(a / r2)
+        return float(y_ + s_ * (mp.npdf(a) - mp.npdf(b)) / (mass / 2))
+
+
+# ------------------------------------------------------ erfcx and erf
+
+
+def test_erfcx_matches_mpmath_on_zero_to_1e8():
+    cut = convex_prior.ERF_CUT
+    x = np.unique(np.concatenate([
+        np.linspace(0.0, 8.0, 801),
+        np.geomspace(1e-12, 1e8, 400),
+        [np.nextafter(cut, 0.0), cut, np.nextafter(cut, np.inf)],
+    ]))
+    with mp.workdps(40):
+        want = np.array([float(mp.exp(mp.mpf(v) ** 2) * mp.erfc(mp.mpf(v))) for v in x])
+    rel = np.abs(convex_prior._erfcx(x) - want) / want
+    # 5.5e-16 with the exact square below the cut; exp(x * x) alone gives 1.2e-15.
+    assert float(np.max(rel)) <= 1e-15
+
+
+def test_erf_matches_mpmath():
+    edges = [convex_prior.ERF_CUT, convex_prior.ERF_ONE]
+    z = np.concatenate([np.linspace(-30.0, 30.0, 1201), np.geomspace(1e-300, 30.0, 300)])
+    z = np.concatenate([z, [np.nextafter(e, t) for e in edges for t in (0.0, np.inf)], edges])
+    z = np.unique(np.concatenate([z, -z]))
+    with mp.workdps(40):
+        want = np.array([float(mp.erf(mp.mpf(v))) for v in z])
+    assert float(np.max(np.abs(convex_prior._erf(z) - want))) <= 2e-16
+
+
+def test_gauss_legendre_table_is_numpys_rule_on_zero_to_one():
+    nodes, weights = np.polynomial.legendre.leggauss(10)
+    assert np.array_equal(convex_prior.GAUSS_NODES, 0.5 * (nodes + 1.0))
+    assert np.array_equal(convex_prior.GAUSS_WEIGHTS, 0.5 * weights)
+
+
+def test_truncated_mean_matches_mpmath_on_an_extreme_grid():
+    # Offsets from the centre reach the box's edge, a few sigmas past it and
+    # 1e3 away; at sigma = 10 a 1e-3 box is narrow, at sigma = 1e-8 every
+    # offset beyond the edge is a deep tail.
+    centre = 0.25
+    rows = []
+    for s in np.geomspace(1e-8, 10.0, 10):
+        for w in (1e-3, 0.1, 2.0):
+            for off in (0.0, 0.3 * w, 0.5 * w, 0.5 * w + s, 0.5 * w + 3 * s, 2 * w, 1.0, 30.0, 1e3):
+                for sign in (1.0, -1.0):
+                    rows.append((centre - w / 2, centre + w / 2, centre + sign * off, s))
+    lo, hi, y, s = np.array(rows).T
+    want = np.array([mp_truncated_mean_closed(*row) for row in rows])
+    got = pd.truncated_normal_mean(lo, hi, y, s)
+    assert float(np.max(np.abs(got - want))) <= 5e-12
 
 
 # ------------------------------------------------- truncated_normal_mean
@@ -159,19 +226,38 @@ def test_mc_denoiser_config_sweep_against_exact():
     assert checks.box_mc_max_z(10, 150_000) <= 4.0
 
 
-def test_import_defers_scipy_special_until_the_box_denoiser_runs(package_env):
+def test_the_package_runs_without_scipy(tmp_path, package_env):
+    """With every scipy import made to fail, the box denoiser, simulate and check run."""
+    cfg = tmp_path / "box.cfg"
+    cfg.write_text(
+        "[prior]\nkind = box\nlower = -1 -1 -1e-3 0\nupper = 1 1 1e-3 0\n"
+        "[sensing]\nm = 3\nseed = 4\n"
+        "[schedule.geometric]\nsigma_max = 0.5\nsigma_min = 1e-4\nhorizon = 20\n"
+        "[run]\nn_iters = 20\ntrials = 2\nbase_seed = 31\n"
+    )
+    # Rows reach every branch: tails, the erf terms on both sides of
+    # ERF_CUT and a narrow box (the third coordinate).
+    y = [[5.0, 0.5, 0.0, 0.0], [-1.0, 0.5, 2.0, 0.0], [0.0, 0.0, 0.0, 0.0]]
+    sigma = [1e-3, 2.0, 0.15]
     code = (
         "import sys\n"
+        "sys.modules['scipy'] = None  # any scipy import now raises ImportError\n"
         "import numpy as np\n"
         "import projdiff as pd\n"
-        "assert 'scipy.special' not in sys.modules, 'imported eagerly'\n"
-        "box = pd.BoxSet(lower=[-1.0, -1.0], upper=[1.0, 1.0])\n"
-        "print(repr(pd.box_denoiser(box, np.array([5.0, 0.0]), 1e-3).tolist()))\n"
+        "from projdiff import cli\n"
+        "box = pd.BoxSet(lower=[-1.0, -1.0, -1e-3, 0.0], upper=[1.0, 1.0, 1e-3, 0.0])\n"
+        f"print(repr(pd.box_denoiser(box, np.array({y!r}), np.array({sigma!r})).tolist()))\n"
+        f"assert cli.main(['simulate', {str(cfg)!r}, '--out', {str(tmp_path / 'sim')!r}]) == 0\n"
+        f"assert cli.main(['check', '--out', {str(tmp_path / 'check')!r}]) == 0\n"
     )
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=package_env, timeout=120, check=True).stdout
-    box = pd.BoxSet(lower=[-1.0, -1.0], upper=[1.0, 1.0])
-    assert out.strip() == repr(pd.box_denoiser(box, np.array([5.0, 0.0]), 1e-3).tolist())
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=package_env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    box = pd.BoxSet(lower=[-1.0, -1.0, -1e-3, 0.0], upper=[1.0, 1.0, 1e-3, 0.0])
+    want = pd.box_denoiser(box, np.array(y), np.array(sigma))
+    assert proc.stdout.splitlines()[0] == repr(want.tolist())
+    assert sorted(os.listdir(tmp_path / "sim")) == [
+        "manifest.json", "resolved.cfg", "trace_geometric_00031.csv", "trace_geometric_00032.csv"]
 
 
 def test_mc_denoiser_refuses_degenerate_weights():

@@ -311,6 +311,14 @@ def test_box_validation():
         BoxSet([-np.inf], [1.0])
 
 
+def test_box_rejects_a_width_that_overflows():
+    # Each bound is finite, but sample_box used to return inf from it.
+    with pytest.raises(ValueError, match="upper - lower overflows at coordinate 1"):
+        BoxSet([-1.0, -1e308, 0.0], [1.0, 1e308, 0.0])
+    wide = BoxSet([-1e308, 0.0], [7e307, 0.0])
+    assert np.isfinite(pd.sample_box(wide, np.random.default_rng(0), 4)).all()
+
+
 def test_box_dims_and_diameter():
     b = BoxSet([-1.0, 0.0, -2.0], [1.0, 0.0, 2.0])
     assert b.ambient_dim == 3

@@ -48,6 +48,18 @@ def test_problem_checks_x_true_consistency():
         pd.SensingProblem(a, 0.5, a @ x + 0.01, x_true=x)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_problem_rejects_non_finite_y_and_x_true(bad):
+    # NaN slipped past the misfit test before: nan > tol is False.
+    a = np.eye(2)
+    with pytest.raises(ValueError, match="^y entries must be finite"):
+        pd.SensingProblem(a, 1.0, [bad, 1.0])
+    with pytest.raises(ValueError, match="^y entries must be finite"):
+        pd.SensingProblem(a, 1.0, [bad, 1.0], x_true=[bad, 1.0])
+    with pytest.raises(ValueError, match="^x_true entries must be finite"):
+        pd.SensingProblem(a, 1.0, [1.0, 1.0], x_true=[1.0, bad])
+
+
 # ------------------------------------------------------- gaussian_operator
 
 
