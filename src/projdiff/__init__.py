@@ -18,10 +18,12 @@ from .config import (
     serialize_config,
 )
 from .convex_prior import (
+    BoxSet,
     McEstimate,
     box_denoiser,
     convex_gap_curve,
     mc_denoiser,
+    project_box,
     sample_box,
     truncated_normal_mean,
 )
@@ -56,13 +58,11 @@ from .lrgmm_prior import (
     weights,
 )
 from .model_sets import (
-    BoxSet,
     Subspace,
     UnionOfSubspaces,
     coordinate_subspace,
     frontier_gap,
     hard_threshold,
-    project_box,
     project_union,
     random_subspace,
     random_union,

@@ -20,8 +20,8 @@ import numpy as np
 from . import convex_prior, lrgmm_prior
 from .diagnostics import fit_linear_rate, projection_gap
 from .errors import FrontierError
-from .model_sets import BoxSet, UnionOfSubspaces, coordinate_subspace, project_box, \
-    project_union, random_union
+from .convex_prior import BoxSet, project_box
+from .model_sets import UnionOfSubspaces, coordinate_subspace, project_union, random_union
 from .recovery_engine import TRACE_COLUMNS, NoiseSchedule, RecoveryTrace, gpgd_step, \
     kadkhodaie_step, run_recovery, schedule_sigma
 from .sensing_analysis import SensingProblem, gaussian_operator, ric_union

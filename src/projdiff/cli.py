@@ -24,12 +24,12 @@ from .checks import report_csv, report_table, run_checks
 from .config import _PRIOR_KEYS, MU_AUTO, PRIOR_KINDS, ConfigError, ExperimentConfig, \
     PriorSpec, _check_keys, _fail, _get_int, _get_ints, _get_seed, _parse_prior, load_config, \
     serialize_config
-from .convex_prior import sample_box
+from .convex_prior import BoxSet
 from .diagnostics import detect_burn_in, fit_linear_rate
 from .errors import DivergenceError, InsufficientDataError, NumericFailureError, \
     ResourceLimitError
-from .lrgmm_prior import LrGmmPrior, random_lrgmm, sample, sparse_gmm, uniform_lrgmm
-from .model_sets import BoxSet, UnionOfSubspaces, random_union, squared_projection_norms
+from .lrgmm_prior import random_lrgmm, sparse_gmm, uniform_lrgmm
+from .model_sets import UnionOfSubspaces, random_union
 from .modelio import load_model, save_model
 from .recovery_engine import RecoveryTrace, batch_width, run_recoveries
 from .sensing_analysis import SensingProblem, _matvec, gaussian_operator, spectral_norm
@@ -49,42 +49,21 @@ def _build_prior(spec: PriorSpec):
     if spec.kind == "box":
         return BoxSet(lower=spec.lower, upper=spec.upper)
     model = load_model(spec.path)
-    if isinstance(model, UnionOfSubspaces):
-        model = uniform_lrgmm(model)
-    if not isinstance(model, (LrGmmPrior, BoxSet)):
-        raise ConfigError(f"[prior] path: {spec.path} does not hold a prior or a box")
-    return model
+    return uniform_lrgmm(model) if isinstance(model, UnionOfSubspaces) else model
 
 
-class _RealizedPrior:
-    """A config prior turned into sampler + trace context.
+def _allocated(section: str, key: str, build, *args):
+    """``build(*args)``, with running out of memory reported as an error in ``[section] key``."""
+    try:
+        return build(*args)
+    except MemoryError:
+        raise _fail(section, key, "too large: not enough memory to build it") from None
 
-    ``model`` is the LrGmmPrior or BoxSet that ``run_recoveries`` takes as
-    ``prior``; its denoiser makes every run's step.
-    """
 
-    def __init__(self, spec):
-        self.model = _build_prior(spec)
-        self.ambient_dim = self.model.ambient_dim
-        # Trace metadata names the prior by kind, d and its scalar keys; the
-        # lists (pi, lower, upper) stay in resolved.cfg.
-        self.descriptor = {"kind": spec.kind}
-        if spec.kind != "file":
-            self.descriptor["d"] = self.ambient_dim
-        for key in _PRIOR_KEYS[spec.kind]:
-            if isinstance(getattr(spec, key), (int, str)):
-                self.descriptor[key] = getattr(spec, key)
-
-    def draw(self, seed: int) -> np.ndarray:
-        rng = np.random.default_rng(seed)
-        if isinstance(self.model, BoxSet):
-            return sample_box(self.model, rng)[0]
-        return sample(self.model, rng)
-
-    def true_component(self, x: np.ndarray):
-        if isinstance(self.model, BoxSet):
-            return None
-        return int(np.argmax(squared_projection_norms(self.model.union, x)))
+def _prior_descriptor(spec: PriorSpec) -> dict:
+    """The prior as trace metadata names it: kind, d and its scalar keys, not its lists."""
+    keys = ("kind",) + (() if spec.kind == "file" else ("d",)) + _PRIOR_KEYS[spec.kind]
+    return {key: getattr(spec, key) for key in keys if isinstance(getattr(spec, key), (int, str))}
 
 
 def _resolve_mu(mu, operator) -> float:
@@ -126,36 +105,29 @@ def _trace_name(schedule_name: str, seed: int) -> str:
     return f"trace_{schedule_name}_{seed:05d}.csv"
 
 
-def _simulate_batch(cfg, prior, names, problems, schedules, metadata, files, diverged):
-    """Run one batch, write its traces, and append to ``files`` and ``diverged``.
-
-    A ``diverged`` entry is ``[name, iteration, message]``.
-    """
-    # overflow inside a diverging run is reported via DivergenceError
-    with np.errstate(over="ignore", invalid="ignore"):
-        results = run_recoveries(problems, schedules, cfg.n_iters, prior=prior,
-                                 record_iterates=False, metadata=metadata)
-    for name, result in zip(names, results):
-        path = os.path.join(cfg.out_dir, name)
-        if isinstance(result, DivergenceError):
-            diverged.append([name, result.iteration, str(result)])
-            # An earlier run's file under this name is not this run's result.
-            if os.path.exists(path):
-                os.remove(path)
-            continue
-        result.write_csv(path)
-        files.append(name)
-
-
-def _simulate_share(cfg, prior, runs, width) -> dict:
+def _simulate_share(cfg, model, runs, width) -> dict:
     """Run ``runs`` (name, problem, schedule, metadata tuples) in batches of ``width``.
 
-    Returns the written trace names and the diverged entries, as JSON values.
+    A batch's traces are written before the next batch starts.  Returns the
+    written trace names and the diverged [name, iteration, message] entries.
     """
     files, diverged = [], []
     for start in range(0, len(runs), width):
         names, problems, schedules, metadata = zip(*runs[start:start + width])
-        _simulate_batch(cfg, prior, names, problems, schedules, metadata, files, diverged)
+        # overflow inside a diverging run is reported via DivergenceError
+        with np.errstate(over="ignore", invalid="ignore"):
+            results = run_recoveries(problems, schedules, cfg.n_iters, prior=model,
+                                     record_iterates=False, metadata=metadata)
+        for name, result in zip(names, results):
+            path = os.path.join(cfg.out_dir, name)
+            if isinstance(result, DivergenceError):
+                diverged.append([name, result.iteration, str(result)])
+                # An earlier run's file under this name is not this run's result.
+                if os.path.exists(path):
+                    os.remove(path)
+                continue
+            result.write_csv(path)
+            files.append(name)
     return {"files": files, "diverged": diverged}
 
 
@@ -239,28 +211,25 @@ def _run_forked(tasks) -> list:
 def cmd_simulate(args) -> int:
     try:
         cfg = _apply_overrides(load_config(args.config), args)
-        realized = _RealizedPrior(cfg.prior)
-        operator = gaussian_operator(
-            cfg.sensing.m, realized.ambient_dim, np.random.default_rng(cfg.sensing.seed)
-        )
+        model = _allocated("prior", "path" if cfg.prior.kind == "file" else "d",
+                           _build_prior, cfg.prior)
+        operator = _allocated("sensing", "m", gaussian_operator, cfg.sensing.m,
+                              model.ambient_dim, np.random.default_rng(cfg.sensing.seed))
         mu = _resolve_mu(cfg.sensing.mu, operator)
         _make_out_dir(cfg.out_dir, "--out" if args.out is not None else "[run] out_dir")
     except (ConfigError, ResourceLimitError, ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
+    descriptor = _prior_descriptor(cfg.prior)
     runs = []
     for seed in cfg.trial_seeds:
-        x_true = realized.draw(seed)
+        x_true = model.sample(np.random.default_rng(seed))
         problem = SensingProblem(operator, mu, _matvec(operator, x_true), x_true=x_true,
                                  seed=seed)
-        component = realized.true_component(x_true)
+        component = model.true_component(x_true)
         for schedule_name, schedule in cfg.schedules:
-            meta = {
-                "schedule_name": schedule_name,
-                "trial_seed": seed,
-                "prior": realized.descriptor,
-            }
+            meta = {"schedule_name": schedule_name, "trial_seed": seed, "prior": descriptor}
             if component is not None:
                 meta["true_component"] = component
             runs.append((_trace_name(schedule_name, seed), problem, schedule, meta))
@@ -270,12 +239,12 @@ def cmd_simulate(args) -> int:
     # A worker runs its share in batches that fit BATCH_BYTES and writes a
     # batch's traces before the next starts, so memory is one batch per
     # worker.  Trace bytes depend on neither the batching nor the workers.
-    width = batch_width(realized.model, realized.ambient_dim, cfg.n_iters)
+    width = batch_width(model, model.ambient_dim, cfg.n_iters)
     workers = _worker_count(len(runs))
     bounds = [len(runs) * i // workers for i in range(workers + 1)]
     shares = [runs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     files, diverged = [], []
-    for result in _run_forked([partial(_simulate_share, cfg, realized.model, share, width)
+    for result in _run_forked([partial(_simulate_share, cfg, model, share, width)
                                for share in shares]):
         files += result["files"]
         diverged += result["diverged"]
@@ -288,7 +257,7 @@ def cmd_simulate(args) -> int:
     manifest = {
         "files": sorted(files + [RESOLVED_NAME, MANIFEST_NAME]),
         "diverged": [{"file": name, "iteration": iteration} for name, iteration, _ in diverged],
-        "prior": realized.descriptor,
+        "prior": descriptor,
         "sensing_seed": cfg.sensing.seed,
         "trial_seeds": list(cfg.trial_seeds),
         "mu": mu,
@@ -454,9 +423,10 @@ def cmd_gen_model(args) -> int:
             if not ranks or not all(1 <= r <= d for r in ranks):
                 raise _fail(kind, "ranks", f"need ranks between 1 and d = {d}, "
                                            f"got {fields['ranks']!r}")
-            model = random_union(d, ranks, np.random.default_rng(_get_seed(kind, fields, "seed")))
+            model = _allocated(kind, "d", random_union, d, ranks,
+                               np.random.default_rng(_get_seed(kind, fields, "seed")))
         elif kind in PRIOR_KINDS and kind != "file":
-            model = _build_prior(_parse_prior(fields))
+            model = _allocated(kind, "d", _build_prior, _parse_prior(fields))
         else:
             raise ConfigError(f"unknown model kind {kind!r}")
         save_model(args.output, model)

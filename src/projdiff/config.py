@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lrgmm_prior import SPARSE_COMPONENT_CAP, log_mixture_weights
-from .model_sets import BoxSet
+from .convex_prior import BoxSet
 from .recovery_engine import SCHEDULE_KINDS, NoiseSchedule, schedule_sigma
 
 MU_AUTO = "auto_1.9"

@@ -1,4 +1,4 @@
-"""Exact and Monte-Carlo denoisers for a uniform prior on a box.
+"""A box model set, and exact and Monte-Carlo denoisers for a uniform prior on it.
 
 With a uniform prior on B and Gaussian noise, the posterior factorises per
 coordinate and the MMSE denoiser is the mean of a Gaussian truncated to
@@ -32,12 +32,12 @@ to 2e-16 absolute; and the truncated mean to 5e-12 absolute for sigma in
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DegenerateWeightsError
-from .model_sets import BoxSet, project_box, _check_block, _check_positive, _check_vector
+from .model_sets import _check_block, _check_positive, _check_vector
 
 SQRT_2 = math.sqrt(2.0)
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -61,6 +61,76 @@ GAUSS_WEIGHTS = (0.03333567215434407, 0.0747256745752902, 0.109543181257991,
                  0.03333567215434407)
 
 MIN_EFFECTIVE_SAMPLES = 10.0
+
+
+@dataclass(frozen=True, eq=False)
+class BoxSet:
+    """An axis-aligned box containing the origin, with a uniform prior on it.
+
+    Coordinates with lower == upper are inactive and pinned to zero; active
+    coordinates must satisfy lower <= 0 <= upper with lower < upper, and
+    upper - lower must be finite.  As a recovery model its step is
+    ``box_denoiser`` with no trace columns, and a projection moves only the
+    coordinates in ``active_mask``.
+    """
+
+    n_components = 0
+
+    lower: np.ndarray
+    upper: np.ndarray
+    active_mask: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        lower = np.atleast_1d(np.asarray(self.lower, dtype=float))
+        upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
+        if lower.shape != upper.shape or lower.ndim != 1:
+            raise ValueError("lower and upper must be 1-d arrays of equal length")
+        if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
+            raise ValueError("box bounds must be finite")
+        if np.any(lower > upper):
+            raise ValueError("need lower <= upper in every coordinate")
+        active = lower < upper
+        if np.any(lower[~active] != 0.0):
+            raise ValueError("inactive coordinates must be pinned to zero")
+        if np.any(lower[active] > 0.0) or np.any(upper[active] < 0.0):
+            raise ValueError("active coordinates must contain the origin")
+        with np.errstate(over="ignore"):
+            overflow = np.flatnonzero(~np.isfinite(upper - lower))
+        if overflow.size:
+            raise ValueError(f"box width upper - lower overflows at coordinate {overflow[0]}")
+        for name, array in (("lower", lower.copy()), ("upper", upper.copy()),
+                            ("active_mask", active)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.lower.shape[0]
+
+    @property
+    def intrinsic_dim(self) -> int:
+        return int(np.count_nonzero(self.active_mask))
+
+    @property
+    def diameter(self) -> float:
+        return float(np.linalg.norm(self.upper - self.lower))
+
+    def step(self, x: np.ndarray, sigma):
+        return box_denoiser(self, x, sigma), None
+
+    def sample(self, rng: np.random.Generator) -> np.ndarray:
+        return sample_box(self, rng)[0]
+
+    def true_component(self, x: np.ndarray):
+        return None
+
+
+def project_box(box: BoxSet, x: np.ndarray) -> np.ndarray:
+    """Clamp x to the box; inactive coordinates go to zero."""
+    x = _check_vector(x, box.ambient_dim)
+    out = np.clip(x, box.lower, box.upper)
+    out[~box.active_mask] = 0.0
+    return out
 
 
 def _libm(fn, x: np.ndarray) -> np.ndarray:

@@ -25,6 +25,7 @@ from .model_sets import (
     UnionOfSubspaces,
     component_parts,
     coordinate_subspace,
+    gap_from_norms,
     project_union,
     random_union,
     _check_positive,
@@ -57,7 +58,13 @@ def log_mixture_weights(pi, n_components: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class LrGmmPrior:
-    """Mixture of unit Gaussians supported on the components of a union."""
+    """Mixture of unit Gaussians supported on the components of a union.
+
+    As a recovery model its step is ``denoiser``, and the same pass gives a
+    trace row's frontier gap, weight entropy and K distances.
+    """
+
+    active_mask = None  # a projection may move every coordinate
 
     union: UnionOfSubspaces
     log_pi: np.ndarray
@@ -86,6 +93,19 @@ class LrGmmPrior:
     @property
     def pi(self) -> np.ndarray:
         return np.exp(self.log_pi)
+
+    def step(self, x: np.ndarray, sigma):
+        ev = denoiser(self, x, sigma)
+        return ev.value, (gap_from_norms(ev.sq_in), _entropy(ev.weights), np.sqrt(ev.sq_out))
+
+    def sample(self, rng: np.random.Generator) -> np.ndarray:
+        """Draw x = U_k g with k ~ pi and g standard normal on the component."""
+        k = categorical(rng, self.pi)
+        return self.union.basis(k) @ normal_stream(rng, self.union.ranks[k])
+
+    def true_component(self, x: np.ndarray) -> int:
+        """The component nearest x, the lowest index among ties."""
+        return int(np.argmax(component_parts(self.union, x)[1]))
 
 
 @dataclass(frozen=True)
@@ -159,6 +179,23 @@ def _evaluate(prior: LrGmmPrior, x: np.ndarray, t):
     return projections, sq_in, sq_out, t, w, log_density
 
 
+def _entropy(w: np.ndarray) -> np.ndarray:
+    """-sum w log w over the positive weights of each row of a (B, K) block.
+
+    Rows are grouped by their number of positive weights, so each row sums
+    exactly its positive entries, in order, along a contiguous axis: the
+    result is the one a single (K,) row gives, whatever B is.
+    """
+    positive = w > 0.0
+    counts = positive.sum(axis=1)
+    out = np.empty(w.shape[0])
+    for count in set(counts.tolist()):
+        rows = counts == count
+        kept = w[rows][positive[rows]].reshape(np.count_nonzero(rows), count)
+        out[rows] = -np.sum(kept * np.log(kept), axis=1)
+    return out
+
+
 def weights(prior: LrGmmPrior, x: np.ndarray, t) -> np.ndarray:
     """Posterior component weights w_k(x, t); stable down to t ~ 1e-10.
 
@@ -218,11 +255,7 @@ def limiting_projection(prior: LrGmmPrior, x: np.ndarray, tie_tol: float = DEFAU
     return pi @ component_parts(prior.union, x)[0][argmin_set]
 
 
-def sample(prior: LrGmmPrior, rng: np.random.Generator) -> np.ndarray:
-    """Draw x = U_k g with k ~ pi and g standard normal on the component."""
-    k = categorical(rng, prior.pi)
-    g = normal_stream(rng, prior.union.ranks[k])
-    return prior.union.basis(k) @ g
+sample = LrGmmPrior.sample  # sample(prior, rng)
 
 
 def sparse_gmm(d: int, s: int, pi=None, component_cap: int = SPARSE_COMPONENT_CAP) -> LrGmmPrior:

@@ -1,4 +1,4 @@
-"""Low-dimensional model sets: unions of subspaces and centered boxes.
+"""Low-dimensional model sets: unions of subspaces.
 
 A union of subspaces is a zero-padded (K, d, r_max) stack of orthonormal
 bases plus their ranks, kept once more as the (d, K r_max) matrix of their
@@ -107,59 +107,6 @@ class UnionOfSubspaces:
         return tuple(Subspace(self.basis(k)) for k in range(self.n_components))
 
 
-@dataclass(frozen=True, eq=False)
-class BoxSet:
-    """An axis-aligned box containing the origin.
-
-    Coordinates with lower == upper are inactive and pinned to zero; active
-    coordinates must satisfy lower <= 0 <= upper with lower < upper, and
-    upper - lower must be finite.
-    """
-
-    lower: np.ndarray
-    upper: np.ndarray
-    active_mask: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        lower = np.atleast_1d(np.asarray(self.lower, dtype=float))
-        upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
-        if lower.shape != upper.shape or lower.ndim != 1:
-            raise ValueError("lower and upper must be 1-d arrays of equal length")
-        if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
-            raise ValueError("box bounds must be finite")
-        if np.any(lower > upper):
-            raise ValueError("need lower <= upper in every coordinate")
-        active = lower < upper
-        if np.any(lower[~active] != 0.0):
-            raise ValueError("inactive coordinates must be pinned to zero")
-        if np.any(lower[active] > 0.0) or np.any(upper[active] < 0.0):
-            raise ValueError("active coordinates must contain the origin")
-        with np.errstate(over="ignore"):
-            overflow = np.flatnonzero(~np.isfinite(upper - lower))
-        if overflow.size:
-            raise ValueError(f"box width upper - lower overflows at coordinate {overflow[0]}")
-        lower = lower.copy()
-        upper = upper.copy()
-        lower.flags.writeable = False
-        upper.flags.writeable = False
-        active.flags.writeable = False
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
-        object.__setattr__(self, "active_mask", active)
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.lower.shape[0]
-
-    @property
-    def intrinsic_dim(self) -> int:
-        return int(np.count_nonzero(self.active_mask))
-
-    @property
-    def diameter(self) -> float:
-        return float(np.linalg.norm(self.upper - self.lower))
-
-
 def _check_vector(x, d, name="x"):
     x = np.asarray(x, dtype=float)
     if x.shape != (d,):
@@ -266,14 +213,6 @@ def hard_threshold(x: np.ndarray, s: int) -> np.ndarray:
     out = np.zeros_like(x)
     keep = order[:s]
     out[keep] = x[keep]
-    return out
-
-
-def project_box(box: BoxSet, x: np.ndarray) -> np.ndarray:
-    """Clamp x to the box; inactive coordinates go to zero."""
-    x = _check_vector(x, box.ambient_dim)
-    out = np.clip(x, box.lower, box.upper)
-    out[~box.active_mask] = 0.0
     return out
 
 

@@ -13,8 +13,9 @@ significant digits, which round-trips IEEE doubles exactly.
 
 import numpy as np
 
+from .convex_prior import BoxSet
 from .lrgmm_prior import LrGmmPrior, lrgmm_from_pi
-from .model_sets import BoxSet, Subspace, UnionOfSubspaces
+from .model_sets import Subspace, UnionOfSubspaces
 
 
 def _format_row(values) -> str:

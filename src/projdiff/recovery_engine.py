@@ -6,32 +6,42 @@ decreases along a schedule.  With mu = 1 the same update can be written as a
 data-fit direction plus a prior direction restricted to the measurement
 null space; both forms are provided and agree to rounding.
 
+The iteration takes D from a model.  A model is any object with these
+members (LrGmmPrior and BoxSet have them; this module names neither):
+
+- ``step(x, sigma) -> (value, columns)``: ``value`` is D applied to each
+  row of a (B, d) block, row b at sigma[b].  ``columns`` is None, or the
+  (B,) frontier gaps, (B,) weight entropies and (B, K) distances of the
+  same pass, a trace row's extra columns;
+- ``n_components``: K, the distance columns per trace row, and 0 for a
+  model whose ``step`` gives no columns;
+- ``active_mask``: the coordinates a projection can move, or None for all;
+- ``sample(rng)``, a draw from the prior, and ``true_component(x)``, the
+  component x lies on or None; ``simulate`` uses these for a run's truth.
+
 ``run_recoveries`` is the one implementation of the iteration.  It advances
 a (B, d) block of iterates, one row per (problem, schedule) run, each row on
-its own sigma_n; ``run_recovery`` is a batch of one.  ``simulate`` cuts its
-runs into one contiguous share per CPU it may use (``taskset`` restricts
-that), runs the first share itself and each other share in a forked worker
-process, and passes a share's runs in batches of ``batch_width``: its
-memory is one BATCH_BYTES batch per worker, however many runs it has.  A
-mixture prior's ``denoiser`` and a box's ``box_denoiser`` take the whole
-block, while a ``denoise`` callable is applied row by row.  A run's trace
-bytes do not depend on the batch width, on which runs share the block or on
-the number of workers, because no computation mixes rows: sums run along
-each row's own axis, and every matrix-vector product is one BLAS gemv per
-row, never a gemm.
+its own sigma_n, with one ``step`` call per trace row; ``run_recovery`` is a
+batch of one.  ``simulate`` cuts its runs into one contiguous share per CPU
+it may use (``taskset`` restricts that), runs the first share itself and
+each other share in a forked worker process, and passes a share's runs in
+batches of ``batch_width``: its memory is one BATCH_BYTES batch per worker,
+however many runs it has.  A run's trace bytes do not depend on the batch
+width, on which runs share the block or on the number of workers, because
+no computation mixes rows: sums run along each row's own axis, and every
+matrix-vector product is one BLAS gemv per row, never a gemm.
 
 Two things keep the operator work small without giving that up.
 ``sensing_analysis._matvec`` multiplies a tall matrix MATVEC_ROWS rows at a
 time, every row of the block against one slice before the next, so the
 slice stays in cache; each output is still one gemv's dot product over one
-matrix row, and the slices do not depend on B.  A box pins its inactive
-coordinates, so its projection is exactly zero there, and ``run_recoveries``
-forms A p from only the FREE_BLOCK-column blocks of A that hold a free
-coordinate.  Dropping whole blocks keeps each kept column's position modulo
-FREE_BLOCK, which leaves every gemv sum unchanged (FREE_BLOCK says where
-that was checked, and up to which width), so a box run writes the same
-bytes as the same run with ``box_denoiser`` passed as a ``denoise``
-callable.
+matrix row, and the slices do not depend on B.  A projection is exactly
+zero off its model's ``active_mask``, so ``run_recoveries`` forms A p from
+only the FREE_BLOCK-column blocks of A that hold a free coordinate.
+Dropping whole blocks keeps each kept column's position modulo FREE_BLOCK,
+which leaves every gemv sum unchanged (FREE_BLOCK says where that was
+checked, and up to which width), so a box run writes the same bytes as the
+same run with ``box_denoiser`` passed as a ``denoise`` callable.
 """
 
 import hashlib
@@ -42,10 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .convex_prior import box_denoiser
 from .errors import DivergenceError
-from .lrgmm_prior import LrGmmPrior, denoiser as lrgmm_denoiser
-from .model_sets import BoxSet, gap_from_norms
 from .sensing_analysis import SensingProblem, _matvec
 
 SCHEDULE_KINDS = ("geometric", "linear", "cosine", "infinite_geometric")
@@ -150,18 +157,18 @@ def gpgd_step(denoise, a: np.ndarray, mu: float, y: np.ndarray,
     return _data_step(a, mu, y, denoise(x, sigma))
 
 
-def _forward(a: np.ndarray, prior):
-    """p -> A p for a (B, d) block of the projections ``prior`` makes.
+def _forward(a: np.ndarray, model):
+    """p -> A p for a (B, d) block of the projections ``model`` makes.
 
-    For a BoxSet, the FREE_BLOCK-column blocks of A that hold a free
-    coordinate are gathered once here, and the product equals
+    The FREE_BLOCK-column blocks of A that hold a coordinate of the model's
+    ``active_mask`` are gathered once here, and the product equals
     ``_matvec(a, p)`` bit for bit.  With no free coordinate the gathered
     matrix has no columns, and A p is 0.
     """
     d = a.shape[1]
-    if not isinstance(prior, BoxSet) or d > FREE_COLUMNS_MAX_DIM:
+    if model.active_mask is None or d > FREE_COLUMNS_MAX_DIM:
         return lambda p: _matvec(a, p)
-    blocks = np.pad(prior.active_mask, (0, -d % FREE_BLOCK)).reshape(-1, FREE_BLOCK)
+    blocks = np.pad(model.active_mask, (0, -d % FREE_BLOCK)).reshape(-1, FREE_BLOCK)
     cols = np.flatnonzero(np.repeat(blocks.any(axis=1), FREE_BLOCK)[:d])
     if cols.size == d:
         return lambda p: _matvec(a, p)
@@ -187,15 +194,16 @@ def _data_step(a: np.ndarray, mu: float, y: np.ndarray, p: np.ndarray,
     return p - mu * _matvec(a.T, ap - y)
 
 
-def kadkhodaie_step(prior: LrGmmPrior, a: np.ndarray, y: np.ndarray,
+def kadkhodaie_step(prior, a: np.ndarray, y: np.ndarray,
                     x: np.ndarray, sigma: float) -> np.ndarray:
     """Unit-step form: x+ = x - (data-fit direction + null-space prior direction).
 
-    The prior direction is the denoiser residual projected onto the
-    complement of A^T A; algebraically identical to gpgd_step at mu = 1.
+    The prior direction is the residual of the model's step at one (d,)
+    vector x, projected onto the complement of A^T A; algebraically
+    identical to gpgd_step at mu = 1.
     """
     data_fit = a.T @ (a @ x - y)
-    residual = x - lrgmm_denoiser(prior, x, sigma).value
+    residual = x - prior.step(x[None], np.array([sigma]))[0][0]
     prior_dir = residual - a.T @ (a @ residual)
     return x - data_fit - prior_dir
 
@@ -302,63 +310,44 @@ def problem_hash(problem: SensingProblem) -> str:
     return _problem_hash(_operator_digest(problem.operator), problem)
 
 
-def _entropy(w: np.ndarray) -> np.ndarray:
-    """-sum w log w over the positive weights of each row of a (B, K) block.
-
-    Rows are grouped by their number of positive weights, so each row sums
-    exactly its positive entries, in order, along a contiguous axis: the
-    result is the one a single (K,) row gives, whatever B is.
-    """
-    positive = w > 0.0
-    counts = positive.sum(axis=1)
-    out = np.empty(w.shape[0])
-    for count in set(counts.tolist()):
-        rows = counts == count
-        kept = w[rows][positive[rows]].reshape(np.count_nonzero(rows), count)
-        out[rows] = -np.sum(kept * np.log(kept), axis=1)
-    return out
-
-
-def batch_width(prior, d: int, n_iters: int) -> int:
+def batch_width(model, d: int, n_iters: int) -> int:
     """How many runs of ``n_iters`` steps one ``run_recoveries`` call holds in BATCH_BYTES.
 
-    A mixture run's row holds its (n_iters + 1, K) distance columns and,
-    while an iteration is in flight, its (K, d) projections and squared
-    residuals; every run also holds a few vectors of length d or
+    With K = ``model.n_components``, a run holds its (n_iters + 1, K)
+    distance columns and, while an iteration is in flight, K (d,)
+    projections and squared residuals, besides a few vectors of length d or
     n_iters + 1.  Iterates are not recorded.  At least one run always fits.
     """
     rows = int(n_iters) + 1
-    k = prior.n_components if isinstance(prior, LrGmmPrior) else 0
+    k = model.n_components
     per_run = 8 * (k * (rows + 2 * d) + 8 * (d + rows))
     return max(1, BATCH_BYTES // per_run)
 
 
-def run_recoveries(problems, schedules, n_iters: int, denoise=None, prior=None,
-                   x0: np.ndarray = None, record_iterates: bool = None,
-                   metadata=None) -> list:
+class _RowwiseModel:
+    """A bare ``denoise(x, sigma)`` callable as a model: one call per row, no columns."""
+
+    n_components = 0
+    active_mask = None
+
+    def __init__(self, denoise):
+        self.denoise = denoise
+
+    def step(self, x: np.ndarray, sigma: np.ndarray):
+        return np.array([self.denoise(row, s) for row, s in zip(x, sigma.tolist())]), None
+
+
+def run_recoveries(problems, schedules, n_iters: int, prior, x0: np.ndarray = None,
+                   record_iterates: bool = None, metadata=None) -> list:
     """Run one recovery per (problem, schedule) pair, all of them in lock step.
 
-    The iterates of the B runs form a (B, d) block, each row on its own
-    sigma_n.  Every iteration is one pass over the block:
-    mse and residual, one ``denoiser`` evaluation (its value is the step's
-    projection; weight entropy, frontier gap and distances come from the
-    same pass), and the data step.  The problems must share their operator
-    and mu; their y, x_true and seeds are per row.
-
-    ``prior`` is an LrGmmPrior, a BoxSet (whose ``box_denoiser`` takes the
-    block) or None; with None, ``denoise(x, sigma)`` is called once per row.
-    ``x0`` is None (start at zero) or a (B, d) block, ``metadata`` None or a
-    list of B dicts.
-
-    A run's trace bytes do not depend on B or on which runs share the block:
-    every reduction runs along a row's own contiguous axis or in a fixed
-    order, and each matrix-vector product is one BLAS gemv per row, made
-    against the same row slices of the matrix (``_matvec``) whatever B is.
-    For a BoxSet, A p is formed once per iteration from the columns of A the
-    box can move, gathered once per call (``_forward``); the product is the
-    full one bit for bit, so the trace equals that of the same run with
-    ``box_denoiser`` passed as ``denoise``.  The operator's bytes are hashed
-    once per call for every run's ``problem_hash``.
+    ``prior`` is the model whose ``step`` makes every projection.  Each
+    iteration is one pass over the (B, d) block of iterates: mse and
+    residual, one ``prior.step``, whose columns fill the trace row, and the
+    data step.  A model with no columns is not stepped on the last row.  The
+    problems must share their operator and mu; their y, x_true and seeds
+    are per row.  ``x0`` is None (start at zero) or a (B, d) block,
+    ``metadata`` None or a list of B dicts.
 
     Returns one entry per run: its RecoveryTrace, or the DivergenceError of
     a run whose iterate left the finite range.  That run leaves the block
@@ -367,8 +356,6 @@ def run_recoveries(problems, schedules, n_iters: int, denoise=None, prior=None,
     problems, schedules = list(problems), list(schedules)
     if not problems or len(problems) != len(schedules):
         raise ValueError("need one schedule per problem, and at least one problem")
-    if denoise is None and prior is None:
-        raise ValueError("run_recovery needs a prior or a denoise callable")
     a, mu = problems[0].operator, problems[0].mu
     for problem in problems[1:]:
         if problem.mu != mu or not (problem.operator is a or np.array_equal(problem.operator, a)):
@@ -383,6 +370,7 @@ def run_recoveries(problems, schedules, n_iters: int, denoise=None, prior=None,
             )
     b_runs, d = len(problems), a.shape[1]
     forward = _forward(a, prior)
+    k = prior.n_components
     if record_iterates is None:
         record_iterates = d <= RECORD_ITERATES_DIM_LIMIT
     x = np.zeros((b_runs, d)) if x0 is None else np.array(x0, dtype=float)
@@ -399,8 +387,7 @@ def run_recoveries(problems, schedules, n_iters: int, denoise=None, prior=None,
     residual = np.empty((b_runs, rows))
     frontier_gap = np.full((b_runs, rows), np.nan)
     weight_entropy = np.full((b_runs, rows), np.nan)
-    mixture = isinstance(prior, LrGmmPrior)
-    distances = np.empty((b_runs, rows, prior.n_components)) if mixture else None
+    distances = np.empty((b_runs, rows, k)) if k else None
     iterates = np.empty((b_runs, rows, d)) if record_iterates else None
 
     results = [None] * b_runs
@@ -409,21 +396,15 @@ def run_recoveries(problems, schedules, n_iters: int, denoise=None, prior=None,
         sigma_n = sigma[live, n]
         mse[live, n] = _row_dots(x - truth) / d
         residual[live, n] = np.sqrt(_row_dots(_matvec(a, x) - y))
-        if mixture:
-            ev = lrgmm_denoiser(prior, x, sigma_n)
-            distances[live, n] = np.sqrt(ev.sq_out)
-            frontier_gap[live, n] = gap_from_norms(ev.sq_in)
-            weight_entropy[live, n] = _entropy(ev.weights)
         if record_iterates:
             iterates[live, n] = x
+        if n == n_iters and not k:
+            break
+        p, columns = prior.step(x, sigma_n)
+        if columns is not None:
+            frontier_gap[live, n], weight_entropy[live, n], distances[live, n] = columns
         if n == n_iters:
             break
-        if mixture:
-            p = ev.value
-        elif isinstance(prior, BoxSet):
-            p = box_denoiser(prior, x, sigma_n)
-        else:
-            p = np.array([denoise(row, s) for row, s in zip(x, sigma_n.tolist())])
         x = _data_step(a, mu, y, p, forward(p))
         finite = np.all(np.isfinite(x), axis=1)
         if not finite.all():
@@ -445,7 +426,7 @@ def run_recoveries(problems, schedules, n_iters: int, denoise=None, prior=None,
             residual=residual[b],
             frontier_gap=frontier_gap[b],
             weight_entropy=weight_entropy[b],
-            subspace_distances=distances[b] if mixture else None,
+            subspace_distances=distances[b] if k else None,
             iterates=iterates[b] if record_iterates else None,
             metadata=dict(metadata[b] or {}) if metadata is not None else {},
         )
@@ -468,21 +449,22 @@ def run_recovery(problem: SensingProblem, denoise, schedule: NoiseSchedule,
     """Run the iteration for n_iters steps, recording one row per iterate.
 
     This is ``run_recoveries`` on a batch of one, so its trace is
-    byte-identical to the same run's trace in any batch.  With ``prior``
-    (an LrGmmPrior), each row makes one ``denoiser(prior, x_n, sigma_n)``
-    evaluation: its value is the step's projection, and the weight-entropy,
-    frontier-gap and per-component distance columns come from the same pass.
-    ``denoise`` is then never called and may be None.  A BoxSet ``prior``
-    makes the step with ``box_denoiser``.  Otherwise ``denoise`` is any
-    callable (x, sigma) -> array and the mixture columns are NaN.  There is
-    no early stopping: the run always performs n_iters steps unless an
-    iterate leaves the finite range, which raises DivergenceError.
+    byte-identical to the same run's trace in any batch.  The model
+    ``prior`` makes each step, and ``denoise`` may then be None.  Without
+    one, ``denoise`` is any callable (x, sigma) -> array, applied row by
+    row, and the trace has no mixture columns.  There is no early stopping:
+    the run performs n_iters steps unless an iterate leaves the finite
+    range, which raises DivergenceError.
     """
+    if prior is None:
+        if denoise is None:
+            raise ValueError("run_recovery needs a prior or a denoise callable")
+        prior = _RowwiseModel(denoise)
     if n_iters is None:
         if schedule.kind == "infinite_geometric":
             raise ValueError("n_iters is required for an infinite schedule")
         n_iters = schedule.horizon
-    (result,) = run_recoveries([problem], [schedule], n_iters, denoise=denoise, prior=prior,
+    (result,) = run_recoveries([problem], [schedule], n_iters, prior,
                                x0=None if x0 is None else np.asarray(x0, dtype=float)[None],
                                record_iterates=record_iterates,
                                metadata=None if metadata is None else [metadata])

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import projdiff as pd
 from conftest import log_component_density
-from projdiff import checks, cli
+from projdiff import checks, cli, modelio
 from projdiff.checks import run_checks
 from projdiff.config import (
     _PRIOR_KEYS,
@@ -620,6 +620,36 @@ def test_simulate_maps_an_unresolvable_auto_mu_to_exit_2(tmp_path, monkeypatch, 
     assert "did not converge" in err and "Traceback" not in err
 
 
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+
+@pytest.mark.parametrize("module,name,key,edit", [
+    (cli, "random_lrgmm", "[prior] d", ("d = 16", "d = 1000000000000")),
+    (cli, "gaussian_operator", "[sensing] m", ("m = 16", "m = 1000000000000")),
+    (modelio, "union_from_text", "[prior] path", None),
+])
+def test_simulate_reports_an_oversize_build_as_exit_2(tmp_path, monkeypatch, capsys,
+                                                      module, name, key, edit):
+    """A size that cannot be allocated is a config error naming its key, not a traceback.
+
+    The allocation fails in the function patched here, so nothing is allocated.
+    """
+    if edit is None:
+        model_path = tmp_path / "union.model"
+        model_path.write_text("union d=1000000000000 K=1\nsubspace r=1\n1\n")
+        text = SMALL_CONFIG.replace("kind = lrgmm\nd = 16\nr = 2\nk = 4\nseed = 11",
+                                    f"kind = file\npath = {model_path}")
+    else:
+        text = SMALL_CONFIG.replace(*edit)
+    monkeypatch.setattr(module, name, _out_of_memory)
+    out = tmp_path / "o"
+    assert cli.main(["simulate", write_config(tmp_path, text), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {key}: too large: not enough memory" in err
+    assert "Traceback" not in err and not out.exists()
+
+
 @pytest.mark.parametrize("command,source", [
     ("simulate", "--out"),
     ("simulate", "[run] out_dir"),
@@ -1159,6 +1189,19 @@ def test_gen_model_rejects_bad_specs(tmp_path, spec, message, capsys):
     assert cli.main(["gen-model", spec, "-o", str(tmp_path / "x.model")]) == 2
     err = capsys.readouterr().err
     assert "gen-model error" in err and message in err
+    assert not os.path.exists(tmp_path / "x.model")
+
+
+@pytest.mark.parametrize("spec,name", [
+    ("union:d=1000000000000,ranks=1,seed=5", "random_union"),
+    ("lrgmm:d=1000000000000,r=1,k=1,seed=5", "random_lrgmm"),
+])
+def test_gen_model_reports_an_oversize_model_as_exit_2(tmp_path, monkeypatch, capsys,
+                                                       spec, name):
+    monkeypatch.setattr(cli, name, _out_of_memory)
+    assert cli.main(["gen-model", spec, "-o", str(tmp_path / "x.model")]) == 2
+    err = capsys.readouterr().err
+    assert f"gen-model error: [{spec.split(':')[0]}] d: too large: not enough memory" in err
     assert not os.path.exists(tmp_path / "x.model")
 
 

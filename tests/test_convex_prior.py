@@ -9,7 +9,7 @@ import pytest
 
 import projdiff as pd
 from projdiff import checks, convex_prior
-from projdiff.model_sets import BoxSet
+from projdiff.convex_prior import BoxSet
 
 
 def unit_box(d):

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 import projdiff as pd
 from conftest import log_component_density
-from projdiff.model_sets import Subspace, UnionOfSubspaces, BoxSet, component_parts
+from projdiff.convex_prior import BoxSet
+from projdiff.model_sets import Subspace, UnionOfSubspaces, component_parts
 
 
 def axes_union():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import projdiff as pd
 from projdiff import checks, cli, lrgmm_prior, recovery_engine
-from projdiff.model_sets import UnionOfSubspaces
+from projdiff.model_sets import UnionOfSubspaces, component_parts
 from projdiff.recovery_engine import TRACE_FORMAT_LINE
 
 
@@ -263,9 +263,15 @@ def test_run_recovery_trace_rows_recompute_from_iterates():
         w = pd.weights(prior, x, trace.sigma[i] ** 2)
         positive = w[w > 0.0]
         assert trace.weight_entropy[i] == float(-np.sum(positive * np.log(positive)))
-        for k, sub in enumerate(union.subspaces):
-            dist = float(np.linalg.norm(x - sub.basis @ (sub.basis.T @ x)))
-            assert trace.subspace_distances[i, k] == dist
+        # Exact: the engine's own stacked pass.  A per-component recomputation
+        # sums in another order, so it agrees only to rounding, and on some
+        # BLAS kernels differs in the last bit.
+        assert np.array_equal(trace.subspace_distances[i],
+                              np.sqrt(component_parts(union, x)[2]))
+        for k in range(union.n_components):
+            basis = union.basis(k)
+            dist = float(np.linalg.norm(x - basis @ (basis.T @ x)))
+            assert trace.subspace_distances[i, k] == pytest.approx(dist, rel=1e-15)
 
     def refuse(z, sg):
         raise AssertionError("denoise must not be called when prior is given")
@@ -289,8 +295,8 @@ def test_run_recovery_makes_one_union_pass_per_row(monkeypatch):
     monkeypatch.setattr(lrgmm_prior, "component_parts", counted)
     pd.run_recovery(problem, None, geometric(20), prior=prior)
     assert len(passes) == 21
-    assert not hasattr(recovery_engine, "component_parts")
-    assert not hasattr(recovery_engine, "_posterior")
+    for name in ("component_parts", "_posterior", "BoxSet", "box_denoiser"):
+        assert not hasattr(recovery_engine, name), name
 
 
 def _written(trace, tmp_path, name):
@@ -406,6 +412,44 @@ def test_an_all_pinned_box_runs_to_finite_traces():
         assert isinstance(trace, pd.RecoveryTrace)
         assert np.isfinite(trace.mse).all() and np.isfinite(trace.residual).all()
         assert not trace.iterates.any()
+
+
+class _CoordinateProjection:
+    """A model the engine does not name: it zeroes the coordinates off a mask."""
+
+    n_components = 0
+
+    def __init__(self, mask):
+        self.active_mask = mask
+
+    def step(self, x, sigma):
+        return np.where(self.active_mask, x, 0.0), None
+
+
+def test_a_third_model_needs_no_engine_edit(tmp_path):
+    """Any object with the model members runs, and its bytes match the same denoise callable."""
+    d, m = 300, 40
+    mask = np.zeros(d, dtype=bool)
+    mask[[5, 17, 40, 130, 131, 150, 190, 260, 281, 299]] = True  # blocks 1 and 3 are pinned
+    model = _CoordinateProjection(mask)
+    a = pd.gaussian_operator(m, d, np.random.default_rng(6))
+    rng = np.random.default_rng(7)
+    p = np.where(mask, rng.standard_normal((4, d)), 0.0)
+    assert np.array_equal(recovery_engine._forward(a, model)(p), recovery_engine._matvec(a, p))
+    assert recovery_engine.batch_width(model, d, 30) == recovery_engine.batch_width(_box(mask),
+                                                                                    d, 30)
+    mu = 1.9 / pd.spectral_norm(a) ** 2
+    problems = []
+    for seed in range(3):
+        x_true = np.where(mask, rng.standard_normal(d), 0.0)
+        problems.append(pd.SensingProblem(a, mu, a @ x_true, x_true=x_true, seed=seed))
+    traces = recovery_engine.run_recoveries(problems, [geometric(30)] * 3, 30, model)
+    denoise = lambda z, sg: np.where(mask, z, 0.0)  # noqa: E731
+    for problem, trace in zip(problems, traces):
+        assert trace.subspace_distances is None and np.isnan(trace.frontier_gap).all()
+        assert trace.mse[-1] < trace.mse[0]
+        alone = pd.run_recovery(problem, denoise, geometric(30))
+        assert _written(trace, tmp_path, "model.csv") == _written(alone, tmp_path, "call.csv")
 
 
 def test_simulate_trace_bytes_do_not_depend_on_the_other_seeds(tmp_path):
