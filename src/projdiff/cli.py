@@ -38,6 +38,8 @@ MANIFEST_NAME = "manifest.json"
 RESOLVED_NAME = "resolved.cfg"
 REPORT_NAME = "check_report.csv"
 ANALYZE_OUTPUTS = ("rates.csv", "summary.csv")
+# summary.csv's n_converged counts the traces whose final mse is below this.
+CONVERGED_MSE = 1e-6
 
 
 def _build_prior(spec: PriorSpec):
@@ -117,7 +119,7 @@ def _simulate_share(cfg, model, runs, width) -> dict:
         # overflow inside a diverging run is reported via DivergenceError
         with np.errstate(over="ignore", invalid="ignore"):
             results = run_recoveries(problems, schedules, cfg.n_iters, prior=model,
-                                     record_iterates=False, metadata=metadata)
+                                     metadata=metadata)
         for name, result in zip(names, results):
             path = os.path.join(cfg.out_dir, name)
             if isinstance(result, DivergenceError):
@@ -379,15 +381,16 @@ def cmd_analyze(args) -> int:
         by_schedule.setdefault(row["schedule"], []).append(row)
     summary_path = os.path.join(out_dir, "summary.csv")
     with open(summary_path, "w", newline="\n") as fh:
-        fh.write("schedule,n_traces,mean_final_mse,median_final_mse,mean_burn_in\n")
+        fh.write("schedule,n_traces,mean_final_mse,median_final_mse,mean_burn_in,n_converged\n")
         for schedule in sorted(by_schedule):
             group = by_schedule[schedule]
             mses = [float(row["final_mse"]) for row in group]
             burns = [row["_burn_in_raw"] for row in group if row["_burn_in_raw"] is not None]
             mean_burn = format(statistics.mean(burns), ".17g") if burns else ""
+            converged = sum(1 for mse in mses if mse < CONVERGED_MSE)
             fh.write(
                 f"{schedule},{len(group)},{format(statistics.mean(mses), '.17g')},"
-                f"{format(statistics.median(mses), '.17g')},{mean_burn}\n"
+                f"{format(statistics.median(mses), '.17g')},{mean_burn},{converged}\n"
             )
     print(f"analyzed {len(rows)} traces; wrote {rates_path} and {summary_path}")
     return 0

@@ -56,6 +56,12 @@ DEFAULT_PRIOR_SEED = 1
 DEFAULT_SENSING_SEED = 2
 DEFAULT_BASE_SEED = 1000
 
+# The largest [run] trials and n_iters: a trace row is at least about 100
+# bytes of CSV, so one run of MAX_N_ITERS rows already writes about 100 MB.
+# Both are checked before anything is allocated in proportion to them.
+MAX_TRIALS = 10**6
+MAX_N_ITERS = 10**6
+
 # The keys each prior kind takes besides ``kind``, in resolved.cfg order.
 _PRIOR_KEYS = {
     "lrgmm": ("d", "r", "k", "seed", "pi"),
@@ -294,6 +300,8 @@ def _parse_run(values):
         count = _get_int("run", values, "trials")
         if count < 1:
             raise _fail("run", "trials", f"must be >= 1, got {count}")
+        if count > MAX_TRIALS:
+            raise _fail("run", "trials", f"{count} trials exceed the cap of {MAX_TRIALS}")
         base = _get_seed("run", values, "base_seed", DEFAULT_BASE_SEED)
         seeds = tuple(base + i for i in range(count))
     else:
@@ -336,13 +344,17 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("schedule names must be distinct")
 
     n_iters, seeds, out_dir = _parse_run(dict(cp["run"]))
-    finite = [s.horizon for _, s in schedules if s.kind != "infinite_geometric"]
+    source = ("run", "n_iters")
     if n_iters == 0:
+        finite = [(s.horizon, name) for name, s in schedules if s.kind != "infinite_geometric"]
         if not finite:
             raise _fail("run", "n_iters", "required when all schedules are infinite")
-        n_iters = min(finite)
+        n_iters, name = min(finite, key=lambda item: item[0])
+        source = (f"schedule.{name}", "horizon")
     if n_iters < 1:
         raise _fail("run", "n_iters", f"must be >= 1, got {n_iters}")
+    if n_iters > MAX_N_ITERS:
+        raise _fail(*source, f"{n_iters} iterations exceed the cap of {MAX_N_ITERS}")
     for name, sched in schedules:
         if sched.kind != "infinite_geometric" and n_iters > sched.horizon:
             raise _fail(

@@ -62,9 +62,6 @@ TRACE_FORMAT_LINE = "# projdiff-trace v1"
 # The fixed trace columns, in file order; dist_0 ... dist_{K-1} follow them.
 TRACE_COLUMNS = ("n", "sigma", "mse", "residual", "frontier_gap", "weight_entropy")
 
-# Above this ambient dimension full iterates are not kept by default.
-RECORD_ITERATES_DIM_LIMIT = 256
-
 # simulate splits its runs into batches whose per-run arrays take about this
 # many bytes, so its memory does not grow with the number of runs.
 BATCH_BYTES = 16 * 2**20
@@ -338,7 +335,7 @@ class _RowwiseModel:
 
 
 def run_recoveries(problems, schedules, n_iters: int, prior, x0: np.ndarray = None,
-                   record_iterates: bool = None, metadata=None) -> list:
+                   record_iterates: bool = False, metadata=None) -> list:
     """Run one recovery per (problem, schedule) pair, all of them in lock step.
 
     ``prior`` is the model whose ``step`` makes every projection.  Each
@@ -347,7 +344,9 @@ def run_recoveries(problems, schedules, n_iters: int, prior, x0: np.ndarray = No
     data step.  A model with no columns is not stepped on the last row.  The
     problems must share their operator and mu; their y, x_true and seeds
     are per row.  ``x0`` is None (start at zero) or a (B, d) block,
-    ``metadata`` None or a list of B dicts.
+    ``metadata`` None or a list of B dicts.  ``record_iterates`` keeps each
+    run's (n_iters + 1, d) iterates in its trace, outside what
+    ``batch_width`` budgets.
 
     Returns one entry per run: its RecoveryTrace, or the DivergenceError of
     a run whose iterate left the finite range.  That run leaves the block
@@ -371,8 +370,6 @@ def run_recoveries(problems, schedules, n_iters: int, prior, x0: np.ndarray = No
     b_runs, d = len(problems), a.shape[1]
     forward = _forward(a, prior)
     k = prior.n_components
-    if record_iterates is None:
-        record_iterates = d <= RECORD_ITERATES_DIM_LIMIT
     x = np.zeros((b_runs, d)) if x0 is None else np.array(x0, dtype=float)
     if x.shape != (b_runs, d):
         raise ValueError(f"x0 must have shape ({b_runs}, {d}), got {x.shape}")
@@ -444,7 +441,7 @@ def run_recoveries(problems, schedules, n_iters: int, prior, x0: np.ndarray = No
 
 def run_recovery(problem: SensingProblem, denoise, schedule: NoiseSchedule,
                  x0: np.ndarray = None, n_iters: int = None,
-                 record_iterates: bool = None, prior=None,
+                 record_iterates: bool = False, prior=None,
                  metadata: dict = None) -> RecoveryTrace:
     """Run the iteration for n_iters steps, recording one row per iterate.
 

@@ -1,13 +1,16 @@
 """Shared fixtures.
 
 The flagship recovery experiment (d=64, r=5, K=8, m=20, four schedules,
-20 trials) is expensive enough that it is run once per session and shared
-by every test that inspects its traces.
+20 trials) is checked in once, as ``experiments/flagship.cfg``.  Its data
+is what ``projdiff simulate`` writes for that config: one simulate per
+session, whose traces every test that inspects them reads back.
 
 ``log_component_density`` is a one-component oracle for the library's
-stacked posterior; tests import it with ``from conftest import ...``.
+stacked posterior, and ``assert_pinned`` checks an exact value recorded per
+BLAS core; tests import them with ``from conftest import ...``.
 """
 
+import ctypes
 import math
 import os
 import time
@@ -17,8 +20,10 @@ import numpy as np
 import pytest
 
 import projdiff as pd
+from projdiff import cli
 
-FLAGSHIP_TRIAL_SEEDS = tuple(range(7000, 7020))
+FLAGSHIP_CFG = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                            "experiments", "flagship.cfg")
 
 
 def log_component_density(prior, k, x, t):
@@ -36,6 +41,39 @@ def log_component_density(prior, k, x, t):
     return float(prior.log_pi[k]) - 0.5 * (d * math.log(2.0 * math.pi) + log_det + quad)
 
 
+def blas_core():
+    """The kernel set numpy's OpenBLAS runs, as OpenBLAS names it (``'SkylakeX'``).
+
+    OpenBLAS picks its kernels when it loads, and ``OPENBLAS_CORETYPE``
+    forces a choice.  Kernel sets round differently, so an exact digest of
+    BLAS or LAPACK output holds on one of them.  Some report another name
+    than the one forced: in numpy 2.4's OpenBLAS 0.3.31, ``Zen`` reports
+    (and runs) ``Haswell``, and ``Prescott`` reports ``Katmai``.  None if
+    numpy's BLAS is not its bundled OpenBLAS.
+    """
+    lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    getter = getattr(lib, "scipy_openblas_get_corename64_", None)
+    if getter is None:
+        return None
+    getter.restype = ctypes.c_char_p
+    return getter().decode()
+
+
+def assert_pinned(pins, got):
+    """Assert that ``got`` is the value ``pins`` records for the active BLAS core.
+
+    On a core with no recorded value the test fails, naming the core and
+    the value it computes there.
+    """
+    core = blas_core()
+    if core not in pins:
+        pytest.fail(f"no value is recorded for the BLAS core {core!r}, which gives {got!r}. "
+                    f"Run the test under OPENBLAS_CORETYPE set to each recorded core, check "
+                    f"that this value differs from theirs by rounding only, and record it "
+                    f"under {core!r}.", pytrace=False)
+    assert got == pins[core], core
+
+
 @pytest.fixture
 def package_env():
     """Environment in which a child Python imports this checkout's projdiff."""
@@ -46,43 +84,39 @@ def package_env():
 
 @pytest.fixture(scope="session")
 def flagship_setup():
-    prior = pd.random_lrgmm(64, 5, 8, np.random.default_rng(101))
-    operator = pd.gaussian_operator(20, 64, np.random.default_rng(202))
-    mu = 1.9 / pd.spectral_norm(operator) ** 2
-    schedules = {
-        "geometric": pd.NoiseSchedule("geometric", 0.5, 1e-4, 150),
-        "linear": pd.NoiseSchedule("linear", 0.5, 1e-4, 150),
-        "cosine": pd.NoiseSchedule("cosine", 0.5, 1e-4, 150),
-        "infinite_geometric": pd.NoiseSchedule("infinite_geometric", 0.5, a=0.96),
-    }
+    """The flagship's prior, operator and mu, built from its config as ``simulate`` builds them."""
+    cfg = pd.load_config(FLAGSHIP_CFG)
+    prior = cli._build_prior(cfg.prior)
+    operator = pd.gaussian_operator(cfg.sensing.m, prior.ambient_dim,
+                                    np.random.default_rng(cfg.sensing.seed))
     return SimpleNamespace(
         prior=prior,
         operator=operator,
-        mu=mu,
-        schedules=schedules,
-        trial_seeds=FLAGSHIP_TRIAL_SEEDS,
+        mu=cli._resolve_mu(cfg.sensing.mu, operator),
+        schedules=dict(cfg.schedules),
+        trial_seeds=cfg.trial_seeds,
     )
 
 
 @pytest.fixture(scope="session")
-def flagship_traces(flagship_setup):
-    """All 80 recovery traces of the flagship experiment, plus wall time."""
+def flagship_traces(flagship_setup, tmp_path_factory):
+    """The 80 traces one ``projdiff simulate`` of the flagship config writes into ``out``.
+
+    ``elapsed`` is the wall time of that simulate.
+    """
     s = flagship_setup
-    traces = {}
-    true_component = {}
+    out = str(tmp_path_factory.mktemp("flagship"))
     start = time.monotonic()
-    for seed in s.trial_seeds:
-        x_true = pd.sample(s.prior, np.random.default_rng(seed))
-        norms2 = pd.squared_projection_norms(s.prior.union, x_true)
-        true_component[seed] = int(np.argmax(norms2))
-        y = s.operator @ x_true
-        problem = pd.SensingProblem(s.operator, s.mu, y, x_true=x_true, seed=seed)
-        for name, schedule in s.schedules.items():
-            traces[name, seed] = pd.run_recovery(
-                problem, None, schedule, n_iters=150, prior=s.prior,
-                record_iterates=False,
-            )
+    assert cli.main(["simulate", FLAGSHIP_CFG, "--out", out]) == 0
     elapsed = time.monotonic() - start
+    traces = {
+        (name, seed): pd.RecoveryTrace.read_csv(os.path.join(out, cli._trace_name(name, seed)))
+        for seed in s.trial_seeds
+        for name in s.schedules
+    }
+    first = next(iter(s.schedules))
+    true_component = {seed: traces[first, seed].metadata["true_component"]
+                      for seed in s.trial_seeds}
     return SimpleNamespace(
-        **vars(s), traces=traces, true_component=true_component, elapsed=elapsed
+        **vars(s), out=out, traces=traces, true_component=true_component, elapsed=elapsed
     )

@@ -144,12 +144,10 @@ def test_criterion_09_sparse_threshold_equivalence():
         checked += 1
 
 
-def test_criterion_10_isometry_constant_dominates():
+def test_criterion_10_isometry_constant_dominates(flagship_setup):
     """Exact pairwise constant bounds 10^5 sampled secants; trivial cases exact."""
-    prior = pd.random_lrgmm(64, 5, 8, np.random.default_rng(101))
-    operator = pd.gaussian_operator(20, 64, np.random.default_rng(202))
-    mu = 1.9 / pd.spectral_norm(operator) ** 2
-    union = prior.union
+    operator, mu = flagship_setup.operator, flagship_setup.mu
+    union = flagship_setup.prior.union
     delta = pd.ric_union(operator, mu, union)
 
     contraction = mu * (operator.T @ operator) - np.eye(64)

@@ -1,5 +1,6 @@
 """Config dialect, check-suite hooks, and the command line surface."""
 
+import csv
 import hashlib
 import json
 import math
@@ -7,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import projdiff as pd
-from conftest import log_component_density
+from conftest import assert_pinned, log_component_density
 from projdiff import checks, cli, modelio
 from projdiff.checks import run_checks
 from projdiff.config import (
@@ -325,6 +327,33 @@ def test_n_iters_required_when_all_schedules_infinite():
         pd.parse_config(text)
     cfg = pd.parse_config(text.replace("trials = 1", "trials = 1\nn_iters = 25"))
     assert cfg.n_iters == 25
+
+
+@pytest.mark.parametrize("schedule,run,key", [
+    ("[schedule.geometric]\nsigma_max = 0.5\nsigma_min = 1e-4\nhorizon = 30\n",
+     "trials = 1000000000000", r"\[run\] trials: 1000000000000 trials"),
+    ("[schedule.slow]\nkind = infinite_geometric\nsigma_max = 0.5\na = 0.9999999999\n",
+     "trials = 1\nn_iters = 1000000000000", r"\[run\] n_iters: 1000000000000 iterations"),
+    ("[schedule.geometric]\nsigma_max = 0.5\nsigma_min = 1e-4\nhorizon = 1000000000000\n",
+     "trials = 1", r"\[schedule\.geometric\] horizon: 1000000000000 iterations"),
+], ids=["trials", "n_iters", "defaulted-n_iters"])
+def test_oversize_trials_and_n_iters_exit_2_before_allocating(tmp_path, capsys,
+                                                              schedule, run, key):
+    """10^12 trials or iterations are refused by value, naming the key they came from."""
+    text = ("[prior]\nkind = lrgmm\nd = 4\nr = 1\nk = 1\n[sensing]\nm = 2\n"
+            + schedule + "[run]\n" + run + "\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(pd.ConfigError, match=key + " exceed the cap of 1000000$"):
+            pd.parse_config(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    out = tmp_path / "o"
+    assert cli.main(["simulate", write_config(tmp_path, text), "--out", str(out)]) == 2
+    assert "config error: " + key.replace("\\", "") in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _bound():
@@ -909,6 +938,20 @@ def test_simulate_box_prior_runs_without_union_columns(tmp_path):
     assert np.isfinite(trace.final_mse)
 
 
+# The sha256 of that shortened box workload's trace_geometric_07000.csv and
+# trace_geometric_07001.csv, per BLAS core (see conftest.blas_core).
+BOX_TRACE_SHA256 = {
+    "SkylakeX": ("de45f8d13748cb1ccde78ede9f4f14952d600a0e98acfd703b8afc2900c9347a",
+                 "842bb8c2950708f5af8af8cf6032b267c4d6247cea24a3bcd8714b88b8b4a4d4"),
+    "Haswell": ("17469f380c6e09a2582ca39e8155bde4c64267c762f8769291c19df8c7ee73aa",
+                "c0752bfefc278104f55a9d718c6b09f6e7b08576bf2f0aeb0be82f3da2ea4eb2"),
+    "Sandybridge": ("88d1c17759bcbf47f0a06641d71677af2f7d7ab3c9627a17125e73859437aa13",
+                    "d9e23eb242173304fd4623a0a153e38088e6888c084f721c7f8144851bd17e72"),
+    "Katmai": ("59080e1463c9fe0a958f41ee0ec26bbd515ea4353cf21489e20454a5116c8d21",
+               "092dc3b0536f6a078e90ca6966285f6c0f6ed48e30020ec3804aee63d5564f23"),
+}
+
+
 def test_simulate_box_workload_trace_bytes_are_pinned(tmp_path):
     """The benchmark's box workload, shortened only in trials and n_iters, writes fixed bytes."""
     workload = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "workloads", "box.cfg")
@@ -918,14 +961,10 @@ def test_simulate_box_workload_trace_bytes_are_pinned(tmp_path):
     text = text.replace("\ntrials = 40\n", "\ntrials = 2\n")
     text = text.replace("\nn_iters = 150\n", "\nn_iters = 20\n")
     out = _simulated(tmp_path, text, name="box")
-    sha256 = {name: hashlib.sha256(data).hexdigest()
-              for name, data in read_files(out).items() if name.startswith("trace_")}
-    assert sha256 == {
-        "trace_geometric_07000.csv":
-            "de45f8d13748cb1ccde78ede9f4f14952d600a0e98acfd703b8afc2900c9347a",
-        "trace_geometric_07001.csv":
-            "842bb8c2950708f5af8af8cf6032b267c4d6247cea24a3bcd8714b88b8b4a4d4",
-    }
+    traces = {name: data for name, data in read_files(out).items() if name.startswith("trace_")}
+    assert list(traces) == ["trace_geometric_07000.csv", "trace_geometric_07001.csv"]
+    assert_pinned(BOX_TRACE_SHA256, tuple(hashlib.sha256(data).hexdigest()
+                                          for data in traces.values()))
 
 
 def test_simulate_file_prior_wraps_a_saved_union(tmp_path):
@@ -982,11 +1021,24 @@ def test_analyze_writes_rates_and_summary(tmp_path):
     assert schedules == ["geometric", "geometric", "lin", "lin"]
     with open(os.path.join(out, "summary.csv")) as fh:
         summary = fh.read().strip().split("\n")
-    assert summary[0] == "schedule,n_traces,mean_final_mse,median_final_mse,mean_burn_in"
+    assert summary[0] == ("schedule,n_traces,mean_final_mse,median_final_mse,mean_burn_in,"
+                          "n_converged")
     assert len(summary) == 3
     first = summary[1].split(",")
     assert first[0] == "geometric" and first[1] == "2"
     assert float(first[2]) >= 0.0
+
+
+def test_analyze_counts_the_converged_flagship_traces(flagship_traces, tmp_path):
+    f = flagship_traces
+    assert cli.main(["analyze", f.out, "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "summary.csv") as fh:
+        got = {row["schedule"]: int(row["n_converged"]) for row in csv.DictReader(fh)}
+    want = {name: sum(f.traces[name, seed].final_mse < cli.CONVERGED_MSE
+                      for seed in f.trial_seeds)
+            for name in f.schedules}
+    assert got == want
+    assert len(set(want.values())) > 1
 
 
 def test_analyze_reads_only_the_traces_in_the_manifest(tmp_path, capsys):
@@ -1114,21 +1166,31 @@ def test_gen_model_lrgmm_and_box(tmp_path):
     np.testing.assert_array_equal(box.upper, [1.0, 0.5])
 
 
-@pytest.mark.parametrize(
-    "spec,sha256",
-    [
-        # Other runs read these files back, so their bytes are pinned.  The
-        # rank-mixed union writes each component's own columns of the
-        # zero-padded stack, not its padding.
-        ("union:d=8,ranks=2|3,seed=5",
-         "2166e15220eadaa96da703c7380df9662bad704aebfdbec90d16afb116222c75"),
-        ("sparse:d=4,s=2", "b5e0f517037459026d49e38e8998040253e1dca2c6b55ff86748b959f79481b0"),
-    ],
-)
-def test_gen_model_file_bytes_are_pinned(tmp_path, spec, sha256):
+# Other runs read these files back, so their bytes are pinned.  The
+# rank-mixed union writes each component's own columns of the zero-padded
+# stack, not its padding.  Its bases come from a LAPACK QR, so its bytes are
+# recorded per BLAS core (see conftest.blas_core); the sparse file makes no
+# BLAS call.
+GEN_MODEL_SHA256 = {
+    "union:d=8,ranks=2|3,seed=5": {
+        "SkylakeX": "2166e15220eadaa96da703c7380df9662bad704aebfdbec90d16afb116222c75",
+        "Haswell": "194d58e7ca04f564c005a20abd446fdb848ba3b90e8cf1f6fc157a8bf912db62",
+        "Sandybridge": "194d58e7ca04f564c005a20abd446fdb848ba3b90e8cf1f6fc157a8bf912db62",
+        "Katmai": "194d58e7ca04f564c005a20abd446fdb848ba3b90e8cf1f6fc157a8bf912db62",
+    },
+    "sparse:d=4,s=2": "b5e0f517037459026d49e38e8998040253e1dca2c6b55ff86748b959f79481b0",
+}
+
+
+@pytest.mark.parametrize("spec", GEN_MODEL_SHA256)
+def test_gen_model_file_bytes_are_pinned(tmp_path, spec):
     path = tmp_path / "m.model"
     assert cli.main(["gen-model", spec, "-o", str(path)]) == 0
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
+    sha256, pins = hashlib.sha256(path.read_bytes()).hexdigest(), GEN_MODEL_SHA256[spec]
+    if isinstance(pins, dict):
+        assert_pinned(pins, sha256)
+    else:
+        assert sha256 == pins
 
 
 def test_gen_model_sparse_spec(tmp_path):

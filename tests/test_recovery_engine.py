@@ -190,7 +190,7 @@ def test_run_recovery_rows_and_sigma_column():
 
 def test_run_recovery_starts_at_zero_by_default():
     prior, problem, denoise = tiny_problem()
-    trace = pd.run_recovery(problem, denoise, geometric(10), prior=prior)
+    trace = pd.run_recovery(problem, denoise, geometric(10), prior=prior, record_iterates=True)
     assert np.array_equal(trace.iterates[0], np.zeros(6))
     assert trace.mse[0] == pytest.approx(
         float(problem.x_true @ problem.x_true) / 6.0, rel=1e-15
@@ -199,7 +199,8 @@ def test_run_recovery_starts_at_zero_by_default():
 
 def test_run_recovery_accepts_custom_start():
     prior, problem, denoise = tiny_problem()
-    trace = pd.run_recovery(problem, denoise, geometric(5), x0=problem.x_true, prior=prior)
+    trace = pd.run_recovery(problem, denoise, geometric(5), x0=problem.x_true, prior=prior,
+                            record_iterates=True)
     assert np.array_equal(trace.iterates[0], problem.x_true)
     assert trace.mse[0] == 0.0
     with pytest.raises(ValueError, match="x0"):
@@ -219,16 +220,13 @@ def test_run_recovery_horizon_checks():
     assert trace.n_rows == 8
 
 
-def test_run_recovery_iterate_recording_follows_dimension():
+def test_run_recovery_records_iterates_only_when_asked():
     prior, problem, denoise = tiny_problem()
-    trace = pd.run_recovery(problem, denoise, geometric(3), prior=prior)
-    assert trace.iterates is not None  # d = 6 is small
-    big_a = np.ones((1, 300))
-    big = pd.SensingProblem(big_a, 0.001, np.zeros(1))
-    tr_big = pd.run_recovery(big, lambda z, sg: z, geometric(3))
-    assert tr_big.iterates is None
-    tr_forced = pd.run_recovery(big, lambda z, sg: z, geometric(3), record_iterates=True)
-    assert tr_forced.iterates.shape == (4, 300)
+    assert pd.run_recovery(problem, denoise, geometric(3), prior=prior).iterates is None
+    (batched,) = recovery_engine.run_recoveries([problem], [geometric(3)], 3, prior=prior)
+    assert batched.iterates is None
+    forced = pd.run_recovery(problem, denoise, geometric(3), prior=prior, record_iterates=True)
+    assert forced.iterates.shape == (4, 6)
 
 
 def test_run_recovery_nan_columns_without_context():
@@ -246,7 +244,7 @@ def test_run_recovery_nan_columns_without_context():
 def test_run_recovery_trace_rows_recompute_from_iterates():
     prior, problem, denoise = tiny_problem()
     sched = geometric(20)
-    trace = pd.run_recovery(problem, denoise, sched, prior=prior)
+    trace = pd.run_recovery(problem, denoise, sched, prior=prior, record_iterates=True)
     union = prior.union
     for n in range(20):
         step = pd.gpgd_step(denoise, problem.operator, problem.mu, problem.y,
@@ -277,7 +275,7 @@ def test_run_recovery_trace_rows_recompute_from_iterates():
         raise AssertionError("denoise must not be called when prior is given")
 
     for other in (None, refuse):
-        again = pd.run_recovery(problem, other, sched, prior=prior)
+        again = pd.run_recovery(problem, other, sched, prior=prior, record_iterates=True)
         for col in ("sigma", "mse", "residual", "frontier_gap", "weight_entropy",
                     "subspace_distances", "iterates"):
             assert np.array_equal(getattr(again, col), getattr(trace, col)), col
@@ -315,13 +313,12 @@ def test_trace_bytes_do_not_depend_on_the_batch(flagship_setup, tmp_path):
         runs += [(problem, schedule) for schedule in s.schedules.values()]
     target = 4 * 5 + 2  # one seed's cosine run
     problem, schedule = runs[target]
-    alone = _written(pd.run_recovery(problem, None, schedule, n_iters=150, prior=s.prior,
-                                     record_iterates=False), tmp_path, "alone.csv")
+    alone = _written(pd.run_recovery(problem, None, schedule, n_iters=150, prior=s.prior),
+                     tmp_path, "alone.csv")
     for width, start in ((7, target - 3), (len(runs), 0)):
         batch = runs[start:start + width]
         traces = recovery_engine.run_recoveries(
-            [p for p, _ in batch], [sch for _, sch in batch], 150, prior=s.prior,
-            record_iterates=False)
+            [p for p, _ in batch], [sch for _, sch in batch], 150, prior=s.prior)
         assert _written(traces[target - start], tmp_path, f"w{width}.csv") == alone, width
 
 
@@ -407,7 +404,8 @@ def test_an_all_pinned_box_runs_to_finite_traces():
     a = pd.gaussian_operator(140, 70, np.random.default_rng(3))
     x_true = pd.sample_box(box, np.random.default_rng(4))[0]
     problem = pd.SensingProblem(a, 1.0 / pd.spectral_norm(a) ** 2, a @ x_true, x_true=x_true)
-    traces = recovery_engine.run_recoveries([problem] * 3, [geometric(10)] * 3, 10, prior=box)
+    traces = recovery_engine.run_recoveries([problem] * 3, [geometric(10)] * 3, 10, prior=box,
+                                            record_iterates=True)
     for trace in traces:
         assert isinstance(trace, pd.RecoveryTrace)
         assert np.isfinite(trace.mse).all() and np.isfinite(trace.residual).all()
@@ -536,9 +534,9 @@ def test_run_recoveries_leaves_a_diverged_run_out_and_goes_on():
     x0[1] = 1e308  # this row overflows in its first step
     with np.errstate(over="ignore", invalid="ignore"):
         results = recovery_engine.run_recoveries([problem] * 3, [geometric(20)] * 3, 20,
-                                                 prior=prior, x0=x0)
+                                                 prior=prior, x0=x0, record_iterates=True)
     assert isinstance(results[1], pd.DivergenceError) and results[1].iteration == 1
-    alone = pd.run_recovery(problem, None, geometric(20), prior=prior)
+    alone = pd.run_recovery(problem, None, geometric(20), prior=prior, record_iterates=True)
     for trace in (results[0], results[2]):
         assert np.array_equal(trace.mse, alone.mse)
         assert np.array_equal(trace.iterates, alone.iterates)

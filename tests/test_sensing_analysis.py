@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import projdiff as pd
+from conftest import assert_pinned
 from projdiff.model_sets import UnionOfSubspaces
 from projdiff.randomness import normal_stream
 
@@ -247,15 +248,24 @@ def test_lipschitz_rejects_zero_samples():
         pd.restricted_lipschitz_estimate(union, 0, np.random.default_rng(1))
 
 
-def test_flagship_constants_match_the_bench_reference_exactly():
-    # The constants.ini flagship: bench/reference.json records delta and the
-    # seed-0 beta to the last bit, so any change in the union's storage, the
+# delta and the seed-0 beta of the flagship, per BLAS core (see
+# conftest.blas_core).  The SkylakeX pair is bench/reference.json's.
+FLAGSHIP_CONSTANTS = {
+    "SkylakeX": (0.9913499581206303, 1.4292752057311193),
+    "Haswell": (0.9913499581206304, 1.4292752057311193),
+    "Sandybridge": (0.9913499581206302, 1.4292752057311182),
+    "Katmai": (0.9913499581206302, 1.4292752057311182),
+}
+
+
+def test_flagship_constants_match_the_bench_reference_exactly(flagship_setup):
+    # Recorded to the last bit, so any change in the union's storage, the
     # pair bases or the sampler's draw order shows here.
     reference_path = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
     reference = json.loads(reference_path.read_text())
-    union = pd.random_lrgmm(64, 5, 8, np.random.default_rng(101)).union
-    operator = pd.gaussian_operator(20, 64, np.random.default_rng(202))
-    mu = 1.9 / pd.spectral_norm(operator) ** 2
-    assert pd.ric_union(operator, mu, union) == reference["delta"]["flagship"]
-    beta = pd.restricted_lipschitz_estimate(union, 20000, np.random.default_rng(0))
-    assert beta == reference["beta"]["0"]["flagship"]
+    assert FLAGSHIP_CONSTANTS["SkylakeX"] == (reference["delta"]["flagship"],
+                                              reference["beta"]["0"]["flagship"])
+    s = flagship_setup
+    delta = pd.ric_union(s.operator, s.mu, s.prior.union)
+    beta = pd.restricted_lipschitz_estimate(s.prior.union, 20000, np.random.default_rng(0))
+    assert_pinned(FLAGSHIP_CONSTANTS, (delta, beta))
