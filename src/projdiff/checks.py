@@ -4,10 +4,11 @@ Each invariant is one measurement function that returns one number; this
 module is its only implementation.  ``run_checks`` compares each number with
 the bound in ``CHECKS`` and reports a flat CSV, and ``tests/test_acceptance.py``
 calls the same functions at the ``--full`` sizes against its own fixed
-bounds.  The two checks most likely to catch a silent regression (the
-posterior-mean identity and weight normalisation at tiny noise) accept
-injectable implementations, which is also how the tests confirm that a
-broken build actually trips them.
+bounds.  The two measurements most likely to catch a silent regression
+(the posterior-mean identity and weight normalisation at tiny noise) take
+the implementation they measure as a parameter, the library's by default:
+that is how the tests confirm that a broken build actually trips them.
+``run_checks`` always measures the library's own.
 """
 
 import math
@@ -269,20 +270,14 @@ CHECKS = (
 )
 
 
-def run_checks(level: str = "fast", denoiser_fn=None, weights_fn=None) -> list:
-    """Run the invariant suite; returns a list of CheckResult.
-
-    ``denoiser_fn(prior, x, sigma)`` and ``weights_fn(prior, x, t)`` default
-    to the library implementations.
-    """
+def run_checks(level: str = "fast") -> list:
+    """Run the invariant suite; returns a list of CheckResult."""
     if level not in CHECK_LEVELS:
         raise ValueError(f"level must be one of {CHECK_LEVELS}, got {level!r}")
-    injected = {tweedie_defect: {"denoiser_fn": denoiser_fn or lrgmm_prior.denoiser},
-                weight_sum_defect: {"weights_fn": weights_fn or lrgmm_prior.weights}}
     results = []
     for name, measure, fast_args, full_args, bound in CHECKS:
         args = full_args if level == "full" else fast_args
-        value = float(measure(*args, **injected.get(measure, {})))
+        value = float(measure(*args))
         results.append(CheckResult(name, value, float(bound), value <= bound))
     return results
 

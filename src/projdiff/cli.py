@@ -21,9 +21,8 @@ from functools import partial
 import numpy as np
 
 from .checks import report_csv, report_table, run_checks
-from .config import _PRIOR_KEYS, MU_AUTO, PRIOR_KINDS, ConfigError, ExperimentConfig, \
-    PriorSpec, _check_keys, _fail, _get_int, _get_ints, _get_seed, _parse_prior, load_config, \
-    serialize_config
+from .config import _INTS, _PRIOR_KEYS, MU_AUTO, PRIOR_KINDS, ConfigError, ExperimentConfig, \
+    PriorSpec, _check_keys, _fail, _get, _get_seed, _parse_prior, load_config, serialize_config
 from .convex_prior import BoxSet
 from .diagnostics import detect_burn_in, fit_linear_rate
 from .errors import DivergenceError, InsufficientDataError, NumericFailureError, \
@@ -38,6 +37,7 @@ MANIFEST_NAME = "manifest.json"
 RESOLVED_NAME = "resolved.cfg"
 REPORT_NAME = "check_report.csv"
 ANALYZE_OUTPUTS = ("rates.csv", "summary.csv")
+RATES_COLUMNS = ("file", "schedule", "seed", "burn_in", "rate", "r2", "final_mse")
 # summary.csv's n_converged counts the traces whose final mse is below this.
 CONVERGED_MSE = 1e-6
 
@@ -50,7 +50,12 @@ def _build_prior(spec: PriorSpec):
         return sparse_gmm(spec.d, spec.s, pi=spec.pi)
     if spec.kind == "box":
         return BoxSet(lower=spec.lower, upper=spec.upper)
-    model = load_model(spec.path)
+    try:
+        model = load_model(spec.path)
+    except OSError as exc:
+        raise _fail("prior", "path", f"{spec.path}: {exc.strerror or exc}") from None
+    except ValueError as exc:
+        raise _fail("prior", "path", f"{spec.path}: {exc}") from None
     return uniform_lrgmm(model) if isinstance(model, UnionOfSubspaces) else model
 
 
@@ -294,13 +299,21 @@ def _field(meta: dict, key: str, kind, default=None):
     return value if isinstance(value, kind) and not isinstance(value, bool) else default
 
 
-def _fit_row(trace: RecoveryTrace, fname: str):
+def _cell(value) -> str:
+    """One field of analyze's CSV reports: None is empty, a float has 17 digits."""
+    if value is None:
+        return ""
+    return format(value, ".17g") if isinstance(value, float) else str(value)
+
+
+def _fit_row(trace: RecoveryTrace, fname: str) -> dict:
+    """The rates.csv fields of one trace, keyed by RATES_COLUMNS, None where absent."""
     # Metadata is whatever JSON the file holds: a field of the wrong type
     # counts as absent.
     meta = trace.metadata
     schedule_dict = _field(meta, "schedule", dict, {})
     schedule = _field(meta, "schedule_name", str) or _field(schedule_dict, "kind", str, "")
-    seed = _field(meta, "trial_seed", int, _field(meta, "seed", int, ""))
+    seed = _field(meta, "trial_seed", int, _field(meta, "seed", int))
     component = _field(meta, "true_component", int)
     burn_in = None
     dists = trace.subspace_distances
@@ -308,19 +321,11 @@ def _fit_row(trace: RecoveryTrace, fname: str):
         burn_in = detect_burn_in(trace, component)
     try:
         fit = fit_linear_rate(trace, from_n=burn_in or 0)
-        rate, r2 = format(fit.rate, ".17g"), format(fit.r2, ".17g")
+        rate, r2 = fit.rate, fit.r2
     except InsufficientDataError:
-        rate, r2 = "", ""
-    return {
-        "file": fname,
-        "schedule": schedule,
-        "seed": seed,
-        "burn_in": "" if burn_in is None else burn_in,
-        "rate": rate,
-        "r2": r2,
-        "final_mse": format(trace.final_mse, ".17g"),
-        "_burn_in_raw": burn_in,
-    }
+        rate, r2 = None, None
+    return {"file": fname, "schedule": schedule, "seed": seed, "burn_in": burn_in,
+            "rate": rate, "r2": r2, "final_mse": trace.final_mse}
 
 
 def cmd_analyze(args) -> int:
@@ -369,12 +374,9 @@ def cmd_analyze(args) -> int:
 
     rates_path = os.path.join(out_dir, "rates.csv")
     with open(rates_path, "w", newline="\n") as fh:
-        fh.write("file,schedule,seed,burn_in,rate,r2,final_mse\n")
+        fh.write(",".join(RATES_COLUMNS) + "\n")
         for row in rows:
-            fh.write(
-                f"{row['file']},{row['schedule']},{row['seed']},{row['burn_in']},"
-                f"{row['rate']},{row['r2']},{row['final_mse']}\n"
-            )
+            fh.write(",".join(_cell(row[key]) for key in RATES_COLUMNS) + "\n")
 
     by_schedule = {}
     for row in rows:
@@ -384,14 +386,12 @@ def cmd_analyze(args) -> int:
         fh.write("schedule,n_traces,mean_final_mse,median_final_mse,mean_burn_in,n_converged\n")
         for schedule in sorted(by_schedule):
             group = by_schedule[schedule]
-            mses = [float(row["final_mse"]) for row in group]
-            burns = [row["_burn_in_raw"] for row in group if row["_burn_in_raw"] is not None]
-            mean_burn = format(statistics.mean(burns), ".17g") if burns else ""
-            converged = sum(1 for mse in mses if mse < CONVERGED_MSE)
-            fh.write(
-                f"{schedule},{len(group)},{format(statistics.mean(mses), '.17g')},"
-                f"{format(statistics.median(mses), '.17g')},{mean_burn},{converged}\n"
-            )
+            mses = [row["final_mse"] for row in group]
+            burns = [row["burn_in"] for row in group if row["burn_in"] is not None]
+            fields = (schedule, len(group), statistics.mean(mses), statistics.median(mses),
+                      float(statistics.mean(burns)) if burns else None,
+                      sum(1 for mse in mses if mse < CONVERGED_MSE))
+            fh.write(",".join(_cell(value) for value in fields) + "\n")
     print(f"analyzed {len(rows)} traces; wrote {rates_path} and {summary_path}")
     return 0
 
@@ -422,7 +422,7 @@ def cmd_gen_model(args) -> int:
             fields["seed"] = str(args.seed_override)
         if kind == "union":
             _check_keys(kind, fields, ("kind", "d", "ranks", "seed"))
-            d, ranks = _get_int(kind, fields, "d"), _get_ints(kind, fields, "ranks")
+            d, ranks = _get(kind, fields, "d"), _get(kind, fields, "ranks", _INTS)
             if not ranks or not all(1 <= r <= d for r in ranks):
                 raise _fail(kind, "ranks", f"need ranks between 1 and d = {d}, "
                                            f"got {fields['ranks']!r}")
@@ -441,14 +441,12 @@ def cmd_gen_model(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--seed-override",
-        type=int,
-        default=None,
-        help="replace trial seeds (simulate) or the generation seed (gen-model)",
-    )
-    common.add_argument("--out", default=None, help="output directory override")
+    # Each subcommand takes only the flags it reads.
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None, help="output directory override")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed-override", type=int, default=None,
+                      help="replace the trial seeds (simulate) or the generation seed (gen-model)")
 
     parser = argparse.ArgumentParser(
         prog="projdiff",
@@ -470,7 +468,7 @@ are written back into <out>/resolved.cfg):
 """
     p_sim = sub.add_parser(
         "simulate",
-        parents=[common],
+        parents=[out, seed],
         help="run configured trials",
         epilog=config_help,
         formatter_class=argparse.RawDescriptionHelpFormatter,
@@ -478,17 +476,19 @@ are written back into <out>/resolved.cfg):
     p_sim.add_argument("config", help="experiment config path (INI dialect)")
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_check = sub.add_parser("check", parents=[common], help="run the invariant suite")
+    p_check = sub.add_parser("check", parents=[out], help="run the invariant suite")
     p_check.add_argument("--full", action="store_true", help="complete grids (slower)")
     p_check.set_defaults(func=cmd_check)
 
-    p_an = sub.add_parser("analyze", parents=[common], help="summarise trace files")
+    p_an = sub.add_parser("analyze", parents=[out], help="summarise trace files")
     p_an.add_argument("dir", help="directory containing trace CSV files")
     p_an.set_defaults(func=cmd_analyze)
 
+    # Without abbreviations, so that --out is refused rather than read as --output.
     p_gen = sub.add_parser(
         "gen-model",
-        parents=[common],
+        parents=[seed],
+        allow_abbrev=False,
         help="write a model file from kind:key=value,... (lists use |)",
         epilog="kinds: lrgmm, sparse and box take their [prior] keys (see simulate --help);\n"
                "union: d, ranks, seed",

@@ -48,7 +48,7 @@ import numpy as np
 
 from .lrgmm_prior import SPARSE_COMPONENT_CAP, log_mixture_weights
 from .convex_prior import BoxSet
-from .recovery_engine import SCHEDULE_KINDS, NoiseSchedule, schedule_sigma
+from .recovery_engine import SCHEDULE_FIELDS, SCHEDULE_KINDS, NoiseSchedule, schedule_sigma
 
 MU_AUTO = "auto_1.9"
 
@@ -62,6 +62,10 @@ DEFAULT_BASE_SEED = 1000
 MAX_TRIALS = 10**6
 MAX_N_ITERS = 10**6
 
+# The most entries K * d * r_max that a prior's stacked bases may hold
+# (800 MB per float64 copy), checked before anything is built.
+MAX_BASIS_ENTRIES = 10**8
+
 # The keys each prior kind takes besides ``kind``, in resolved.cfg order.
 _PRIOR_KEYS = {
     "lrgmm": ("d", "r", "k", "seed", "pi"),
@@ -72,7 +76,7 @@ _PRIOR_KEYS = {
 
 PRIOR_KINDS = tuple(_PRIOR_KEYS)
 
-_SCHEDULE_KEYS = {"kind", "sigma_max", "sigma_min", "horizon", "a"}
+_SCHEDULE_KEYS = {"kind"}.union(*SCHEDULE_FIELDS.values())
 # A schedule name becomes a trace file name and a field of analyze's CSV reports.
 _SCHEDULE_NAME = re.compile(r"[A-Za-z0-9_-]+")
 
@@ -119,54 +123,39 @@ def _fail(section, key, problem) -> ConfigError:
     return ConfigError(f"{where}: {problem}")
 
 
-def _get_int(section, values, key, default=None):
+# The types a key's value may have: how its text converts, and what an
+# error message says was expected.
+_INT = (int, "an integer")
+_FLOAT = (float, "a number")
+_INTS = (lambda text: tuple(int(v) for v in text.split()), "integers")
+_FLOATS = (lambda text: tuple(float(v) for v in text.split()), "numbers")
+
+
+def _get(section, values, key, as_type=_INT, default=None):
+    """values[key] converted as ``as_type`` says, or ``default`` if absent and not None."""
     if key not in values:
         if default is None:
             raise _fail(section, key, "required key is missing")
         return default
+    convert, noun = as_type
     try:
-        return int(values[key])
+        return convert(values[key])
     except ValueError:
-        raise _fail(section, key, f"expected an integer, got {values[key]!r}") from None
+        raise _fail(section, key, f"expected {noun}, got {values[key]!r}") from None
 
 
 def _get_seed(section, values, key, default=None):
-    seed = _get_int(section, values, key, default)
+    seed = _get(section, values, key, _INT, default)
     if seed < 0:
         raise _fail(section, key, f"seeds must be >= 0, got {seed}")
     return seed
 
 
-def _get_float(section, values, key, default=None):
-    if key not in values:
-        if default is None:
-            raise _fail(section, key, "required key is missing")
-        return default
-    try:
-        return float(values[key])
-    except ValueError:
-        raise _fail(section, key, f"expected a number, got {values[key]!r}") from None
-
-
 def _get_floats(section, values, key):
-    if key not in values:
-        raise _fail(section, key, "required key is missing")
-    try:
-        floats = tuple(float(v) for v in values[key].split())
-    except ValueError:
-        raise _fail(section, key, f"expected numbers, got {values[key]!r}") from None
+    floats = _get(section, values, key, _FLOATS)
     if not all(math.isfinite(v) for v in floats):
         raise _fail(section, key, f"expected finite numbers, got {values[key]!r}")
     return floats
-
-
-def _get_ints(section, values, key):
-    if key not in values:
-        raise _fail(section, key, "required key is missing")
-    try:
-        return tuple(int(v) for v in values[key].split())
-    except ValueError:
-        raise _fail(section, key, f"expected integers, got {values[key]!r}") from None
 
 
 def _check_keys(section, values, allowed):
@@ -187,18 +176,28 @@ def _get_pi(values, n_components):
     return pi
 
 
+def _check_basis_entries(k, d, r_max):
+    """Reject K components of rank up to r_max in R^d whose stacked bases exceed the cap."""
+    if k * d * r_max > MAX_BASIS_ENTRIES:
+        raise _fail("prior", "d", f"K*d*r = {k}*{d}*{r_max} = {k * d * r_max} basis entries "
+                                  f"exceed the cap of {MAX_BASIS_ENTRIES}")
+
+
 def _parse_prior(values) -> PriorSpec:
     kind = values.get("kind")
     if kind not in PRIOR_KINDS:
         raise _fail("prior", "kind", f"must be one of {PRIOR_KINDS}, got {kind!r}")
     _check_keys("prior", values, ("kind",) + _PRIOR_KEYS[kind])
     if kind == "lrgmm":
-        d, r = _get_int("prior", values, "d"), _get_int("prior", values, "r")
+        d, r = _get("prior", values, "d"), _get("prior", values, "r")
         if not 1 <= r <= d:
             raise _fail("prior", "r", f"must be between 1 and d = {d}, got {r}")
-        k = _get_int("prior", values, "k")
+        k = _get("prior", values, "k")
         if k < 1:
             raise _fail("prior", "k", f"must be >= 1, got {k}")
+        if k > SPARSE_COMPONENT_CAP:
+            raise _fail("prior", "k", f"{k} components exceed the cap of {SPARSE_COMPONENT_CAP}")
+        _check_basis_entries(k, d, r)
         return PriorSpec(
             kind=kind,
             d=d,
@@ -208,13 +207,14 @@ def _parse_prior(values) -> PriorSpec:
             pi=_get_pi(values, k),
         )
     if kind == "sparse":
-        d, s = _get_int("prior", values, "d"), _get_int("prior", values, "s")
+        d, s = _get("prior", values, "d"), _get("prior", values, "s")
         if not 1 <= s <= d:
             raise _fail("prior", "s", f"must be between 1 and d = {d}, got {s}")
         n_components = math.comb(d, s)
         if n_components > SPARSE_COMPONENT_CAP:
             raise _fail("prior", "s", f"C({d},{s}) = {n_components} components exceeds "
                                       f"the cap of {SPARSE_COMPONENT_CAP}")
+        _check_basis_entries(n_components, d, s)
         return PriorSpec(kind=kind, d=d, s=s, pi=_get_pi(values, n_components))
     if kind == "box":
         lower = _get_floats("prior", values, "lower")
@@ -251,7 +251,7 @@ def _parse_sensing(values) -> SensingSpec:
             ) from None
         if not 0.0 < mu < math.inf:
             raise _fail("sensing", "mu", f"must be positive and finite, got {mu}")
-    m = _get_int("sensing", values, "m")
+    m = _get("sensing", values, "m")
     if m < 1:
         raise _fail("sensing", "m", f"must be >= 1, got {m}")
     return SensingSpec(
@@ -269,19 +269,12 @@ def _parse_schedule(section, values) -> NoiseSchedule:
     kind = values.get("kind", name if name in SCHEDULE_KINDS else None)
     if kind is None:
         raise _fail(section, "kind", "required key is missing")
+    # An unknown kind reads a finite schedule's keys, and NoiseSchedule rejects it.
+    keys = SCHEDULE_FIELDS.get(kind, SCHEDULE_FIELDS["geometric"])
     try:
-        if kind == "infinite_geometric":
-            return NoiseSchedule(
-                kind=kind,
-                sigma_max=_get_float(section, values, "sigma_max"),
-                a=_get_float(section, values, "a"),
-            )
-        return NoiseSchedule(
-            kind=kind,
-            sigma_max=_get_float(section, values, "sigma_max"),
-            sigma_min=_get_float(section, values, "sigma_min"),
-            horizon=_get_int(section, values, "horizon"),
-        )
+        return NoiseSchedule(kind=kind, **{
+            key: _get(section, values, key, _INT if key == "horizon" else _FLOAT) for key in keys
+        })
     except ValueError as exc:
         if isinstance(exc, ConfigError):
             raise
@@ -293,11 +286,11 @@ def _parse_run(values):
     if "trial_seeds" in values:
         if "trials" in values:
             raise _fail("run", "trials", "give either trials or trial_seeds, not both")
-        seeds = _get_ints("run", values, "trial_seeds")
+        seeds = _get("run", values, "trial_seeds", _INTS)
         if any(seed < 0 for seed in seeds):
             raise _fail("run", "trial_seeds", f"seeds must be >= 0, got {min(seeds)}")
     elif "trials" in values:
-        count = _get_int("run", values, "trials")
+        count = _get("run", values, "trials")
         if count < 1:
             raise _fail("run", "trials", f"must be >= 1, got {count}")
         if count > MAX_TRIALS:
@@ -310,7 +303,7 @@ def _parse_run(values):
         raise _fail("run", "trial_seeds", "at least one trial seed is required")
     if len(set(seeds)) != len(seeds):
         raise _fail("run", "trial_seeds", "trial seeds must be distinct")
-    n_iters = _get_int("run", values, "n_iters", 0)
+    n_iters = _get("run", values, "n_iters", _INT, 0)
     return n_iters, seeds, values.get("out_dir", "out")
 
 
@@ -356,14 +349,12 @@ def parse_config(text: str) -> ExperimentConfig:
     if n_iters > MAX_N_ITERS:
         raise _fail(*source, f"{n_iters} iterations exceed the cap of {MAX_N_ITERS}")
     for name, sched in schedules:
-        if sched.kind != "infinite_geometric" and n_iters > sched.horizon:
-            raise _fail(
-                f"schedule.{name}",
-                "horizon",
-                f"n_iters={n_iters} exceeds the horizon {sched.horizon}",
-            )
-        # Every kind decreases in n: the last sigma^2 is the run's smallest.
-        sigma2 = schedule_sigma(sched, n_iters) ** 2
+        try:
+            # Every kind decreases in n: the last sigma^2 is the run's smallest.
+            sigma2 = schedule_sigma(sched, n_iters) ** 2
+        except ValueError:  # n_iters lies past a finite horizon
+            raise _fail(f"schedule.{name}", "horizon",
+                        f"n_iters={n_iters} exceeds the horizon {sched.horizon}") from None
         if sigma2 < np.finfo(float).tiny:
             key = "a" if sched.kind == "infinite_geometric" else "sigma_min"
             raise _fail(f"schedule.{name}", key,
@@ -410,13 +401,8 @@ def serialize_config(cfg: ExperimentConfig) -> str:
         f"mu = {_fmt(cfg.sensing.mu)}",
     ]
     for name, sched in cfg.schedules:
-        lines += ["", f"[schedule.{name}]", f"kind = {sched.kind}",
-                  f"sigma_max = {_fmt(sched.sigma_max)}"]
-        if sched.kind == "infinite_geometric":
-            lines.append(f"a = {_fmt(sched.a)}")
-        else:
-            lines += [f"sigma_min = {_fmt(sched.sigma_min)}",
-                      f"horizon = {sched.horizon}"]
+        lines += ["", f"[schedule.{name}]"]
+        lines += [f"{key} = {_fmt(value)}" for key, value in sched.to_dict().items()]
     lines += [
         "",
         "[run]",

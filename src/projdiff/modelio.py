@@ -100,13 +100,6 @@ def union_from_text(text: str):
     return UnionOfSubspaces(tuple(subspaces)), pi
 
 
-def prior_from_text(text: str) -> LrGmmPrior:
-    union, pi = union_from_text(text)
-    if pi is None:
-        raise ValueError("prior text must end with a pi row")
-    return lrgmm_from_pi(union, pi)
-
-
 def box_from_text(text: str) -> BoxSet:
     lines = _lines_of(text)
     if len(lines) != 3:
@@ -118,19 +111,23 @@ def box_from_text(text: str) -> BoxSet:
 
 
 def load_model(path):
-    """Load a model file, dispatching on its header keyword."""
+    """Load a model file, dispatching on its header keyword.
+
+    A file that cannot be read raises OSError, and text that is not a model
+    raises ValueError.
+    """
     with open(path, "r") as fh:
         text = fh.read()
     lines = _lines_of(text)
     if not lines:
-        raise ValueError(f"{path}: empty model file")
+        raise ValueError("empty model file")
     keyword = lines[0].split()[0]
     if keyword == "union":
         union, pi = union_from_text(text)
         return lrgmm_from_pi(union, pi) if pi is not None else union
     if keyword == "box":
         return box_from_text(text)
-    raise ValueError(f"{path}: unknown model header {lines[0]!r}")
+    raise ValueError(f"unknown model header {lines[0]!r}")
 
 
 def save_model(path, obj) -> None:

@@ -55,7 +55,16 @@ import numpy as np
 from .errors import DivergenceError
 from .sensing_analysis import SensingProblem, _matvec
 
-SCHEDULE_KINDS = ("geometric", "linear", "cosine", "infinite_geometric")
+# The fields each schedule kind takes besides ``kind``, in the order that
+# ``to_dict`` and a config's [schedule.<name>] section write them.
+_FINITE_FIELDS = ("sigma_max", "sigma_min", "horizon")
+SCHEDULE_FIELDS = {
+    "geometric": _FINITE_FIELDS,
+    "linear": _FINITE_FIELDS,
+    "cosine": _FINITE_FIELDS,
+    "infinite_geometric": ("sigma_max", "a"),
+}
+SCHEDULE_KINDS = tuple(SCHEDULE_FIELDS)
 
 TRACE_FORMAT_LINE = "# projdiff-trace v1"
 
@@ -108,14 +117,8 @@ class NoiseSchedule:
                 raise ValueError(f"horizon must be >= 1, got {self.horizon}")
 
     def to_dict(self) -> dict:
-        if self.kind == "infinite_geometric":
-            return {"kind": self.kind, "sigma_max": self.sigma_max, "a": self.a}
-        return {
-            "kind": self.kind,
-            "sigma_max": self.sigma_max,
-            "sigma_min": self.sigma_min,
-            "horizon": self.horizon,
-        }
+        return {"kind": self.kind,
+                **{key: getattr(self, key) for key in SCHEDULE_FIELDS[self.kind]}}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "NoiseSchedule":
@@ -343,9 +346,10 @@ def run_recoveries(problems, schedules, n_iters: int, prior, x0: np.ndarray = No
     residual, one ``prior.step``, whose columns fill the trace row, and the
     data step.  A model with no columns is not stepped on the last row.  The
     problems must share their operator and mu; their y, x_true and seeds
-    are per row.  ``x0`` is None (start at zero) or a (B, d) block,
-    ``metadata`` None or a list of B dicts.  ``record_iterates`` keeps each
-    run's (n_iters + 1, d) iterates in its trace, outside what
+    are per row.  A finite schedule's horizon may not be below ``n_iters``
+    (``schedule_sigma`` raises).  ``x0`` is None (start at zero) or a (B, d)
+    block, ``metadata`` None or a list of B dicts.  ``record_iterates``
+    keeps each run's (n_iters + 1, d) iterates in its trace, outside what
     ``batch_width`` budgets.
 
     Returns one entry per run: its RecoveryTrace, or the DivergenceError of
@@ -362,11 +366,6 @@ def run_recoveries(problems, schedules, n_iters: int, prior, x0: np.ndarray = No
     n_iters = int(n_iters)
     if n_iters < 1:
         raise ValueError(f"n_iters must be >= 1, got {n_iters}")
-    for schedule in schedules:
-        if schedule.kind != "infinite_geometric" and n_iters > schedule.horizon:
-            raise ValueError(
-                f"n_iters={n_iters} exceeds the schedule horizon {schedule.horizon}"
-            )
     b_runs, d = len(problems), a.shape[1]
     forward = _forward(a, prior)
     k = prior.n_components

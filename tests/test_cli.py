@@ -356,6 +356,33 @@ def test_oversize_trials_and_n_iters_exit_2_before_allocating(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("prior,message", [
+    ("kind = lrgmm\nd = 64\nr = 5\nk = 1000000000",
+     "[prior] k: 1000000000 components exceed the cap of 200000"),
+    ("kind = lrgmm\nd = 1000\nr = 5\nk = 200000",
+     "[prior] d: K*d*r = 200000*1000*5 = 1000000000 basis entries exceed the cap of 100000000"),
+    ("kind = sparse\nd = 200000\ns = 1",
+     "[prior] d: K*d*r = 200000*200000*1 = 40000000000 basis entries exceed the cap of "
+     "100000000"),
+], ids=["lrgmm-k", "lrgmm-entries", "sparse-entries"])
+def test_oversize_priors_exit_2_before_allocating(tmp_path, capsys, prior, message):
+    """Too many components, or stacked bases too large, are refused before any is built."""
+    text = SMALL_CONFIG.replace("kind = lrgmm\nd = 16\nr = 2\nk = 4\nseed = 11", prior)
+    tracemalloc.start()
+    try:
+        with pytest.raises(pd.ConfigError) as exc:
+            pd.parse_config(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == message
+    assert peak < 2**20
+    out = tmp_path / "o"
+    assert cli.main(["simulate", write_config(tmp_path, text), "--out", str(out)]) == 2
+    assert "config error: " + message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _bound():
     return st.one_of(st.just(math.nan), st.floats(-2.0, 2.0))
 
@@ -425,10 +452,6 @@ def test_generated_configs_exit_0_2_or_3(prior, m, mu, horizon, sensing_seed, ba
 # ------------------------------------------------------------------ checks
 
 
-def _by_name(results):
-    return {res.name: res for res in results}
-
-
 def test_fast_checks_all_pass():
     results = run_checks("fast")
     assert len(results) == 12
@@ -439,6 +462,15 @@ def test_fast_checks_all_pass():
 def test_checks_reject_unknown_level():
     with pytest.raises(ValueError, match="level"):
         run_checks("exhaustive")
+
+
+def _measure(name, **implementation):
+    """The fast-level value of check ``name`` on ``implementation``, and whether it passes."""
+    ((measure, args, bound),) = [(measure, fast, bound)
+                                 for check, measure, fast, _, bound in checks.CHECKS
+                                 if check == name]
+    value = float(measure(*args, **implementation))
+    return value, value <= bound
 
 
 def test_checks_catch_a_denoiser_without_shrinkage():
@@ -459,9 +491,9 @@ def test_checks_catch_a_denoiser_without_shrinkage():
         return Ev
 
     for broken in (shrinkless, all_nan):
-        results = _by_name(run_checks("fast", denoiser_fn=broken))
-        assert not results["tweedie_identity"].passed, broken.__name__
-    assert results["tweedie_identity"].value == math.inf
+        value, passed = _measure("tweedie_identity", denoiser_fn=broken)
+        assert not passed, broken.__name__
+    assert value == math.inf
 
 
 def test_check_maxima_do_not_drop_nan(monkeypatch):
@@ -484,8 +516,7 @@ def test_checks_catch_weights_computed_without_log_stabilisation():
             w = np.exp(logs)
             return w / w.sum()
 
-    results = _by_name(run_checks("fast", weights_fn=naive))
-    assert not results["weight_stability"].passed
+    assert not _measure("weight_stability", weights_fn=naive)[1]
 
 
 def test_check_report_formats():
@@ -654,7 +685,7 @@ def _out_of_memory(*args, **kwargs):
 
 
 @pytest.mark.parametrize("module,name,key,edit", [
-    (cli, "random_lrgmm", "[prior] d", ("d = 16", "d = 1000000000000")),
+    (cli, "random_lrgmm", "[prior] d", ("d = 16", "d = 4096")),
     (cli, "gaussian_operator", "[sensing] m", ("m = 16", "m = 1000000000000")),
     (modelio, "union_from_text", "[prior] path", None),
 ])
@@ -676,6 +707,26 @@ def test_simulate_reports_an_oversize_build_as_exit_2(tmp_path, monkeypatch, cap
     assert cli.main(["simulate", write_config(tmp_path, text), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert f"config error: {key}: too large: not enough memory" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.parametrize("content,message", [
+    (None, "No such file or directory"),
+    (b"union d=4 K=0\n", "a union needs at least one subspace"),
+    (b"union d=2 K=1\nsubspace r=1\nnan 0\n", "basis entries must be finite"),
+    (b"union d=x K=1\n", "invalid literal for int() with base 10: 'x'"),
+    (b"\xff union d=1 K=1\n", "codec can't decode byte 0xff in position 0"),
+], ids=["missing", "no-subspace", "nan-basis", "bad-int", "not-utf-8"])
+def test_simulate_names_prior_path_for_a_bad_model_file(tmp_path, capsys, content, message):
+    path = tmp_path / "prior.model"
+    if content is not None:
+        path.write_bytes(content)
+    text = SMALL_CONFIG.replace("kind = lrgmm\nd = 16\nr = 2\nk = 4\nseed = 11",
+                                f"kind = file\npath = {path}")
+    out = tmp_path / "o"
+    assert cli.main(["simulate", write_config(tmp_path, text), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: [prior] path: {path}: " in err and message in err
     assert "Traceback" not in err and not out.exists()
 
 
@@ -1256,7 +1307,7 @@ def test_gen_model_rejects_bad_specs(tmp_path, spec, message, capsys):
 
 @pytest.mark.parametrize("spec,name", [
     ("union:d=1000000000000,ranks=1,seed=5", "random_union"),
-    ("lrgmm:d=1000000000000,r=1,k=1,seed=5", "random_lrgmm"),
+    ("lrgmm:d=4096,r=1,k=1,seed=5", "random_lrgmm"),
 ])
 def test_gen_model_reports_an_oversize_model_as_exit_2(tmp_path, monkeypatch, capsys,
                                                        spec, name):
@@ -1268,6 +1319,19 @@ def test_gen_model_reports_an_oversize_model_as_exit_2(tmp_path, monkeypatch, ca
 
 
 # ------------------------------------------------------------- entry point
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--seed-override", "1"],
+    ["analyze", "{tmp}", "--seed-override", "1"],
+    ["gen-model", "union:d=4,ranks=1,seed=1", "-o", "{tmp}/model", "--out", "{tmp}/out"],
+], ids=["check", "analyze", "gen-model"])
+def test_a_subcommand_refuses_a_flag_it_does_not_read(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([arg.format(tmp=tmp_path) for arg in argv])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_module_entry_point_help():
