@@ -49,16 +49,13 @@ from .lrgmm_prior import (
     LrGmmPrior,
     denoiser,
     limiting_projection,
-    lrgmm_from_pi,
     random_lrgmm,
     sample,
     score,
     sparse_gmm,
-    uniform_lrgmm,
     weights,
 )
 from .model_sets import (
-    Subspace,
     UnionOfSubspaces,
     coordinate_subspace,
     frontier_gap,

@@ -55,7 +55,7 @@ def tweedie_defect(n_instances, denoiser_fn=lrgmm_prior.denoiser) -> float:
         d = int(r.integers(2, 9))
         k = int(r.integers(1, 5))
         ranks = [int(r.integers(1, max(2, d // 2 + 1))) for _ in range(k)]
-        prior = lrgmm_prior.lrgmm_from_pi(
+        prior = lrgmm_prior.LrGmmPrior(
             random_union(d, ranks, np.random.default_rng(int(r.integers(1 << 30)))),
             r.dirichlet(np.ones(k)),
         )
@@ -82,7 +82,7 @@ def weight_sum_defect(weights_fn=lrgmm_prior.weights) -> float:
     for _ in range(6):
         d = int(r.integers(3, 9))
         k = int(r.integers(2, 5))
-        prior = lrgmm_prior.uniform_lrgmm(
+        prior = lrgmm_prior.LrGmmPrior(
             random_union(d, [int(r.integers(1, d)) for _ in range(k)], r)
         )
         for scale in (1.0, 1e3):
@@ -96,15 +96,15 @@ def weight_sum_defect(weights_fn=lrgmm_prior.weights) -> float:
 
 def k1_law_defect() -> float:
     """Worst distance of the one-subspace sup-gap from sigma^2 / (1 + sigma^2)."""
-    sub = coordinate_subspace(6, [0, 1])
-    prior = lrgmm_prior.uniform_lrgmm(UnionOfSubspaces((sub,)))
+    basis = coordinate_subspace(6, [0, 1])
+    prior = lrgmm_prior.LrGmmPrior(UnionOfSubspaces([basis]))
     defects = []
     for sigma in (1e-4, 1e-2, 0.5):
         t = sigma * sigma
         gaps = []
         for e in np.eye(6):
             ev = lrgmm_prior.denoiser(prior, e, sigma)
-            gaps.append(np.linalg.norm(ev.value - sub.basis @ (sub.basis.T @ e)))
+            gaps.append(np.linalg.norm(ev.value - basis @ (basis.T @ e)))
         defects.append(abs(worst_case(gaps) - t / (1.0 + t)))
     return worst_case(defects)
 
@@ -118,7 +118,7 @@ def gap_envelope_violations(n_instances) -> int:
         d = int(r.integers(4, 17))
         k = int(r.integers(2, 5))
         rank = int(r.integers(1, d // 2 + 1))
-        prior = lrgmm_prior.lrgmm_from_pi(
+        prior = lrgmm_prior.LrGmmPrior(
             random_union(d, [rank] * k, np.random.default_rng(int(r.integers(1 << 30)))),
             r.dirichlet(np.ones(k)),
         )
@@ -209,9 +209,7 @@ def box_mc_max_z(n_configs, n_samples) -> float:
 
 def ric_probe_defect() -> float:
     """Error of ric_union on two probes with known answers: zero map 1, isometry 0."""
-    union = UnionOfSubspaces(
-        tuple(coordinate_subspace(8, sup) for sup in ([0, 1], [2, 3], [4, 5]))
-    )
+    union = UnionOfSubspaces([coordinate_subspace(8, sup) for sup in ([0, 1], [2, 3], [4, 5])])
     perm = np.eye(8)[np.array([3, 1, 4, 0, 6, 2, 7, 5])]
     perm[0] *= -1
     return worst_case([abs(ric_union(np.zeros((4, 8)), 1.0, union) - 1.0),

@@ -27,7 +27,7 @@ from .convex_prior import BoxSet
 from .diagnostics import detect_burn_in, fit_linear_rate
 from .errors import DivergenceError, InsufficientDataError, NumericFailureError, \
     ResourceLimitError
-from .lrgmm_prior import random_lrgmm, sparse_gmm, uniform_lrgmm
+from .lrgmm_prior import LrGmmPrior, random_lrgmm, sparse_gmm
 from .model_sets import UnionOfSubspaces, random_union
 from .modelio import load_model, save_model
 from .recovery_engine import RecoveryTrace, batch_width, run_recoveries
@@ -56,7 +56,7 @@ def _build_prior(spec: PriorSpec):
         raise _fail("prior", "path", f"{spec.path}: {exc.strerror or exc}") from None
     except ValueError as exc:
         raise _fail("prior", "path", f"{spec.path}: {exc}") from None
-    return uniform_lrgmm(model) if isinstance(model, UnionOfSubspaces) else model
+    return LrGmmPrior(model) if isinstance(model, UnionOfSubspaces) else model
 
 
 def _allocated(section: str, key: str, build, *args):

@@ -46,7 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lrgmm_prior import SPARSE_COMPONENT_CAP, log_mixture_weights
+from .errors import ResourceLimitError
+from .lrgmm_prior import SPARSE_COMPONENT_CAP, log_mixture_weights, sparse_component_count
 from .convex_prior import BoxSet
 from .recovery_engine import SCHEDULE_FIELDS, SCHEDULE_KINDS, NoiseSchedule, schedule_sigma
 
@@ -210,10 +211,10 @@ def _parse_prior(values) -> PriorSpec:
         d, s = _get("prior", values, "d"), _get("prior", values, "s")
         if not 1 <= s <= d:
             raise _fail("prior", "s", f"must be between 1 and d = {d}, got {s}")
-        n_components = math.comb(d, s)
-        if n_components > SPARSE_COMPONENT_CAP:
-            raise _fail("prior", "s", f"C({d},{s}) = {n_components} components exceeds "
-                                      f"the cap of {SPARSE_COMPONENT_CAP}")
+        try:
+            n_components = sparse_component_count(d, s)
+        except ResourceLimitError as exc:
+            raise _fail("prior", "s", str(exc)) from None
         _check_basis_entries(n_components, d, s)
         return PriorSpec(kind=kind, d=d, s=s, pi=_get_pi(values, n_components))
     if kind == "box":
@@ -303,7 +304,7 @@ def _parse_run(values):
         raise _fail("run", "trial_seeds", "at least one trial seed is required")
     if len(set(seeds)) != len(seeds):
         raise _fail("run", "trial_seeds", "trial seeds must be distinct")
-    n_iters = _get("run", values, "n_iters", _INT, 0)
+    n_iters = _get("run", values, "n_iters") if "n_iters" in values else None
     return n_iters, seeds, values.get("out_dir", "out")
 
 
@@ -338,7 +339,7 @@ def parse_config(text: str) -> ExperimentConfig:
 
     n_iters, seeds, out_dir = _parse_run(dict(cp["run"]))
     source = ("run", "n_iters")
-    if n_iters == 0:
+    if n_iters is None:
         finite = [(s.horizon, name) for name, s in schedules if s.kind != "infinite_geometric"]
         if not finite:
             raise _fail("run", "n_iters", "required when all schedules are infinite")

@@ -24,7 +24,6 @@ from .model_sets import (
     DEFAULT_TIE_TOL,
     UnionOfSubspaces,
     component_parts,
-    coordinate_subspace,
     gap_from_norms,
     project_union,
     random_union,
@@ -38,30 +37,36 @@ LOG_2PI = math.log(2.0 * math.pi)
 SPARSE_COMPONENT_CAP = 200_000
 
 
-def _check_sums_to_one(log_pi: np.ndarray) -> None:
-    total = float(np.sum(np.exp(log_pi)))
-    if abs(total - 1.0) > 1e-12:
-        raise ValueError(f"mixture weights must sum to 1, got {total!r}")
-
-
 def log_mixture_weights(pi, n_components: int) -> np.ndarray:
-    """log(pi) for mixture weights pi; raises ValueError unless LrGmmPrior accepts them."""
-    pi = np.asarray(pi, dtype=float)
-    if pi.shape != (n_components,):
-        raise ValueError(f"need {n_components} mixture weights, one per component, got {pi.size}")
-    if not np.all(pi > 0.0):
-        raise ValueError("mixture weights must be positive")
-    log_pi = np.log(pi)
-    _check_sums_to_one(log_pi)
+    """Read-only log(pi), uniform when ``pi`` is None: the one weight rule.
+
+    Explicit weights must be one positive weight per component, summing to 1.
+    """
+    if pi is None:
+        log_pi = np.full(n_components, -math.log(n_components))
+    else:
+        pi = np.asarray(pi, dtype=float)
+        if pi.shape != (n_components,):
+            raise ValueError(f"need {n_components} mixture weights, one per component, "
+                             f"got {pi.size}")
+        if not np.all(pi > 0.0):
+            raise ValueError("mixture weights must be positive")
+        log_pi = np.log(pi)
+        total = float(np.sum(np.exp(log_pi)))
+        if abs(total - 1.0) > 1e-12:
+            raise ValueError(f"mixture weights must sum to 1, got {total!r}")
+    log_pi.flags.writeable = False
     return log_pi
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class LrGmmPrior:
     """Mixture of unit Gaussians supported on the components of a union.
 
-    As a recovery model its step is ``denoiser``, and the same pass gives a
-    trace row's frontier gap, weight entropy and K distances.
+    ``LrGmmPrior(union, pi)`` takes one weight per component, or uniform
+    weights when ``pi`` is None.  As a recovery model its step is
+    ``denoiser``, and the same pass gives a trace row's frontier gap, weight
+    entropy and K distances.
     """
 
     active_mask = None  # a projection may move every coordinate
@@ -69,18 +74,9 @@ class LrGmmPrior:
     union: UnionOfSubspaces
     log_pi: np.ndarray
 
-    def __post_init__(self):
-        log_pi = np.asarray(self.log_pi, dtype=float)
-        if log_pi.shape != (self.union.n_components,):
-            raise ValueError(
-                f"log_pi must have shape ({self.union.n_components},), got {log_pi.shape}"
-            )
-        if not np.all(np.isfinite(log_pi)):
-            raise ValueError("log_pi entries must be finite")
-        _check_sums_to_one(log_pi)
-        log_pi = log_pi.copy()
-        log_pi.flags.writeable = False
-        object.__setattr__(self, "log_pi", log_pi)
+    def __init__(self, union: UnionOfSubspaces, pi=None):
+        object.__setattr__(self, "union", union)
+        object.__setattr__(self, "log_pi", log_mixture_weights(pi, union.n_components))
 
     @property
     def ambient_dim(self) -> int:
@@ -126,18 +122,8 @@ class DenoiserEval:
     sq_out: np.ndarray
 
 
-def uniform_lrgmm(union: UnionOfSubspaces) -> LrGmmPrior:
-    k = union.n_components
-    return LrGmmPrior(union, np.full(k, -math.log(k)))
-
-
-def lrgmm_from_pi(union: UnionOfSubspaces, pi) -> LrGmmPrior:
-    return LrGmmPrior(union, log_mixture_weights(pi, union.n_components))
-
-
 def random_lrgmm(d: int, r: int, k: int, rng: np.random.Generator, pi=None) -> LrGmmPrior:
-    union = random_union(d, [r] * k, rng)
-    return uniform_lrgmm(union) if pi is None else lrgmm_from_pi(union, pi)
+    return LrGmmPrior(random_union(d, [r] * k, rng), pi)
 
 
 def _posterior(prior: LrGmmPrior, sq_in: np.ndarray, sq_out: np.ndarray, t: np.ndarray):
@@ -258,21 +244,33 @@ def limiting_projection(prior: LrGmmPrior, x: np.ndarray, tie_tol: float = DEFAU
 sample = LrGmmPrior.sample  # sample(prior, rng)
 
 
-def sparse_gmm(d: int, s: int, pi=None, component_cap: int = SPARSE_COMPONENT_CAP) -> LrGmmPrior:
-    """Uniform mixture over all s-sparse coordinate subspaces of R^d.
+def sparse_component_count(d: int, s: int) -> int:
+    """C(d, s) for 0 <= s <= d, the number of s-sparse coordinate subspaces of R^d.
+
+    The count is built term by term, C(d, j + 1) = C(d, j) (d - j) / (j + 1),
+    and grows with j up to min(s, d - s), so ResourceLimitError is raised as
+    soon as it passes ``SPARSE_COMPONENT_CAP``, before the full count is known.
+    """
+    count = 1
+    for j in range(min(s, d - s)):
+        count = count * (d - j) // (j + 1)
+        if count > SPARSE_COMPONENT_CAP:
+            raise ResourceLimitError(
+                f"C({d},{s}) components exceed the cap of {SPARSE_COMPONENT_CAP}"
+            )
+    return count
+
+
+def sparse_gmm(d: int, s: int, pi=None) -> LrGmmPrior:
+    """Mixture over all s-sparse coordinate subspaces of R^d, uniform unless ``pi`` is given.
 
     Components are ordered by lexicographic support.  The construction is
-    refused when the component count C(d, s) exceeds ``component_cap``.
+    refused when the component count C(d, s) exceeds ``SPARSE_COMPONENT_CAP``.
     """
     if not 1 <= s <= d:
         raise ValueError(f"need 1 <= s <= d, got s={s}, d={d}")
-    n_components = math.comb(d, s)
-    if n_components > component_cap:
-        raise ResourceLimitError(
-            f"C({d},{s}) = {n_components} components exceeds the cap of {component_cap}"
-        )
-    subspaces = tuple(
-        coordinate_subspace(d, support) for support in combinations(range(d), s)
-    )
-    union = UnionOfSubspaces(subspaces)
-    return uniform_lrgmm(union) if pi is None else lrgmm_from_pi(union, pi)
+    n_components = sparse_component_count(d, s)
+    supports = np.array(list(combinations(range(d), s)))
+    bases = np.zeros((n_components, d, s))
+    bases[np.arange(n_components)[:, None], supports, np.arange(s)] = 1.0
+    return LrGmmPrior(UnionOfSubspaces(bases), pi)

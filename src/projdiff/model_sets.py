@@ -1,14 +1,14 @@
 """Low-dimensional model sets: unions of subspaces.
 
-A union of subspaces is a zero-padded (K, d, r_max) stack of orthonormal
-bases plus their ranks, kept once more as the (d, K r_max) matrix of their
-columns side by side, so per-component quantities are one stacked pass; zero
-columns add nothing to a projection.  ``Subspace`` is only the validated
-input a union is built from; the union's ``subspaces`` property is a view
-rebuilt from the stack for readers outside the package.  No d-by-d matrix is
-ever formed.
+A union of subspaces is built from its orthonormal bases, given as arrays,
+and is nothing more than them: a zero-padded (K, d, r_max) stack plus the
+ranks, kept once more as the (d, K r_max) matrix of their columns side by
+side.  Every component is validated in one stacked pass when the union is
+built, and per-component quantities are one stacked pass too; zero columns
+add nothing to a projection.  No d-by-d matrix is ever formed.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,43 +22,51 @@ ORTHONORMALITY_TOL = 1e-10
 DEFAULT_TIE_TOL = 1e-9
 
 
-@dataclass(frozen=True, eq=False)
-class Subspace:
-    """A linear subspace of R^d given by an orthonormal basis (d x r)."""
+_Component = namedtuple("_Component", "ambient_dim rank")
 
-    basis: np.ndarray
 
-    def __post_init__(self):
-        basis = np.asarray(self.basis, dtype=float)
-        if basis.ndim != 2:
-            raise ValueError(f"basis must be 2-d, got shape {basis.shape}")
-        d, r = basis.shape
-        if not 1 <= r <= d:
-            raise ValueError(f"need 1 <= rank <= ambient dim, got shape {basis.shape}")
-        if not np.all(np.isfinite(basis)):
-            raise ValueError("basis entries must be finite")
-        gram_defect = basis.T @ basis - np.eye(r)
-        worst = np.max(np.abs(gram_defect))
-        if worst > ORTHONORMALITY_TOL:
-            raise ValueError(
-                f"basis columns not orthonormal: max |B^T B - I| = {worst:.3e}"
-            )
-        basis = basis.copy()
-        basis.flags.writeable = False
-        object.__setattr__(self, "basis", basis)
+def _check_each(failed, problem):
+    """Raise ValueError for the first component k where ``failed`` holds, with ``problem(k)``."""
+    hits = np.flatnonzero(failed)
+    if hits.size:
+        k = int(hits[0])
+        raise ValueError(f"component {k}: {problem(k)}")
 
-    @property
-    def ambient_dim(self) -> int:
-        return self.basis.shape[0]
 
-    @property
-    def rank(self) -> int:
-        return self.basis.shape[1]
+def _stack_bases(bases):
+    """The zero-padded (K, d, r_max) stack and the ranks of a sequence of (d, r_k) bases.
+
+    A (K, d, r) array is such a sequence.  Each check covers every component
+    at once and names the first that is not a finite orthonormal basis of
+    rank 1 ... d in a common R^d.
+    """
+    bases = [np.asarray(basis, dtype=float) for basis in bases]
+    if not bases:
+        raise ValueError("a union needs at least one subspace")
+    _check_each([basis.ndim != 2 for basis in bases],
+                lambda k: f"basis must be 2-d, got shape {bases[k].shape}")
+    dims, ranks = np.array([basis.shape for basis in bases]).T.copy()
+    _check_each((ranks < 1) | (ranks > dims),
+                lambda k: f"need 1 <= rank <= ambient dim, got shape {bases[k].shape}")
+    _check_each(dims != dims[0], lambda k: f"mixed ambient dimensions: {sorted(set(dims.tolist()))}")
+    stack = np.zeros((len(bases), dims[0], ranks.max()))
+    for k, basis in enumerate(bases):
+        stack[k, :, : ranks[k]] = basis
+    _check_each(~np.isfinite(stack).all(axis=(1, 2)), lambda k: "basis entries must be finite")
+    # Padding columns are zero, so masking the identity to each component's
+    # rank leaves the padded Gram entries out of the defect.
+    r_max = stack.shape[2]
+    gram_defect = np.matmul(stack.transpose(0, 2, 1), stack)
+    gram_defect -= np.eye(r_max) * (np.arange(r_max) < ranks[:, None])[:, None, :]
+    worst = np.max(np.abs(gram_defect), axis=(1, 2))
+    _check_each(worst > ORTHONORMALITY_TOL,
+                lambda k: f"basis columns not orthonormal: max |B^T B - I| = {worst[k]:.3e}")
+    return stack, ranks
 
 
 @dataclass(frozen=True, eq=False, init=False)
 class UnionOfSubspaces:
-    """A finite union of subspaces, built from a sequence of ``Subspace``.
+    """A finite union of subspaces, built from a sequence of (d, r_k) bases.
 
     ``bases`` stacks the components zero-padded to r_max: component k's
     basis is its first ``ranks[k]`` columns (``basis(k)``).  ``columns``
@@ -70,17 +78,8 @@ class UnionOfSubspaces:
     ranks: np.ndarray
     columns: np.ndarray = field(repr=False)
 
-    def __init__(self, subspaces):
-        subspaces = tuple(subspaces)
-        if len(subspaces) < 1:
-            raise ValueError("a union needs at least one subspace")
-        dims = {s.ambient_dim for s in subspaces}
-        if len(dims) != 1:
-            raise ValueError(f"mixed ambient dimensions: {sorted(dims)}")
-        ranks = np.array([s.rank for s in subspaces])
-        bases = np.zeros((len(subspaces), dims.pop(), int(ranks.max())))
-        for k, subspace in enumerate(subspaces):
-            bases[k, :, : subspace.rank] = subspace.basis
+    def __init__(self, bases):
+        bases, ranks = _stack_bases(bases)
         k, d, r_max = bases.shape
         columns = bases.transpose(1, 0, 2).reshape(d, k * r_max)
         for array in (bases, columns, ranks):
@@ -103,8 +102,13 @@ class UnionOfSubspaces:
 
     @property
     def subspaces(self) -> tuple:
-        """The components as ``Subspace`` objects, rebuilt from the stack on each call."""
-        return tuple(Subspace(self.basis(k)) for k in range(self.n_components))
+        """Each component's (ambient_dim, rank), read from the stack.
+
+        Only ``bench/probe.py`` still reads this; it is deleted when the
+        benchmark counts flops from ``ranks`` (ROADMAP item 1).  Code in the
+        package uses ``basis(k)`` and ``ranks``.
+        """
+        return tuple(_Component(self.ambient_dim, int(r)) for r in self.ranks)
 
 
 def _check_vector(x, d, name="x"):
@@ -216,8 +220,8 @@ def hard_threshold(x: np.ndarray, s: int) -> np.ndarray:
     return out
 
 
-def random_subspace(d: int, r: int, rng: np.random.Generator) -> Subspace:
-    """Haar-ish random r-dimensional subspace of R^d via QR of a Gaussian."""
+def random_subspace(d: int, r: int, rng: np.random.Generator) -> np.ndarray:
+    """(d, r) orthonormal basis of a Haar-ish random subspace, via QR of a Gaussian."""
     if not 1 <= r <= d:
         raise ValueError(f"need 1 <= r <= d, got r={r}, d={d}")
     g = normal_matrix(rng, d, r)
@@ -225,18 +229,17 @@ def random_subspace(d: int, r: int, rng: np.random.Generator) -> Subspace:
     # Fix signs so the basis is a deterministic function of g.
     signs = np.sign(np.diag(rr))
     signs[signs == 0] = 1.0
-    return Subspace(q * signs)
+    return q * signs
 
 
 def random_union(d: int, ranks, rng: np.random.Generator) -> UnionOfSubspaces:
     """Union of independent random subspaces with the given ranks."""
-    return UnionOfSubspaces(tuple(random_subspace(d, r, rng) for r in ranks))
+    return UnionOfSubspaces([random_subspace(d, r, rng) for r in ranks])
 
 
-def coordinate_subspace(d: int, support) -> Subspace:
-    """Subspace spanned by the standard basis vectors in ``support``."""
+def coordinate_subspace(d: int, support) -> np.ndarray:
+    """(d, len(support)) basis of the standard basis vectors in ``support``, in order."""
     support = list(support)
     basis = np.zeros((d, len(support)))
-    for j, i in enumerate(support):
-        basis[i, j] = 1.0
-    return Subspace(basis)
+    basis[support, np.arange(len(support))] = 1.0
+    return basis

@@ -14,8 +14,8 @@ significant digits, which round-trips IEEE doubles exactly.
 import numpy as np
 
 from .convex_prior import BoxSet
-from .lrgmm_prior import LrGmmPrior, lrgmm_from_pi
-from .model_sets import Subspace, UnionOfSubspaces
+from .lrgmm_prior import LrGmmPrior
+from .model_sets import UnionOfSubspaces
 
 
 def _format_row(values) -> str:
@@ -73,7 +73,7 @@ def union_from_text(text: str):
         raise ValueError("empty model text")
     header = _parse_header(lines[0], "union", ["d", "K"])
     d, n_comp = header["d"], header["K"]
-    subspaces = []
+    bases = []
     pos = 1
     for k in range(n_comp):
         if pos >= len(lines):
@@ -87,7 +87,7 @@ def union_from_text(text: str):
         for j in range(r):
             basis[:, j] = _parse_row(lines[pos + j], d, f"subspace {k} row {j}")
         pos += r
-        subspaces.append(Subspace(basis))
+        bases.append(basis)
     pi = None
     if pos < len(lines):
         parts = lines[pos].split(None, 1)
@@ -97,7 +97,7 @@ def union_from_text(text: str):
         pos += 1
     if pos != len(lines):
         raise ValueError(f"{len(lines) - pos} unexpected trailing lines")
-    return UnionOfSubspaces(tuple(subspaces)), pi
+    return UnionOfSubspaces(bases), pi
 
 
 def box_from_text(text: str) -> BoxSet:
@@ -124,7 +124,7 @@ def load_model(path):
     keyword = lines[0].split()[0]
     if keyword == "union":
         union, pi = union_from_text(text)
-        return lrgmm_from_pi(union, pi) if pi is not None else union
+        return union if pi is None else LrGmmPrior(union, pi)
     if keyword == "box":
         return box_from_text(text)
     raise ValueError(f"unknown model header {lines[0]!r}")

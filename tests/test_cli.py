@@ -272,7 +272,7 @@ def test_serialize_parse_is_a_fixed_point():
         ("[prior]\nkind = sparse\nd = 40\ns = 8\n[sensing]\nm = 2\n"
          "[schedule.geometric]\nsigma_max = 0.5\nsigma_min = 1e-4\nhorizon = 10\n"
          "[run]\ntrials = 1\n",
-         r"\[prior\] s: C\(40,8\) = 76904685 components exceeds the cap of 200000"),
+         r"\[prior\] s: C\(40,8\) components exceed the cap of 200000"),
         ("[prior]\nkind = lrgmm\nd = 4\nr = 1\nk = 1\nseed = -2\n[sensing]\nm = 2\n"
          "[schedule.geometric]\nsigma_max = 0.5\nsigma_min = 1e-4\nhorizon = 10\n"
          "[run]\ntrials = 1\n",
@@ -297,6 +297,15 @@ def test_serialize_parse_is_a_fixed_point():
          "[schedule.a/b]\nkind = geometric\nsigma_max = 0.5\nsigma_min = 1e-4\nhorizon = 10\n"
          "[run]\ntrials = 1\n",
          r"\[schedule\.a/b\]: a schedule name may use only letters, digits, '_' and '-'"),
+        # A present n_iters = 0 is refused, not read as "absent".
+        ("[prior]\nkind = lrgmm\nd = 4\nr = 1\nk = 1\n[sensing]\nm = 2\n"
+         "[schedule.geometric]\nsigma_max = 0.5\nsigma_min = 1e-4\nhorizon = 12\n"
+         "[run]\ntrials = 1\nn_iters = 0\n",
+         r"^\[run\] n_iters: must be >= 1, got 0$"),
+        ("[prior]\nkind = lrgmm\nd = 4\nr = 1\nk = 1\n[sensing]\nm = 2\n"
+         "[schedule.slow]\nkind = infinite_geometric\nsigma_max = 0.5\na = 0.9\n"
+         "[run]\ntrials = 1\nn_iters = 0\n",
+         r"^\[run\] n_iters: must be >= 1, got 0$"),
     ],
 )
 def test_config_errors_name_the_offender(text, match):
@@ -364,7 +373,10 @@ def test_oversize_trials_and_n_iters_exit_2_before_allocating(tmp_path, capsys,
     ("kind = sparse\nd = 200000\ns = 1",
      "[prior] d: K*d*r = 200000*200000*1 = 40000000000 basis entries exceed the cap of "
      "100000000"),
-], ids=["lrgmm-k", "lrgmm-entries", "sparse-entries"])
+    # C(100000, 50000) has about 30,100 digits: counting stops at the cap.
+    ("kind = sparse\nd = 100000\ns = 50000",
+     "[prior] s: C(100000,50000) components exceed the cap of 200000"),
+], ids=["lrgmm-k", "lrgmm-entries", "sparse-entries", "sparse-count"])
 def test_oversize_priors_exit_2_before_allocating(tmp_path, capsys, prior, message):
     """Too many components, or stacked bases too large, are refused before any is built."""
     text = SMALL_CONFIG.replace("kind = lrgmm\nd = 16\nr = 2\nk = 4\nseed = 11", prior)
@@ -1198,9 +1210,9 @@ def test_gen_model_union_round_trip(tmp_path):
     assert cli.main(["gen-model", "union:d=8,ranks=2|3,seed=5", "-o", path]) == 0
     loaded = pd.load_model(path)
     direct = pd.random_union(8, [2, 3], np.random.default_rng(5))
-    assert [s.rank for s in loaded.subspaces] == [2, 3]
-    for got, want in zip(loaded.subspaces, direct.subspaces):
-        np.testing.assert_allclose(got.basis, want.basis, atol=1e-15)
+    assert list(loaded.ranks) == [2, 3]
+    for k in range(2):
+        np.testing.assert_allclose(loaded.basis(k), direct.basis(k), atol=1e-15)
 
 
 def test_gen_model_lrgmm_and_box(tmp_path):
@@ -1288,6 +1300,8 @@ def test_gen_model_prior_kinds_take_the_config_keys(tmp_path):
         ("box:lower=-1e308|-1,upper=1e308|1",
          "[prior] upper: box width upper - lower overflows at coordinate 0"),
         ("sparse:d=4,s=2,seed=3", "[prior] seed: unknown key"),
+        ("sparse:d=100000,s=50000",
+         "[prior] s: C(100000,50000) components exceed the cap of 200000"),
         ("justakind", "model spec needs kind:key=value"),
         ("union:d=8,ranks", "is not key=value"),
         ("union:d=8,ranks=2.5|3,seed=5", "[union] ranks: expected integers"),

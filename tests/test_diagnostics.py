@@ -34,22 +34,20 @@ def test_projection_gap_rejects_origin():
 
 
 def test_projection_gap_rejects_frontier_points():
-    union = UnionOfSubspaces(
-        (pd.coordinate_subspace(2, [0]), pd.coordinate_subspace(2, [1]))
-    )
-    prior = pd.uniform_lrgmm(union)
+    union = UnionOfSubspaces([pd.coordinate_subspace(2, [0]), pd.coordinate_subspace(2, [1])])
+    prior = pd.LrGmmPrior(union)
     with pytest.raises(pd.FrontierError):
         pd.projection_gap(prior, np.array([1.0, 1.0]), 0.1)
 
 
 def test_projection_gap_single_component_closed_form():
-    sub = pd.random_subspace(6, 2, np.random.default_rng(2))
-    prior = pd.uniform_lrgmm(UnionOfSubspaces((sub,)))
+    basis = pd.random_subspace(6, 2, np.random.default_rng(2))
+    prior = pd.LrGmmPrior(UnionOfSubspaces([basis]))
     x = np.random.default_rng(3).normal(size=6)
     sigma = 0.2
     t = sigma * sigma
     res = pd.projection_gap(prior, x, sigma)
-    point = sub.basis @ (sub.basis.T @ x)
+    point = basis @ (basis.T @ x)
     want_gap = (t / (1.0 + t)) * float(np.linalg.norm(point)) / float(np.linalg.norm(x))
     assert res.gap == pytest.approx(want_gap, rel=1e-12)
     assert res.bound == pytest.approx(t, rel=1e-15)  # no competing components
@@ -66,7 +64,7 @@ def test_projection_gap_envelope_holds_on_random_sweep():
         k = int(r.integers(2, 6))
         rr = int(r.integers(1, min(4, d)))
         pi = r.random(k) + 0.1
-        prior = pd.lrgmm_from_pi(pd.random_union(d, [rr] * k, r), pi / pi.sum())
+        prior = pd.LrGmmPrior(pd.random_union(d, [rr] * k, r), pi / pi.sum())
         x = r.normal(size=d)
         sigma = float(10 ** r.uniform(-3, math.log10(0.5)))
         try:
@@ -121,11 +119,9 @@ def test_burn_in_requires_distances_and_valid_component():
 
 
 def test_burn_in_on_an_actual_run():
-    union = UnionOfSubspaces(
-        (pd.coordinate_subspace(4, [0, 1]), pd.coordinate_subspace(4, [2, 3]))
-    )
-    prior = pd.uniform_lrgmm(union)
-    x_true = union.subspaces[1].basis @ np.array([1.0, -0.5])
+    union = UnionOfSubspaces([pd.coordinate_subspace(4, [0, 1]), pd.coordinate_subspace(4, [2, 3])])
+    prior = pd.LrGmmPrior(union)
+    x_true = union.basis(1) @ np.array([1.0, -0.5])
     problem = pd.SensingProblem(np.eye(4), 1.0, x_true, x_true=x_true)
     denoise = lambda z, sg: pd.denoiser(prior, z, sg).value
     trace = pd.run_recovery(

@@ -12,47 +12,46 @@ from projdiff.model_sets import UnionOfSubspaces
 
 
 def axes_prior(pi=(0.5, 0.5)):
-    union = UnionOfSubspaces(
-        (pd.coordinate_subspace(2, [0]), pd.coordinate_subspace(2, [1]))
-    )
-    return pd.lrgmm_from_pi(union, pi)
+    union = UnionOfSubspaces([pd.coordinate_subspace(2, [0]), pd.coordinate_subspace(2, [1])])
+    return pd.LrGmmPrior(union, pi)
 
 
 def line_prior(d=6, support=(0, 1)):
-    sub = pd.coordinate_subspace(d, list(support))
-    return pd.uniform_lrgmm(UnionOfSubspaces((sub,)))
+    return pd.LrGmmPrior(UnionOfSubspaces([pd.coordinate_subspace(d, support)]))
 
 
 # -------------------------------------------------------------- validation
 
 
-def test_lrgmm_from_pi_rejects_bad_weights():
+def test_prior_rejects_bad_weights():
     union = axes_prior().union
     with pytest.raises(ValueError):
-        pd.lrgmm_from_pi(union, [1.0, 0.0])
+        pd.LrGmmPrior(union, [1.0, 0.0])
     with pytest.raises(ValueError):
-        pd.lrgmm_from_pi(union, [0.5, -0.5])
+        pd.LrGmmPrior(union, [0.5, -0.5])
     with pytest.raises(ValueError):
-        pd.lrgmm_from_pi(union, [1.0])
+        pd.LrGmmPrior(union, [1.0])
 
 
 def test_pi_must_sum_to_one():
     with pytest.raises(ValueError, match="sum to 1"):
-        pd.lrgmm_from_pi(axes_prior().union, [2.0, 6.0])
-    prior = pd.lrgmm_from_pi(axes_prior().union, [0.25, 0.75])
+        pd.LrGmmPrior(axes_prior().union, [2.0, 6.0])
+    prior = pd.LrGmmPrior(axes_prior().union, [0.25, 0.75])
     assert prior.pi == pytest.approx([0.25, 0.75], abs=1e-15)
 
 
-def test_uniform_lrgmm_weights():
-    prior = pd.uniform_lrgmm(axes_prior().union)
-    assert prior.pi == pytest.approx([0.5, 0.5], abs=1e-15)
+def test_prior_weights_default_to_uniform():
+    for k in (1, 2, 3, 7):
+        union = pd.random_union(4, [1] * k, np.random.default_rng(k))
+        log_pi = pd.LrGmmPrior(union).log_pi
+        assert np.array_equal(log_pi, np.full(k, -math.log(k)))
+        assert not log_pi.flags.writeable
 
 
 def test_random_lrgmm_is_deterministic():
     a = pd.random_lrgmm(8, 2, 3, np.random.default_rng(5))
     b = pd.random_lrgmm(8, 2, 3, np.random.default_rng(5))
-    for sa, sb in zip(a.union.subspaces, b.union.subspaces):
-        assert np.array_equal(sa.basis, sb.basis)
+    assert np.array_equal(a.union.bases, b.union.bases)
 
 
 # ------------------------------------------------------ component density
@@ -80,11 +79,11 @@ def test_log_component_density_matches_dense_covariance():
         union = pd.random_union(d, ranks, r)
         pi = r.random(k) + 0.1
         pi /= pi.sum()
-        prior = pd.lrgmm_from_pi(union, pi)
+        prior = pd.LrGmmPrior(union, pi)
         x = r.normal(size=d) * 3
         t = float(10 ** r.uniform(-6, 0))
         for kk in range(k):
-            u = union.subspaces[kk].basis
+            u = union.basis(kk)
             cov = u @ u.T + t * np.eye(d)
             _, logdet = np.linalg.slogdet(cov)
             quad = float(x @ np.linalg.solve(cov, x))
@@ -125,7 +124,7 @@ def test_weight_ratios_match_extended_precision_form():
         k = int(r.integers(2, 5))
         ranks = [int(r.integers(1, d)) for _ in range(k)]
         union = pd.random_union(d, ranks, np.random.default_rng(int(r.integers(1 << 30))))
-        prior = pd.lrgmm_from_pi(union, r.dirichlet(np.ones(k)))
+        prior = pd.LrGmmPrior(union, r.dirichlet(np.ones(k)))
         x = r.normal(size=d)
         t = float(10 ** r.uniform(-6, 0))
         w = pd.weights(prior, x, t)
@@ -138,8 +137,7 @@ def test_weight_ratios_match_extended_precision_form():
                     continue
                 got = w[ell] / w[0]
                 pi = prior.pi
-                r0 = union.subspaces[0].rank
-                rl = union.subspaces[ell].rank
+                r0, rl = union.ranks[0], union.ranks[ell]
                 resid0 = mp.mpf(x2 - float(norms2[0]))
                 residl = mp.mpf(x2 - float(norms2[ell]))
                 pref = mp.mpf(float(pi[ell])) / mp.mpf(float(pi[0]))
@@ -162,7 +160,7 @@ def test_weights_sum_to_one_even_at_tiny_blur(seed, log_t, scale):
     d = int(r.integers(2, 9))
     k = int(r.integers(2, 5))
     union = pd.random_union(d, [int(r.integers(1, d)) for _ in range(k)], r)
-    prior = pd.uniform_lrgmm(union)
+    prior = pd.LrGmmPrior(union)
     x = r.normal(size=d) * scale
     w = pd.weights(prior, x, 10.0 ** log_t)
     assert np.all(w >= 0.0)
@@ -175,13 +173,13 @@ def test_weights_sum_to_one_even_at_tiny_blur(seed, log_t, scale):
 
 def test_denoiser_single_component_closed_form():
     prior = line_prior()
-    sub = prior.union.subspaces[0]
+    basis = prior.union.basis(0)
     r = np.random.default_rng(2)
     for sigma in (1e-3, 0.3, 2.0):
         t = sigma * sigma
         x = r.normal(size=6)
         ev = pd.denoiser(prior, x, sigma)
-        want = sub.basis @ (sub.basis.T @ x) / (1.0 + t)
+        want = basis @ (basis.T @ x) / (1.0 + t)
         assert ev.value == pytest.approx(want, abs=1e-14)
         assert ev.weights == pytest.approx([1.0])
 
@@ -216,7 +214,7 @@ def test_denoiser_rejects_bad_sigma_and_shape():
 def test_denoiser_block_rows_match_single_calls():
     # rank-mixed, so the stacked bases carry zero padding
     union = pd.random_union(7, [1, 3, 2], np.random.default_rng(16))
-    prior = pd.lrgmm_from_pi(union, [0.2, 0.5, 0.3])
+    prior = pd.LrGmmPrior(union, [0.2, 0.5, 0.3])
     block = np.random.default_rng(17).normal(size=(11, 7))
     sigmas = np.geomspace(2.0, 1e-5, 11)
     ev = pd.denoiser(prior, block, sigmas)
@@ -245,12 +243,12 @@ def test_denoiser_shrinks_toward_union():
 
 def test_score_single_component_closed_form():
     prior = line_prior()
-    sub = prior.union.subspaces[0]
+    basis = prior.union.basis(0)
     x = np.random.default_rng(4).normal(size=6)
     sigma = 0.4
     t = sigma * sigma
     got = pd.score(prior, x, sigma)
-    want = (sub.basis @ (sub.basis.T @ x) / (1.0 + t) - x) / t
+    want = (basis @ (basis.T @ x) / (1.0 + t) - x) / t
     assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -260,7 +258,7 @@ def test_score_matches_log_density_gradient():
     for _ in range(20):
         d = int(r.integers(2, 7))
         union = pd.random_union(d, [int(r.integers(1, d))] * int(r.integers(1, 4)), r)
-        prior = pd.uniform_lrgmm(union)
+        prior = pd.LrGmmPrior(union)
         x = r.normal(size=d)
         sigma = float(r.choice([0.1, 0.5, 1.0]))
         h = 1e-5
@@ -283,7 +281,7 @@ def test_score_matches_log_density_gradient():
 def test_limiting_projection_off_frontier_is_nearest_projection():
     r = np.random.default_rng(303)
     union = pd.random_union(6, [2, 2, 2], np.random.default_rng(304))
-    prior = pd.lrgmm_from_pi(union, [0.2, 0.5, 0.3])
+    prior = pd.LrGmmPrior(union, [0.2, 0.5, 0.3])
     x = r.normal(size=6)
     lim = pd.limiting_projection(prior, x)
     point, ties = pd.project_union(union, x)
@@ -308,10 +306,8 @@ def test_limiting_projection_on_frontier_averages_by_pi():
 
 
 def test_limiting_projection_rejects_rank_mixed_tie():
-    union = UnionOfSubspaces(
-        (pd.coordinate_subspace(3, [0]), pd.coordinate_subspace(3, [1, 2]))
-    )
-    prior = pd.uniform_lrgmm(union)
+    union = UnionOfSubspaces([pd.coordinate_subspace(3, [0]), pd.coordinate_subspace(3, [1, 2])])
+    prior = pd.LrGmmPrior(union)
     x = np.array([1.0, math.sqrt(0.5), math.sqrt(0.5)])
     with pytest.raises(pd.UnsupportedCaseError):
         pd.limiting_projection(prior, x)
@@ -346,14 +342,14 @@ def test_sample_second_moment_matches_mixture_covariance():
         acc += np.outer(x, x)
     acc /= n
     want = np.zeros((6, 6))
-    for pi_k, sub in zip(prior.pi, prior.union.subspaces):
-        want += pi_k * (sub.basis @ sub.basis.T)
+    for k, pi_k in enumerate(prior.pi):
+        want += pi_k * (prior.union.basis(k) @ prior.union.basis(k).T)
     assert np.linalg.norm(acc - want, 2) <= 5e-2
 
 
 def test_sample_component_frequencies():
-    union = UnionOfSubspaces(tuple(pd.coordinate_subspace(3, [i]) for i in range(3)))
-    prior = pd.lrgmm_from_pi(union, [0.2, 0.5, 0.3])
+    union = UnionOfSubspaces([pd.coordinate_subspace(3, [i]) for i in range(3)])
+    prior = pd.LrGmmPrior(union, [0.2, 0.5, 0.3])
     rng = np.random.default_rng(20)
     n = 20_000
     counts = np.zeros(3, dtype=int)
@@ -371,8 +367,8 @@ def test_sample_component_frequencies():
 def test_sparse_gmm_enumerates_supports_lexicographically():
     prior = pd.sparse_gmm(4, 2)
     supports = [
-        tuple(np.flatnonzero(np.abs(sub.basis).sum(axis=1)))
-        for sub in prior.union.subspaces
+        tuple(np.flatnonzero(np.abs(prior.union.basis(k)).sum(axis=1)))
+        for k in range(prior.n_components)
     ]
     assert supports == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
     assert prior.n_components == 6
@@ -382,17 +378,21 @@ def test_sparse_gmm_enumerates_supports_lexicographically():
 def test_sparse_gmm_single_coordinate_case():
     prior = pd.sparse_gmm(3, 1)
     assert prior.n_components == 3
-    for i, sub in enumerate(prior.union.subspaces):
+    for i in range(3):
         e = np.zeros(3)
         e[i] = 1.0
-        assert np.array_equal(sub.basis[:, 0], e)
+        assert np.array_equal(prior.union.basis(i)[:, 0], e)
 
 
 def test_sparse_gmm_refuses_huge_enumerations():
-    with pytest.raises(pd.ResourceLimitError, match=str(math.comb(50, 10))):
+    with pytest.raises(pd.ResourceLimitError, match=r"C\(50,10\) components exceed the cap of 200000"):
         pd.sparse_gmm(50, 10)
     with pytest.raises(pd.ResourceLimitError):
-        pd.sparse_gmm(10, 5, component_cap=100)
+        pd.sparse_gmm(21, 10)
+    with pytest.raises(pd.ResourceLimitError, match=r"C\(100000,50000\) components exceed"):
+        pd.sparse_gmm(100000, 50000)
+    assert pd.sparse_gmm(20, 1).n_components == 20
+
 
 
 def test_sparse_gmm_rejects_bad_sparsity():

@@ -8,81 +8,73 @@ from hypothesis import strategies as st
 import projdiff as pd
 from conftest import log_component_density
 from projdiff.convex_prior import BoxSet
-from projdiff.model_sets import Subspace, UnionOfSubspaces, component_parts
+from projdiff.model_sets import UnionOfSubspaces, component_parts
 
 
 def axes_union():
-    return UnionOfSubspaces(
-        (pd.coordinate_subspace(2, [0]), pd.coordinate_subspace(2, [1]))
-    )
+    return UnionOfSubspaces([pd.coordinate_subspace(2, [0]), pd.coordinate_subspace(2, [1])])
 
 
-def project(subspace, x):
+def project(basis, x):
     """P x through the stacked pass of a one-component union."""
-    return component_parts(UnionOfSubspaces((subspace,)), x)[0][0]
+    return component_parts(UnionOfSubspaces([basis]), x)[0][0]
 
 
-# ---------------------------------------------------------------- Subspace
+# -------------------------------------------------------- union validation
 
 
-def test_subspace_rejects_non_orthonormal_basis():
-    with pytest.raises(ValueError, match="orthonormal"):
-        Subspace(np.array([[1.0, 1.0], [0.0, 1.0]]))
+E1 = np.eye(3)[:, :1]
 
 
-def test_subspace_rejects_bad_shapes():
-    with pytest.raises(ValueError):
-        Subspace(np.ones(3))
-    with pytest.raises(ValueError):
-        Subspace(np.zeros((2, 3)))  # rank > ambient dim
-    with pytest.raises(ValueError):
-        Subspace(np.empty((3, 0)))
-
-
-def test_subspace_rejects_non_finite():
-    basis = np.array([[1.0], [np.nan]])
-    with pytest.raises(ValueError, match="finite"):
-        Subspace(basis)
-
-
-def test_subspace_basis_is_immutable():
-    s = pd.coordinate_subspace(3, [1])
-    with pytest.raises(ValueError):
-        s.basis[0, 0] = 5.0
-
-
-def test_subspace_dims():
-    s = pd.random_subspace(7, 3, np.random.default_rng(0))
-    assert s.ambient_dim == 7
-    assert s.rank == 3
+@pytest.mark.parametrize("bases, message", [
+    ([E1, np.ones(3)], r"component 1: basis must be 2-d, got shape \(3,\)"),
+    ([E1, E1, np.zeros((2, 3))], r"component 2: need 1 <= rank <= ambient dim, got shape \(2, 3\)"),
+    ([E1, np.empty((3, 0))], r"component 1: need 1 <= rank <= ambient dim, got shape \(3, 0\)"),
+    ([E1, np.array([[1.0], [np.nan], [0.0]])], "component 1: basis entries must be finite"),
+    ([np.eye(2), np.array([[1.0, 1.0], [0.0, 1.0]])],
+     r"component 1: basis columns not orthonormal: max \|B\^T B - I\| = 1\.000e\+00"),
+    ([E1, np.eye(2)[:, :1]], r"component 1: mixed ambient dimensions: \[2, 3\]"),
+    (np.stack([E1, E1, 2.0 * E1]),
+     r"component 2: basis columns not orthonormal: max \|B\^T B - I\| = 3\.000e\+00"),
+    (np.empty((2, 3, 0)), r"component 0: need 1 <= rank <= ambient dim, got shape \(3, 0\)"),
+])
+def test_union_names_the_component_it_rejects(bases, message):
+    with pytest.raises(ValueError, match=message):
+        UnionOfSubspaces(bases)
 
 
 def test_union_validation():
+    for empty in ((), np.empty((0, 3, 1))):
+        with pytest.raises(ValueError, match="a union needs at least one subspace"):
+            UnionOfSubspaces(empty)
+
+
+def test_union_keeps_a_read_only_copy_of_its_bases():
+    basis = pd.coordinate_subspace(3, [1])
+    u = UnionOfSubspaces([basis])
+    basis[0, 0] = 5.0
+    assert np.array_equal(u.basis(0), pd.coordinate_subspace(3, [1]))
     with pytest.raises(ValueError):
-        UnionOfSubspaces(())
-    mixed = (pd.coordinate_subspace(2, [0]), pd.coordinate_subspace(3, [0]))
-    with pytest.raises(ValueError, match="ambient"):
-        UnionOfSubspaces(mixed)
+        u.basis(0)[0, 0] = 5.0
 
 
 def test_union_stores_only_the_padded_stack():
-    given_subspaces = [pd.random_subspace(6, r, np.random.default_rng(r)) for r in (2, 3, 1)]
-    u = UnionOfSubspaces(given_subspaces)
+    given_bases = [pd.random_subspace(6, r, np.random.default_rng(r)) for r in (2, 3, 1)]
+    u = UnionOfSubspaces(given_bases)
     assert sorted(vars(u)) == ["bases", "columns", "ranks"]
     assert (u.ambient_dim, u.n_components, u.bases.shape) == (6, 3, (3, 6, 3))
     assert list(u.ranks) == [2, 3, 1]
-    for k, s in enumerate(given_subspaces):
-        assert np.array_equal(u.basis(k), s.basis)
+    for k, basis in enumerate(given_bases):
+        assert np.array_equal(u.basis(k), basis)
         assert not u.basis(k).flags.writeable
-        assert not np.any(u.bases[k, :, s.rank:])
+        assert not np.any(u.bases[k, :, basis.shape[1]:])
         assert np.array_equal(u.columns[:, 3 * k: 3 * k + 3], u.bases[k])
-        assert np.array_equal(u.subspaces[k].basis, s.basis)
 
 
 def test_model_objects_compare_by_identity():
     def build():
         union = pd.random_union(6, [2, 3], np.random.default_rng(4))
-        return (union.subspaces[0], union, pd.uniform_lrgmm(union),
+        return (union, pd.LrGmmPrior(union),
                 BoxSet([-1.0, 0.0], [1.0, 0.0]))
 
     for a, b in zip(build(), build()):
@@ -100,14 +92,14 @@ def test_project_onto_first_axis():
 
 
 def test_project_rank_one_diagonal():
-    diag = Subspace(np.array([[1.0], [1.0]]) / math.sqrt(2.0))
+    diag = np.array([[1.0], [1.0]]) / math.sqrt(2.0)
     out = project(diag, np.array([1.0, 0.0]))
     assert out == pytest.approx([0.5, 0.5], abs=1e-15)
 
 
 def test_project_is_idempotent_on_members():
     s = pd.random_subspace(6, 2, np.random.default_rng(3))
-    x = s.basis @ np.array([1.3, -0.7])
+    x = s @ np.array([1.3, -0.7])
     assert project(s, x) == pytest.approx(x, abs=1e-12)
 
 
@@ -188,14 +180,14 @@ def test_frontier_gap_axes_examples():
 
 
 def test_frontier_gap_single_component_is_infinite():
-    u = UnionOfSubspaces((pd.coordinate_subspace(3, [0, 1]),))
+    u = UnionOfSubspaces([pd.coordinate_subspace(3, [0, 1])])
     assert pd.frontier_gap(u, np.array([1.0, 2.0, 3.0])) == math.inf
 
 
 def test_frontier_gap_matches_bruteforce_loop():
     rng = np.random.default_rng(606)
     u = pd.random_union(64, [5] * 8, rng)
-    x = u.subspaces[0].basis @ rng.normal(size=5)
+    x = u.basis(0) @ rng.normal(size=5)
     got = pd.frontier_gap(u, x)
     norms2 = pd.squared_projection_norms(u, x)
     k_star = int(np.argmax(norms2))
@@ -205,16 +197,16 @@ def test_frontier_gap_matches_bruteforce_loop():
     assert got == pytest.approx(want, rel=1e-12)
     assert got > 0.0
 
-    # Rank-mixed unions run through the zero-padded stack; the per-Subspace
-    # formulas stay here as the reference.
+    # Rank-mixed unions run through the zero-padded stack; per-component
+    # formulas on each basis(k) stay here as the reference.
     for _ in range(20):
         d = int(rng.integers(2, 12))
         ranks = [int(r) for r in rng.integers(1, d + 1, size=int(rng.integers(1, 6)))]
-        prior = pd.uniform_lrgmm(pd.random_union(d, ranks, rng))
+        prior = pd.LrGmmPrior(pd.random_union(d, ranks, rng))
         u = prior.union
         x = rng.normal(size=d)
         scale = float(x @ x)
-        coeffs = [s.basis.T @ x for s in u.subspaces]
+        coeffs = [u.basis(k).T @ x for k in range(len(ranks))]
         want_norms = np.array([float(c @ c) for c in coeffs])
         assert np.allclose(pd.squared_projection_norms(u, x), want_norms,
                            rtol=1e-12, atol=1e-12 * scale)
@@ -234,7 +226,7 @@ def test_frontier_gap_matches_bruteforce_loop():
         w = np.exp(log_nu - log_nu.max())
         w /= w.sum()
         want_value = sum(
-            wk * (s.basis @ c) for wk, s, c in zip(w, u.subspaces, coeffs)
+            wk * (u.basis(k) @ c) for k, (wk, c) in enumerate(zip(w, coeffs))
         ) / (1.0 + t)
         assert np.allclose(pd.denoiser(prior, x, sigma).value, want_value,
                            rtol=1e-12, atol=1e-12 * math.sqrt(scale))
@@ -249,8 +241,8 @@ def test_frontier_gap_zero_iff_tied():
         _, ties = pd.project_union(u, x, tie_tol=1e-12)
         assert (gap <= 1e-12) == (len(ties) >= 2)
     # exact tie by construction: reflect a point across two components
-    x0 = u.subspaces[0].basis @ np.array([1.0, 2.0])
-    x1 = u.subspaces[1].basis @ np.array([1.0, 2.0])
+    x0 = u.basis(0) @ np.array([1.0, 2.0])
+    x1 = u.basis(1) @ np.array([1.0, 2.0])
     mid = x0 + x1
     n2 = pd.squared_projection_norms(u, mid)
     if abs(n2[0] - n2[1]) <= 1e-12 and n2[0] > n2[2]:
@@ -346,8 +338,9 @@ def test_project_box_pins_inactive_coordinates():
 def test_random_subspace_is_deterministic_and_orthonormal():
     a = pd.random_subspace(9, 4, np.random.default_rng(42))
     b = pd.random_subspace(9, 4, np.random.default_rng(42))
-    assert np.array_equal(a.basis, b.basis)
-    gram = a.basis.T @ a.basis
+    assert a.shape == (9, 4)
+    assert np.array_equal(a, b)
+    gram = a.T @ a
     assert gram == pytest.approx(np.eye(4), abs=1e-12)
 
 
@@ -363,4 +356,4 @@ def test_coordinate_subspace_basis():
     want = np.zeros((4, 2))
     want[2, 0] = 1.0
     want[0, 1] = 1.0
-    assert np.array_equal(s.basis, want)
+    assert np.array_equal(s, want)

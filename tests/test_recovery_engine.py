@@ -149,10 +149,8 @@ def test_step_forms_agree_at_unit_mu():
 
 
 def test_union_points_are_fixed_points_of_the_oracle_step():
-    union = UnionOfSubspaces(
-        (pd.coordinate_subspace(6, [0, 1]), pd.coordinate_subspace(6, [3, 4]))
-    )
-    prior = pd.uniform_lrgmm(union)
+    union = UnionOfSubspaces([pd.coordinate_subspace(6, [0, 1]), pd.coordinate_subspace(6, [3, 4])])
+    prior = pd.LrGmmPrior(union)
     x_hat = pd.sample(prior, np.random.default_rng(81))
     a = pd.gaussian_operator(4, 6, np.random.default_rng(82))
     y = a @ x_hat

@@ -129,9 +129,7 @@ def test_spectral_norm_rejects_zero_matrix():
 
 
 def coord_union_8():
-    return UnionOfSubspaces(
-        tuple(pd.coordinate_subspace(8, sup) for sup in ([0, 1], [2, 3], [4, 5]))
-    )
+    return UnionOfSubspaces([pd.coordinate_subspace(8, sup) for sup in ([0, 1], [2, 3], [4, 5])])
 
 
 def test_ric_zero_operator_is_exactly_one():
@@ -160,9 +158,9 @@ def test_ric_matches_dense_pairwise_oracle():
     for i in range(k):
         for j in range(i, k):
             if i == j:
-                q = union.subspaces[i].basis
+                q = union.basis(i)
             else:
-                stacked = np.hstack([union.subspaces[i].basis, union.subspaces[j].basis])
+                stacked = np.hstack([union.basis(i), union.basis(j)])
                 q, _ = np.linalg.qr(stacked)
             want = max(want, float(np.linalg.svd(b_minus_i @ q, compute_uv=False)[0]))
     assert got == pytest.approx(want, rel=1e-10)
@@ -172,7 +170,7 @@ def test_ric_invariant_under_component_relabeling():
     rng = np.random.default_rng(41)
     a = pd.gaussian_operator(9, 7, rng)
     union = pd.random_union(7, [1, 2, 3], rng)
-    relabeled = UnionOfSubspaces(tuple(union.subspaces[k] for k in (2, 0, 1)))
+    relabeled = UnionOfSubspaces([union.basis(k) for k in (2, 0, 1)])
     mu = 1.0 / pd.spectral_norm(a) ** 2
     assert pd.ric_union(a, mu, union) == pytest.approx(
         pd.ric_union(a, mu, relabeled), rel=1e-12
@@ -192,7 +190,7 @@ def test_ric_bounds_sampled_secants():
         ls = r.integers(8, size=1000)
         v = np.zeros((1000, 64))
         for kk in range(8):
-            u = union.subspaces[kk].basis
+            u = union.basis(kk)
             m1 = ks == kk
             m2 = ls == kk
             if m1.any():
@@ -215,7 +213,7 @@ def test_ric_rejects_mismatched_operator():
 
 
 def test_lipschitz_single_component_is_one():
-    union = UnionOfSubspaces((pd.random_subspace(6, 2, np.random.default_rng(25)),))
+    union = UnionOfSubspaces([pd.random_subspace(6, 2, np.random.default_rng(25))])
     beta = pd.restricted_lipschitz_estimate(union, 2000, np.random.default_rng(26))
     assert 1.0 - 1e-9 <= beta <= 1.0 + 1e-9
 
@@ -237,7 +235,7 @@ def test_lipschitz_near_parallel_lines_approach_two():
     angle = 5e-4
     b0 = np.array([[math.cos(angle)], [math.sin(angle)]])
     b1 = np.array([[math.cos(angle)], [-math.sin(angle)]])
-    union = UnionOfSubspaces((pd.Subspace(b0), pd.Subspace(b1)))
+    union = UnionOfSubspaces([b0, b1])
     beta = pd.restricted_lipschitz_estimate(union, 1_000_000, np.random.default_rng(29))
     assert beta >= 1.9
 
