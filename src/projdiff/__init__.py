@@ -5,83 +5,51 @@ Gaussian mixtures on unions of subspaces, uniform laws on boxes) with a
 projected-gradient iteration whose projection sharpens along a noise
 schedule, plus the measurement-side analysis (restricted isometry and
 restricted Lipschitz constants) that predicts when the iteration contracts.
+
+``import projdiff`` loads no submodule: each public name below is imported
+from its submodule the first time it is read (PEP 562), so a command pays
+only for the layers it uses.
 """
 
-from .checks import CheckResult, report_csv, report_table, run_checks
-from .config import (
-    ConfigError,
-    ExperimentConfig,
-    PriorSpec,
-    SensingSpec,
-    load_config,
-    parse_config,
-    serialize_config,
-)
-from .convex_prior import (
-    BoxSet,
-    McEstimate,
-    box_denoiser,
-    convex_gap_curve,
-    mc_denoiser,
-    project_box,
-    sample_box,
-    truncated_normal_mean,
-)
-from .diagnostics import (
-    ProjectionGap,
-    RateFit,
-    detect_burn_in,
-    fit_convex_rate,
-    fit_linear_rate,
-    projection_gap,
-)
-from .errors import (
-    DegenerateWeightsError,
-    DivergenceError,
-    FrontierError,
-    InsufficientDataError,
-    NumericFailureError,
-    ResourceLimitError,
-    UnsupportedCaseError,
-)
-from .lrgmm_prior import (
-    DenoiserEval,
-    LrGmmPrior,
-    denoiser,
-    limiting_projection,
-    random_lrgmm,
-    sample,
-    score,
-    sparse_gmm,
-    weights,
-)
-from .model_sets import (
-    UnionOfSubspaces,
-    coordinate_subspace,
-    frontier_gap,
-    hard_threshold,
-    project_union,
-    random_subspace,
-    random_union,
-    squared_projection_norms,
-)
-from .modelio import load_model, save_model
-from .recovery_engine import (
-    NoiseSchedule,
-    RecoveryTrace,
-    gpgd_step,
-    kadkhodaie_step,
-    problem_hash,
-    run_recoveries,
-    run_recovery,
-    schedule_sigma,
-)
-from .sensing_analysis import (
-    SensingProblem,
-    gaussian_operator,
-    restricted_lipschitz_estimate,
-    ric_union,
-    spectral_norm,
-)
+import importlib
 
 __version__ = "0.1.0"
+
+# Each public name and the submodule that defines it.
+_SOURCES = {
+    "checks": ("CheckResult", "report_csv", "report_table", "run_checks"),
+    "config": ("ExperimentConfig", "PriorSpec", "SensingSpec", "load_config", "parse_config",
+               "serialize_config"),
+    "convex_prior": ("BoxSet", "McEstimate", "box_denoiser", "convex_gap_curve", "mc_denoiser",
+                     "project_box", "sample_box", "truncated_normal_mean"),
+    "diagnostics": ("RateFit", "detect_burn_in", "fit_convex_rate", "fit_linear_rate"),
+    "errors": ("ConfigError", "DegenerateWeightsError", "DivergenceError", "FrontierError",
+               "InsufficientDataError", "NumericFailureError", "ResourceLimitError",
+               "UnsupportedCaseError"),
+    "lrgmm_prior": ("DenoiserEval", "LrGmmPrior", "ProjectionGap", "denoiser",
+                    "limiting_projection", "projection_gap", "random_lrgmm", "sample", "score",
+                    "sparse_gmm", "weights"),
+    "model_sets": ("UnionOfSubspaces", "coordinate_subspace", "frontier_gap", "hard_threshold",
+                   "project_union", "random_subspace", "random_union",
+                   "squared_projection_norms"),
+    "modelio": ("load_model", "save_model"),
+    "recovery_engine": ("NoiseSchedule", "RecoveryTrace", "gpgd_step", "kadkhodaie_step",
+                        "problem_hash", "run_recoveries", "run_recovery", "schedule_sigma"),
+    "sensing_analysis": ("SensingProblem", "gaussian_operator", "restricted_lipschitz_estimate",
+                         "ric_union", "spectral_norm"),
+}
+_SUBMODULE = {name: module for module, names in _SOURCES.items() for name in names}
+
+__all__ = sorted(_SUBMODULE)
+
+
+def __getattr__(name):
+    if name not in _SUBMODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_SUBMODULE[name]}", __name__), name)
+    globals()[name] = value  # later reads skip this function
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

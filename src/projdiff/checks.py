@@ -19,8 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import convex_prior, lrgmm_prior
-from .diagnostics import fit_linear_rate, projection_gap
+from .diagnostics import fit_linear_rate
 from .errors import FrontierError
+from .lrgmm_prior import projection_gap
 from .convex_prior import BoxSet, project_box
 from .model_sets import UnionOfSubspaces, coordinate_subspace, project_union, random_union
 from .recovery_engine import TRACE_COLUMNS, NoiseSchedule, RecoveryTrace, gpgd_step, \

@@ -7,31 +7,28 @@ Subcommands:
     gen-model <spec>      generate a model file from a one-line spec
 
 Exit codes: 0 ok, 2 config error, 3 numeric divergence, 4 check failures.
+
+Each command imports the layers it runs inside itself: ``analyze`` loads
+no model, sensing or check module, and only ``check`` loads ``checks``.
 """
 
 import argparse
 import json
 import os
 import signal
-import statistics
 import sys
 import traceback
 from functools import partial
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .checks import report_csv, report_table, run_checks
-from .config import _INTS, _PRIOR_KEYS, MU_AUTO, PRIOR_KINDS, ConfigError, ExperimentConfig, \
-    PriorSpec, _check_keys, _fail, _get, _get_seed, _parse_prior, load_config, serialize_config
-from .convex_prior import BoxSet
-from .diagnostics import detect_burn_in, fit_linear_rate
-from .errors import DivergenceError, InsufficientDataError, NumericFailureError, \
-    ResourceLimitError
-from .lrgmm_prior import LrGmmPrior, random_lrgmm, sparse_gmm
-from .model_sets import UnionOfSubspaces, random_union
-from .modelio import load_model, save_model
-from .recovery_engine import RecoveryTrace, batch_width, run_recoveries
-from .sensing_analysis import SensingProblem, _matvec, gaussian_operator, spectral_norm
+from .errors import ConfigError, DivergenceError, InsufficientDataError, \
+    NumericFailureError, ResourceLimitError
+
+if TYPE_CHECKING:
+    from .config import ExperimentConfig, PriorSpec
+    from .recovery_engine import RecoveryTrace
 
 MANIFEST_NAME = "manifest.json"
 RESOLVED_NAME = "resolved.cfg"
@@ -42,14 +39,21 @@ RATES_COLUMNS = ("file", "schedule", "seed", "burn_in", "rate", "r2", "final_mse
 CONVERGED_MSE = 1e-6
 
 
-def _build_prior(spec: PriorSpec):
+def _build_prior(spec: "PriorSpec"):
     """The model a ``[prior]`` spec describes: an LrGmmPrior or a BoxSet."""
+    from .convex_prior import BoxSet
+    from .lrgmm_prior import LrGmmPrior, random_lrgmm, sparse_gmm
+
     if spec.kind == "lrgmm":
         return random_lrgmm(spec.d, spec.r, spec.k, np.random.default_rng(spec.seed), pi=spec.pi)
     if spec.kind == "sparse":
         return sparse_gmm(spec.d, spec.s, pi=spec.pi)
     if spec.kind == "box":
         return BoxSet(lower=spec.lower, upper=spec.upper)
+    from .config import _fail
+    from .model_sets import UnionOfSubspaces
+    from .modelio import load_model
+
     try:
         model = load_model(spec.path)
     except OSError as exc:
@@ -61,19 +65,26 @@ def _build_prior(spec: PriorSpec):
 
 def _allocated(section: str, key: str, build, *args):
     """``build(*args)``, with running out of memory reported as an error in ``[section] key``."""
+    from .config import _fail
+
     try:
         return build(*args)
     except MemoryError:
         raise _fail(section, key, "too large: not enough memory to build it") from None
 
 
-def _prior_descriptor(spec: PriorSpec) -> dict:
+def _prior_descriptor(spec: "PriorSpec") -> dict:
     """The prior as trace metadata names it: kind, d and its scalar keys, not its lists."""
+    from .config import _PRIOR_KEYS
+
     keys = ("kind",) + (() if spec.kind == "file" else ("d",)) + _PRIOR_KEYS[spec.kind]
     return {key: getattr(spec, key) for key in keys if isinstance(getattr(spec, key), (int, str))}
 
 
 def _resolve_mu(mu, operator) -> float:
+    from .config import MU_AUTO, _fail
+    from .sensing_analysis import spectral_norm
+
     if mu == MU_AUTO:
         try:
             return 1.9 / spectral_norm(operator) ** 2
@@ -82,7 +93,7 @@ def _resolve_mu(mu, operator) -> float:
     return float(mu)
 
 
-def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
+def _apply_overrides(cfg: "ExperimentConfig", args) -> "ExperimentConfig":
     changes = {}
     if args.out is not None:
         changes["out_dir"] = args.out
@@ -118,6 +129,8 @@ def _simulate_share(cfg, model, runs, width) -> dict:
     A batch's traces are written before the next batch starts.  Returns the
     written trace names and the diverged [name, iteration, message] entries.
     """
+    from .recovery_engine import run_recoveries
+
     files, diverged = [], []
     for start in range(0, len(runs), width):
         names, problems, schedules, metadata = zip(*runs[start:start + width])
@@ -216,6 +229,10 @@ def _run_forked(tasks) -> list:
 
 
 def cmd_simulate(args) -> int:
+    from .config import load_config, serialize_config
+    from .recovery_engine import _matvec, batch_width
+    from .sensing_analysis import SensingProblem, gaussian_operator
+
     try:
         cfg = _apply_overrides(load_config(args.config), args)
         model = _allocated("prior", "path" if cfg.prior.kind == "file" else "d",
@@ -278,6 +295,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from .checks import report_csv, report_table, run_checks
+
     out_dir = args.out if args.out is not None else "."
     try:
         _make_out_dir(out_dir, "--out")
@@ -306,8 +325,10 @@ def _cell(value) -> str:
     return format(value, ".17g") if isinstance(value, float) else str(value)
 
 
-def _fit_row(trace: RecoveryTrace, fname: str) -> dict:
+def _fit_row(trace: "RecoveryTrace", fname: str) -> dict:
     """The rates.csv fields of one trace, keyed by RATES_COLUMNS, None where absent."""
+    from .diagnostics import detect_burn_in, fit_linear_rate
+
     # Metadata is whatever JSON the file holds: a field of the wrong type
     # counts as absent.
     meta = trace.metadata
@@ -329,6 +350,10 @@ def _fit_row(trace: RecoveryTrace, fname: str) -> dict:
 
 
 def cmd_analyze(args) -> int:
+    import statistics
+
+    from .recovery_engine import RecoveryTrace
+
     directory = args.dir
     if not os.path.isdir(directory):
         print(f"not a directory: {directory}", file=sys.stderr)
@@ -352,12 +377,15 @@ def cmd_analyze(args) -> int:
             print(f"unreadable {MANIFEST_NAME}: {exc!r}", file=sys.stderr)
             return 2
 
+    def is_trace_name(fname):
+        return isinstance(fname, str) and fname.endswith(".csv") and fname not in ANALYZE_OUTPUTS
+
+    present = os.listdir(directory)
+    for fname in sorted(set(filter(is_trace_name, listed or ())) - set(present)):
+        print(f"missing {fname}: listed in {MANIFEST_NAME}", file=sys.stderr)
+
     rows = []
-    candidates = sorted(
-        fname
-        for fname in os.listdir(directory)
-        if fname.endswith(".csv") and fname not in ANALYZE_OUTPUTS
-    )
+    candidates = sorted(filter(is_trace_name, present))
     for fname in candidates:
         if listed is not None and fname not in listed:
             print(f"skipping {fname}: not listed in {MANIFEST_NAME}", file=sys.stderr)
@@ -414,6 +442,11 @@ def _parse_model_spec(spec: str) -> dict:
 
 
 def cmd_gen_model(args) -> int:
+    from .config import _INTS, _PRIOR_KEYS, PRIOR_KINDS, _check_keys, _fail, _get, _get_seed, \
+        _parse_prior
+    from .model_sets import random_union
+    from .modelio import save_model
+
     try:
         fields = _parse_model_spec(args.spec)
         kind = fields["kind"]

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResourceLimitError
+from .errors import ConfigError, ResourceLimitError
 from .lrgmm_prior import SPARSE_COMPONENT_CAP, log_mixture_weights, sparse_component_count
 from .convex_prior import BoxSet
 from .recovery_engine import SCHEDULE_FIELDS, SCHEDULE_KINDS, NoiseSchedule, schedule_sigma
@@ -82,10 +82,6 @@ _SCHEDULE_KEYS = {"kind"}.union(*SCHEDULE_FIELDS.values())
 _SCHEDULE_NAME = re.compile(r"[A-Za-z0-9_-]+")
 
 _RUN_KEYS = {"n_iters", "trials", "base_seed", "trial_seeds", "out_dir"}
-
-
-class ConfigError(ValueError):
-    """Invalid configuration; the message names the offending section/key."""
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,7 @@
-"""Quantitative checks on traces and denoiser behaviour.
+"""Quantitative checks on traces: burn-in detection and rate fits.
 
-The denoiser-vs-projection gap admits a computable envelope away from tie
-frontiers: with t = sigma^2 and eta the squared-projection margin of the
-winning component, the relative gap is at most
-
-    2 * sum_{l != k} (pi_l / pi_k) * exp(-eta / (2 t (1 + t))) + t.
-
-The envelope is meaningful for equal-rank unions (rank-mixed unions add
-rank-dependent prefactors it does not track).
+This module reads traces only; the denoiser-vs-projection gap envelope sits
+beside the denoiser, in ``lrgmm_prior``.
 """
 
 import math
@@ -15,44 +9,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FrontierError, InsufficientDataError
-from .lrgmm_prior import LrGmmPrior, denoiser
-from .model_sets import component_parts, gap_from_norms, _check_vector
+from .errors import InsufficientDataError
 from .recovery_engine import RecoveryTrace
 
 MSE_FLOOR = 1e-28
 
 MIN_FIT_POINTS = 5
-
-
-@dataclass(frozen=True)
-class ProjectionGap:
-    """Measured relative denoiser-vs-projection gap and its envelope."""
-
-    gap: float
-    bound: float
-    eta: float
-
-
-def projection_gap(prior: LrGmmPrior, x: np.ndarray, sigma) -> ProjectionGap:
-    """Relative gap ||D(x) - P(x)|| / ||x|| against its off-frontier envelope."""
-    x = _check_vector(x, prior.ambient_dim)
-    norm_x = float(np.linalg.norm(x))
-    if norm_x == 0.0:
-        raise ValueError("the gap envelope is undefined at x = 0")
-    projections, norms2, _ = component_parts(prior.union, x)
-    eta = gap_from_norms(norms2)
-    if eta <= 0.0:
-        raise FrontierError(f"x lies on a tie frontier (margin {eta!r})")
-    k_star = int(np.argmax(norms2))
-    ev = denoiser(prior, x, sigma)
-    gap = float(np.linalg.norm(ev.value - projections[k_star])) / norm_x
-    t = float(sigma) ** 2
-    pi = prior.pi
-    others = np.delete(pi, k_star)
-    decay = math.exp(-eta / (2.0 * t * (1.0 + t))) if math.isfinite(eta) else 0.0
-    bound = 2.0 * float(np.sum(others)) / float(pi[k_star]) * decay + t
-    return ProjectionGap(gap=gap, bound=bound, eta=eta)
 
 
 def detect_burn_in(trace: RecoveryTrace, true_component: int):
@@ -103,7 +65,8 @@ def fit_linear_rate(trace: RecoveryTrace, from_n: int = 0) -> RateFit:
     """Per-iteration contraction factor of the root-mse, from a log-linear fit.
 
     Fits 0.5*log(mse_n) against n from ``from_n`` to the end of the trace,
-    stopping before the first entry below the float floor of 1e-28.
+    stopping before the first entry that is below the float floor of 1e-28
+    or not finite.
     """
     mse = trace.mse
     from_n = int(from_n)
@@ -111,7 +74,7 @@ def fit_linear_rate(trace: RecoveryTrace, from_n: int = 0) -> RateFit:
         raise ValueError(f"from_n {from_n} outside trace rows")
     end = trace.n_rows
     for i in range(from_n, trace.n_rows):
-        if not (mse[i] >= MSE_FLOOR):  # also stops on NaN
+        if not MSE_FLOOR <= mse[i] < math.inf:  # also stops on NaN
             end = i
             break
     ns = trace.n[from_n:end].astype(float)

@@ -6,6 +6,10 @@ and handle separately.
 """
 
 
+class ConfigError(ValueError):
+    """Invalid configuration; the message names the offending section/key."""
+
+
 class UnsupportedCaseError(ValueError):
     """A well-formed input hits a case the operation does not define."""
 

@@ -11,6 +11,16 @@ evaluated in the log domain through the bases alone, using
 The posterior-mean denoiser is the component-weighted projection
 (1/(1+sigma^2)) * sum_k w_k U_k U_k^T x, which equals x + sigma^2 times the
 gradient of the blurred log density (Tweedie's identity).
+
+The denoiser-vs-projection gap admits a computable envelope away from tie
+frontiers (``projection_gap``): with t = sigma^2 and eta the
+squared-projection margin of the winning component, the relative gap is at
+most
+
+    2 * sum_{l != k} (pi_l / pi_k) * exp(-eta / (2 t (1 + t))) + t.
+
+The envelope is meaningful for equal-rank unions (rank-mixed unions add
+rank-dependent prefactors it does not track).
 """
 
 import math
@@ -19,7 +29,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import ResourceLimitError, UnsupportedCaseError
+from .errors import FrontierError, ResourceLimitError, UnsupportedCaseError
 from .model_sets import (
     DEFAULT_TIE_TOL,
     UnionOfSubspaces,
@@ -210,6 +220,36 @@ def denoiser(prior: LrGmmPrior, x: np.ndarray, sigma) -> DenoiserEval:
                             sigma=float(sigma), sq_in=sq_in[0], sq_out=sq_out[0])
     return DenoiserEval(value=value, weights=w, log_density=log_density,
                         sigma=np.broadcast_to(sigma, t.shape), sq_in=sq_in, sq_out=sq_out)
+
+
+@dataclass(frozen=True)
+class ProjectionGap:
+    """Measured relative denoiser-vs-projection gap and its envelope."""
+
+    gap: float
+    bound: float
+    eta: float
+
+
+def projection_gap(prior: LrGmmPrior, x: np.ndarray, sigma) -> ProjectionGap:
+    """Relative gap ||D(x) - P(x)|| / ||x|| against its off-frontier envelope."""
+    x = _check_vector(x, prior.ambient_dim)
+    norm_x = float(np.linalg.norm(x))
+    if norm_x == 0.0:
+        raise ValueError("the gap envelope is undefined at x = 0")
+    projections, norms2, _ = component_parts(prior.union, x)
+    eta = gap_from_norms(norms2)
+    if eta <= 0.0:
+        raise FrontierError(f"x lies on a tie frontier (margin {eta!r})")
+    k_star = int(np.argmax(norms2))
+    ev = denoiser(prior, x, sigma)
+    gap = float(np.linalg.norm(ev.value - projections[k_star])) / norm_x
+    t = float(sigma) ** 2
+    pi = prior.pi
+    others = np.delete(pi, k_star)
+    decay = math.exp(-eta / (2.0 * t * (1.0 + t))) if math.isfinite(eta) else 0.0
+    bound = 2.0 * float(np.sum(others)) / float(pi[k_star]) * decay + t
+    return ProjectionGap(gap=gap, bound=bound, eta=eta)
 
 
 def score(prior: LrGmmPrior, x: np.ndarray, sigma) -> np.ndarray:

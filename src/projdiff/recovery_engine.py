@@ -32,28 +32,32 @@ no computation mixes rows: sums run along each row's own axis, and every
 matrix-vector product is one BLAS gemv per row, never a gemm.
 
 Two things keep the operator work small without giving that up.
-``sensing_analysis._matvec`` multiplies a tall matrix MATVEC_ROWS rows at a
-time, every row of the block against one slice before the next, so the
-slice stays in cache; each output is still one gemv's dot product over one
-matrix row, and the slices do not depend on B.  A projection is exactly
-zero off its model's ``active_mask``, so ``run_recoveries`` forms A p from
-only the FREE_BLOCK-column blocks of A that hold a free coordinate.
+``_matvec`` multiplies a tall matrix MATVEC_ROWS rows at a time, every row
+of the block against one slice before the next, so the slice stays in
+cache; each output is still one gemv's dot product over one matrix row,
+and the slices do not depend on B.  ``sensing_analysis.spectral_norm``
+multiplies through it as well, which keeps mu off the BLAS thread count.
+A projection is exactly zero off its model's ``active_mask``, so
+``run_recoveries`` forms A p from only the FREE_BLOCK-column blocks of A
+that hold a free coordinate.
 Dropping whole blocks keeps each kept column's position modulo FREE_BLOCK,
 which leaves every gemv sum unchanged (FREE_BLOCK says where that was
 checked, and up to which width), so a box run writes the same bytes as the
 same run with ``box_denoiser`` passed as a ``denoise`` callable.
 """
 
-import hashlib
 import json
 import math
 import os
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DivergenceError
-from .sensing_analysis import SensingProblem, _matvec
+
+if TYPE_CHECKING:  # reading traces needs no sensing layer
+    from .sensing_analysis import SensingProblem
 
 # The fields each schedule kind takes besides ``kind``, in the order that
 # ``to_dict`` and a config's [schedule.<name>] section write them.
@@ -83,6 +87,10 @@ BATCH_BYTES = 16 * 2**20
 # wider operators are multiplied whole.
 FREE_BLOCK = 64
 FREE_COLUMNS_MAX_DIM = 2048
+
+# _matvec multiplies by at most this many matrix rows at a time: 1 MiB of a
+# 1024-column operator, which stays in cache across the rows of a block.
+MATVEC_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -149,6 +157,28 @@ def schedule_sigma(schedule: NoiseSchedule, n: int) -> float:
     # cosine
     half_range = 0.5 * (schedule.sigma_max - schedule.sigma_min)
     return schedule.sigma_min + half_range * (1.0 + math.cos(math.pi * frac))
+
+
+def _matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """a @ v for v of shape (d,) or (B, d): one gemv per row, never a gemm.
+
+    A matrix of more than MATVEC_ROWS rows is taken MATVEC_ROWS rows at a
+    time, and every row of v meets one slice before the next slice is read,
+    so the slice stays in cache.  Each output is still one gemv's dot product
+    over one matrix row, and the slices do not depend on how many rows v has.
+    A last slice under 8 rows joins the one before it: numpy hands a one-row
+    matrix to dot, not gemv, which sums in another order.  The slices also
+    keep the bytes off the BLAS thread count: at m = 301, d = 2048 a
+    whole-matrix ``a @ v`` changed with OPENBLAS_NUM_THREADS and this did
+    not, so every operator product that reaches a trace or mu goes through it.
+    """
+    starts = range(0, a.shape[0] - 7, MATVEC_ROWS)
+    if len(starts) < 2:
+        return np.matmul(a, v[..., None])[..., 0]
+    out = np.empty(v.shape[:-1] + a.shape[:1])
+    for lo, hi in zip(starts, [*starts[1:], a.shape[0]]):
+        out[..., lo:hi] = np.matmul(a[lo:hi], v[..., None])[..., 0]
+    return out
 
 
 def gpgd_step(denoise, a: np.ndarray, mu: float, y: np.ndarray,
@@ -288,25 +318,32 @@ class RecoveryTrace:
             data = None
         if data is None or data.shape[1] != len(header):
             raise ValueError(f"{path}: malformed data rows")
+        n = data[:, 0]
+        whole = (n == np.trunc(n)) & (np.abs(n) < 2.0**63)
+        if not whole.all():
+            raise ValueError(f"{path}: malformed data rows: column n holds "
+                             f"{float(n[~whole][0])!r}, not an iteration number")
         dists = data[:, len(expected):] if dist_names else None
         fixed = {name: data[:, i] for i, name in enumerate(TRACE_COLUMNS)}
-        fixed["n"] = fixed["n"].astype(int)
+        fixed["n"] = n.astype(int)
         return cls(**fixed, subspace_distances=dists, metadata=metadata)
 
 
 def _operator_digest(operator: np.ndarray):
     """The sha256 state after the operator's bytes, the prefix of every problem_hash."""
+    import hashlib  # here, so that reading traces does not load it
+
     return hashlib.sha256(operator.tobytes())
 
 
-def _problem_hash(operator_digest, problem: SensingProblem) -> str:
+def _problem_hash(operator_digest, problem: "SensingProblem") -> str:
     digest = operator_digest.copy()
     digest.update(problem.y.tobytes())
     digest.update(format(problem.mu, ".17g").encode())
     return digest.hexdigest()[:16]
 
 
-def problem_hash(problem: SensingProblem) -> str:
+def problem_hash(problem: "SensingProblem") -> str:
     return _problem_hash(_operator_digest(problem.operator), problem)
 
 
@@ -438,7 +475,7 @@ def run_recoveries(problems, schedules, n_iters: int, prior, x0: np.ndarray = No
     return results
 
 
-def run_recovery(problem: SensingProblem, denoise, schedule: NoiseSchedule,
+def run_recovery(problem: "SensingProblem", denoise, schedule: NoiseSchedule,
                  x0: np.ndarray = None, n_iters: int = None,
                  record_iterates: bool = False, prior=None,
                  metadata: dict = None) -> RecoveryTrace:

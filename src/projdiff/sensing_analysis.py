@@ -17,15 +17,12 @@ import numpy as np
 from .errors import NumericFailureError
 from .model_sets import UnionOfSubspaces
 from .randomness import normal_matrix, normal_stream
+from .recovery_engine import _matvec
 
 POWER_ITERATION_TOL = 1e-10
 POWER_ITERATION_MAX_ITER = 10_000
 
 RANK_CUTOFF = 1e-10
-
-# _matvec multiplies by at most this many matrix rows at a time: 1 MiB of a
-# 1024-column operator, which stays in cache across the rows of a block.
-MATVEC_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -75,28 +72,6 @@ class SensingProblem:
     @property
     def ambient_dim(self) -> int:
         return self.operator.shape[1]
-
-
-def _matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """a @ v for v of shape (d,) or (B, d): one gemv per row, never a gemm.
-
-    A matrix of more than MATVEC_ROWS rows is taken MATVEC_ROWS rows at a
-    time, and every row of v meets one slice before the next slice is read,
-    so the slice stays in cache.  Each output is still one gemv's dot product
-    over one matrix row, and the slices do not depend on how many rows v has.
-    A last slice under 8 rows joins the one before it: numpy hands a one-row
-    matrix to dot, not gemv, which sums in another order.  The slices also
-    keep the bytes off the BLAS thread count: at m = 301, d = 2048 a
-    whole-matrix ``a @ v`` changed with OPENBLAS_NUM_THREADS and this did
-    not, so every operator product that reaches a trace or mu goes through it.
-    """
-    starts = range(0, a.shape[0] - 7, MATVEC_ROWS)
-    if len(starts) < 2:
-        return np.matmul(a, v[..., None])[..., 0]
-    out = np.empty(v.shape[:-1] + a.shape[:1])
-    for lo, hi in zip(starts, [*starts[1:], a.shape[0]]):
-        out[..., lo:hi] = np.matmul(a[lo:hi], v[..., None])[..., 0]
-    return out
 
 
 def gaussian_operator(m: int, d: int, rng: np.random.Generator) -> np.ndarray:

@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 
 import projdiff as pd
 from conftest import assert_pinned, log_component_density
-from projdiff import checks, cli, modelio
+from projdiff import checks, cli, lrgmm_prior, model_sets, modelio, recovery_engine, \
+    sensing_analysis
 from projdiff.checks import run_checks
 from projdiff.config import (
     _PRIOR_KEYS,
@@ -684,7 +685,7 @@ def test_simulate_maps_an_unresolvable_auto_mu_to_exit_2(tmp_path, monkeypatch, 
     def stalled(a):
         raise pd.NumericFailureError("power iteration did not converge")
 
-    monkeypatch.setattr(cli, "spectral_norm", stalled)
+    monkeypatch.setattr(sensing_analysis, "spectral_norm", stalled)
     cfg_path = write_config(tmp_path, SMALL_CONFIG)
     assert cli.main(["simulate", cfg_path, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
@@ -697,8 +698,8 @@ def _out_of_memory(*args, **kwargs):
 
 
 @pytest.mark.parametrize("module,name,key,edit", [
-    (cli, "random_lrgmm", "[prior] d", ("d = 16", "d = 4096")),
-    (cli, "gaussian_operator", "[sensing] m", ("m = 16", "m = 1000000000000")),
+    (lrgmm_prior, "random_lrgmm", "[prior] d", ("d = 16", "d = 4096")),
+    (sensing_analysis, "gaussian_operator", "[sensing] m", ("m = 16", "m = 1000000000000")),
     (modelio, "union_from_text", "[prior] path", None),
 ])
 def test_simulate_reports_an_oversize_build_as_exit_2(tmp_path, monkeypatch, capsys,
@@ -846,9 +847,10 @@ trials = 2
 def _engine_calling(action, in_parent):
     """A run_recoveries that calls ``action(metadata, results)`` here or in children only."""
     parent = os.getpid()
+    real = recovery_engine.run_recoveries
 
     def patched(problems, *args, **kwargs):
-        results = pd.run_recoveries(problems, *args, **kwargs)
+        results = real(problems, *args, **kwargs)
         if (os.getpid() == parent) == in_parent:
             action(kwargs["metadata"], results)
         return results
@@ -891,7 +893,8 @@ def test_simulate_merges_a_divergence_from_a_childs_share(tmp_path, monkeypatch,
                 results[i] = pd.DivergenceError("iterate left the finite range", 7)
 
     monkeypatch.setattr(cli, "_worker_count", lambda n_runs: 2)
-    monkeypatch.setattr(cli, "run_recoveries", _engine_calling(diverge, in_parent=False))
+    monkeypatch.setattr(recovery_engine, "run_recoveries",
+                        _engine_calling(diverge, in_parent=False))
     capsys.readouterr()
     assert cli.main(["simulate", cfg_path, "--out", out]) == 3
     assert f"divergence in run {stale}: iterate left the finite range" in capsys.readouterr().err
@@ -909,7 +912,7 @@ def test_a_failing_worker_fails_simulate_and_leaves_no_child(tmp_path, monkeypat
         raise ValueError(f"boom in the {side}")
 
     monkeypatch.setattr(cli, "_worker_count", lambda n_runs: 3)
-    monkeypatch.setattr(cli, "run_recoveries", _engine_calling(boom, side == "parent"))
+    monkeypatch.setattr(recovery_engine, "run_recoveries", _engine_calling(boom, side == "parent"))
     cfg_path = write_config(tmp_path, FLAGSHIP_SHAPED_CONFIG)
     with pytest.raises((RuntimeError, ValueError), match=f"boom in the {side}") as info:
         cli.main(["simulate", cfg_path, "--out", str(tmp_path / "o")])
@@ -924,13 +927,13 @@ def test_a_failing_worker_fails_simulate_and_leaves_no_child(tmp_path, monkeypat
 def test_a_failing_child_makes_the_command_exit_1_with_its_traceback(tmp_path, package_env):
     code = (
         "import os, sys\n"
-        "from projdiff import cli\n"
+        "from projdiff import cli, recovery_engine\n"
         "parent = os.getpid()\n"
         "def broken(*args, **kwargs):\n"
         "    if os.getpid() != parent:\n"
         "        raise KeyError('no such run')\n"
         "    return real(*args, **kwargs)\n"
-        "real, cli.run_recoveries = cli.run_recoveries, broken\n"
+        "real, recovery_engine.run_recoveries = recovery_engine.run_recoveries, broken\n"
         "cli._worker_count = lambda n_runs: 2\n"
         "sys.exit(cli.main(sys.argv[1:]))\n"
     )
@@ -1065,7 +1068,7 @@ def test_check_command_exits_4_when_a_check_fails(tmp_path, monkeypatch, capsys)
     def broken(level):
         return [CheckResult(name="synthetic", value=1.0, bound=0.5, passed=False)]
 
-    monkeypatch.setattr(cli, "run_checks", broken)
+    monkeypatch.setattr(checks, "run_checks", broken)
     assert cli.main(["check", "--out", str(tmp_path)]) == 4
     assert "FAIL" in capsys.readouterr().out
 
@@ -1118,6 +1121,20 @@ def test_analyze_reads_only_the_traces_in_the_manifest(tmp_path, capsys):
     with open(os.path.join(out, "rates.csv")) as fh:
         rows = [line.split(",") for line in fh.read().strip().split("\n")[1:]]
     assert sorted((row[1], row[2]) for row in rows) == [("geometric", "43"), ("lin", "43")]
+
+
+def test_analyze_names_each_listed_trace_that_is_missing(tmp_path, capsys):
+    out = _simulated(tmp_path, TWO_SCHEDULE_CONFIG, name="gone")
+    kept = "trace_lin_00043.csv"
+    gone = ["trace_geometric_00043.csv", "trace_geometric_00044.csv", "trace_lin_00044.csv"]
+    for name in gone:
+        os.remove(os.path.join(out, name))
+    capsys.readouterr()
+    assert cli.main(["analyze", out]) == 0
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"missing {name}: listed in manifest.json" for name in gone]
+    with open(os.path.join(out, "rates.csv")) as fh:
+        assert [line.split(",")[0] for line in fh.read().splitlines()[1:]] == [kept]
 
 
 def test_analyze_recovers_a_planted_linear_rate(tmp_path):
@@ -1325,7 +1342,8 @@ def test_gen_model_rejects_bad_specs(tmp_path, spec, message, capsys):
 ])
 def test_gen_model_reports_an_oversize_model_as_exit_2(tmp_path, monkeypatch, capsys,
                                                        spec, name):
-    monkeypatch.setattr(cli, name, _out_of_memory)
+    monkeypatch.setattr(model_sets if name == "random_union" else lrgmm_prior, name,
+                        _out_of_memory)
     assert cli.main(["gen-model", spec, "-o", str(tmp_path / "x.model")]) == 2
     err = capsys.readouterr().err
     assert f"gen-model error: [{spec.split(':')[0]}] d: too large: not enough memory" in err

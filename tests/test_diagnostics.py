@@ -158,6 +158,16 @@ def test_linear_rate_stops_at_nan():
     assert fit.n_points == 5
 
 
+def test_linear_rate_stops_at_inf(recwarn):
+    """An overflowed mse ends the fit as a NaN does, with no warning and a finite rate."""
+    mse = 0.81 ** np.arange(62, dtype=float)
+    mse[60:] = np.inf
+    fit = pd.fit_linear_rate(synthetic_trace(mse))
+    assert fit.n_points == 60
+    assert fit.rate == pytest.approx(0.9, rel=1e-12) and fit.r2 >= 1.0 - 1e-12
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_linear_rate_respects_from_n():
     mse = np.concatenate([np.full(4, 1.0), 0.25 ** np.arange(10)])
     fit = pd.fit_linear_rate(synthetic_trace(mse), from_n=4)

@@ -1,0 +1,102 @@
+"""Each command imports only the layers it runs.
+
+The ``projdiff`` namespace is lazy, and the command line imports a layer
+inside the command that runs it, so start-up time is paid only for what a
+command uses.  The module sets are read from ``python -X importtime``.
+"""
+
+import importlib
+import json
+import subprocess
+import sys
+
+import pytest
+
+import projdiff as pd
+
+LRGMM_CONFIG = """\
+[prior]
+kind = lrgmm
+d = 12
+r = 2
+k = 3
+seed = 5
+[sensing]
+m = 8
+seed = 6
+[schedule.geometric]
+sigma_max = 0.5
+sigma_min = 1e-3
+horizon = 20
+[run]
+n_iters = 20
+trials = 2
+base_seed = 7
+"""
+
+
+def _imported(env, *args):
+    """The names of the modules that ``python -X importtime *args`` imports."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+def _projdiff_modules(names):
+    return {name for name in names if name == "projdiff" or name.startswith("projdiff.")}
+
+
+def test_each_command_imports_only_the_layers_it_runs(tmp_path, package_env):
+    assert _projdiff_modules(_imported(package_env, "-c", "import projdiff")) == {"projdiff"}
+
+    cfg = tmp_path / "lrgmm.cfg"
+    cfg.write_text(LRGMM_CONFIG)
+    sim = str(tmp_path / "sim")
+    simulated = _projdiff_modules(_imported(package_env, "-m", "projdiff", "simulate", str(cfg),
+                                            "--out", sim))
+    assert "projdiff.sensing_analysis" in simulated
+    assert not simulated & {"projdiff.checks", "projdiff.diagnostics", "projdiff.modelio"}
+
+    analyzed = _imported(package_env, "-m", "projdiff", "analyze", sim)
+    assert _projdiff_modules(analyzed) == {"projdiff", "projdiff.cli", "projdiff.errors",
+                                           "projdiff.recovery_engine", "projdiff.diagnostics"}
+    assert not analyzed & {"numpy.random", "hashlib"}
+
+    # Every name of the namespace is the object that its submodule defines.
+    assert set(pd.__all__) <= set(dir(pd))
+    for name in pd.__all__:
+        module = importlib.import_module(f"projdiff.{pd._SUBMODULE[name]}")
+        assert getattr(pd, name) is getattr(module, name), name
+        assert getattr(pd, name).__module__ == module.__name__, name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        pd.no_such_name
+
+
+def test_a_simulate_worker_imports_nothing(tmp_path, package_env):
+    """Every module a run uses is loaded before simulate forks its workers."""
+    code = (
+        "import json, sys\n"
+        "from projdiff import cli\n"
+        "real = cli._run_forked\n"
+        "def run_forked(tasks):\n"
+        "    loaded = set(sys.modules)\n"
+        "    def watched(task):\n"
+        "        def run():\n"
+        "            return dict(task(), new=sorted(set(sys.modules) - loaded))\n"
+        "        return run\n"
+        "    results = real([watched(task) for task in tasks])\n"
+        "    print(json.dumps([result['new'] for result in results]))\n"
+        "    return results\n"
+        "cli._run_forked = run_forked\n"
+        "cli._worker_count = lambda n_runs: 2\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    cfg = tmp_path / "lrgmm.cfg"
+    cfg.write_text(LRGMM_CONFIG)
+    proc = subprocess.run([sys.executable, "-c", code, "simulate", str(cfg),
+                           "--out", str(tmp_path / "o")],
+                          capture_output=True, text=True, env=package_env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[0]) == [[], []]

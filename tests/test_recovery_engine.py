@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 import projdiff as pd
 from projdiff import checks, cli, lrgmm_prior, recovery_engine
 from projdiff.model_sets import UnionOfSubspaces, component_parts
-from projdiff.recovery_engine import TRACE_FORMAT_LINE
+from projdiff.recovery_engine import TRACE_COLUMNS, TRACE_FORMAT_LINE
 
 
 def geometric(horizon=150):
@@ -482,12 +483,13 @@ def test_simulate_trace_bytes_do_not_depend_on_its_batches(tmp_path, monkeypatch
         "[run]\nn_iters = 40\ntrials = 4\n"
     )
     widths = []
+    real = recovery_engine.run_recoveries
 
     def counted(problems, *args, **kwargs):
         widths.append(len(problems))
-        return recovery_engine.run_recoveries(problems, *args, **kwargs)
+        return real(problems, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "run_recoveries", counted)
+    monkeypatch.setattr(recovery_engine, "run_recoveries", counted)
     # One worker, so every run_recoveries call is made, and counted, here.
     monkeypatch.setattr(cli, "_worker_count", lambda n_runs: 1)
     outs = {}
@@ -495,7 +497,7 @@ def test_simulate_trace_bytes_do_not_depend_on_its_batches(tmp_path, monkeypatch
         outs["one batch"] = tmp_path / "one"
         assert cli.main(["simulate", str(cfg), "--out", str(outs["one batch"])]) == 0
         assert widths == [8]
-        patch.setattr(cli, "batch_width", lambda prior, d, n_iters: 3)
+        patch.setattr(recovery_engine, "batch_width", lambda prior, d, n_iters: 3)
         outs["batches of 3"] = tmp_path / "three"
         assert cli.main(["simulate", str(cfg), "--out", str(outs["batches of 3"])]) == 0
         assert widths[1:] == [3, 3, 2]
@@ -626,6 +628,16 @@ def test_trace_file_starts_with_format_line(tmp_path):
     trace.write_csv(path)
     first = path.read_text().splitlines()[0]
     assert first == TRACE_FORMAT_LINE == "# projdiff-trace v1"
+
+
+@pytest.mark.parametrize("value", ["1.7", "nan", "inf", "1e300"])
+def test_trace_reader_rejects_a_non_integer_n(tmp_path, value):
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join([TRACE_FORMAT_LINE, "# {}", ",".join(TRACE_COLUMNS),
+                               "0,0.5,1,0,0,0", f"{value},0.5,1,0,0,0"]) + "\n")
+    message = f"malformed data rows: column n holds {float(value)!r}, not an iteration number"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        pd.RecoveryTrace.read_csv(path)
 
 
 @pytest.mark.parametrize(
