@@ -10,6 +10,8 @@ Exit codes: 0 ok, 2 config error, 3 numeric divergence, 4 check failures.
 
 Each command imports the layers it runs inside itself: ``analyze`` loads
 no model, sensing or check module, and only ``check`` loads ``checks``.
+``config.build`` turns a config into its model, operator and mu, and
+``config.generate_model`` a gen-model spec into its model.
 """
 
 import argparse
@@ -18,16 +20,16 @@ import os
 import signal
 import sys
 import traceback
+from dataclasses import replace
 from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError, InsufficientDataError, \
-    NumericFailureError, ResourceLimitError
+from .errors import ConfigError, DivergenceError, InsufficientDataError, ResourceLimitError
 
 if TYPE_CHECKING:
-    from .config import ExperimentConfig, PriorSpec
+    from .config import ExperimentConfig
     from .recovery_engine import RecoveryTrace
 
 MANIFEST_NAME = "manifest.json"
@@ -39,74 +41,15 @@ RATES_COLUMNS = ("file", "schedule", "seed", "burn_in", "rate", "r2", "final_mse
 CONVERGED_MSE = 1e-6
 
 
-def _build_prior(spec: "PriorSpec"):
-    """The model a ``[prior]`` spec describes: an LrGmmPrior or a BoxSet."""
-    from .convex_prior import BoxSet
-    from .lrgmm_prior import LrGmmPrior, random_lrgmm, sparse_gmm
-
-    if spec.kind == "lrgmm":
-        return random_lrgmm(spec.d, spec.r, spec.k, np.random.default_rng(spec.seed), pi=spec.pi)
-    if spec.kind == "sparse":
-        return sparse_gmm(spec.d, spec.s, pi=spec.pi)
-    if spec.kind == "box":
-        return BoxSet(lower=spec.lower, upper=spec.upper)
-    from .config import _fail
-    from .model_sets import UnionOfSubspaces
-    from .modelio import load_model
-
-    try:
-        model = load_model(spec.path)
-    except OSError as exc:
-        raise _fail("prior", "path", f"{spec.path}: {exc.strerror or exc}") from None
-    except ValueError as exc:
-        raise _fail("prior", "path", f"{spec.path}: {exc}") from None
-    return LrGmmPrior(model) if isinstance(model, UnionOfSubspaces) else model
-
-
-def _allocated(section: str, key: str, build, *args):
-    """``build(*args)``, with running out of memory reported as an error in ``[section] key``."""
-    from .config import _fail
-
-    try:
-        return build(*args)
-    except MemoryError:
-        raise _fail(section, key, "too large: not enough memory to build it") from None
-
-
-def _prior_descriptor(spec: "PriorSpec") -> dict:
-    """The prior as trace metadata names it: kind, d and its scalar keys, not its lists."""
-    from .config import _PRIOR_KEYS
-
-    keys = ("kind",) + (() if spec.kind == "file" else ("d",)) + _PRIOR_KEYS[spec.kind]
-    return {key: getattr(spec, key) for key in keys if isinstance(getattr(spec, key), (int, str))}
-
-
-def _resolve_mu(mu, operator) -> float:
-    from .config import MU_AUTO, _fail
-    from .sensing_analysis import spectral_norm
-
-    if mu == MU_AUTO:
-        try:
-            return 1.9 / spectral_norm(operator) ** 2
-        except NumericFailureError as exc:
-            raise _fail("sensing", "mu", f"{MU_AUTO} needs the operator norm: {exc}") from None
-    return float(mu)
-
-
 def _apply_overrides(cfg: "ExperimentConfig", args) -> "ExperimentConfig":
     changes = {}
     if args.out is not None:
         changes["out_dir"] = args.out
-    if args.seed_override is not None:
-        if args.seed_override < 0:
-            raise ConfigError(f"--seed-override: seeds must be >= 0, got {args.seed_override}")
-        changes["trial_seeds"] = tuple(
-            args.seed_override + i for i in range(len(cfg.trial_seeds))
-        )
-    if not changes:
-        return cfg
-    from dataclasses import replace
-
+    seed = args.seed_override
+    if seed is not None:
+        if seed < 0:
+            raise ConfigError(f"--seed-override: seeds must be >= 0, got {seed}")
+        changes["trial_seeds"] = tuple(range(seed, seed + len(cfg.trial_seeds)))
     return replace(cfg, **changes)
 
 
@@ -229,23 +172,19 @@ def _run_forked(tasks) -> list:
 
 
 def cmd_simulate(args) -> int:
-    from .config import load_config, serialize_config
+    from .config import build, load_config, prior_descriptor, serialize_config
     from .recovery_engine import _matvec, batch_width
-    from .sensing_analysis import SensingProblem, gaussian_operator
+    from .sensing_analysis import SensingProblem
 
     try:
         cfg = _apply_overrides(load_config(args.config), args)
-        model = _allocated("prior", "path" if cfg.prior.kind == "file" else "d",
-                           _build_prior, cfg.prior)
-        operator = _allocated("sensing", "m", gaussian_operator, cfg.sensing.m,
-                              model.ambient_dim, np.random.default_rng(cfg.sensing.seed))
-        mu = _resolve_mu(cfg.sensing.mu, operator)
+        model, operator, mu = build(cfg)
         _make_out_dir(cfg.out_dir, "--out" if args.out is not None else "[run] out_dir")
     except (ConfigError, ResourceLimitError, ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    descriptor = _prior_descriptor(cfg.prior)
+    descriptor = prior_descriptor(cfg.prior)
     runs = []
     for seed in cfg.trial_seeds:
         x_true = model.sample(np.random.default_rng(seed))
@@ -372,13 +311,16 @@ def cmd_analyze(args) -> int:
     if os.path.exists(manifest_path):
         try:
             with open(manifest_path, "r") as fh:
-                listed = set(json.load(fh)["files"])
+                files = json.load(fh)["files"]
+            if not isinstance(files, list) or not all(isinstance(f, str) for f in files):
+                raise TypeError(f"files is not a list of names: {files!r}")
+            listed = set(files)
         except (OSError, ValueError, KeyError, TypeError) as exc:
             print(f"unreadable {MANIFEST_NAME}: {exc!r}", file=sys.stderr)
             return 2
 
     def is_trace_name(fname):
-        return isinstance(fname, str) and fname.endswith(".csv") and fname not in ANALYZE_OUTPUTS
+        return fname.endswith(".csv") and fname not in ANALYZE_OUTPUTS
 
     present = os.listdir(directory)
     for fname in sorted(set(filter(is_trace_name, listed or ())) - set(present)):
@@ -426,13 +368,11 @@ def cmd_analyze(args) -> int:
 
 def _parse_model_spec(spec: str) -> dict:
     """``kind:key=v|v,...`` as a config section: lists become space-separated."""
-    if ":" not in spec:
+    kind, sep, rest = spec.partition(":")
+    if not sep:
         raise ConfigError(f"model spec needs kind:key=value,..., got {spec!r}")
-    kind, _, rest = spec.partition(":")
     fields = {}
-    for item in rest.split(","):
-        if not item:
-            continue
+    for item in filter(None, rest.split(",")):
         key, sep, value = item.partition("=")
         if not sep:
             raise ConfigError(f"model spec item {item!r} is not key=value")
@@ -442,30 +382,11 @@ def _parse_model_spec(spec: str) -> dict:
 
 
 def cmd_gen_model(args) -> int:
-    from .config import _INTS, _PRIOR_KEYS, PRIOR_KINDS, _check_keys, _fail, _get, _get_seed, \
-        _parse_prior
-    from .model_sets import random_union
+    from .config import generate_model
     from .modelio import save_model
 
     try:
-        fields = _parse_model_spec(args.spec)
-        kind = fields["kind"]
-        seeded = kind == "union" or "seed" in _PRIOR_KEYS.get(kind, ())
-        if args.seed_override is not None and seeded:
-            fields["seed"] = str(args.seed_override)
-        if kind == "union":
-            _check_keys(kind, fields, ("kind", "d", "ranks", "seed"))
-            d, ranks = _get(kind, fields, "d"), _get(kind, fields, "ranks", _INTS)
-            if not ranks or not all(1 <= r <= d for r in ranks):
-                raise _fail(kind, "ranks", f"need ranks between 1 and d = {d}, "
-                                           f"got {fields['ranks']!r}")
-            model = _allocated(kind, "d", random_union, d, ranks,
-                               np.random.default_rng(_get_seed(kind, fields, "seed")))
-        elif kind in PRIOR_KINDS and kind != "file":
-            model = _allocated(kind, "d", _build_prior, _parse_prior(fields))
-        else:
-            raise ConfigError(f"unknown model kind {kind!r}")
-        save_model(args.output, model)
+        save_model(args.output, generate_model(_parse_model_spec(args.spec), args.seed_override))
     except (ConfigError, ResourceLimitError, ValueError, OSError) as exc:
         print(f"gen-model error: {exc}", file=sys.stderr)
         return 2

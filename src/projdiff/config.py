@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ResourceLimitError
+from .errors import ConfigError, NumericFailureError, ResourceLimitError
 from .lrgmm_prior import SPARSE_COMPONENT_CAP, log_mixture_weights, sparse_component_count
 from .convex_prior import BoxSet
 from .recovery_engine import SCHEDULE_FIELDS, SCHEDULE_KINDS, NoiseSchedule, schedule_sigma
@@ -173,10 +173,12 @@ def _get_pi(values, n_components):
     return pi
 
 
-def _check_basis_entries(k, d, r_max):
-    """Reject K components of rank up to r_max in R^d whose stacked bases exceed the cap."""
+def _check_size(section, count_key, k, d, r_max):
+    """Reject more than the capped K (naming count_key) or K*d*r_max basis entries (naming d)."""
+    if k > SPARSE_COMPONENT_CAP:
+        raise _fail(section, count_key, f"{k} components exceed the cap of {SPARSE_COMPONENT_CAP}")
     if k * d * r_max > MAX_BASIS_ENTRIES:
-        raise _fail("prior", "d", f"K*d*r = {k}*{d}*{r_max} = {k * d * r_max} basis entries "
+        raise _fail(section, "d", f"K*d*r = {k}*{d}*{r_max} = {k * d * r_max} basis entries "
                                   f"exceed the cap of {MAX_BASIS_ENTRIES}")
 
 
@@ -192,9 +194,7 @@ def _parse_prior(values) -> PriorSpec:
         k = _get("prior", values, "k")
         if k < 1:
             raise _fail("prior", "k", f"must be >= 1, got {k}")
-        if k > SPARSE_COMPONENT_CAP:
-            raise _fail("prior", "k", f"{k} components exceed the cap of {SPARSE_COMPONENT_CAP}")
-        _check_basis_entries(k, d, r)
+        _check_size("prior", "k", k, d, r)
         return PriorSpec(
             kind=kind,
             d=d,
@@ -211,7 +211,7 @@ def _parse_prior(values) -> PriorSpec:
             n_components = sparse_component_count(d, s)
         except ResourceLimitError as exc:
             raise _fail("prior", "s", str(exc)) from None
-        _check_basis_entries(n_components, d, s)
+        _check_size("prior", "s", n_components, d, s)
         return PriorSpec(kind=kind, d=d, s=s, pi=_get_pi(values, n_components))
     if kind == "box":
         lower = _get_floats("prior", values, "lower")
@@ -236,16 +236,9 @@ def _parse_prior(values) -> PriorSpec:
 
 def _parse_sensing(values) -> SensingSpec:
     _check_keys("sensing", values, {"m", "seed", "mu"})
-    raw_mu = values.get("mu", MU_AUTO)
-    if raw_mu == MU_AUTO:
-        mu = MU_AUTO
-    else:
-        try:
-            mu = float(raw_mu)
-        except ValueError:
-            raise _fail(
-                "sensing", "mu", f"expected {MU_AUTO!r} or a number, got {raw_mu!r}"
-            ) from None
+    mu = values.get("mu", MU_AUTO)
+    if mu != MU_AUTO:
+        mu = _get("sensing", values, "mu", (float, f"{MU_AUTO!r} or a number"))
         if not 0.0 < mu < math.inf:
             raise _fail("sensing", "mu", f"must be positive and finite, got {mu}")
     m = _get("sensing", values, "m")
@@ -267,14 +260,11 @@ def _parse_schedule(section, values) -> NoiseSchedule:
     if kind is None:
         raise _fail(section, "kind", "required key is missing")
     # An unknown kind reads a finite schedule's keys, and NoiseSchedule rejects it.
-    keys = SCHEDULE_FIELDS.get(kind, SCHEDULE_FIELDS["geometric"])
+    fields = {key: _get(section, values, key, _INT if key == "horizon" else _FLOAT)
+              for key in SCHEDULE_FIELDS.get(kind, SCHEDULE_FIELDS["geometric"])}
     try:
-        return NoiseSchedule(kind=kind, **{
-            key: _get(section, values, key, _INT if key == "horizon" else _FLOAT) for key in keys
-        })
+        return NoiseSchedule(kind=kind, **fields)
     except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise _fail(section, None, str(exc)) from None
 
 
@@ -329,9 +319,6 @@ def parse_config(text: str) -> ExperimentConfig:
         (section.split(".", 1)[1], _parse_schedule(section, dict(cp[section])))
         for section in schedule_sections
     )
-    names = [name for name, _ in schedules]
-    if len(set(names)) != len(names):
-        raise ConfigError("schedule names must be distinct")
 
     n_iters, seeds, out_dir = _parse_run(dict(cp["run"]))
     source = ("run", "n_iters")
@@ -374,6 +361,95 @@ def load_config(path) -> ExperimentConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     return parse_config(text)
+
+
+# Building.  A build function is imported where it is called: a command loads
+# only what its config needs (modelio only for a file prior).
+
+
+def _allocated(section, key, build, *args):
+    """``build(*args)``, with running out of memory reported as an error in ``[section] key``."""
+    try:
+        return build(*args)
+    except MemoryError:
+        raise _fail(section, key, "too large: not enough memory to build it") from None
+
+
+def _build_prior(spec: PriorSpec):
+    """The model a ``[prior]`` spec describes: an LrGmmPrior or a BoxSet."""
+    from .lrgmm_prior import LrGmmPrior, random_lrgmm, sparse_gmm
+
+    if spec.kind == "lrgmm":
+        return random_lrgmm(spec.d, spec.r, spec.k, np.random.default_rng(spec.seed), pi=spec.pi)
+    if spec.kind == "sparse":
+        return sparse_gmm(spec.d, spec.s, pi=spec.pi)
+    if spec.kind == "box":
+        return BoxSet(lower=spec.lower, upper=spec.upper)
+    from .model_sets import UnionOfSubspaces
+    from .modelio import load_model
+
+    try:
+        model = load_model(spec.path)
+    except (OSError, ValueError) as exc:
+        problem = getattr(exc, "strerror", None) or exc
+        raise _fail("prior", "path", f"{spec.path}: {problem}") from None
+    return LrGmmPrior(model) if isinstance(model, UnionOfSubspaces) else model
+
+
+def build(cfg: ExperimentConfig) -> tuple:
+    """The (model, operator, mu) that ``cfg`` describes, built as ``simulate`` runs them.
+
+    Running out of memory, an unreadable model file and an auto_1.9 mu
+    whose operator norm cannot be computed raise ConfigError naming the key.
+    """
+    from .sensing_analysis import gaussian_operator, spectral_norm
+
+    model = _allocated("prior", "path" if cfg.prior.kind == "file" else "d",
+                       _build_prior, cfg.prior)
+    operator = _allocated("sensing", "m", gaussian_operator, cfg.sensing.m, model.ambient_dim,
+                          np.random.default_rng(cfg.sensing.seed))
+    if cfg.sensing.mu != MU_AUTO:
+        return model, operator, float(cfg.sensing.mu)
+    try:
+        return model, operator, 1.9 / spectral_norm(operator) ** 2
+    except NumericFailureError as exc:
+        raise _fail("sensing", "mu", f"{MU_AUTO} needs the operator norm: {exc}") from None
+
+
+def prior_descriptor(spec: PriorSpec) -> dict:
+    """The prior as trace metadata names it: kind, d and its scalar keys, not its lists."""
+    keys = ("kind",) + (() if spec.kind == "file" else ("d",)) + _PRIOR_KEYS[spec.kind]
+    return {key: getattr(spec, key) for key in keys if isinstance(getattr(spec, key), (int, str))}
+
+
+def _build_union(fields):
+    """gen-model's bare ``union`` of random subspaces, from its keys d, ranks and seed."""
+    from .model_sets import random_union
+
+    _check_keys("union", fields, ("kind", "d", "ranks", "seed"))
+    d, ranks = _get("union", fields, "d"), _get("union", fields, "ranks", _INTS)
+    if not ranks or not all(1 <= r <= d for r in ranks):
+        raise _fail("union", "ranks", f"need ranks between 1 and d = {d}, got {fields['ranks']!r}")
+    _check_size("union", "ranks", len(ranks), d, max(ranks))
+    return _allocated("union", "d", random_union, d, ranks,
+                      np.random.default_rng(_get_seed("union", fields, "seed")))
+
+
+def generate_model(fields: dict, seed):
+    """The model that gen-model's spec ``fields`` (its keys and ``kind``) describe.
+
+    The kinds are ``union`` and every prior kind but ``file``, which read and
+    check their keys as ``[union]`` and ``[prior]``.  A ``seed`` that is not
+    None replaces the spec's seed for the kinds that have one.
+    """
+    kind = fields.get("kind")
+    if seed is not None and (kind == "union" or "seed" in _PRIOR_KEYS.get(kind, ())):
+        fields = dict(fields, seed=str(seed))
+    if kind == "union":
+        return _build_union(fields)
+    if kind not in PRIOR_KINDS or kind == "file":
+        raise ConfigError(f"unknown model kind {kind!r}")
+    return _allocated(kind, "d", _build_prior, _parse_prior(fields))
 
 
 def _fmt(value) -> str:

@@ -318,14 +318,14 @@ class RecoveryTrace:
             data = None
         if data is None or data.shape[1] != len(header):
             raise ValueError(f"{path}: malformed data rows")
-        n = data[:, 0]
-        whole = (n == np.trunc(n)) & (np.abs(n) < 2.0**63)
-        if not whole.all():
-            raise ValueError(f"{path}: malformed data rows: column n holds "
-                             f"{float(n[~whole][0])!r}, not an iteration number")
+        n, count = data[:, 0], np.arange(len(data))
+        if not np.array_equal(n, count):
+            row = int(np.argmax(n != count))
+            raise ValueError(f"{path}: malformed data rows: column n holds {float(n[row])!r}, "
+                             f"not an iteration number: data row {row} must hold n = {row}")
         dists = data[:, len(expected):] if dist_names else None
         fixed = {name: data[:, i] for i, name in enumerate(TRACE_COLUMNS)}
-        fixed["n"] = n.astype(int)
+        fixed["n"] = count
         return cls(**fixed, subspace_distances=dists, metadata=metadata)
 
 

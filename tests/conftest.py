@@ -21,6 +21,7 @@ import pytest
 
 import projdiff as pd
 from projdiff import cli
+from projdiff.config import build
 
 FLAGSHIP_CFG = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                             "experiments", "flagship.cfg")
@@ -86,13 +87,11 @@ def package_env():
 def flagship_setup():
     """The flagship's prior, operator and mu, built from its config as ``simulate`` builds them."""
     cfg = pd.load_config(FLAGSHIP_CFG)
-    prior = cli._build_prior(cfg.prior)
-    operator = pd.gaussian_operator(cfg.sensing.m, prior.ambient_dim,
-                                    np.random.default_rng(cfg.sensing.seed))
+    prior, operator, mu = build(cfg)
     return SimpleNamespace(
         prior=prior,
         operator=operator,
-        mu=cli._resolve_mu(cfg.sensing.mu, operator),
+        mu=mu,
         schedules=dict(cfg.schedules),
         trial_seeds=cfg.trial_seeds,
     )

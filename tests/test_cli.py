@@ -1137,6 +1137,40 @@ def test_analyze_names_each_listed_trace_that_is_missing(tmp_path, capsys):
         assert [line.split(",")[0] for line in fh.read().splitlines()[1:]] == [kept]
 
 
+@pytest.mark.parametrize("manifest", [
+    {"files": "trace_lin_00043.csv"},
+    {"files": ["trace_lin_00043.csv", 7]},
+    {"files": {"trace_lin_00043.csv": 1}},
+    ["trace_lin_00043.csv"],
+    {},
+], ids=["string", "non-string-entry", "object", "list", "no-files"])
+def test_analyze_rejects_a_malformed_manifest(tmp_path, capsys, manifest):
+    """``files`` must be a list of names: a string is not read as its set of characters."""
+    out = _simulated(tmp_path, TWO_SCHEDULE_CONFIG, name="bad")
+    (tmp_path / "bad" / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert cli.main(["analyze", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("unreadable manifest.json: ") and "skipping" not in err
+    assert not os.path.exists(os.path.join(out, "rates.csv"))
+
+
+def test_analyze_skips_a_trace_whose_n_does_not_count_up(tmp_path, capsys):
+    """n = 5, 3, 3, 1, 0, -2 used to give rate 0.5 and r2 = 1 for mse = 0.25**n."""
+    header = ["# projdiff-trace v1", "# {}", "n,sigma,mse,residual,frontier_gap,weight_entropy"]
+    for name, ns in (("trace_bad_00001.csv", (5, 3, 3, 1, 0, -2)),
+                     ("trace_good_00001.csv", range(6))):
+        rows = [f"{n},0.5,{0.25 ** n!r},0,nan,nan" for n in ns]
+        (tmp_path / name).write_text("\n".join(header + rows) + "\n")
+    assert cli.main(["analyze", str(tmp_path)]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("skipping trace_bad_00001.csv: ")
+    assert "malformed data rows: column n holds 5.0, not an iteration number" in err
+    with open(tmp_path / "rates.csv") as fh:
+        assert [line.split(",")[0] for line in fh.read().splitlines()[1:]] == [
+            "trace_good_00001.csv"]
+
+
 def test_analyze_recovers_a_planted_linear_rate(tmp_path):
     rows = 14
     trace = pd.RecoveryTrace(
@@ -1324,12 +1358,21 @@ def test_gen_model_prior_kinds_take_the_config_keys(tmp_path):
         ("union:d=8,ranks=2.5|3,seed=5", "[union] ranks: expected integers"),
         ("union:d=8,ranks=2|3,seed=5,bogus=1", "[union] bogus: unknown key"),
         ("union:d=4,ranks=2|9,seed=5", "[union] ranks: need ranks between 1 and d = 4"),
+        ("union:d=100000,ranks=1001,seed=1",
+         "[union] d: K*d*r = 1*100000*1001 = 100100000 basis entries exceed the cap of "
+         "100000000"),
+        pytest.param("union:d=1,ranks=" + "|".join(["1"] * 200001) + ",seed=1",
+                     "[union] ranks: 200001 components exceed the cap of 200000",
+                     id="union-component-cap"),
         ("matrix:m=2,d=3", "unknown model kind 'matrix'"),
         ("lrgmm:d=4,r=1,k=2,seed=-1", "[prior] seed: seeds must be >= 0, got -1"),
         ("union:d=8,ranks=2|3,seed=-1", "[union] seed: seeds must be >= 0, got -1"),
     ],
 )
-def test_gen_model_rejects_bad_specs(tmp_path, spec, message, capsys):
+def test_gen_model_rejects_bad_specs(tmp_path, spec, message, capsys, monkeypatch):
+    # A rejected spec builds nothing, so an over-cap union fails here without allocating.
+    monkeypatch.setattr(model_sets, "random_union", _out_of_memory)
+    monkeypatch.setattr(lrgmm_prior, "random_lrgmm", _out_of_memory)
     assert cli.main(["gen-model", spec, "-o", str(tmp_path / "x.model")]) == 2
     err = capsys.readouterr().err
     assert "gen-model error" in err and message in err
@@ -1337,7 +1380,7 @@ def test_gen_model_rejects_bad_specs(tmp_path, spec, message, capsys):
 
 
 @pytest.mark.parametrize("spec,name", [
-    ("union:d=1000000000000,ranks=1,seed=5", "random_union"),
+    ("union:d=4096,ranks=1,seed=5", "random_union"),
     ("lrgmm:d=4096,r=1,k=1,seed=5", "random_lrgmm"),
 ])
 def test_gen_model_reports_an_oversize_model_as_exit_2(tmp_path, monkeypatch, capsys,

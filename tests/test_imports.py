@@ -5,8 +5,10 @@ inside the command that runs it, so start-up time is paid only for what a
 command uses.  The module sets are read from ``python -X importtime``.
 """
 
+import ast
 import importlib
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -100,3 +102,24 @@ def test_a_simulate_worker_imports_nothing(tmp_path, package_env):
                           capture_output=True, text=True, env=package_env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[0]) == [[], []]
+
+
+def test_only_config_reads_its_private_names():
+    """``config`` alone knows what a prior kind is and how to build one.
+
+    No other package module imports a ``_`` name from it or reads one as
+    ``config._name``; tests may.
+    """
+    uses = []
+    for path in sorted(pathlib.Path(pd.__file__).parent.glob("*.py")):
+        if path.name == "config.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module in ("config", "projdiff.config"):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "config":
+                names = [node.attr]
+            else:
+                continue
+            uses += [f"{path.name}:{node.lineno} {name}" for name in names if name.startswith("_")]
+    assert uses == []

@@ -640,6 +640,23 @@ def test_trace_reader_rejects_a_non_integer_n(tmp_path, value):
         pd.RecoveryTrace.read_csv(path)
 
 
+@pytest.mark.parametrize("ns,row,value", [
+    ((5, 3, 3, 1, 0, -2), 0, 5),
+    ((0, 1, 1, 2), 2, 1),
+    ((0, 2, 1), 1, 2),
+    ((0, -1), 1, -1),
+    ((1, 2, 3), 0, 1),
+])
+def test_trace_reader_requires_n_to_count_from_0(tmp_path, ns, row, value):
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join([TRACE_FORMAT_LINE, "# {}", ",".join(TRACE_COLUMNS)]
+                              + [f"{n},0.5,{0.25 ** n!r},0,0,0" for n in ns]) + "\n")
+    message = (f"malformed data rows: column n holds {float(value)!r}, not an iteration "
+               f"number: data row {row} must hold n = {row}")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        pd.RecoveryTrace.read_csv(path)
+
+
 @pytest.mark.parametrize(
     "lines, message",
     [
