@@ -94,6 +94,47 @@ def _simulate_share(cfg, model, runs, width) -> dict:
     return {"files": files, "diverged": diverged}
 
 
+def blas_core():
+    """The kernel set numpy's OpenBLAS runs, as OpenBLAS names it (``'SkylakeX'``).
+
+    OpenBLAS picks its kernels when it loads, and ``OPENBLAS_CORETYPE``
+    forces a choice.  Kernel sets round differently, so an exact digest of
+    BLAS or LAPACK output holds on one of them.  Some report another name
+    than the one forced: in numpy 2.4's OpenBLAS 0.3.31, ``Zen`` reports
+    (and runs) ``Haswell``, and ``Prescott`` reports ``Katmai``.  None if
+    numpy's BLAS is not its bundled OpenBLAS.
+    """
+    return _openblas_string("corename")
+
+
+def _openblas_string(name):
+    """What the bundled OpenBLAS's ``get_<name>`` returns, or None without one."""
+    import ctypes
+
+    try:
+        from numpy._core import _multiarray_umath  # numpy 2, whose wheels bundle scipy-openblas
+
+        getter = getattr(ctypes.CDLL(_multiarray_umath.__file__),
+                         f"scipy_openblas_get_{name}64_", None)
+    except (ImportError, OSError):
+        return None
+    if getter is None:
+        return None
+    getter.restype = ctypes.c_char_p
+    return getter().decode()
+
+
+def _versions() -> dict:
+    """The library versions that, with the BLAS core, fix a simulate's bytes."""
+    import platform
+
+    from . import __version__
+
+    return {"projdiff": __version__, "python": platform.python_version(),
+            "numpy": np.__version__, "openblas_config": _openblas_string("config"),
+            "openblas_core": blas_core()}
+
+
 def _worker_count(n_runs: int) -> int:
     """How many processes simulate splits ``n_runs`` runs over.
 
@@ -224,6 +265,7 @@ def cmd_simulate(args) -> int:
         "sensing_seed": cfg.sensing.seed,
         "trial_seeds": list(cfg.trial_seeds),
         "mu": mu,
+        "versions": _versions(),
     }
     with open(os.path.join(cfg.out_dir, MANIFEST_NAME), "w", newline="\n") as fh:
         fh.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
@@ -419,6 +461,13 @@ are written back into <out>/resolved.cfg):
   [schedule.<name>]     kind (defaults to <name>), sigma_max,
                         sigma_min + horizon, or a (infinite_geometric)
   [run]                 n_iters, trials + base_seed or trial_seeds, out_dir
+
+In a list of numbers, value*count is count copies of value: lower = -1*128 0*896.
+
+<out>/manifest.json lists the written files, mu and, under versions, the
+projdiff, Python and numpy versions and numpy's OpenBLAS (openblas_config,
+openblas_core; null for another BLAS): a rerun with the same config and
+versions writes the same bytes.
 """
     p_sim = sub.add_parser(
         "simulate",

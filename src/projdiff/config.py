@@ -13,7 +13,8 @@ byte-identical.
     r = 5
     k = 8
     seed = 101
-    # uniform, or explicit weights: 0.2 0.5 0.3 ...
+    # uniform, or explicit weights: 0.2 0.5 0.3 ...; in any list of
+    # numbers, value*count stands for count copies: 0.125*8
     pi = uniform
 
     [sensing]
@@ -64,7 +65,8 @@ MAX_TRIALS = 10**6
 MAX_N_ITERS = 10**6
 
 # The most entries K * d * r_max that a prior's stacked bases may hold
-# (800 MB per float64 copy), checked before anything is built.
+# (800 MB per float64 copy), checked before anything is built; also the
+# longest that a list written with ``value*count`` may expand to.
 MAX_BASIS_ENTRIES = 10**8
 
 # The keys each prior kind takes besides ``kind``, in resolved.cfg order.
@@ -120,12 +122,41 @@ def _fail(section, key, problem) -> ConfigError:
     return ConfigError(f"{where}: {problem}")
 
 
+class _ListError(ValueError):
+    """A list whose repeat form is malformed; the message says how."""
+
+
+def _list_of(convert):
+    """A space-separated list's converter, where ``value*count`` is ``count`` copies of value.
+
+    Every count must be a positive integer, and the expanded length at most
+    MAX_BASIS_ENTRIES; both are checked before the list is expanded.
+    """
+    def parse(text):
+        entries = []
+        for word in text.split():
+            value, star, count = word.partition("*")
+            try:
+                repeat = int(count) if star else 1
+            except ValueError:
+                repeat = 0
+            if repeat < 1:
+                raise _ListError(f"the repeat count in {word!r} must be a positive integer")
+            entries.append((convert(value), repeat))
+        length = sum(repeat for _, repeat in entries)
+        if length > MAX_BASIS_ENTRIES:
+            raise _ListError(f"the list expands to {length} entries, "
+                             f"over the cap of {MAX_BASIS_ENTRIES}")
+        return tuple(value for value, repeat in entries for _ in range(repeat))
+    return parse
+
+
 # The types a key's value may have: how its text converts, and what an
 # error message says was expected.
 _INT = (int, "an integer")
 _FLOAT = (float, "a number")
-_INTS = (lambda text: tuple(int(v) for v in text.split()), "integers")
-_FLOATS = (lambda text: tuple(float(v) for v in text.split()), "numbers")
+_INTS = (_list_of(int), "integers")
+_FLOATS = (_list_of(float), "numbers")
 
 
 def _get(section, values, key, as_type=_INT, default=None):
@@ -137,6 +168,8 @@ def _get(section, values, key, as_type=_INT, default=None):
     convert, noun = as_type
     try:
         return convert(values[key])
+    except _ListError as exc:
+        raise _fail(section, key, str(exc)) from None
     except ValueError:
         raise _fail(section, key, f"expected {noun}, got {values[key]!r}") from None
 
@@ -449,7 +482,7 @@ def generate_model(fields: dict, seed):
         return _build_union(fields)
     if kind not in PRIOR_KINDS or kind == "file":
         raise ConfigError(f"unknown model kind {kind!r}")
-    return _allocated(kind, "d", _build_prior, _parse_prior(fields))
+    return _allocated("prior", "d", _build_prior, _parse_prior(fields))
 
 
 def _fmt(value) -> str:

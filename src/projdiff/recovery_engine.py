@@ -32,11 +32,14 @@ no computation mixes rows: sums run along each row's own axis, and every
 matrix-vector product is one BLAS gemv per row, never a gemm.
 
 Two things keep the operator work small without giving that up.
-``_matvec`` multiplies a tall matrix MATVEC_ROWS rows at a time, every row
-of the block against one slice before the next, so the slice stays in
-cache; each output is still one gemv's dot product over one matrix row,
-and the slices do not depend on B.  ``sensing_analysis.spectral_norm``
-multiplies through it as well, which keeps mu off the BLAS thread count.
+``_matvec`` reads a tall matrix in slices of whole MATVEC_BLOCK-row blocks,
+as many as fit in MATVEC_BYTES, every row of the block against one slice
+before the next, so the slice stays in cache; each output is still one
+gemv's dot product over one matrix row, and the slices do not depend on B.
+Slice bounds on multiples of MATVEC_BLOCK rows keep each row on the kernel
+path it takes in 128-row slices, so the bytes do not depend on
+MATVEC_BYTES.  ``sensing_analysis.spectral_norm`` multiplies through it as
+well, which keeps mu off the BLAS thread count.
 A projection is exactly zero off its model's ``active_mask``, so
 ``run_recoveries`` forms A p from only the FREE_BLOCK-column blocks of A
 that hold a free coordinate.
@@ -88,9 +91,11 @@ BATCH_BYTES = 16 * 2**20
 FREE_BLOCK = 64
 FREE_COLUMNS_MAX_DIM = 2048
 
-# _matvec multiplies by at most this many matrix rows at a time: 1 MiB of a
-# 1024-column operator, which stays in cache across the rows of a block.
-MATVEC_ROWS = 128
+# _matvec reads a matrix in slices of whole MATVEC_BLOCK-row blocks, as many
+# as fit in MATVEC_BYTES (at least one), which stay in cache across the rows
+# of a block: 2 slices for both the 256 x 1024 box operator and its transpose.
+MATVEC_BYTES = 2**20
+MATVEC_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -162,21 +167,31 @@ def schedule_sigma(schedule: NoiseSchedule, n: int) -> float:
 def _matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     """a @ v for v of shape (d,) or (B, d): one gemv per row, never a gemm.
 
-    A matrix of more than MATVEC_ROWS rows is taken MATVEC_ROWS rows at a
-    time, and every row of v meets one slice before the next slice is read,
-    so the slice stays in cache.  Each output is still one gemv's dot product
-    over one matrix row, and the slices do not depend on how many rows v has.
-    A last slice under 8 rows joins the one before it: numpy hands a one-row
-    matrix to dot, not gemv, which sums in another order.  The slices also
-    keep the bytes off the BLAS thread count: at m = 301, d = 2048 a
-    whole-matrix ``a @ v`` changed with OPENBLAS_NUM_THREADS and this did
-    not, so every operator product that reaches a trace or mu goes through it.
+    A matrix of more than MATVEC_BLOCK rows is read in slices of whole
+    MATVEC_BLOCK-row blocks, as many as fit in MATVEC_BYTES (at least one),
+    and every row of v meets one slice before the next slice is read, so the
+    slice stays in cache.  Each output is still one gemv's dot product over
+    one matrix row, and the slices do not depend on how many rows v has.  A
+    last slice under 8 rows joins the one before it: numpy hands a one-row
+    matrix to dot, not gemv, which sums in another order.
+
+    The bytes are those of 128-row slices.  A gemv kernel sums a row through
+    one code path or another by where the row sits in its slice: in a run of
+    whole groups of rows, or in the tail after them.  Slice bounds on
+    multiples of MATVEC_BLOCK keep each row's position modulo MATVEC_BLOCK,
+    and so its path; the tests check this against 128-row slices for A and
+    A^T at six shapes, odd row counts among them.  The slices also keep the
+    bytes off the BLAS thread count: at m = 301, d = 2048 a whole-matrix
+    ``a @ v`` changed with OPENBLAS_NUM_THREADS and this did not, so every
+    operator product that reaches a trace or mu goes through it.
     """
-    starts = range(0, a.shape[0] - 7, MATVEC_ROWS)
+    rows, row_bytes = a.shape[0], a.shape[1] * a.itemsize
+    step = MATVEC_BLOCK * max(1, MATVEC_BYTES // max(1, MATVEC_BLOCK * row_bytes))
+    starts = range(0, rows - 7, step)
     if len(starts) < 2:
         return np.matmul(a, v[..., None])[..., 0]
     out = np.empty(v.shape[:-1] + a.shape[:1])
-    for lo, hi in zip(starts, [*starts[1:], a.shape[0]]):
+    for lo, hi in zip(starts, [*starts[1:], rows]):
         out[..., lo:hi] = np.matmul(a[lo:hi], v[..., None])[..., 0]
     return out
 
@@ -330,10 +345,14 @@ class RecoveryTrace:
 
 
 def _operator_digest(operator: np.ndarray):
-    """The sha256 state after the operator's bytes, the prefix of every problem_hash."""
+    """The sha256 state after the operator's bytes, the prefix of every problem_hash.
+
+    The bytes are ``operator.tobytes()``, its entries in C order.  A
+    C-contiguous operator is hashed from its own buffer, with no copy.
+    """
     import hashlib  # here, so that reading traces does not load it
 
-    return hashlib.sha256(operator.tobytes())
+    return hashlib.sha256(np.ascontiguousarray(operator))
 
 
 def _problem_hash(operator_digest, problem: "SensingProblem") -> str:

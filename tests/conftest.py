@@ -7,20 +7,20 @@ session, whose traces every test that inspects them reads back.
 
 ``log_component_density`` is a one-component oracle for the library's
 stacked posterior, and ``assert_pinned`` checks an exact value recorded per
-BLAS core; tests import them with ``from conftest import ...``.
+BLAS core (``cli.blas_core``, which simulate's manifest records); tests
+import them with ``from conftest import ...``.
 """
 
-import ctypes
 import math
 import os
 import time
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
 import projdiff as pd
 from projdiff import cli
+from projdiff.cli import blas_core
 from projdiff.config import build
 
 FLAGSHIP_CFG = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -40,24 +40,6 @@ def log_component_density(prior, k, x, t):
     log_det = r * math.log1p(t) + (d - r) * math.log(t)
     quad = float(coeffs @ coeffs) / (1.0 + t) + float(residual @ residual) / t
     return float(prior.log_pi[k]) - 0.5 * (d * math.log(2.0 * math.pi) + log_det + quad)
-
-
-def blas_core():
-    """The kernel set numpy's OpenBLAS runs, as OpenBLAS names it (``'SkylakeX'``).
-
-    OpenBLAS picks its kernels when it loads, and ``OPENBLAS_CORETYPE``
-    forces a choice.  Kernel sets round differently, so an exact digest of
-    BLAS or LAPACK output holds on one of them.  Some report another name
-    than the one forced: in numpy 2.4's OpenBLAS 0.3.31, ``Zen`` reports
-    (and runs) ``Haswell``, and ``Prescott`` reports ``Katmai``.  None if
-    numpy's BLAS is not its bundled OpenBLAS.
-    """
-    lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
-    getter = getattr(lib, "scipy_openblas_get_corename64_", None)
-    if getter is None:
-        return None
-    getter.restype = ctypes.c_char_p
-    return getter().decode()
 
 
 def assert_pinned(pins, got):

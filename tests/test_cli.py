@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -314,6 +315,50 @@ def test_config_errors_name_the_offender(text, match):
         pd.parse_config(text)
 
 
+LIST_CONFIG = """\
+[prior]
+kind = box
+lower = {lower}
+upper = {upper}
+[sensing]
+m = 3
+[schedule.geometric]
+sigma_max = 0.5
+sigma_min = 1e-4
+horizon = 10
+[run]
+trial_seeds = {seeds}
+"""
+
+
+def test_list_keys_take_the_repeat_form():
+    repeated = pd.parse_config(LIST_CONFIG.format(lower="-1*3 -1e-3 0*2",
+                                                  upper="1*3 1e-3 0 0*1", seeds="7*1 8"))
+    written = pd.parse_config(LIST_CONFIG.format(lower="-1 -1 -1 -1e-3 0 0",
+                                                 upper="1 1 1 1e-3 0 0", seeds="7 8"))
+    assert repeated == written
+    assert repeated.prior.lower == (-1.0, -1.0, -1.0, -1e-3, 0.0, 0.0)
+    # resolved.cfg writes the expanded list, as it did before the repeat form.
+    assert pd.serialize_config(repeated) == pd.serialize_config(written)
+    assert "lower = -1 -1 -1 -0.001 0 0\n" in pd.serialize_config(repeated)
+    weights = _parse_prior({"kind": "lrgmm", "d": "4", "r": "1", "k": "4", "pi": "0.25*4"})
+    assert weights.pi == (0.25,) * 4
+
+
+@pytest.mark.parametrize("word", ["1*0", "1*-3", "1*2.5", "*4", "1*", "1**2", "-1*100000001"])
+def test_a_malformed_repeat_is_refused_naming_the_key(tmp_path, capsys, word):
+    # The over-cap count is refused before its 10^8 floats are made.
+    path = write_config(tmp_path, LIST_CONFIG.format(lower=f"-1 {word}", upper="1 1", seeds="7"))
+    assert cli.main(["simulate", path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [prior] lower: "), err
+    if word == "-1*100000001":
+        assert "expands to 100000002 entries, over the cap of 100000000" in err
+    elif word != "*4":
+        assert f"the repeat count in {word!r} must be a positive integer" in err
+    assert not os.path.exists(tmp_path / "out")
+
+
 def test_readme_config_example_is_a_valid_config():
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(readme) as fh:
@@ -586,6 +631,17 @@ def test_simulate_manifest_lists_every_output(tmp_path):
         "trace_lin_00043.csv",
         "trace_lin_00044.csv",
     }
+    # It names what the bytes depend on besides the config.
+    versions, core = manifest["versions"], cli.blas_core()
+    assert versions == {"projdiff": pd.__version__, "python": platform.python_version(),
+                        "numpy": np.__version__, "openblas_config": versions["openblas_config"],
+                        "openblas_core": core}
+    # The configuration string names the kernel set it runs, or both are null.
+    if core is None:
+        assert versions["openblas_config"] is None
+    else:
+        assert versions["openblas_config"].startswith("OpenBLAS ")
+        assert f" {core} " in versions["openblas_config"]
 
 
 def test_simulate_resolved_config_reparses_to_the_same_plan(tmp_path):
@@ -1005,7 +1061,7 @@ def test_simulate_box_prior_runs_without_union_columns(tmp_path):
 
 
 # The sha256 of that shortened box workload's trace_geometric_07000.csv and
-# trace_geometric_07001.csv, per BLAS core (see conftest.blas_core).
+# trace_geometric_07001.csv, per BLAS core (see cli.blas_core).
 BOX_TRACE_SHA256 = {
     "SkylakeX": ("de45f8d13748cb1ccde78ede9f4f14952d600a0e98acfd703b8afc2900c9347a",
                  "842bb8c2950708f5af8af8cf6032b267c4d6247cea24a3bcd8714b88b8b4a4d4"),
@@ -1283,7 +1339,7 @@ def test_gen_model_lrgmm_and_box(tmp_path):
 # Other runs read these files back, so their bytes are pinned.  The
 # rank-mixed union writes each component's own columns of the zero-padded
 # stack, not its padding.  Its bases come from a LAPACK QR, so its bytes are
-# recorded per BLAS core (see conftest.blas_core); the sparse file makes no
+# recorded per BLAS core (see cli.blas_core); the sparse file makes no
 # BLAS call.
 GEN_MODEL_SHA256 = {
     "union:d=8,ranks=2|3,seed=5": {
@@ -1312,6 +1368,15 @@ def test_gen_model_sparse_spec(tmp_path):
     assert cli.main(["gen-model", "sparse:d=4,s=2", "-o", path]) == 0
     prior = pd.load_model(path)
     assert prior.n_components == 6
+
+
+def test_gen_model_lists_take_the_repeat_form(tmp_path):
+    for spec in ("union:d=6,ranks=2*3|1,seed=5", "union:d=6,ranks=2|2|2|1,seed=5",
+                 "box:lower=-1*2|0,upper=1|1|0", "box:lower=-1|-1|0,upper=1|1|0"):
+        assert cli.main(["gen-model", spec, "-o", str(tmp_path / spec.replace("|", "_"))]) == 0
+    files = read_files(tmp_path)
+    assert files["union:d=6,ranks=2*3_1,seed=5"] == files["union:d=6,ranks=2_2_2_1,seed=5"]
+    assert files["box:lower=-1*2_0,upper=1_1_0"] == files["box:lower=-1_-1_0,upper=1_1_0"]
 
 
 def test_gen_model_seed_override_wins(tmp_path):
@@ -1356,6 +1421,8 @@ def test_gen_model_prior_kinds_take_the_config_keys(tmp_path):
         ("justakind", "model spec needs kind:key=value"),
         ("union:d=8,ranks", "is not key=value"),
         ("union:d=8,ranks=2.5|3,seed=5", "[union] ranks: expected integers"),
+        ("union:d=8,ranks=2*0,seed=5",
+         "[union] ranks: the repeat count in '2*0' must be a positive integer"),
         ("union:d=8,ranks=2|3,seed=5,bogus=1", "[union] bogus: unknown key"),
         ("union:d=4,ranks=2|9,seed=5", "[union] ranks: need ranks between 1 and d = 4"),
         ("union:d=100000,ranks=1001,seed=1",
@@ -1389,7 +1456,9 @@ def test_gen_model_reports_an_oversize_model_as_exit_2(tmp_path, monkeypatch, ca
                         _out_of_memory)
     assert cli.main(["gen-model", spec, "-o", str(tmp_path / "x.model")]) == 2
     err = capsys.readouterr().err
-    assert f"gen-model error: [{spec.split(':')[0]}] d: too large: not enough memory" in err
+    # A prior kind's keys are [prior] keys, as in every other message for its spec.
+    section = "union" if spec.startswith("union:") else "prior"
+    assert f"gen-model error: [{section}] d: too large: not enough memory" in err
     assert not os.path.exists(tmp_path / "x.model")
 
 

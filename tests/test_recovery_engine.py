@@ -1,6 +1,8 @@
+import hashlib
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -340,8 +342,8 @@ def _box(mask):
 
 
 def test_box_trace_bytes_do_not_depend_on_the_batch_or_the_denoise_path(tmp_path):
-    """m > MATVEC_ROWS and blocks of pinned columns: both cut-down products stay exact."""
-    d, m = 300, 160  # d is no multiple of FREE_BLOCK; A is taken in two row slices
+    """m > MATVEC_BLOCK and blocks of pinned columns: both cut-down products stay exact."""
+    d, m = 300, 160  # d is no multiple of FREE_BLOCK
     mask = np.zeros(d, dtype=bool)
     mask[[5, 17, 40, 130, 131, 150, 190, 260, 281, 299]] = True  # blocks 1 and 3 are pinned
     box = _box(mask)
@@ -396,6 +398,30 @@ def test_row_slices_round_like_the_whole_matrix(m):
     assert np.array_equal(recovery_engine._matvec(a.T, w),
                           np.matmul(a.T, w[..., None])[..., 0])
     assert np.array_equal(recovery_engine._matvec(a, v[2]), recovery_engine._matvec(a, v)[2])
+
+
+def _matvec_128(a, v):
+    """_matvec as it sliced before MATVEC_BYTES: always 128 rows a slice."""
+    starts = range(0, a.shape[0] - 7, 128)
+    if len(starts) < 2:
+        return np.matmul(a, v[..., None])[..., 0]
+    out = np.empty(v.shape[:-1] + a.shape[:1])
+    for lo, hi in zip(starts, [*starts[1:], a.shape[0]]):
+        out[..., lo:hi] = np.matmul(a[lo:hi], v[..., None])[..., 0]
+    return out
+
+
+@pytest.mark.parametrize("m,d", [(256, 1024), (20, 64), (301, 2048), (1000, 300), (77, 513),
+                                 (135, 1024)])
+def test_byte_sized_slices_round_like_128_row_slices(m, d):
+    """Slices of whole 128-row blocks keep every row's kernel path: the box and
+    flagship operators, wide and tall ones, and odd row counts, for A and A^T."""
+    rng = np.random.default_rng(m * d)
+    a = pd.gaussian_operator(m, d, rng)
+    for matrix in (a, a.T):
+        v = rng.standard_normal((20, matrix.shape[1]))
+        assert np.array_equal(recovery_engine._matvec(matrix, v), _matvec_128(matrix, v))
+        assert np.array_equal(recovery_engine._matvec(matrix, v[3]), _matvec_128(matrix, v[3]))
 
 
 def test_an_all_pinned_box_runs_to_finite_traces():
@@ -704,6 +730,24 @@ def test_trace_reader_rejects_malformed_files(tmp_path, lines, message):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=message):
         pd.RecoveryTrace.read_csv(path)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_problem_hash_hashes_the_operator_in_c_order(order):
+    a = np.asarray(pd.gaussian_operator(64, 128, np.random.default_rng(8)), order=order)
+    problem = pd.SensingProblem(a, 0.01, np.ones(64))
+    digest = hashlib.sha256(a.tobytes())
+    digest.update(problem.y.tobytes())
+    digest.update(format(problem.mu, ".17g").encode())
+    assert pd.problem_hash(problem) == digest.hexdigest()[:16]
+    tracemalloc.start()
+    try:
+        recovery_engine._operator_digest(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # A C-ordered operator is hashed from its own buffer; an F-ordered one is copied.
+    assert (peak < a.nbytes // 8) if order == "C" else (peak >= a.nbytes), peak
 
 
 def test_problem_hash_is_stable_and_sensitive():
