@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError, InsufficientDataError, ResourceLimitError
+from .errors import ConfigError, DivergenceError, InsufficientDataError
 
 if TYPE_CHECKING:
     from .config import ExperimentConfig
@@ -37,6 +37,8 @@ RESOLVED_NAME = "resolved.cfg"
 REPORT_NAME = "check_report.csv"
 ANALYZE_OUTPUTS = ("rates.csv", "summary.csv")
 RATES_COLUMNS = ("file", "schedule", "seed", "burn_in", "rate", "r2", "final_mse")
+SUMMARY_COLUMNS = ("schedule", "n_traces", "mean_final_mse", "median_final_mse", "mean_burn_in",
+                   "n_converged")
 # summary.csv's n_converged counts the traces whose final mse is below this.
 CONVERGED_MSE = 1e-6
 
@@ -221,7 +223,7 @@ def cmd_simulate(args) -> int:
         cfg = _apply_overrides(load_config(args.config), args)
         model, operator, mu = build(cfg)
         _make_out_dir(cfg.out_dir, "--out" if args.out is not None else "[run] out_dir")
-    except (ConfigError, ResourceLimitError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
@@ -331,6 +333,7 @@ def _fit_row(trace: "RecoveryTrace", fname: str) -> dict:
 
 
 def cmd_analyze(args) -> int:
+    import csv
     import statistics
 
     from .recovery_engine import RecoveryTrace
@@ -384,18 +387,21 @@ def cmd_analyze(args) -> int:
         print(f"no readable traces in {directory}", file=sys.stderr)
         return 2
 
+    # Names and schedules come from untrusted files: the writer quotes a
+    # field that holds a comma, a quote or a line break, and no other.
     rates_path = os.path.join(out_dir, "rates.csv")
-    with open(rates_path, "w", newline="\n") as fh:
-        fh.write(",".join(RATES_COLUMNS) + "\n")
-        for row in rows:
-            fh.write(",".join(_cell(row[key]) for key in RATES_COLUMNS) + "\n")
+    with open(rates_path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(RATES_COLUMNS)
+        writer.writerows([_cell(row[key]) for key in RATES_COLUMNS] for row in rows)
 
     by_schedule = {}
     for row in rows:
         by_schedule.setdefault(row["schedule"], []).append(row)
     summary_path = os.path.join(out_dir, "summary.csv")
-    with open(summary_path, "w", newline="\n") as fh:
-        fh.write("schedule,n_traces,mean_final_mse,median_final_mse,mean_burn_in,n_converged\n")
+    with open(summary_path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(SUMMARY_COLUMNS)
         for schedule in sorted(by_schedule):
             group = by_schedule[schedule]
             mses = [row["final_mse"] for row in group]
@@ -403,7 +409,7 @@ def cmd_analyze(args) -> int:
             fields = (schedule, len(group), statistics.mean(mses), statistics.median(mses),
                       float(statistics.mean(burns)) if burns else None,
                       sum(1 for mse in mses if mse < CONVERGED_MSE))
-            fh.write(",".join(_cell(value) for value in fields) + "\n")
+            writer.writerow(map(_cell, fields))
     print(f"analyzed {len(rows)} traces; wrote {rates_path} and {summary_path}")
     return 0
 
@@ -429,7 +435,7 @@ def cmd_gen_model(args) -> int:
 
     try:
         save_model(args.output, generate_model(_parse_model_spec(args.spec), args.seed_override))
-    except (ConfigError, ResourceLimitError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"gen-model error: {exc}", file=sys.stderr)
         return 2
     print(f"wrote {args.output}")

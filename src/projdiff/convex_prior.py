@@ -107,14 +107,6 @@ class BoxSet:
     def ambient_dim(self) -> int:
         return self.lower.shape[0]
 
-    @property
-    def intrinsic_dim(self) -> int:
-        return int(np.count_nonzero(self.active_mask))
-
-    @property
-    def diameter(self) -> float:
-        return float(np.linalg.norm(self.upper - self.lower))
-
     def step(self, x: np.ndarray, sigma):
         return box_denoiser(self, x, sigma), None
 

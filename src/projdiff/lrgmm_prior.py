@@ -31,7 +31,6 @@ import numpy as np
 
 from .errors import FrontierError, ResourceLimitError, UnsupportedCaseError
 from .model_sets import (
-    DEFAULT_TIE_TOL,
     UnionOfSubspaces,
     component_parts,
     gap_from_norms,
@@ -127,7 +126,6 @@ class DenoiserEval:
     value: np.ndarray
     weights: np.ndarray
     log_density: object  # float, or (B,) for a block
-    sigma: object
     sq_in: np.ndarray
     sq_out: np.ndarray
 
@@ -217,9 +215,9 @@ def denoiser(prior: LrGmmPrior, x: np.ndarray, sigma) -> DenoiserEval:
     value = np.matmul(w[:, None, :], projections)[:, 0, :] / (1.0 + t)[:, None]
     if np.ndim(x) == 1:
         return DenoiserEval(value=value[0], weights=w[0], log_density=float(log_density[0]),
-                            sigma=float(sigma), sq_in=sq_in[0], sq_out=sq_out[0])
+                            sq_in=sq_in[0], sq_out=sq_out[0])
     return DenoiserEval(value=value, weights=w, log_density=log_density,
-                        sigma=np.broadcast_to(sigma, t.shape), sq_in=sq_in, sq_out=sq_out)
+                        sq_in=sq_in, sq_out=sq_out)
 
 
 @dataclass(frozen=True)
@@ -253,12 +251,16 @@ def projection_gap(prior: LrGmmPrior, x: np.ndarray, sigma) -> ProjectionGap:
 
 
 def score(prior: LrGmmPrior, x: np.ndarray, sigma) -> np.ndarray:
-    """Gradient of the blurred log density, via Tweedie's identity."""
-    ev = denoiser(prior, x, sigma)
-    return (ev.value - x) / (ev.sigma * ev.sigma)
+    """Gradient of the blurred log density, via Tweedie's identity.
+
+    Takes ``x`` and ``sigma`` as ``denoiser`` does; each row is divided by
+    its own sigma^2.
+    """
+    value = denoiser(prior, x, sigma).value
+    return (value - x) / np.expand_dims(np.square(sigma), -1)
 
 
-def limiting_projection(prior: LrGmmPrior, x: np.ndarray, tie_tol: float = DEFAULT_TIE_TOL) -> np.ndarray:
+def limiting_projection(prior: LrGmmPrior, x: np.ndarray) -> np.ndarray:
     """Small-noise limit of the denoiser.
 
     Off the tie frontier this is the nearest-component projection.  On the
@@ -268,7 +270,7 @@ def limiting_projection(prior: LrGmmPrior, x: np.ndarray, tie_tol: float = DEFAU
     different rank have no single limit and are rejected.
     """
     x = _check_vector(x, prior.ambient_dim)
-    point, argmin_set = project_union(prior.union, x, tie_tol=tie_tol)
+    point, argmin_set = project_union(prior.union, x)
     if len(argmin_set) == 1:
         return point
     if len(set(prior.union.ranks[argmin_set])) != 1:

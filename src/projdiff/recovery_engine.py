@@ -15,6 +15,8 @@ members (LrGmmPrior and BoxSet have them; this module names neither):
   same pass, a trace row's extra columns;
 - ``n_components``: K, the distance columns per trace row, and 0 for a
   model whose ``step`` gives no columns;
+- ``ambient_dim``: d, the length of a row; ``config.build`` sizes the
+  operator by it and ``simulate`` passes it to ``batch_width``;
 - ``active_mask``: the coordinates a projection can move, or None for all;
 - ``sample(rng)``, a draw from the prior, and ``true_component(x)``, the
   component x lies on or None; ``simulate`` uses these for a run's truth.
@@ -116,8 +118,10 @@ class NoiseSchedule:
     def __post_init__(self):
         if self.kind not in SCHEDULE_KINDS:
             raise ValueError(f"kind must be one of {SCHEDULE_KINDS}, got {self.kind!r}")
-        if not (self.sigma_max > 0.0 and math.isfinite(self.sigma_max)):
-            raise ValueError(f"sigma_max must be positive, got {self.sigma_max}")
+        # The linear schedule and the denoisers square sigma, so sigma_max^2 must be finite.
+        if not (self.sigma_max > 0.0 and math.isfinite(self.sigma_max * self.sigma_max)):
+            raise ValueError(f"sigma_max must be positive with a finite square, "
+                             f"got {self.sigma_max}")
         if self.kind == "infinite_geometric":
             if not 0.0 < self.a < 1.0:
                 raise ValueError(f"decay factor a must lie in (0, 1), got {self.a}")
@@ -132,16 +136,6 @@ class NoiseSchedule:
     def to_dict(self) -> dict:
         return {"kind": self.kind,
                 **{key: getattr(self, key) for key in SCHEDULE_FIELDS[self.kind]}}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "NoiseSchedule":
-        return cls(
-            kind=payload["kind"],
-            sigma_max=float(payload["sigma_max"]),
-            sigma_min=float(payload.get("sigma_min", 0.0)),
-            horizon=int(payload.get("horizon", 0)),
-            a=float(payload.get("a", 0.0)),
-        )
 
 
 def schedule_sigma(schedule: NoiseSchedule, n: int) -> float:
@@ -199,7 +193,8 @@ def _matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
 def gpgd_step(denoise, a: np.ndarray, mu: float, y: np.ndarray,
               x: np.ndarray, sigma: float) -> np.ndarray:
     """x+ = P(x) - mu A^T (A P(x) - y) with P(x) = denoise(x, sigma)."""
-    return _data_step(a, mu, y, denoise(x, sigma))
+    p = denoise(x, sigma)
+    return _data_step(a, mu, y, p, _matvec(a, p))
 
 
 def _forward(a: np.ndarray, model):
@@ -229,13 +224,8 @@ def _row_dots(v: np.ndarray) -> np.ndarray:
 
 
 def _data_step(a: np.ndarray, mu: float, y: np.ndarray, p: np.ndarray,
-               ap: np.ndarray = None) -> np.ndarray:
-    """p - mu A^T (A p - y) for one vector p or for each row of a block.
-
-    ``ap`` is A p when the caller has it, else it is computed here.
-    """
-    if ap is None:
-        ap = _matvec(a, p)
+               ap: np.ndarray) -> np.ndarray:
+    """p - mu A^T (ap - y), with ap = A p, for one vector p or for each row of a block."""
     return p - mu * _matvec(a.T, ap - y)
 
 

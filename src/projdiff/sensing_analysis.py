@@ -65,14 +65,6 @@ class SensingProblem:
                 )
             object.__setattr__(self, "x_true", x)
 
-    @property
-    def n_measurements(self) -> int:
-        return self.operator.shape[0]
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.operator.shape[1]
-
 
 def gaussian_operator(m: int, d: int, rng: np.random.Generator) -> np.ndarray:
     """m x d matrix of iid N(0,1) entries, filled row-major from the stream."""
@@ -81,14 +73,14 @@ def gaussian_operator(m: int, d: int, rng: np.random.Generator) -> np.ndarray:
     return normal_matrix(rng, m, d)
 
 
-def spectral_norm(a: np.ndarray, tol: float = POWER_ITERATION_TOL,
-                  max_iter: int = POWER_ITERATION_MAX_ITER) -> float:
+def spectral_norm(a: np.ndarray) -> float:
     """Largest singular value via power iteration on A^T A.
 
     The start vector is the normalised all-ones vector so runs are
     deterministic; if that vector happens to be annihilated, a fixed ramp
     vector is substituted.  Raises NumericFailureError when the estimate has
-    not stabilised to relative tolerance ``tol`` within ``max_iter`` sweeps.
+    not stabilised to relative tolerance POWER_ITERATION_TOL within
+    POWER_ITERATION_MAX_ITER sweeps.
     The products go through ``_matvec``, so the estimate does not depend on
     the BLAS thread count.
     """
@@ -101,7 +93,7 @@ def spectral_norm(a: np.ndarray, tol: float = POWER_ITERATION_TOL,
     v = np.full(d, 1.0 / math.sqrt(d))
     estimate = 0.0
     gap = np.inf
-    for _ in range(max_iter):
+    for _ in range(POWER_ITERATION_MAX_ITER):
         w = _matvec(a.T, _matvec(a, v))
         norm_w = np.linalg.norm(w)
         if norm_w == 0.0:
@@ -113,10 +105,11 @@ def spectral_norm(a: np.ndarray, tol: float = POWER_ITERATION_TOL,
         gap = abs(new_estimate - estimate)
         estimate = new_estimate
         v = w / norm_w
-        if gap <= tol * max(estimate, 1e-300):
+        if gap <= POWER_ITERATION_TOL * max(estimate, 1e-300):
             return estimate
     raise NumericFailureError(
-        f"power iteration did not reach tol={tol} in {max_iter} iterations "
+        f"power iteration did not reach tol={POWER_ITERATION_TOL} in "
+        f"{POWER_ITERATION_MAX_ITER} iterations "
         f"(last gap {gap:.3e})",
         last_gap=gap,
     )
@@ -183,10 +176,11 @@ def _project_rows(union: UnionOfSubspaces, coeffs: np.ndarray,
 
 
 def _frontier_points(union: UnionOfSubspaces, ks: np.ndarray, ells: np.ndarray,
-                     rng: np.random.Generator, bisection_steps: int = 60) -> np.ndarray:
+                     rng: np.random.Generator) -> np.ndarray:
     # For each row, walk the segment between a point of E_k and a point of
     # E_ell until the two squared projections balance; the result sits on
-    # the pair's tie surface (the imbalance is >= 0 at s=0 and <= 0 at s=1).
+    # the pair's tie surface (the imbalance is >= 0 at s=0 and <= 0 at s=1);
+    # 60 halvings narrow s to 2^-60, below a double's resolution at 1.
     x0 = _component_sample_rows(union, ks, rng)
     x1 = _component_sample_rows(union, ells, rng)
     n = ks.shape[0]
@@ -198,7 +192,7 @@ def _frontier_points(union: UnionOfSubspaces, ks: np.ndarray, ells: np.ndarray,
 
     lo = np.zeros(n)
     hi = np.ones(n)
-    for _ in range(bisection_steps):
+    for _ in range(60):
         mid = 0.5 * (lo + hi)
         positive = imbalance((1.0 - mid[:, None]) * x0 + mid[:, None] * x1) >= 0.0
         lo = np.where(positive, mid, lo)

@@ -522,6 +522,28 @@ def test_checks_reject_unknown_level():
         run_checks("exhaustive")
 
 
+def test_check_full_hands_each_measurement_its_full_arguments(tmp_path, monkeypatch):
+    """``check --full`` hands each measurement its full-level arguments, ``check`` its fast ones."""
+    original = checks.CHECKS
+    assert any(fast != full for _, _, fast, full, _ in original)
+    calls = []
+
+    def recorder(name):
+        def measure(*args):
+            calls.append((name, args))
+            return 0.0
+        return measure
+
+    monkeypatch.setattr(checks, "CHECKS", tuple((name, recorder(name), fast, full, bound)
+                                                for name, _, fast, full, bound in original))
+    for flags, level in (([], 2), (["--full"], 3)):
+        calls.clear()
+        assert cli.main(["check", "--out", str(tmp_path), *flags]) == 0
+        assert calls == [(check[0], check[level]) for check in original]
+        with open(tmp_path / cli.REPORT_NAME) as fh:
+            assert len(fh.read().splitlines()) == 1 + len(original)
+
+
 def _measure(name, **implementation):
     """The fast-level value of check ``name`` on ``implementation``, and whether it passes."""
     ((measure, args, bound),) = [(measure, fast, bound)
@@ -1129,6 +1151,28 @@ def test_check_command_exits_4_when_a_check_fails(tmp_path, monkeypatch, capsys)
     assert "FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("prior", ["kind = lrgmm\nd = 4\nr = 1\nk = 2\n",
+                                   "kind = box\nlower = -1 -1\nupper = 1 1\n"],
+                         ids=["lrgmm", "box"])
+@pytest.mark.parametrize("kind", recovery_engine.SCHEDULE_KINDS)
+def test_simulate_rejects_a_sigma_max_whose_square_overflows(tmp_path, capsys, prior, kind):
+    """sigma_max = 1e200 used to end in a traceback, or to run on a box.
+
+    linear and infinite_geometric raised OverflowError while the config was
+    parsed; geometric and cosine raised ValueError at an lrgmm run's first step.
+    """
+    fields = "a = 0.9\n" if kind == "infinite_geometric" else "sigma_min = 1e-4\nhorizon = 5\n"
+    text = (f"[prior]\n{prior}[sensing]\nm = 2\n"
+            f"[schedule.s]\nkind = {kind}\nsigma_max = 1e200\n{fields}"
+            "[run]\ntrials = 1\nn_iters = 5\n")
+    out = tmp_path / "o"
+    assert cli.main(["simulate", write_config(tmp_path, text), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: [schedule.s]: sigma_max must be positive with a finite square, "
+        "got 1e+200\n")
+    assert not out.exists()
+
+
 # ----------------------------------------------------------------- analyze
 
 
@@ -1149,6 +1193,28 @@ def test_analyze_writes_rates_and_summary(tmp_path):
     first = summary[1].split(",")
     assert first[0] == "geometric" and first[1] == "2"
     assert float(first[2]) >= 0.0
+
+
+def test_analyze_quotes_a_comma_in_a_file_or_schedule_name(tmp_path):
+    """A comma in a trace's name or its metadata stays inside its field.
+
+    Both come from untrusted files; written unquoted, such a row shifted
+    every later column, and final_mse read back as another column's value.
+    """
+    for name, schedule in (("trace_a,b.csv", "plain"), ("trace_plain_00001.csv", "a,b")):
+        pd.RecoveryTrace(
+            n=np.arange(3), sigma=np.full(3, 0.5), mse=0.25 ** np.arange(3.0),
+            residual=np.zeros(3), frontier_gap=np.full(3, np.nan),
+            weight_entropy=np.full(3, np.nan), metadata={"schedule_name": schedule},
+        ).write_csv(str(tmp_path / name))
+    assert cli.main(["analyze", str(tmp_path)]) == 0
+    with open(tmp_path / "rates.csv", newline="") as fh:
+        rates = [(row["file"], row["schedule"], row["final_mse"]) for row in csv.DictReader(fh)]
+    assert rates == [("trace_a,b.csv", "plain", "0.0625"),
+                     ("trace_plain_00001.csv", "a,b", "0.0625")]
+    with open(tmp_path / "summary.csv", newline="") as fh:
+        summary = [(row["schedule"], row["mean_final_mse"]) for row in csv.DictReader(fh)]
+    assert summary == [("a,b", "0.0625"), ("plain", "0.0625")]
 
 
 def test_analyze_counts_the_converged_flagship_traces(flagship_traces, tmp_path):

@@ -297,7 +297,7 @@ def test_gap_curve_vanishes_with_sigma(s_dim):
     gaps = [g for _, g in curve]
     assert all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:]))
     assert gaps[-1] <= gaps[0]
-    assert gaps[-1] <= 1e-2 * box.diameter
+    assert gaps[-1] <= 1e-2 * np.linalg.norm(box.upper - box.lower)
 
 
 def test_gap_curve_corner_scales_linearly_in_sigma():

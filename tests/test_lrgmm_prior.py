@@ -192,7 +192,6 @@ def test_denoiser_frozen_two_axis_instance():
     assert ev.value[0] == pytest.approx(0.89779620364858059, rel=1e-12)
     assert ev.value[1] == pytest.approx(0.0098174945059849028, rel=1e-12)
     assert ev.log_density == pytest.approx(-3.1961102910762635, rel=1e-12)
-    assert ev.sigma == 0.3
 
 
 def test_denoiser_fixes_origin():
@@ -273,6 +272,25 @@ def test_score_matches_log_density_gradient():
         got = pd.score(prior, x, sigma)
         worst = max(worst, np.linalg.norm(got - g_fd) / np.linalg.norm(g_fd))
     assert worst <= 1e-4
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (2, 3)])
+def test_score_block_rows_match_single_calls(shape):
+    """Each row of a (B, d) block is divided by its own sigma^2, bit for bit.
+
+    score used to divide the block by the sigma vector along the last axis:
+    the 3 x 3 block was off by up to 98 and the 2 x 3 block raised a
+    broadcast error.
+    """
+    prior = pd.random_lrgmm(shape[1], 1, 2, np.random.default_rng(21))
+    block = np.random.default_rng(22).normal(size=shape)
+    sigmas = np.array([0.1, 0.5, 1.0])[:shape[0]]
+    got = pd.score(prior, block, sigmas)
+    assert got.shape == shape
+    for b in range(shape[0]):
+        assert np.array_equal(got[b], pd.score(prior, block[b], sigmas[b]))
+    # one sigma for every row
+    assert np.array_equal(pd.score(prior, block, 0.5)[1], pd.score(prior, block[1], 0.5))
 
 
 # --------------------------------------------------- limiting projection

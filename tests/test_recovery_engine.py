@@ -49,9 +49,9 @@ def test_schedule_validation():
     ],
 )
 def test_schedule_dict_round_trip(schedule):
-    assert pd.NoiseSchedule.from_dict(schedule.to_dict()) == schedule
+    assert pd.NoiseSchedule(**schedule.to_dict()) == schedule
     # the dict survives JSON, which is how it is stored in trace metadata
-    assert pd.NoiseSchedule.from_dict(json.loads(json.dumps(schedule.to_dict()))) == schedule
+    assert pd.NoiseSchedule(**json.loads(json.dumps(schedule.to_dict()))) == schedule
 
 
 def test_schedule_endpoints():
