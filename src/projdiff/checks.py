@@ -244,7 +244,7 @@ def trace_roundtrip_mismatches() -> int:
         back = RecoveryTrace.read_csv(path)
     finally:
         os.unlink(path)
-    columns = TRACE_COLUMNS + ("subspace_distances",)
+    columns = TRACE_COLUMNS + ("nearest", "subspace_distances")
     mismatches = sum(
         not np.array_equal(getattr(trace, col), getattr(back, col), equal_nan=True)
         for col in columns

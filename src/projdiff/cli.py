@@ -319,10 +319,8 @@ def _fit_row(trace: "RecoveryTrace", fname: str) -> dict:
     schedule = _field(meta, "schedule_name", str) or _field(schedule_dict, "kind", str, "")
     seed = _field(meta, "trial_seed", int, _field(meta, "seed", int))
     component = _field(meta, "true_component", int)
-    burn_in = None
-    dists = trace.subspace_distances
-    if dists is not None and component is not None and 0 <= component < dists.shape[1]:
-        burn_in = detect_burn_in(trace, component)
+    burn_in = (detect_burn_in(trace, component)
+               if trace.nearest is not None and component is not None else None)
     try:
         fit = fit_linear_rate(trace, from_n=burn_in or 0)
         rate, r2 = fit.rate, fit.r2

@@ -20,28 +20,20 @@ MIN_FIT_POINTS = 5
 def detect_burn_in(trace: RecoveryTrace, true_component: int):
     """First row index from which the nearest component stays the true one.
 
-    A row counts only when the true component is the strict minimiser; on an
-    exact distance tie (the zero start point ties all components) there is
-    no nearest component yet.  Returns None when the last row still
-    disagrees.  Requires the trace to carry per-component distances.
+    A row counts only when the true component is the strict minimiser:
+    ``nearest == k`` and ``dist_nearest < dist_second``.  On an exact
+    distance tie (the zero start point ties all components) there is no
+    nearest component yet.  Returns None when the last row still disagrees,
+    and so for a k that is no component's index.  Requires the trace to
+    carry the nearest-component columns.
     """
-    if trace.subspace_distances is None:
-        raise ValueError("trace has no subspace distances")
-    dists = trace.subspace_distances
-    k = int(true_component)
-    if not 0 <= k < dists.shape[1]:
-        raise ValueError(f"true_component {k} out of range")
-    if dists.shape[1] == 1:
-        return 0
-    others = np.min(np.delete(dists, k, axis=1), axis=1)
-    aligned = dists[:, k] < others
+    if trace.nearest is None:
+        raise ValueError("trace has no nearest-component columns")
+    pair = trace.subspace_distances
+    aligned = (trace.nearest == int(true_component)) & (pair[:, 0] < pair[:, 1])
     misaligned = np.flatnonzero(~aligned)
-    if misaligned.size == 0:
-        return 0
-    first_stable = int(misaligned[-1]) + 1
-    if first_stable >= trace.n_rows:
-        return None
-    return first_stable
+    first_stable = int(misaligned[-1]) + 1 if misaligned.size else 0
+    return first_stable if first_stable < trace.n_rows else None
 
 
 @dataclass(frozen=True)

@@ -75,7 +75,7 @@ class LrGmmPrior:
     ``LrGmmPrior(union, pi)`` takes one weight per component, or uniform
     weights when ``pi`` is None.  As a recovery model its step is
     ``denoiser``, and the same pass gives a trace row's frontier gap, weight
-    entropy and K distances.
+    entropy, nearest component and the distances to it and to the runner-up.
     """
 
     active_mask = None  # a projection may move every coordinate
@@ -101,7 +101,8 @@ class LrGmmPrior:
 
     def step(self, x: np.ndarray, sigma):
         ev = denoiser(self, x, sigma)
-        return ev.value, (gap_from_norms(ev.sq_in), _entropy(ev.weights), np.sqrt(ev.sq_out))
+        return ev.value, (gap_from_norms(ev.sq_in), _entropy(ev.weights),
+                          *_nearest(np.sqrt(ev.sq_out)))
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         """Draw x = U_k g with k ~ pi and g standard normal on the component."""
@@ -171,6 +172,18 @@ def _evaluate(prior: LrGmmPrior, x: np.ndarray, t):
     t = np.broadcast_to(_check_positive(t, "blur variance t"), sq_in.shape[:1])
     w, log_density = _posterior(prior, sq_in, sq_out, t)
     return projections, sq_in, sq_out, t, w, log_density
+
+
+def _nearest(dist: np.ndarray):
+    """Each row's argmin in a (B, K) block of distances, the lowest index among
+    ties, and the (B, 2) pair of distances to it and to the nearest other one
+    (+inf for K = 1): k strictly minimises a row iff it is nearest and pair[0] < pair[1]."""
+    nearest = np.argmin(dist, axis=1)
+    pair = np.full((len(dist), 2), np.inf)
+    pair[:, 0] = dist[np.arange(len(dist)), nearest]
+    if dist.shape[1] > 1:
+        pair[:, 1] = np.partition(dist, 1, axis=1)[:, 1]
+    return nearest, pair
 
 
 def _entropy(w: np.ndarray) -> np.ndarray:

@@ -164,17 +164,17 @@ def squared_projection_norms(union: UnionOfSubspaces, x: np.ndarray) -> np.ndarr
     return component_parts(union, x)[1]
 
 
-def project_union(union: UnionOfSubspaces, x: np.ndarray, tie_tol: float = DEFAULT_TIE_TOL):
+def project_union(union: UnionOfSubspaces, x: np.ndarray):
     """Nearest-point projection onto a union of subspaces.
 
     Returns ``(point, argmin_set)``.  The distance minimisers are the
-    components maximising ||P_k x||^2; every component within ``tie_tol``
+    components maximising ||P_k x||^2; every component within DEFAULT_TIE_TOL
     (absolute, on the squared norms) of the maximum is reported, and the
     returned point uses the lowest-index member so selection stays auditable.
     """
     projections, norms2, _ = component_parts(union, _check_vector(x, union.ambient_dim))
     best = float(np.max(norms2))
-    argmin_set = [int(k) for k in np.flatnonzero(norms2 >= best - tie_tol)]
+    argmin_set = [int(k) for k in np.flatnonzero(norms2 >= best - DEFAULT_TIE_TOL)]
     return projections[argmin_set[0]], argmin_set
 
 

@@ -11,10 +11,11 @@ members (LrGmmPrior and BoxSet have them; this module names neither):
 
 - ``step(x, sigma) -> (value, columns)``: ``value`` is D applied to each
   row of a (B, d) block, row b at sigma[b].  ``columns`` is None, or the
-  (B,) frontier gaps, (B,) weight entropies and (B, K) distances of the
-  same pass, a trace row's extra columns;
-- ``n_components``: K, the distance columns per trace row, and 0 for a
-  model whose ``step`` gives no columns;
+  (B,) frontier gaps, weight entropies and nearest components, and the
+  (B, 2) distances to the nearest and the next nearest, of the same pass:
+  a trace row's extra columns, the same three whatever K is;
+- ``n_components``: K, by which ``batch_width`` sizes a step's
+  projections, and 0 for a model whose ``step`` gives no columns;
 - ``ambient_dim``: d, the length of a row; ``config.build`` sizes the
   operator by it and ``simulate`` passes it to ``batch_width``;
 - ``active_mask``: the coordinates a projection can move, or None for all;
@@ -34,21 +35,16 @@ no computation mixes rows: sums run along each row's own axis, and every
 matrix-vector product is one BLAS gemv per row, never a gemm.
 
 Two things keep the operator work small without giving that up.
-``_matvec`` reads a tall matrix in slices of whole MATVEC_BLOCK-row blocks,
-as many as fit in MATVEC_BYTES, every row of the block against one slice
-before the next, so the slice stays in cache; each output is still one
-gemv's dot product over one matrix row, and the slices do not depend on B.
-Slice bounds on multiples of MATVEC_BLOCK rows keep each row on the kernel
-path it takes in 128-row slices, so the bytes do not depend on
-MATVEC_BYTES.  ``sensing_analysis.spectral_norm`` multiplies through it as
-well, which keeps mu off the BLAS thread count.
-A projection is exactly zero off its model's ``active_mask``, so
+``_matvec`` reads a tall matrix in cache-sized slices of whole
+MATVEC_BLOCK-row blocks; its docstring says why the bytes depend neither on
+B, on MATVEC_BYTES nor on the BLAS thread count, and
+``sensing_analysis.spectral_norm`` multiplies through it as well.  A
+projection is exactly zero off its model's ``active_mask``, so
 ``run_recoveries`` forms A p from only the FREE_BLOCK-column blocks of A
-that hold a free coordinate.
-Dropping whole blocks keeps each kept column's position modulo FREE_BLOCK,
-which leaves every gemv sum unchanged (FREE_BLOCK says where that was
-checked, and up to which width), so a box run writes the same bytes as the
-same run with ``box_denoiser`` passed as a ``denoise`` callable.
+that hold a free coordinate.  Each kept column keeps its position modulo
+FREE_BLOCK, which leaves every gemv sum unchanged (FREE_BLOCK says where
+that was checked, and up to which width), so a box run writes the same
+bytes as the same run with ``box_denoiser`` passed as a ``denoise`` callable.
 """
 
 import json
@@ -75,10 +71,11 @@ SCHEDULE_FIELDS = {
 }
 SCHEDULE_KINDS = tuple(SCHEDULE_FIELDS)
 
-TRACE_FORMAT_LINE = "# projdiff-trace v1"
+TRACE_FORMAT_LINE = "# projdiff-trace v2"
 
-# The fixed trace columns, in file order; dist_0 ... dist_{K-1} follow them.
+# A trace's columns in file order: TRACE_COLUMNS, then NEAREST_COLUMNS if it has them.
 TRACE_COLUMNS = ("n", "sigma", "mse", "residual", "frontier_gap", "weight_entropy")
+NEAREST_COLUMNS = ("nearest", "dist_nearest", "dist_second")
 
 # simulate splits its runs into batches whose per-run arrays take about this
 # many bytes, so its memory does not grow with the number of runs.
@@ -259,7 +256,8 @@ class RecoveryTrace:
     residual: np.ndarray
     frontier_gap: np.ndarray
     weight_entropy: np.ndarray
-    subspace_distances: np.ndarray = None  # (rows, K) when a union is known
+    nearest: np.ndarray = None             # (rows,) when a union is known
+    subspace_distances: np.ndarray = None  # (rows, 2): dist_nearest, dist_second
     iterates: np.ndarray = None            # (rows, d) when recorded
     metadata: dict = field(default_factory=dict)
 
@@ -271,26 +269,21 @@ class RecoveryTrace:
     def final_mse(self) -> float:
         return float(self.mse[-1])
 
-    def column_names(self) -> list:
-        names = list(TRACE_COLUMNS)
-        if self.subspace_distances is not None:
-            names += [f"dist_{k}" for k in range(self.subspace_distances.shape[1])]
-        return names
-
     def write_csv(self, path) -> None:
         """Write the trace; a reader never sees a partly written file at ``path``."""
+        names = TRACE_COLUMNS + (NEAREST_COLUMNS if self.nearest is not None else ())
         cols = [getattr(self, name)[:, None] for name in TRACE_COLUMNS[1:]]
-        if self.subspace_distances is not None:
-            cols.append(self.subspace_distances)
+        if self.nearest is not None:
+            cols += [self.nearest[:, None], self.subspace_distances]
         values = np.hstack(cols)
-        row_format = "%d" + ",%.17g" * values.shape[1] + "\n"
+        row_format = ",".join("%d" if name in ("n", "nearest") else "%.17g" for name in names)
         header = [TRACE_FORMAT_LINE, "# " + json.dumps(self.metadata, sort_keys=True),
-                  ",".join(self.column_names())]
+                  ",".join(names)]
         tmp = f"{path}.{os.getpid()}.tmp"  # not *.csv, so analyze never picks it up
         try:
             with open(tmp, "w", newline="\n") as fh:
                 fh.write("\n".join(header) + "\n")
-                fh.writelines(row_format % (n, *row.tolist())
+                fh.writelines(row_format % (n, *row.tolist()) + "\n"
                               for n, row in zip(self.n.tolist(), values))
             os.replace(tmp, path)
         finally:
@@ -301,6 +294,8 @@ class RecoveryTrace:
     def read_csv(cls, path) -> "RecoveryTrace":
         with open(path, "r", newline="") as fh:
             lines = fh.read().splitlines()
+        if lines and lines[0] == "# projdiff-trace v1":
+            raise ValueError(f"{path}: a v1 trace, no longer read; rerun simulate to write v2")
         if not lines or lines[0] != TRACE_FORMAT_LINE:
             raise ValueError(f"{path}: not a trace file (missing format line)")
         if len(lines) < 3 or not lines[1].startswith("# "):
@@ -309,12 +304,8 @@ class RecoveryTrace:
         if not isinstance(metadata, dict):
             raise ValueError(f"{path}: metadata line is not a JSON object")
         header = lines[2].split(",")
-        expected = list(TRACE_COLUMNS)
-        if header[: len(expected)] != expected:
+        if header not in (list(TRACE_COLUMNS), list(TRACE_COLUMNS + NEAREST_COLUMNS)):
             raise ValueError(f"{path}: unexpected columns {header}")
-        dist_names = header[len(expected):]
-        if dist_names != [f"dist_{k}" for k in range(len(dist_names))]:
-            raise ValueError(f"{path}: unexpected distance columns {dist_names}")
         rows = [line for line in lines[3:] if line]
         try:
             # One C-level parse; it reads each value as float() does, bit for bit.
@@ -328,10 +319,15 @@ class RecoveryTrace:
             row = int(np.argmax(n != count))
             raise ValueError(f"{path}: malformed data rows: column n holds {float(n[row])!r}, "
                              f"not an iteration number: data row {row} must hold n = {row}")
-        dists = data[:, len(expected):] if dist_names else None
         fixed = {name: data[:, i] for i, name in enumerate(TRACE_COLUMNS)}
         fixed["n"] = count
-        return cls(**fixed, subspace_distances=dists, metadata=metadata)
+        nearest = dists = None
+        if len(header) > len(TRACE_COLUMNS):
+            nearest, dists = data[:, len(TRACE_COLUMNS)], data[:, len(TRACE_COLUMNS) + 1:]
+            if not np.all((nearest >= 0) & (nearest < 2**31) & (nearest == np.floor(nearest))):
+                raise ValueError(f"{path}: malformed data rows: column nearest holds a non-index")
+            nearest = nearest.astype(np.intp)
+        return cls(**fixed, nearest=nearest, subspace_distances=dists, metadata=metadata)
 
 
 def _operator_digest(operator: np.ndarray):
@@ -359,14 +355,12 @@ def problem_hash(problem: "SensingProblem") -> str:
 def batch_width(model, d: int, n_iters: int) -> int:
     """How many runs of ``n_iters`` steps one ``run_recoveries`` call holds in BATCH_BYTES.
 
-    With K = ``model.n_components``, a run holds its (n_iters + 1, K)
-    distance columns and, while an iteration is in flight, K (d,)
-    projections and squared residuals, besides a few vectors of length d or
-    n_iters + 1.  Iterates are not recorded.  At least one run always fits.
+    A run holds its trace, eight values per row, and, while an iteration
+    is in flight, K = ``model.n_components`` (d,) projections and squared
+    residuals, besides a few vectors of length d.  Iterates are not
+    recorded.  At least one run always fits.
     """
-    rows = int(n_iters) + 1
-    k = model.n_components
-    per_run = 8 * (k * (rows + 2 * d) + 8 * (d + rows))
+    per_run = 8 * (2 * model.n_components * d + 8 * (d + int(n_iters) + 1))
     return max(1, BATCH_BYTES // per_run)
 
 
@@ -429,7 +423,8 @@ def run_recoveries(problems, schedules, n_iters: int, prior, x0: np.ndarray = No
     residual = np.empty((b_runs, rows))
     frontier_gap = np.full((b_runs, rows), np.nan)
     weight_entropy = np.full((b_runs, rows), np.nan)
-    distances = np.empty((b_runs, rows, k)) if k else None
+    nearest = np.empty((b_runs, rows), dtype=np.intp) if k else None
+    distances = np.empty((b_runs, rows, 2)) if k else None
     iterates = np.empty((b_runs, rows, d)) if record_iterates else None
 
     results = [None] * b_runs
@@ -444,7 +439,8 @@ def run_recoveries(problems, schedules, n_iters: int, prior, x0: np.ndarray = No
             break
         p, columns = prior.step(x, sigma_n)
         if columns is not None:
-            frontier_gap[live, n], weight_entropy[live, n], distances[live, n] = columns
+            (frontier_gap[live, n], weight_entropy[live, n],
+             nearest[live, n], distances[live, n]) = columns
         if n == n_iters:
             break
         x = _data_step(a, mu, y, p, forward(p))
@@ -468,6 +464,7 @@ def run_recoveries(problems, schedules, n_iters: int, prior, x0: np.ndarray = No
             residual=residual[b],
             frontier_gap=frontier_gap[b],
             weight_entropy=weight_entropy[b],
+            nearest=nearest[b] if k else None,
             subspace_distances=distances[b] if k else None,
             iterates=iterates[b] if record_iterates else None,
             metadata=dict(metadata[b] or {}) if metadata is not None else {},

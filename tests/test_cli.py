@@ -623,7 +623,8 @@ def test_simulate_recovers_and_reports_metadata(tmp_path):
     assert trace.metadata["trial_seed"] == 13
     assert trace.metadata["schedule"]["kind"] == "geometric"
     assert 0 <= trace.metadata["true_component"] < 4
-    assert trace.subspace_distances.shape == (121, 4)
+    assert trace.nearest.shape == (121,) and trace.subspace_distances.shape == (121, 2)
+    assert trace.nearest[-1] == trace.metadata["true_component"]
 
 
 def test_simulate_is_byte_identical_across_reruns(tmp_path):
@@ -1085,14 +1086,14 @@ def test_simulate_box_prior_runs_without_union_columns(tmp_path):
 # The sha256 of that shortened box workload's trace_geometric_07000.csv and
 # trace_geometric_07001.csv, per BLAS core (see cli.blas_core).
 BOX_TRACE_SHA256 = {
-    "SkylakeX": ("de45f8d13748cb1ccde78ede9f4f14952d600a0e98acfd703b8afc2900c9347a",
-                 "842bb8c2950708f5af8af8cf6032b267c4d6247cea24a3bcd8714b88b8b4a4d4"),
-    "Haswell": ("17469f380c6e09a2582ca39e8155bde4c64267c762f8769291c19df8c7ee73aa",
-                "c0752bfefc278104f55a9d718c6b09f6e7b08576bf2f0aeb0be82f3da2ea4eb2"),
-    "Sandybridge": ("88d1c17759bcbf47f0a06641d71677af2f7d7ab3c9627a17125e73859437aa13",
-                    "d9e23eb242173304fd4623a0a153e38088e6888c084f721c7f8144851bd17e72"),
-    "Katmai": ("59080e1463c9fe0a958f41ee0ec26bbd515ea4353cf21489e20454a5116c8d21",
-               "092dc3b0536f6a078e90ca6966285f6c0f6ed48e30020ec3804aee63d5564f23"),
+    "SkylakeX": ("1e74ea806010ef784cb66de21ee7ab1aaf386388cb57ad100a9e5060cb588633",
+                 "e753eaf5576c20ed63a94266461668bd98bf05a9d68f0c62c20cc9af68413ee5"),
+    "Haswell": ("2fb84e4044c55e039b0557cc3fd43bea94d60ed128a389b42122bf3ba2157427",
+                "ab142ad7cd13226b77d2b2d46ac4079f7bf9954acfc2ca1b662ad712d08e4381"),
+    "Sandybridge": ("e00784d6954f88134609557f224643d0100b4d77ab2b10b60bb149c156c2e4f8",
+                    "0b203cbedb769d6d3349416c5c41458282f6df3cabdbb3a8558b6228c16c3d42"),
+    "Katmai": ("b78b2e85ce5e4ec053f0a85ac389232f1dad0fb5cda8ed1eeda5d16ee774f079",
+               "4c3dd568adaf87fa62e88d0146fc18692ba87c7060f7dd1d14403f93888203a7"),
 }
 
 
@@ -1122,7 +1123,7 @@ def test_simulate_file_prior_wraps_a_saved_union(tmp_path):
     )
     out = _simulated(tmp_path, text, name="filep")
     trace = pd.RecoveryTrace.read_csv(os.path.join(out, "trace_geometric_00021.csv"))
-    assert trace.subspace_distances.shape[1] == 2
+    assert set(trace.nearest.tolist()) <= {0, 1}
     assert trace.final_mse < 1e-12
 
 
@@ -1279,7 +1280,7 @@ def test_analyze_rejects_a_malformed_manifest(tmp_path, capsys, manifest):
 
 def test_analyze_skips_a_trace_whose_n_does_not_count_up(tmp_path, capsys):
     """n = 5, 3, 3, 1, 0, -2 used to give rate 0.5 and r2 = 1 for mse = 0.25**n."""
-    header = ["# projdiff-trace v1", "# {}", "n,sigma,mse,residual,frontier_gap,weight_entropy"]
+    header = ["# projdiff-trace v2", "# {}", "n,sigma,mse,residual,frontier_gap,weight_entropy"]
     for name, ns in (("trace_bad_00001.csv", (5, 3, 3, 1, 0, -2)),
                      ("trace_good_00001.csv", range(6))):
         rows = [f"{n},0.5,{0.25 ** n!r},0,nan,nan" for n in ns]
@@ -1312,15 +1313,23 @@ def test_analyze_recovers_a_planted_linear_rate(tmp_path):
     assert row[3] == ""  # no distance columns so no burn-in estimate
 
 
+# A trace as versions before the nearest-component columns wrote it.
+V1_TRACE = "\n".join(["# projdiff-trace v1", '# {"true_component": 0}',
+                      "n,sigma,mse,residual,frontier_gap,weight_entropy,dist_0,dist_1"]
+                     + [f"{n},0.5,{0.25 ** n!r},0,nan,nan,0,1" for n in range(8)]) + "\n"
+
+
 def test_analyze_skips_malformed_files_with_a_warning(tmp_path, capsys):
     out = _simulated(tmp_path, SMALL_CONFIG, name="ok")
     os.remove(os.path.join(out, "manifest.json"))  # so analyze opens every .csv
     (tmp_path / "ok" / "garbage.csv").write_text("n,sigma\n0,0.5\n")
     (tmp_path / "ok" / "bin.csv").write_bytes(b"\xff\xfe")
     (tmp_path / "ok" / "x.csv").mkdir()
+    (tmp_path / "ok" / "old.csv").write_text(V1_TRACE)
     assert cli.main(["analyze", out]) == 0
     err = capsys.readouterr().err
     assert "skipping garbage.csv: " in err and "not a trace file" in err
+    assert "skipping old.csv: " in err and "a v1 trace" in err and "rerun simulate" in err
     assert "skipping bin.csv: " in err
     assert "skipping x.csv: " in err
     with open(os.path.join(out, "rates.csv")) as fh:
@@ -1339,9 +1348,9 @@ def test_analyze_skips_malformed_files_with_a_warning(tmp_path, capsys):
 )
 def test_analyze_treats_mistyped_metadata_as_absent(tmp_path, metadata, capsys):
     rows = 14
-    lines = ["# projdiff-trace v1", "# " + json.dumps(metadata),
-             "n,sigma,mse,residual,frontier_gap,weight_entropy,dist_0,dist_1"]
-    lines += [f"{n},0.5,{0.25 ** n!r},0,nan,nan,{0.5 ** n!r},1" for n in range(rows)]
+    lines = ["# projdiff-trace v2", "# " + json.dumps(metadata),
+             "n,sigma,mse,residual,frontier_gap,weight_entropy,nearest,dist_nearest,dist_second"]
+    lines += [f"{n},0.5,{0.25 ** n!r},0,nan,nan,0,{0.5 ** n!r},1" for n in range(rows)]
     (tmp_path / "trace_hand_00001.csv").write_text("\n".join(lines) + "\n")
     assert cli.main(["analyze", str(tmp_path)]) == 0
     assert "skipping" not in capsys.readouterr().err
@@ -1355,6 +1364,11 @@ def test_analyze_exits_2_when_nothing_is_readable(tmp_path, capsys):
     (tmp_path / "garbage.csv").write_text("not a trace\n")
     assert cli.main(["analyze", str(tmp_path)]) == 2
     assert "no readable traces" in capsys.readouterr().err
+    (tmp_path / "v1").mkdir()
+    (tmp_path / "v1" / "trace_geometric_00001.csv").write_text(V1_TRACE)
+    assert cli.main(["analyze", str(tmp_path / "v1")]) == 2
+    err = capsys.readouterr().err
+    assert "rerun simulate" in err and "no readable traces" in err
     assert cli.main(["analyze", str(tmp_path / "missing")]) == 2
 
 

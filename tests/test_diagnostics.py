@@ -4,15 +4,25 @@ import numpy as np
 import pytest
 
 import projdiff as pd
-from projdiff.model_sets import UnionOfSubspaces
+from projdiff import recovery_engine
+from projdiff.model_sets import UnionOfSubspaces, component_parts
 
 
 def synthetic_trace(mse=None, distances=None):
-    """RecoveryTrace with hand-picked columns, for the fit and burn-in tests."""
+    """RecoveryTrace with hand-picked columns, for the fit and burn-in tests.
+
+    ``distances`` holds one distance per component in each row; the trace
+    keeps their argmin and their two smallest values.
+    """
     if mse is None:
         mse = np.ones(8)
     mse = np.asarray(mse, dtype=float)
     rows = mse.shape[0]
+    nearest = pair = None
+    if distances is not None:
+        distances = np.asarray(distances, float)
+        nearest = np.argmin(distances, axis=1)
+        pair = np.sort(np.hstack([distances, np.full((rows, 1), np.inf)]), axis=1)[:, :2]
     return pd.RecoveryTrace(
         n=np.arange(rows),
         sigma=np.geomspace(0.5, 1e-4, rows),
@@ -20,8 +30,20 @@ def synthetic_trace(mse=None, distances=None):
         residual=np.zeros(rows),
         frontier_gap=np.full(rows, np.nan),
         weight_entropy=np.full(rows, np.nan),
-        subspace_distances=None if distances is None else np.asarray(distances, float),
+        nearest=nearest,
+        subspace_distances=pair,
     )
+
+
+def strict_minimiser_burn_in(distances: np.ndarray, k: int):
+    """Burn-in from every component's distance: the first row from which
+    component k stays strictly nearer than each other component."""
+    if not 0 <= k < distances.shape[1]:
+        return None
+    aligned = np.all(distances[:, [k]] < np.delete(distances, k, axis=1), axis=1)
+    misaligned = np.flatnonzero(~aligned)
+    first_stable = int(misaligned[-1]) + 1 if misaligned.size else 0
+    return None if first_stable == len(distances) else first_stable
 
 
 # ----------------------------------------------------------- projection_gap
@@ -108,29 +130,55 @@ def test_burn_in_alternating_tail_is_none():
     assert pd.detect_burn_in(trace, 0) is None
 
 
-def test_burn_in_requires_distances_and_valid_component():
-    with pytest.raises(ValueError, match="distances"):
+def test_burn_in_requires_columns_and_is_none_off_the_components():
+    with pytest.raises(ValueError, match="nearest-component columns"):
         pd.detect_burn_in(synthetic_trace(np.ones(4)), 0)
-    dists = np.ones((4, 2))
-    with pytest.raises(ValueError, match="range"):
-        pd.detect_burn_in(synthetic_trace(np.ones(4), dists), 2)
-    with pytest.raises(ValueError, match="range"):
-        pd.detect_burn_in(synthetic_trace(np.ones(4), dists), -1)
+    dists = np.column_stack([np.zeros(4), np.ones(4)])
+    assert pd.detect_burn_in(synthetic_trace(np.ones(4), dists), 0) == 0
+    for k in (2, -1):  # no row's nearest component
+        assert pd.detect_burn_in(synthetic_trace(np.ones(4), dists), k) is None
 
 
-def test_burn_in_on_an_actual_run():
-    union = UnionOfSubspaces([pd.coordinate_subspace(4, [0, 1]), pd.coordinate_subspace(4, [2, 3])])
-    prior = pd.LrGmmPrior(union)
-    x_true = union.basis(1) @ np.array([1.0, -0.5])
-    problem = pd.SensingProblem(np.eye(4), 1.0, x_true, x_true=x_true)
-    denoise = lambda z, sg: pd.denoiser(prior, z, sg).value
-    trace = pd.run_recovery(
-        problem, denoise, pd.NoiseSchedule("geometric", 0.5, 1e-6, 40), prior=prior
-    )
+@pytest.mark.parametrize("supports, true_k, n_star", [
     # x_0 = 0 ties both components, so the stable stretch starts at row 1
-    n_star = pd.detect_burn_in(trace, 1)
-    assert n_star == 1
+    (([0, 1], [2, 3]), 1, 1),
+    # one component is nearest even at x_0 = 0: its runner-up is at +inf
+    (([2, 3],), 0, 0),
+], ids=["two-components", "one-component"])
+def test_burn_in_on_an_actual_run(supports, true_k, n_star):
+    union = UnionOfSubspaces([pd.coordinate_subspace(4, support) for support in supports])
+    prior = pd.LrGmmPrior(union)
+    x_true = union.basis(true_k) @ np.array([1.0, -0.5])
+    problem = pd.SensingProblem(np.eye(4), 1.0, x_true, x_true=x_true)
+    trace = pd.run_recovery(
+        problem, None, pd.NoiseSchedule("geometric", 0.5, 1e-6, 40), prior=prior
+    )
+    assert trace.subspace_distances[0, 0] == 0.0
+    assert trace.subspace_distances[0, 1] == (0.0 if len(supports) > 1 else np.inf)
+    if len(supports) == 1:
+        assert not trace.nearest.any() and np.isinf(trace.subspace_distances[:, 1]).all()
+    assert pd.detect_burn_in(trace, true_k) == n_star
     assert trace.final_mse < 1e-12
+
+
+def test_burn_in_is_the_strict_minimiser_rule_on_recorded_iterates():
+    """The nearest columns give the burn-in that every component's distance
+    gives, for each k, on 12 runs of which some never settle."""
+    prior = pd.random_lrgmm(6, 2, 3, np.random.default_rng(5))
+    a = pd.gaussian_operator(3, 6, np.random.default_rng(6))
+    mu = 1.0 / pd.spectral_norm(a) ** 2
+    truths = [pd.sample(prior, np.random.default_rng(seed)) for seed in range(12)]
+    problems = [pd.SensingProblem(a, mu, a @ x, x_true=x) for x in truths]
+    schedule = pd.NoiseSchedule("geometric", 0.5, 1e-3, 30)
+    traces = recovery_engine.run_recoveries(problems, [schedule] * 12, 30, prior,
+                                            record_iterates=True)
+    settled = []
+    for trace, x_true in zip(traces, truths):
+        distances = np.sqrt(component_parts(prior.union, trace.iterates)[2])
+        for k in range(-1, 4):
+            assert pd.detect_burn_in(trace, k) == strict_minimiser_burn_in(distances, k), k
+        settled.append(pd.detect_burn_in(trace, prior.true_component(x_true)) is not None)
+    assert 0 < sum(settled) < len(settled)
 
 
 # ------------------------------------------------------------ fit_linear_rate

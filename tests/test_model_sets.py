@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import projdiff as pd
 from conftest import log_component_density
 from projdiff.convex_prior import BoxSet
-from projdiff.model_sets import UnionOfSubspaces, component_parts
+from projdiff.model_sets import DEFAULT_TIE_TOL, UnionOfSubspaces, component_parts
 
 
 def axes_union():
@@ -144,7 +144,7 @@ def test_union_projection_picks_closer_axis():
 
 
 def test_union_projection_reports_ties_lowest_index_first():
-    point, ties = pd.project_union(axes_union(), np.array([1.0, 1.0]), tie_tol=1e-12)
+    point, ties = pd.project_union(axes_union(), np.array([1.0, 1.0]))
     assert ties == [0, 1]
     assert np.array_equal(point, [1.0, 0.0])
 
@@ -238,8 +238,8 @@ def test_frontier_gap_zero_iff_tied():
     for _ in range(50):
         x = rng.normal(size=6)
         gap = pd.frontier_gap(u, x)
-        _, ties = pd.project_union(u, x, tie_tol=1e-12)
-        assert (gap <= 1e-12) == (len(ties) >= 2)
+        _, ties = pd.project_union(u, x)
+        assert (gap <= DEFAULT_TIE_TOL) == (len(ties) >= 2)
     # exact tie by construction: reflect a point across two components
     x0 = u.basis(0) @ np.array([1.0, 2.0])
     x1 = u.basis(1) @ np.array([1.0, 2.0])

@@ -14,6 +14,8 @@ from projdiff import checks, cli, lrgmm_prior, recovery_engine
 from projdiff.model_sets import UnionOfSubspaces, component_parts
 from projdiff.recovery_engine import TRACE_COLUMNS, TRACE_FORMAT_LINE
 
+V2_HEADER = "n,sigma,mse,residual,frontier_gap,weight_entropy,nearest,dist_nearest,dist_second"
+
 
 def geometric(horizon=150):
     return pd.NoiseSchedule("geometric", 0.5, 1e-4, horizon)
@@ -262,15 +264,20 @@ def test_run_recovery_trace_rows_recompute_from_iterates():
         w = pd.weights(prior, x, trace.sigma[i] ** 2)
         positive = w[w > 0.0]
         assert trace.weight_entropy[i] == float(-np.sum(positive * np.log(positive)))
-        # Exact: the engine's own stacked pass.  A per-component recomputation
-        # sums in another order, so it agrees only to rounding, and on some
-        # BLAS kernels differs in the last bit.
-        assert np.array_equal(trace.subspace_distances[i],
-                              np.sqrt(component_parts(union, x)[2]))
+        # Exact: the argmin and the two smallest of the engine's own stacked
+        # pass.  A per-component recomputation sums in another order, so it
+        # agrees only to rounding, and on some BLAS kernels differs in the
+        # last bit.
+        dists = np.sqrt(component_parts(union, x)[2])
+        assert trace.nearest[i] == np.argmin(dists)
+        assert np.array_equal(trace.subspace_distances[i], np.sort(dists)[:2])
         for k in range(union.n_components):
             basis = union.basis(k)
             dist = float(np.linalg.norm(x - basis @ (basis.T @ x)))
-            assert trace.subspace_distances[i, k] == pytest.approx(dist, rel=1e-15)
+            assert dists[k] == pytest.approx(dist, rel=1e-15)
+    # The zero start ties every component, so row 0 has no strict minimiser.
+    assert trace.nearest[0] == 0
+    assert trace.subspace_distances[0, 0] == trace.subspace_distances[0, 1] == 0.0
 
     def refuse(z, sg):
         raise AssertionError("denoise must not be called when prior is given")
@@ -278,7 +285,7 @@ def test_run_recovery_trace_rows_recompute_from_iterates():
     for other in (None, refuse):
         again = pd.run_recovery(problem, other, sched, prior=prior, record_iterates=True)
         for col in ("sigma", "mse", "residual", "frontier_gap", "weight_entropy",
-                    "subspace_distances", "iterates"):
+                    "nearest", "subspace_distances", "iterates"):
             assert np.array_equal(getattr(again, col), getattr(trace, col)), col
 
 
@@ -548,10 +555,12 @@ def test_batch_width_keeps_a_batch_within_its_byte_budget():
     assert recovery_engine.batch_width(box, 1024, 150) >= 40
     sparse = pd.sparse_gmm(16, 3)
     width = recovery_engine.batch_width(sparse, 16, 1000)
-    # Each run holds (1001, 560) distance columns: 4.5 MB.
-    assert 1 < width and width * 1001 * 560 * 8 <= recovery_engine.BATCH_BYTES
-    many = pd.sparse_gmm(24, 4)  # K = 10626
-    assert recovery_engine.batch_width(many, 24, 2000) == 1
+    # Each run holds 8 trace values per row and, in flight, (560, 16)
+    # projections and squared residuals: 0.21 MB.
+    assert 1 < width and width * 8 * (1001 * 8 + 2 * 560 * 16) <= recovery_engine.BATCH_BYTES
+    many = pd.sparse_gmm(24, 4)  # K = 10626: 4.1 MB in flight per run
+    width = recovery_engine.batch_width(many, 24, 2000)
+    assert 1 <= width and width * 8 * 2 * 10626 * 24 <= recovery_engine.BATCH_BYTES
 
 
 def test_run_recoveries_leaves_a_diverged_run_out_and_goes_on():
@@ -603,6 +612,7 @@ def test_trace_csv_round_trip_is_exact(tmp_path):
     for col in ("sigma", "mse", "residual", "frontier_gap", "weight_entropy"):
         a, b = getattr(trace, col), getattr(back, col)
         assert np.array_equal(np.nan_to_num(a, nan=-1), np.nan_to_num(b, nan=-1))
+    assert np.array_equal(back.nearest, trace.nearest)
     assert np.array_equal(back.subspace_distances, trace.subspace_distances)
     assert back.metadata == trace.metadata
     assert back.iterates is None
@@ -618,16 +628,18 @@ def test_trace_rows_match_per_element_formatting(tmp_path):
         residual=special[::-1].copy(),
         frontier_gap=np.array([0.0, -0.0, np.inf, 1e300, -1e-300, np.nan]),
         weight_entropy=np.full(rows, np.nan),
+        nearest=np.array([0, 1, 2, 0, 559, 3]),
         subspace_distances=np.column_stack([special, np.full(rows, 1.0 / 3.0)]),
         metadata={"label": "special values"},
     )
     path = tmp_path / "t.csv"
     trace.write_csv(path)
     cols = [getattr(trace, name) for name in recovery_engine.TRACE_COLUMNS[1:]]
-    cols += [trace.subspace_distances[:, k] for k in range(2)]
     lines = [TRACE_FORMAT_LINE, "# " + json.dumps(trace.metadata, sort_keys=True),
-             ",".join(trace.column_names())]
-    lines += [",".join([str(i)] + [format(c[i], ".17g") for c in cols]) for i in range(rows)]
+             V2_HEADER]
+    lines += [",".join([str(i)] + [format(c[i], ".17g") for c in cols] + [str(trace.nearest[i])]
+                       + [format(v, ".17g") for v in trace.subspace_distances[i]])
+              for i in range(rows)]
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
     assert b",nan," in path.read_bytes() and b",-0," in path.read_bytes()
 
@@ -652,8 +664,9 @@ def test_trace_file_starts_with_format_line(tmp_path):
     trace = pd.run_recovery(problem, denoise, geometric(2), prior=prior)
     path = tmp_path / "t.csv"
     trace.write_csv(path)
-    first = path.read_text().splitlines()[0]
-    assert first == TRACE_FORMAT_LINE == "# projdiff-trace v1"
+    first, _, header = path.read_text().splitlines()[:3]
+    assert first == TRACE_FORMAT_LINE == "# projdiff-trace v2"
+    assert header == V2_HEADER
 
 
 @pytest.mark.parametrize("value", ["1.7", "nan", "inf", "1e300"])
@@ -695,10 +708,10 @@ def test_trace_reader_requires_n_to_count_from_0(tmp_path, ns, row, value):
             [
                 TRACE_FORMAT_LINE,
                 "# {}",
-                "n,sigma,mse,residual,frontier_gap,weight_entropy,dist_1",
-                "0,0,0,0,0,0,0",
+                "n,sigma,mse,residual,frontier_gap,weight_entropy,dist_0,dist_1",
+                "0,0,0,0,0,0,0,0",
             ],
-            "distance columns",
+            "unexpected columns",
         ),
         (
             [
@@ -722,6 +735,33 @@ def test_trace_reader_requires_n_to_count_from_0(tmp_path, ns, row, value):
             [TRACE_FORMAT_LINE, "# {}", "n,sigma,mse,residual,frontier_gap,weight_entropy",
              "0,0,zero,0,0,0"],
             "malformed",
+        ),
+        (
+            [
+                "# projdiff-trace v1",
+                "# {}",
+                "n,sigma,mse,residual,frontier_gap,weight_entropy,dist_0,dist_1",
+                "0,0,0,0,0,0,0,0",
+            ],
+            "a v1 trace, no longer read; rerun simulate to write v2",
+        ),
+        (
+            [
+                TRACE_FORMAT_LINE,
+                "# {}",
+                V2_HEADER,
+                "0,0,0,0,0,0,1.5,0,1",
+            ],
+            "column nearest holds a non-index",
+        ),
+        (
+            [
+                TRACE_FORMAT_LINE,
+                "# {}",
+                V2_HEADER,
+                "0,0,0,0,0,0,-1,0,1",
+            ],
+            "column nearest holds a non-index",
         ),
     ],
 )
