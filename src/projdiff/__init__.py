@@ -33,10 +33,10 @@ _SOURCES = {
                    "project_union", "random_subspace", "random_union",
                    "squared_projection_norms"),
     "modelio": ("load_model", "save_model"),
-    "recovery_engine": ("NoiseSchedule", "RecoveryTrace", "gpgd_step", "kadkhodaie_step",
-                        "problem_hash", "run_recoveries", "run_recovery", "schedule_sigma"),
-    "sensing_analysis": ("SensingProblem", "gaussian_operator", "restricted_lipschitz_estimate",
-                         "ric_union", "spectral_norm"),
+    "recovery_engine": ("NoiseSchedule", "RecoveryTrace", "SensingProblem", "gpgd_step",
+                        "kadkhodaie_step", "run_recoveries", "run_recovery", "schedule_sigma"),
+    "sensing_analysis": ("gaussian_operator", "restricted_lipschitz_estimate", "ric_union",
+                         "spectral_norm"),
 }
 _SUBMODULE = {name: module for module, names in _SOURCES.items() for name in names}
 

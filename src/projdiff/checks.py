@@ -24,9 +24,9 @@ from .errors import FrontierError
 from .lrgmm_prior import projection_gap
 from .convex_prior import BoxSet, project_box
 from .model_sets import UnionOfSubspaces, coordinate_subspace, project_union, random_union
-from .recovery_engine import TRACE_COLUMNS, NoiseSchedule, RecoveryTrace, gpgd_step, \
-    kadkhodaie_step, run_recovery, schedule_sigma
-from .sensing_analysis import SensingProblem, gaussian_operator, ric_union
+from .recovery_engine import TRACE_COLUMNS, NoiseSchedule, RecoveryTrace, SensingProblem, \
+    gpgd_step, kadkhodaie_step, run_recovery, schedule_sigma
+from .sensing_analysis import gaussian_operator, ric_union
 
 CHECK_LEVELS = ("fast", "full")
 

@@ -6,7 +6,7 @@ Subcommands:
     analyze <dir>         fit rates/burn-in over a directory of traces
     gen-model <spec>      generate a model file from a one-line spec
 
-Exit codes: 0 ok, 2 config error, 3 numeric divergence, 4 check failures.
+Exit codes: 0 ok, 2 config error or unwritable output, 3 divergence, 4 check failures.
 
 Each command imports the layers it runs inside itself: ``analyze`` loads
 no model, sensing or check module, and only ``check`` loads ``checks``.
@@ -20,6 +20,7 @@ import os
 import signal
 import sys
 import traceback
+from contextlib import contextmanager, suppress
 from dataclasses import replace
 from functools import partial
 from typing import TYPE_CHECKING
@@ -55,45 +56,63 @@ def _apply_overrides(cfg: "ExperimentConfig", args) -> "ExperimentConfig":
     return replace(cfg, **changes)
 
 
+class _Unwritable(Exception):
+    """An output that cannot be created or written: ``main`` prints the message and exits 2."""
+
+
 def _make_out_dir(path: str, source: str) -> None:
-    """Create the output directory ``path``, or raise ConfigError naming ``source``."""
+    """Create the output directory ``path``, or raise _Unwritable naming ``source``."""
     try:
         os.makedirs(path, exist_ok=True)
     except OSError as exc:
-        raise ConfigError(f"{source}: cannot create output directory {path!r}: "
+        raise _Unwritable(f"{source}: cannot create output directory {path!r}: "
                           f"{exc.strerror or exc}") from None
+
+
+@contextmanager
+def _writing(path):
+    """Raise an OSError met while writing ``path`` as _Unwritable, naming the path."""
+    try:
+        yield
+    except OSError as exc:
+        raise _Unwritable(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _trace_name(schedule_name: str, seed: int) -> str:
     return f"trace_{schedule_name}_{seed:05d}.csv"
 
 
-def _simulate_share(cfg, model, runs, width) -> dict:
-    """Run ``runs`` (name, problem, schedule, metadata tuples) in batches of ``width``.
+def _simulate_share(cfg, model, operator, mu, runs, width) -> dict:
+    """Run ``runs`` (name, seed, y, x_true, schedule, metadata tuples) in batches of ``width``.
 
     A batch's traces are written before the next batch starts.  Returns the
-    written trace names and the diverged [name, iteration, message] entries.
+    written trace names, the diverged [name, iteration, message] entries and
+    the message of a trace that could not be written, where the share stops.
     """
     from .recovery_engine import run_recoveries
 
     files, diverged = [], []
     for start in range(0, len(runs), width):
-        names, problems, schedules, metadata = zip(*runs[start:start + width])
+        names, seeds, y, x_true, schedules, metadata = zip(*runs[start:start + width])
         # overflow inside a diverging run is reported via DivergenceError
         with np.errstate(over="ignore", invalid="ignore"):
-            results = run_recoveries(problems, schedules, cfg.n_iters, prior=model,
-                                     metadata=metadata)
+            results = run_recoveries(operator, mu, y, schedules, cfg.n_iters, model,
+                                     x_true=x_true, seeds=seeds, metadata=metadata)
         for name, result in zip(names, results):
             path = os.path.join(cfg.out_dir, name)
-            if isinstance(result, DivergenceError):
-                diverged.append([name, result.iteration, str(result)])
-                # An earlier run's file under this name is not this run's result.
-                if os.path.exists(path):
-                    os.remove(path)
-                continue
-            result.write_csv(path)
+            try:
+                with _writing(path):
+                    if isinstance(result, DivergenceError):
+                        diverged.append([name, result.iteration, str(result)])
+                        # An earlier run's file under this name is not this run's result.
+                        if os.path.exists(path):
+                            os.remove(path)
+                        continue
+                    result.write_csv(path)
+            except _Unwritable as exc:
+                return {"files": files, "diverged": diverged, "unwritable": str(exc)}
             files.append(name)
-    return {"files": files, "diverged": diverged}
+    return {"files": files, "diverged": diverged, "unwritable": None}
 
 
 def blas_core():
@@ -173,7 +192,7 @@ def _run_forked(tasks) -> list:
     tasks[1:] run in forked children and tasks[0] in this process.  A child
     that fails raises RuntimeError here with the child's traceback.  On any
     exit, a child not yet reaped is killed and reaped: none outlives the call.
-    Forked, not spawned: a child shares the parent's operator and problems
+    Forked, not spawned: a child shares the parent's operator and runs
     without pickling or a second numpy import, and the command's only other
     threads are OpenBLAS's, which it winds down around fork itself.
     """
@@ -217,28 +236,30 @@ def _run_forked(tasks) -> list:
 def cmd_simulate(args) -> int:
     from .config import build, load_config, prior_descriptor, serialize_config
     from .recovery_engine import _matvec, batch_width
-    from .sensing_analysis import SensingProblem
 
     try:
         cfg = _apply_overrides(load_config(args.config), args)
         model, operator, mu = build(cfg)
-        _make_out_dir(cfg.out_dir, "--out" if args.out is not None else "[run] out_dir")
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    _make_out_dir(cfg.out_dir, "--out" if args.out is not None else "[run] out_dir")
+    # An earlier run's manifest goes first, so that a run which stops early leaves none.
+    manifest_path = os.path.join(cfg.out_dir, MANIFEST_NAME)
+    with _writing(manifest_path), suppress(FileNotFoundError):
+        os.remove(manifest_path)
 
     descriptor = prior_descriptor(cfg.prior)
     runs = []
     for seed in cfg.trial_seeds:
         x_true = model.sample(np.random.default_rng(seed))
-        problem = SensingProblem(operator, mu, _matvec(operator, x_true), x_true=x_true,
-                                 seed=seed)
+        y = _matvec(operator, x_true)
         component = model.true_component(x_true)
         for schedule_name, schedule in cfg.schedules:
             meta = {"schedule_name": schedule_name, "trial_seed": seed, "prior": descriptor}
             if component is not None:
                 meta["true_component"] = component
-            runs.append((_trace_name(schedule_name, seed), problem, schedule, meta))
+            runs.append((_trace_name(schedule_name, seed), seed, y, x_true, schedule, meta))
     # The runs, in seed-major order, are cut into one contiguous share per
     # worker (_worker_count: one per CPU this process may run on, so taskset
     # restricts it).  This process runs share 0 and forked children the rest.
@@ -250,14 +271,17 @@ def cmd_simulate(args) -> int:
     bounds = [len(runs) * i // workers for i in range(workers + 1)]
     shares = [runs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     files, diverged = [], []
-    for result in _run_forked([partial(_simulate_share, cfg, model, share, width)
+    for result in _run_forked([partial(_simulate_share, cfg, model, operator, mu, share, width)
                                for share in shares]):
+        if result["unwritable"]:
+            raise _Unwritable(result["unwritable"])
         files += result["files"]
         diverged += result["diverged"]
 
-    # The manifest is written on divergence too: it replaces any earlier
-    # run's manifest, so analyze never summarises that run's traces instead.
-    with open(os.path.join(cfg.out_dir, RESOLVED_NAME), "w", newline="\n") as fh:
+    # The manifest is written on divergence too: without one, analyze would
+    # read every trace in the directory, an earlier run's among them.
+    resolved_path = os.path.join(cfg.out_dir, RESOLVED_NAME)
+    with _writing(resolved_path), open(resolved_path, "w", newline="\n") as fh:
         fh.write(serialize_config(cfg))
     diverged.sort(key=lambda item: item[0])
     manifest = {
@@ -269,7 +293,7 @@ def cmd_simulate(args) -> int:
         "mu": mu,
         "versions": _versions(),
     }
-    with open(os.path.join(cfg.out_dir, MANIFEST_NAME), "w", newline="\n") as fh:
+    with _writing(manifest_path), open(manifest_path, "w", newline="\n") as fh:
         fh.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     for name, _, message in diverged:
         print(f"divergence in run {name}: {message}", file=sys.stderr)
@@ -281,14 +305,10 @@ def cmd_check(args) -> int:
     from .checks import report_csv, report_table, run_checks
 
     out_dir = args.out if args.out is not None else "."
-    try:
-        _make_out_dir(out_dir, "--out")
-    except ConfigError as exc:
-        print(exc, file=sys.stderr)
-        return 2
+    _make_out_dir(out_dir, "--out")
     results = run_checks("full" if args.full else "fast")
     report_path = os.path.join(out_dir, REPORT_NAME)
-    with open(report_path, "w", newline="\n") as fh:
+    with _writing(report_path), open(report_path, "w", newline="\n") as fh:
         fh.write(report_csv(results))
     print(report_table(results), end="")
     print(f"report: {report_path}")
@@ -341,11 +361,7 @@ def cmd_analyze(args) -> int:
         print(f"not a directory: {directory}", file=sys.stderr)
         return 2
     out_dir = args.out if args.out is not None else directory
-    try:
-        _make_out_dir(out_dir, "--out")
-    except ConfigError as exc:
-        print(exc, file=sys.stderr)
-        return 2
+    _make_out_dir(out_dir, "--out")
 
     # A manifest names the traces of the last simulate into this directory;
     # older traces left beside them are not part of that run.
@@ -388,7 +404,7 @@ def cmd_analyze(args) -> int:
     # Names and schedules come from untrusted files: the writer quotes a
     # field that holds a comma, a quote or a line break, and no other.
     rates_path = os.path.join(out_dir, "rates.csv")
-    with open(rates_path, "w", newline="") as fh:
+    with _writing(rates_path), open(rates_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(RATES_COLUMNS)
         writer.writerows([_cell(row[key]) for key in RATES_COLUMNS] for row in rows)
@@ -397,7 +413,7 @@ def cmd_analyze(args) -> int:
     for row in rows:
         by_schedule.setdefault(row["schedule"], []).append(row)
     summary_path = os.path.join(out_dir, "summary.csv")
-    with open(summary_path, "w", newline="") as fh:
+    with _writing(summary_path), open(summary_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(SUMMARY_COLUMNS)
         for schedule in sorted(by_schedule):
@@ -509,4 +525,8 @@ versions writes the same bytes.
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _Unwritable as exc:
+        print(exc, file=sys.stderr)
+        return 2

@@ -307,6 +307,8 @@ def _parse_run(values):
         if "trials" in values:
             raise _fail("run", "trials", "give either trials or trial_seeds, not both")
         seeds = _get("run", values, "trial_seeds", _INTS)
+        if len(seeds) > MAX_TRIALS:
+            raise _fail("run", "trial_seeds", f"{len(seeds)} seeds exceed the cap of {MAX_TRIALS}")
         if any(seed < 0 for seed in seeds):
             raise _fail("run", "trial_seeds", f"seeds must be >= 0, got {min(seeds)}")
     elif "trials" in values:

@@ -22,17 +22,15 @@ members (LrGmmPrior and BoxSet have them; this module names neither):
 - ``sample(rng)``, a draw from the prior, and ``true_component(x)``, the
   component x lies on or None; ``simulate`` uses these for a run's truth.
 
-``run_recoveries`` is the one implementation of the iteration.  It advances
-a (B, d) block of iterates, one row per (problem, schedule) run, each row on
-its own sigma_n, with one ``step`` call per trace row; ``run_recovery`` is a
-batch of one.  ``simulate`` cuts its runs into one contiguous share per CPU
-it may use (``taskset`` restricts that), runs the first share itself and
-each other share in a forked worker process, and passes a share's runs in
-batches of ``batch_width``: its memory is one BATCH_BYTES batch per worker,
-however many runs it has.  A run's trace bytes do not depend on the batch
-width, on which runs share the block or on the number of workers, because
-no computation mixes rows: sums run along each row's own axis, and every
-matrix-vector product is one BLAS gemv per row, never a gemm.
+``run_recoveries`` is the one implementation of the iteration.  It takes
+the operator A and mu once for a batch and advances a (B, d) block of
+iterates, one row per run with its own y and sigma_n, with one ``step``
+call per trace row; ``run_recovery`` runs one ``SensingProblem``.  A run's
+trace bytes do not depend on which runs share the block, and so neither on
+``simulate``'s batches nor on its worker processes (``cli.cmd_simulate``
+says how it cuts its runs), because no computation mixes rows: sums run
+along each row's own axis, and every matrix-vector product is one BLAS
+gemv per row, never a gemm.
 
 Two things keep the operator work small without giving that up.
 ``_matvec`` reads a tall matrix in cache-sized slices of whole
@@ -51,14 +49,10 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DivergenceError
-
-if TYPE_CHECKING:  # reading traces needs no sensing layer
-    from .sensing_analysis import SensingProblem
 
 # The fields each schedule kind takes besides ``kind``, in the order that
 # ``to_dict`` and a config's [schedule.<name>] section write them.
@@ -331,7 +325,7 @@ class RecoveryTrace:
 
 
 def _operator_digest(operator: np.ndarray):
-    """The sha256 state after the operator's bytes, the prefix of every problem_hash.
+    """The sha256 state after the operator's bytes, the prefix of every ``_problem_hash``.
 
     The bytes are ``operator.tobytes()``, its entries in C order.  A
     C-contiguous operator is hashed from its own buffer, with no copy.
@@ -341,15 +335,11 @@ def _operator_digest(operator: np.ndarray):
     return hashlib.sha256(np.ascontiguousarray(operator))
 
 
-def _problem_hash(operator_digest, problem: "SensingProblem") -> str:
+def _problem_hash(operator_digest, y: np.ndarray, mu: float) -> str:
     digest = operator_digest.copy()
-    digest.update(problem.y.tobytes())
-    digest.update(format(problem.mu, ".17g").encode())
+    digest.update(y.tobytes())
+    digest.update(format(mu, ".17g").encode())
     return digest.hexdigest()[:16]
-
-
-def problem_hash(problem: "SensingProblem") -> str:
-    return _problem_hash(_operator_digest(problem.operator), problem)
 
 
 def batch_width(model, d: int, n_iters: int) -> int:
@@ -377,18 +367,20 @@ class _RowwiseModel:
         return np.array([self.denoise(row, s) for row, s in zip(x, sigma.tolist())]), None
 
 
-def run_recoveries(problems, schedules, n_iters: int, prior, x0: np.ndarray = None,
+def run_recoveries(a: np.ndarray, mu: float, y: np.ndarray, schedules, n_iters: int, prior,
+                   x_true: np.ndarray = None, seeds=None, x0: np.ndarray = None,
                    record_iterates: bool = False, metadata=None) -> list:
-    """Run one recovery per (problem, schedule) pair, all of them in lock step.
+    """Run one recovery per schedule, all in lock step on the operator ``a`` and step ``mu``.
 
-    ``prior`` is the model whose ``step`` makes every projection.  Each
-    iteration is one pass over the (B, d) block of iterates: mse and
-    residual, one ``prior.step``, whose columns fill the trace row, and the
-    data step.  A model with no columns is not stepped on the last row.  The
-    problems must share their operator and mu; their y, x_true and seeds
-    are per row.  A finite schedule's horizon may not be below ``n_iters``
-    (``schedule_sigma`` raises).  ``x0`` is None (start at zero) or a (B, d)
-    block, ``metadata`` None or a list of B dicts.  ``record_iterates``
+    Run b measures row b of the (B, m) block ``y`` and follows
+    ``schedules[b]``; ``x_true`` and ``x0`` are None or (B, d) blocks (mse
+    is NaN without a truth, and runs start at zero without x0), ``seeds``
+    and ``metadata`` None or B values.  ``prior`` is the model whose
+    ``step`` makes every projection.  Each iteration is one pass over the
+    (B, d) block of iterates: mse and residual, one ``prior.step``, whose
+    columns fill the trace row, and the data step.  A model with no columns
+    is not stepped on the last row.  A finite schedule's horizon may not be
+    below ``n_iters`` (``schedule_sigma`` raises).  ``record_iterates``
     keeps each run's (n_iters + 1, d) iterates in its trace, outside what
     ``batch_width`` budgets.
 
@@ -396,29 +388,24 @@ def run_recoveries(problems, schedules, n_iters: int, prior, x0: np.ndarray = No
     a run whose iterate left the finite range.  That run leaves the block
     at that iteration; the others go on.
     """
-    problems, schedules = list(problems), list(schedules)
-    if not problems or len(problems) != len(schedules):
-        raise ValueError("need one schedule per problem, and at least one problem")
-    a, mu = problems[0].operator, problems[0].mu
-    for problem in problems[1:]:
-        if problem.mu != mu or not (problem.operator is a or np.array_equal(problem.operator, a)):
-            raise ValueError("the runs of one batch must share the operator and mu")
-    n_iters = int(n_iters)
+    schedules, mu, n_iters = list(schedules), float(mu), int(n_iters)
+    if not schedules:
+        raise ValueError("need at least one run")
     if n_iters < 1:
         raise ValueError(f"n_iters must be >= 1, got {n_iters}")
-    b_runs, d = len(problems), a.shape[1]
+    b_runs, (m, d) = len(schedules), a.shape
+    y = np.array(y, dtype=float)
+    truth = np.full((b_runs, d), np.nan) if x_true is None else np.array(x_true, dtype=float)
+    x = np.zeros((b_runs, d)) if x0 is None else np.array(x0, dtype=float)
+    for name, block, width in (("y", y, m), ("x_true", truth, d), ("x0", x, d)):
+        if block.shape != (b_runs, width):
+            raise ValueError(f"{name} must have shape ({b_runs}, {width}), got {block.shape}")
     forward = _forward(a, prior)
     k = prior.n_components
-    x = np.zeros((b_runs, d)) if x0 is None else np.array(x0, dtype=float)
-    if x.shape != (b_runs, d):
-        raise ValueError(f"x0 must have shape ({b_runs}, {d}), got {x.shape}")
 
     rows = n_iters + 1
     table = {s: [schedule_sigma(s, n) for n in range(rows)] for s in set(schedules)}
     sigma = np.array([table[s] for s in schedules])
-    y = np.array([problem.y for problem in problems])
-    truth = np.array([np.full(d, np.nan) if problem.x_true is None else problem.x_true
-                      for problem in problems])
     mse = np.empty((b_runs, rows))
     residual = np.empty((b_runs, rows))
     frontier_gap = np.full((b_runs, rows), np.nan)
@@ -428,11 +415,11 @@ def run_recoveries(problems, schedules, n_iters: int, prior, x0: np.ndarray = No
     iterates = np.empty((b_runs, rows, d)) if record_iterates else None
 
     results = [None] * b_runs
-    live = np.arange(b_runs)  # x, y and truth hold the rows of these runs
+    live, y_live = np.arange(b_runs), y  # x, y_live and truth hold the rows of these runs
     for n in range(rows):
         sigma_n = sigma[live, n]
         mse[live, n] = _row_dots(x - truth) / d
-        residual[live, n] = np.sqrt(_row_dots(_matvec(a, x) - y))
+        residual[live, n] = np.sqrt(_row_dots(_matvec(a, x) - y_live))
         if record_iterates:
             iterates[live, n] = x
         if n == n_iters and not k:
@@ -443,20 +430,19 @@ def run_recoveries(problems, schedules, n_iters: int, prior, x0: np.ndarray = No
              nearest[live, n], distances[live, n]) = columns
         if n == n_iters:
             break
-        x = _data_step(a, mu, y, p, forward(p))
+        x = _data_step(a, mu, y_live, p, forward(p))
         finite = np.all(np.isfinite(x), axis=1)
         if not finite.all():
             for b in live[~finite]:
                 results[b] = DivergenceError(
                     f"iterate left the finite range at iteration {n + 1}", n + 1
                 )
-            live, x, y, truth = live[finite], x[finite], y[finite], truth[finite]
+            live, x, y_live, truth = live[finite], x[finite], y_live[finite], truth[finite]
             if live.size == 0:
                 break
 
     operator_digest = _operator_digest(a)
     for b in live:
-        problem = problems[b]
         trace = RecoveryTrace(
             n=np.arange(rows),
             sigma=sigma[b],
@@ -471,17 +457,47 @@ def run_recoveries(problems, schedules, n_iters: int, prior, x0: np.ndarray = No
         )
         trace.metadata.setdefault("format", "projdiff-trace")
         trace.metadata.update(
-            problem_hash=(_problem_hash(operator_digest, problem) if problem.operator is a
-                          else problem_hash(problem)),
+            problem_hash=_problem_hash(operator_digest, y[b], mu),
             schedule=schedules[b].to_dict(),
             mu=mu,
-            seed=problem.seed,
+            seed=None if seeds is None else seeds[b],
         )
         results[b] = trace
     return results
 
 
-def run_recovery(problem: "SensingProblem", denoise, schedule: NoiseSchedule,
+@dataclass(frozen=True)
+class SensingProblem:
+    """One run's measurements y = A x_true with step size mu, checked for ``run_recovery``."""
+
+    operator: np.ndarray
+    mu: float
+    y: np.ndarray
+    x_true: np.ndarray = None
+    seed: int = None
+
+    def __post_init__(self):
+        a, mu = np.asarray(self.operator, dtype=float), float(self.mu)
+        if a.ndim != 2:
+            raise ValueError(f"operator must be a matrix, got shape {a.shape}")
+        if not (mu > 0.0 and math.isfinite(mu)):
+            raise ValueError(f"mu must be positive, got {mu}")
+        object.__setattr__(self, "mu", mu)
+        names = ("operator", "y") if self.x_true is None else ("operator", "y", "x_true")
+        for name, shape in zip(names, (a.shape, a.shape[:1], a.shape[1:])):
+            value = np.asarray(getattr(self, name), dtype=float)
+            if value.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {value.shape}")
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} entries must be finite")
+            object.__setattr__(self, name, value)
+        if self.x_true is not None:
+            misfit = np.linalg.norm(self.y - a @ self.x_true)
+            if misfit > 1e-10 * max(np.linalg.norm(self.y), 1e-300):
+                raise ValueError(f"x_true does not reproduce y: ||y - A x_true|| = {misfit:.3e}")
+
+
+def run_recovery(problem: SensingProblem, denoise, schedule: NoiseSchedule,
                  x0: np.ndarray = None, n_iters: int = None,
                  record_iterates: bool = False, prior=None,
                  metadata: dict = None) -> RecoveryTrace:
@@ -503,10 +519,11 @@ def run_recovery(problem: "SensingProblem", denoise, schedule: NoiseSchedule,
         if schedule.kind == "infinite_geometric":
             raise ValueError("n_iters is required for an infinite schedule")
         n_iters = schedule.horizon
-    (result,) = run_recoveries([problem], [schedule], n_iters, prior,
-                               x0=None if x0 is None else np.asarray(x0, dtype=float)[None],
-                               record_iterates=record_iterates,
-                               metadata=None if metadata is None else [metadata])
+    (result,) = run_recoveries(
+        problem.operator, problem.mu, problem.y[None], [schedule], n_iters, prior,
+        x_true=None if problem.x_true is None else problem.x_true[None], seeds=[problem.seed],
+        x0=None if x0 is None else np.asarray(x0, dtype=float)[None],
+        record_iterates=record_iterates, metadata=None if metadata is None else [metadata])
     if isinstance(result, DivergenceError):
         raise result
     return result

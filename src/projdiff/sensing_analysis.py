@@ -1,5 +1,7 @@
 """Measurement operators and the constants controlling recovery.
 
+A run's measurements y = A x_true are ``recovery_engine``'s, not this module's.
+
 Two numbers govern the projected-gradient iteration for a union of
 subspaces: the restricted isometry constant of mu A^T A over secant
 directions, and the restricted Lipschitz constant of the projection.  The
@@ -9,7 +11,6 @@ estimated from below by sampling.
 """
 
 import math
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -23,47 +24,6 @@ POWER_ITERATION_TOL = 1e-10
 POWER_ITERATION_MAX_ITER = 10_000
 
 RANK_CUTOFF = 1e-10
-
-
-@dataclass(frozen=True)
-class SensingProblem:
-    """A linear measurement setup y = A x_true with step size mu."""
-
-    operator: np.ndarray
-    mu: float
-    y: np.ndarray
-    x_true: np.ndarray = None
-    seed: int = None
-
-    def __post_init__(self):
-        a = np.asarray(self.operator, dtype=float)
-        if a.ndim != 2:
-            raise ValueError(f"operator must be a matrix, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("operator entries must be finite")
-        mu = float(self.mu)
-        if not (mu > 0.0 and math.isfinite(mu)):
-            raise ValueError(f"mu must be positive, got {mu}")
-        y = np.asarray(self.y, dtype=float)
-        if y.shape != (a.shape[0],):
-            raise ValueError(f"y must have shape ({a.shape[0]},), got {y.shape}")
-        if not np.all(np.isfinite(y)):
-            raise ValueError("y entries must be finite")
-        object.__setattr__(self, "operator", a)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "y", y)
-        if self.x_true is not None:
-            x = np.asarray(self.x_true, dtype=float)
-            if x.shape != (a.shape[1],):
-                raise ValueError(f"x_true must have shape ({a.shape[1]},), got {x.shape}")
-            if not np.all(np.isfinite(x)):
-                raise ValueError("x_true entries must be finite")
-            misfit = np.linalg.norm(y - a @ x)
-            if misfit > 1e-10 * max(np.linalg.norm(y), 1e-300):
-                raise ValueError(
-                    f"x_true does not reproduce y: ||y - A x_true|| = {misfit:.3e}"
-                )
-            object.__setattr__(self, "x_true", x)
 
 
 def gaussian_operator(m: int, d: int, rng: np.random.Generator) -> np.ndarray:

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import projdiff as pd
 from conftest import assert_pinned, log_component_density
-from projdiff import checks, cli, lrgmm_prior, model_sets, modelio, recovery_engine, \
+from projdiff import checks, cli, config, lrgmm_prior, model_sets, modelio, recovery_engine, \
     sensing_analysis
 from projdiff.checks import run_checks
 from projdiff.config import (
@@ -308,9 +308,15 @@ def test_serialize_parse_is_a_fixed_point():
          "[schedule.slow]\nkind = infinite_geometric\nsigma_max = 0.5\na = 0.9\n"
          "[run]\ntrials = 1\nn_iters = 0\n",
          r"^\[run\] n_iters: must be >= 1, got 0$"),
+        # Listed seeds count against the cap on trials (patched to 4 here).
+        ("[prior]\nkind = lrgmm\nd = 4\nr = 1\nk = 1\n[sensing]\nm = 2\n"
+         "[schedule.geometric]\nsigma_max = 0.5\nsigma_min = 1e-4\nhorizon = 10\n"
+         "[run]\ntrial_seeds = 1 2 3 4 5\n",
+         r"^\[run\] trial_seeds: 5 seeds exceed the cap of 4$"),
     ],
 )
-def test_config_errors_name_the_offender(text, match):
+def test_config_errors_name_the_offender(text, match, monkeypatch):
+    monkeypatch.setattr(config, "MAX_TRIALS", 4)
     with pytest.raises(pd.ConfigError, match=match):
         pd.parse_config(text)
 
@@ -886,6 +892,33 @@ def test_simulate_divergence_replaces_an_earlier_runs_manifest(tmp_path, capsys)
     assert not os.path.exists(os.path.join(out, "rates.csv"))
 
 
+@pytest.mark.parametrize("side", ["parent", "child"])
+def test_an_unwritable_trace_exits_2_and_leaves_no_manifest(tmp_path, monkeypatch, capsys,
+                                                            side):
+    """A directory at a trace's path: exit 2 naming it, in this process's share or a child's."""
+    cfg_path = write_config(tmp_path, TWO_SCHEDULE_CONFIG)
+    out = tmp_path / "o"
+    assert cli.main(["simulate", cfg_path, "--out", str(out)]) == 0
+    # Of two shares, this process runs the first (seed 43) and a child the second.
+    name = "trace_geometric_00043.csv" if side == "parent" else "trace_lin_00044.csv"
+    (out / name).unlink()
+    (out / name).mkdir()
+    monkeypatch.setattr(cli, "_worker_count", lambda n_runs: 2)
+    capsys.readouterr()
+    assert cli.main(["simulate", cfg_path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"cannot write {out / name}: Is a directory\n"
+    # The earlier run's manifest would list traces this run did not write.
+    assert not (out / "manifest.json").exists()
+
+
+def test_simulate_builds_no_sensing_problem(tmp_path, monkeypatch):
+    def refuse(self):
+        raise AssertionError("simulate built a SensingProblem")
+
+    monkeypatch.setattr(pd.SensingProblem, "__post_init__", refuse)
+    _simulated(tmp_path, TWO_SCHEDULE_CONFIG)
+
+
 FLAGSHIP_SHAPED_CONFIG = """\
 [prior]
 kind = lrgmm
@@ -928,8 +961,8 @@ def _engine_calling(action, in_parent):
     parent = os.getpid()
     real = recovery_engine.run_recoveries
 
-    def patched(problems, *args, **kwargs):
-        results = real(problems, *args, **kwargs)
+    def patched(*args, **kwargs):
+        results = real(*args, **kwargs)
         if (os.getpid() == parent) == in_parent:
             action(kwargs["metadata"], results)
         return results
@@ -1152,6 +1185,19 @@ def test_check_command_exits_4_when_a_check_fails(tmp_path, monkeypatch, capsys)
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_check_exits_2_when_its_report_is_unwritable(tmp_path, monkeypatch, capsys):
+    from projdiff.checks import CheckResult
+
+    def passing(level):
+        return [CheckResult(name="synthetic", value=0.0, bound=0.5, passed=True)]
+
+    monkeypatch.setattr(checks, "run_checks", passing)
+    (tmp_path / "check_report.csv").mkdir()
+    assert cli.main(["check", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"cannot write {tmp_path / 'check_report.csv'}: Is a directory\n"
+
+
 @pytest.mark.parametrize("prior", ["kind = lrgmm\nd = 4\nr = 1\nk = 2\n",
                                    "kind = box\nlower = -1 -1\nupper = 1 1\n"],
                          ids=["lrgmm", "box"])
@@ -1194,6 +1240,15 @@ def test_analyze_writes_rates_and_summary(tmp_path):
     first = summary[1].split(",")
     assert first[0] == "geometric" and first[1] == "2"
     assert float(first[2]) >= 0.0
+
+
+def test_analyze_exits_2_when_a_report_is_unwritable(tmp_path, capsys):
+    out = _simulated(tmp_path, TWO_SCHEDULE_CONFIG, name="two")
+    os.mkdir(os.path.join(out, "rates.csv"))
+    capsys.readouterr()
+    assert cli.main(["analyze", out]) == 2
+    err = capsys.readouterr().err
+    assert err == f"cannot write {os.path.join(out, 'rates.csv')}: Is a directory\n"
 
 
 def test_analyze_quotes_a_comma_in_a_file_or_schedule_name(tmp_path):

@@ -168,10 +168,9 @@ def test_burn_in_is_the_strict_minimiser_rule_on_recorded_iterates():
     a = pd.gaussian_operator(3, 6, np.random.default_rng(6))
     mu = 1.0 / pd.spectral_norm(a) ** 2
     truths = [pd.sample(prior, np.random.default_rng(seed)) for seed in range(12)]
-    problems = [pd.SensingProblem(a, mu, a @ x, x_true=x) for x in truths]
     schedule = pd.NoiseSchedule("geometric", 0.5, 1e-3, 30)
-    traces = recovery_engine.run_recoveries(problems, [schedule] * 12, 30, prior,
-                                            record_iterates=True)
+    traces = recovery_engine.run_recoveries(a, mu, [a @ x for x in truths], [schedule] * 12, 30,
+                                            prior, x_true=truths, record_iterates=True)
     settled = []
     for trace, x_true in zip(traces, truths):
         distances = np.sqrt(component_parts(prior.union, trace.iterates)[2])

@@ -164,6 +164,55 @@ def test_union_points_are_fixed_points_of_the_oracle_step():
     assert np.array_equal(out, x_hat)
 
 
+# ---------------------------------------------------------- SensingProblem
+
+
+def test_problem_stores_fields_and_dims():
+    a = pd.gaussian_operator(3, 5, np.random.default_rng(0))
+    y = np.ones(3)
+    problem = pd.SensingProblem(a, 0.1, y, seed=7)
+    assert problem.operator.shape == (3, 5)
+    assert problem.seed == 7
+    assert problem.x_true is None
+
+
+def test_problem_validates_shapes_and_mu():
+    a = np.eye(3)
+    with pytest.raises(ValueError):
+        pd.SensingProblem(a, 0.0, np.ones(3))
+    with pytest.raises(ValueError):
+        pd.SensingProblem(a, -1.0, np.ones(3))
+    with pytest.raises(ValueError):
+        pd.SensingProblem(a, math.inf, np.ones(3))
+    with pytest.raises(ValueError):
+        pd.SensingProblem(a, 1.0, np.ones(4))
+    with pytest.raises(ValueError):
+        pd.SensingProblem(np.ones(3), 1.0, np.ones(3))
+    with pytest.raises(ValueError):
+        pd.SensingProblem(a, 1.0, np.ones(3), x_true=np.ones(4))
+
+
+def test_problem_checks_x_true_consistency():
+    a = np.eye(2)
+    x = np.array([1.0, 2.0])
+    problem = pd.SensingProblem(a, 0.5, a @ x, x_true=x)
+    assert np.array_equal(problem.x_true, x)
+    with pytest.raises(ValueError, match="reproduce"):
+        pd.SensingProblem(a, 0.5, a @ x + 0.01, x_true=x)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_problem_rejects_non_finite_y_and_x_true(bad):
+    # NaN slipped past the misfit test before: nan > tol is False.
+    a = np.eye(2)
+    with pytest.raises(ValueError, match="^y entries must be finite"):
+        pd.SensingProblem(a, 1.0, [bad, 1.0])
+    with pytest.raises(ValueError, match="^y entries must be finite"):
+        pd.SensingProblem(a, 1.0, [bad, 1.0], x_true=[bad, 1.0])
+    with pytest.raises(ValueError, match="^x_true entries must be finite"):
+        pd.SensingProblem(a, 1.0, [1.0, 1.0], x_true=[1.0, bad])
+
+
 # ------------------------------------------------------------- run_recovery
 
 
@@ -226,7 +275,8 @@ def test_run_recovery_horizon_checks():
 def test_run_recovery_records_iterates_only_when_asked():
     prior, problem, denoise = tiny_problem()
     assert pd.run_recovery(problem, denoise, geometric(3), prior=prior).iterates is None
-    (batched,) = recovery_engine.run_recoveries([problem], [geometric(3)], 3, prior=prior)
+    (batched,) = recovery_engine.run_recoveries(problem.operator, problem.mu, problem.y[None],
+                                                [geometric(3)], 3, prior)
     assert batched.iterates is None
     forced = pd.run_recovery(problem, denoise, geometric(3), prior=prior, record_iterates=True)
     assert forced.iterates.shape == (4, 6)
@@ -326,7 +376,8 @@ def test_trace_bytes_do_not_depend_on_the_batch(flagship_setup, tmp_path):
     for width, start in ((7, target - 3), (len(runs), 0)):
         batch = runs[start:start + width]
         traces = recovery_engine.run_recoveries(
-            [p for p, _ in batch], [sch for _, sch in batch], 150, prior=s.prior)
+            s.operator, s.mu, [p.y for p, _ in batch], [sch for _, sch in batch], 150, s.prior,
+            x_true=[p.x_true for p, _ in batch], seeds=[p.seed for p, _ in batch])
         assert _written(traces[target - start], tmp_path, f"w{width}.csv") == alone, width
 
 
@@ -369,7 +420,8 @@ def test_box_trace_bytes_do_not_depend_on_the_batch_or_the_denoise_path(tmp_path
     for width, start in ((7, target - 3), (len(runs), 0)):
         batch = runs[start:start + width]
         traces = recovery_engine.run_recoveries(
-            [p for p, _ in batch], [sch for _, sch in batch], 30, prior=box)
+            a, mu, [p.y for p, _ in batch], [sch for _, sch in batch], 30, box,
+            x_true=[p.x_true for p, _ in batch], seeds=[p.seed for p, _ in batch])
         assert _written(traces[target - start], tmp_path, f"w{width}.csv") == alone, width
     denoise = lambda z, sg: pd.box_denoiser(box, z, sg)  # noqa: E731
     via_denoise = pd.run_recovery(problem, denoise, schedule, n_iters=30)
@@ -435,9 +487,9 @@ def test_an_all_pinned_box_runs_to_finite_traces():
     box = _box(np.zeros(70, dtype=bool))
     a = pd.gaussian_operator(140, 70, np.random.default_rng(3))
     x_true = pd.sample_box(box, np.random.default_rng(4))[0]
-    problem = pd.SensingProblem(a, 1.0 / pd.spectral_norm(a) ** 2, a @ x_true, x_true=x_true)
-    traces = recovery_engine.run_recoveries([problem] * 3, [geometric(10)] * 3, 10, prior=box,
-                                            record_iterates=True)
+    mu = 1.0 / pd.spectral_norm(a) ** 2
+    traces = recovery_engine.run_recoveries(a, mu, [a @ x_true] * 3, [geometric(10)] * 3, 10,
+                                            box, x_true=[x_true] * 3, record_iterates=True)
     for trace in traces:
         assert isinstance(trace, pd.RecoveryTrace)
         assert np.isfinite(trace.mse).all() and np.isfinite(trace.residual).all()
@@ -473,7 +525,9 @@ def test_a_third_model_needs_no_engine_edit(tmp_path):
     for seed in range(3):
         x_true = np.where(mask, rng.standard_normal(d), 0.0)
         problems.append(pd.SensingProblem(a, mu, a @ x_true, x_true=x_true, seed=seed))
-    traces = recovery_engine.run_recoveries(problems, [geometric(30)] * 3, 30, model)
+    traces = recovery_engine.run_recoveries(
+        a, mu, [p.y for p in problems], [geometric(30)] * 3, 30, model,
+        x_true=[p.x_true for p in problems], seeds=[p.seed for p in problems])
     denoise = lambda z, sg: np.where(mask, z, 0.0)  # noqa: E731
     for problem, trace in zip(problems, traces):
         assert trace.subspace_distances is None and np.isnan(trace.frontier_gap).all()
@@ -518,9 +572,9 @@ def test_simulate_trace_bytes_do_not_depend_on_its_batches(tmp_path, monkeypatch
     widths = []
     real = recovery_engine.run_recoveries
 
-    def counted(problems, *args, **kwargs):
-        widths.append(len(problems))
-        return real(problems, *args, **kwargs)
+    def counted(a, mu, y, *args, **kwargs):
+        widths.append(len(y))
+        return real(a, mu, y, *args, **kwargs)
 
     monkeypatch.setattr(recovery_engine, "run_recoveries", counted)
     # One worker, so every run_recoveries call is made, and counted, here.
@@ -564,24 +618,37 @@ def test_batch_width_keeps_a_batch_within_its_byte_budget():
 
 
 def test_run_recoveries_leaves_a_diverged_run_out_and_goes_on():
+    """The other runs go on, and each keeps its own y's problem_hash, not a left-over row's."""
     prior, problem, _ = tiny_problem()
+    a, mu = problem.operator, problem.mu
+    truths = np.array([problem.x_true * scale for scale in (1.0, 2.0, 3.0)])
+    y = truths @ a.T
     x0 = np.zeros((3, 6))
-    x0[1] = 1e308  # this row overflows in its first step
+    x0[0] = 1e308  # this row overflows in its first step
     with np.errstate(over="ignore", invalid="ignore"):
-        results = recovery_engine.run_recoveries([problem] * 3, [geometric(20)] * 3, 20,
-                                                 prior=prior, x0=x0, record_iterates=True)
-    assert isinstance(results[1], pd.DivergenceError) and results[1].iteration == 1
-    alone = pd.run_recovery(problem, None, geometric(20), prior=prior, record_iterates=True)
-    for trace in (results[0], results[2]):
-        assert np.array_equal(trace.mse, alone.mse)
-        assert np.array_equal(trace.iterates, alone.iterates)
+        results = recovery_engine.run_recoveries(a, mu, y, [geometric(20)] * 3, 20, prior,
+                                                 x_true=truths, seeds=[0, 1, 2], x0=x0,
+                                                 record_iterates=True)
+    assert isinstance(results[0], pd.DivergenceError) and results[0].iteration == 1
+    for b in (1, 2):
+        alone = pd.run_recovery(pd.SensingProblem(a, mu, y[b], x_true=truths[b], seed=b), None,
+                                geometric(20), prior=prior, record_iterates=True)
+        assert np.array_equal(results[b].mse, alone.mse)
+        assert np.array_equal(results[b].iterates, alone.iterates)
+        assert results[b].metadata == alone.metadata
+    assert results[1].metadata["problem_hash"] != results[2].metadata["problem_hash"]
 
 
-def test_run_recoveries_needs_one_operator():
+@pytest.mark.parametrize("name,shape", [("y", (3, 4)), ("y", (2, 5)), ("x_true", (2, 5)),
+                                        ("x_true", (6,))])
+def test_run_recoveries_rejects_a_block_of_the_wrong_shape(name, shape):
     prior, problem, _ = tiny_problem()
-    other = pd.SensingProblem(problem.operator * 2.0, problem.mu, problem.y * 2.0)
-    with pytest.raises(ValueError, match="share the operator and mu"):
-        recovery_engine.run_recoveries([problem, other], [geometric(5)] * 2, 5, prior=prior)
+    blocks = {"y": np.tile(problem.y, (2, 1)), "x_true": np.tile(problem.x_true, (2, 1))}
+    blocks[name] = np.zeros(shape)
+    want = (2, 4) if name == "y" else (2, 6)
+    with pytest.raises(ValueError, match=re.escape(f"{name} must have shape {want}")):
+        recovery_engine.run_recoveries(problem.operator, problem.mu, blocks["y"],
+                                       [geometric(5)] * 2, 5, prior, x_true=blocks["x_true"])
 
 
 def test_run_recovery_needs_a_prior_or_a_denoiser():
@@ -772,6 +839,11 @@ def test_trace_reader_rejects_malformed_files(tmp_path, lines, message):
         pd.RecoveryTrace.read_csv(path)
 
 
+def _problem_hash(problem):
+    """The problem_hash that a one-step run of ``problem`` records."""
+    return pd.run_recovery(problem, lambda z, sg: z, geometric(1)).metadata["problem_hash"]
+
+
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_problem_hash_hashes_the_operator_in_c_order(order):
     a = np.asarray(pd.gaussian_operator(64, 128, np.random.default_rng(8)), order=order)
@@ -779,7 +851,7 @@ def test_problem_hash_hashes_the_operator_in_c_order(order):
     digest = hashlib.sha256(a.tobytes())
     digest.update(problem.y.tobytes())
     digest.update(format(problem.mu, ".17g").encode())
-    assert pd.problem_hash(problem) == digest.hexdigest()[:16]
+    assert _problem_hash(problem) == digest.hexdigest()[:16]
     tracemalloc.start()
     try:
         recovery_engine._operator_digest(a)
@@ -792,10 +864,10 @@ def test_problem_hash_hashes_the_operator_in_c_order(order):
 
 def test_problem_hash_is_stable_and_sensitive():
     _, problem, _ = tiny_problem()
-    h = pd.problem_hash(problem)
+    h = _problem_hash(problem)
     assert len(h) == 16
-    assert h == pd.problem_hash(problem)
+    assert h == _problem_hash(problem)
     bumped = pd.SensingProblem(problem.operator, problem.mu * 2, problem.y)
-    assert pd.problem_hash(bumped) != h
+    assert _problem_hash(bumped) != h
     shifted = pd.SensingProblem(problem.operator, problem.mu, problem.y + 1.0)
-    assert pd.problem_hash(shifted) != h
+    assert _problem_hash(shifted) != h

@@ -12,55 +12,6 @@ from projdiff.model_sets import UnionOfSubspaces
 from projdiff.randomness import normal_stream
 
 
-# ---------------------------------------------------------- SensingProblem
-
-
-def test_problem_stores_fields_and_dims():
-    a = pd.gaussian_operator(3, 5, np.random.default_rng(0))
-    y = np.ones(3)
-    problem = pd.SensingProblem(a, 0.1, y, seed=7)
-    assert problem.operator.shape == (3, 5)
-    assert problem.seed == 7
-    assert problem.x_true is None
-
-
-def test_problem_validates_shapes_and_mu():
-    a = np.eye(3)
-    with pytest.raises(ValueError):
-        pd.SensingProblem(a, 0.0, np.ones(3))
-    with pytest.raises(ValueError):
-        pd.SensingProblem(a, -1.0, np.ones(3))
-    with pytest.raises(ValueError):
-        pd.SensingProblem(a, math.inf, np.ones(3))
-    with pytest.raises(ValueError):
-        pd.SensingProblem(a, 1.0, np.ones(4))
-    with pytest.raises(ValueError):
-        pd.SensingProblem(np.ones(3), 1.0, np.ones(3))
-    with pytest.raises(ValueError):
-        pd.SensingProblem(a, 1.0, np.ones(3), x_true=np.ones(4))
-
-
-def test_problem_checks_x_true_consistency():
-    a = np.eye(2)
-    x = np.array([1.0, 2.0])
-    problem = pd.SensingProblem(a, 0.5, a @ x, x_true=x)
-    assert np.array_equal(problem.x_true, x)
-    with pytest.raises(ValueError, match="reproduce"):
-        pd.SensingProblem(a, 0.5, a @ x + 0.01, x_true=x)
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_problem_rejects_non_finite_y_and_x_true(bad):
-    # NaN slipped past the misfit test before: nan > tol is False.
-    a = np.eye(2)
-    with pytest.raises(ValueError, match="^y entries must be finite"):
-        pd.SensingProblem(a, 1.0, [bad, 1.0])
-    with pytest.raises(ValueError, match="^y entries must be finite"):
-        pd.SensingProblem(a, 1.0, [bad, 1.0], x_true=[bad, 1.0])
-    with pytest.raises(ValueError, match="^x_true entries must be finite"):
-        pd.SensingProblem(a, 1.0, [1.0, 1.0], x_true=[1.0, bad])
-
-
 # ------------------------------------------------------- gaussian_operator
 
 
