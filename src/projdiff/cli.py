@@ -20,7 +20,7 @@ import os
 import signal
 import sys
 import traceback
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from dataclasses import replace
 from functools import partial
 from typing import TYPE_CHECKING
@@ -125,24 +125,9 @@ def blas_core():
     (and runs) ``Haswell``, and ``Prescott`` reports ``Katmai``.  None if
     numpy's BLAS is not its bundled OpenBLAS.
     """
+    from .recovery_engine import _openblas_string
+
     return _openblas_string("corename")
-
-
-def _openblas_string(name):
-    """What the bundled OpenBLAS's ``get_<name>`` returns, or None without one."""
-    import ctypes
-
-    try:
-        from numpy._core import _multiarray_umath  # numpy 2, whose wheels bundle scipy-openblas
-
-        getter = getattr(ctypes.CDLL(_multiarray_umath.__file__),
-                         f"scipy_openblas_get_{name}64_", None)
-    except (ImportError, OSError):
-        return None
-    if getter is None:
-        return None
-    getter.restype = ctypes.c_char_p
-    return getter().decode()
 
 
 def _versions() -> dict:
@@ -150,6 +135,7 @@ def _versions() -> dict:
     import platform
 
     from . import __version__
+    from .recovery_engine import _openblas_string
 
     return {"projdiff": __version__, "python": platform.python_version(),
             "numpy": np.__version__, "openblas_config": _openblas_string("config"),
@@ -194,43 +180,54 @@ def _run_forked(tasks) -> list:
     exit, a child not yet reaped is killed and reaped: none outlives the call.
     Forked, not spawned: a child shares the parent's operator and runs
     without pickling or a second numpy import, and the command's only other
-    threads are OpenBLAS's, which it winds down around fork itself.
+    threads are OpenBLAS's, which it winds down around fork itself.  Every
+    task runs with OpenBLAS at one thread, and this process gets its thread
+    count back on any exit: workers that each ran OpenBLAS's own threads
+    would oversubscribe the CPUs they split.
     """
+    from .recovery_engine import _one_blas_thread
+
     pending, readers = [], []
-    try:
-        for task in tasks[1:]:
-            read_fd, write_fd = os.pipe()
-            readers.append(os.fdopen(read_fd, "r"))
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _child(task, write_fd)
-            finally:
-                os.close(write_fd)
-            pending.append(pid)
-        results = [tasks[0]()]
-        for pid, reader in zip(list(pending), readers):
-            payload = reader.read()
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            pending.remove(pid)
-            try:
-                reply = json.loads(payload)
-            except ValueError:
-                reply = {}
-            if status != 0 or "result" not in reply:
-                raise RuntimeError(f"simulate worker {pid} failed (exit status {status})"
-                                   + (f":\n{reply['error']}" if "error" in reply else ""))
-            results.append(reply["result"])
-        return results
-    finally:
-        for reader in readers:
-            reader.close()
-        for pid in pending:
-            try:
-                os.kill(pid, signal.SIGKILL)
-            except ProcessLookupError:
-                pass
-            os.waitpid(pid, 0)
+    with _one_blas_thread():
+        try:
+            for task in tasks[1:]:
+                read_fd, write_fd = os.pipe()
+                readers.append(os.fdopen(read_fd, "r"))
+                try:
+                    pid = os.fork()
+                    if pid == 0:
+                        _child(task, write_fd)
+                finally:
+                    os.close(write_fd)
+                pending.append(pid)
+            results = [tasks[0]()]
+            for pid, reader in zip(list(pending), readers):
+                payload = reader.read()
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                pending.remove(pid)
+                try:
+                    reply = json.loads(payload)
+                except ValueError:
+                    reply = {}
+                if status != 0 or "result" not in reply:
+                    raise RuntimeError(f"simulate worker {pid} failed (exit status {status})"
+                                       + (f":\n{reply['error']}" if "error" in reply else ""))
+                results.append(reply["result"])
+            return results
+        finally:
+            for reader in readers:
+                reader.close()
+            for pid in pending:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+                os.waitpid(pid, 0)
+
+
+def _write_manifest(path, manifest: dict) -> None:
+    with _writing(path), open(path, "w", newline="\n") as fh:
+        fh.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
 def cmd_simulate(args) -> int:
@@ -244,10 +241,14 @@ def cmd_simulate(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     _make_out_dir(cfg.out_dir, "--out" if args.out is not None else "[run] out_dir")
-    # An earlier run's manifest goes first, so that a run which stops early leaves none.
+    # Until the run ends, the manifest says that it has not: one that stops
+    # early leaves it, and analyze refuses the directory rather than take an
+    # earlier run's traces for this run's.
     manifest_path = os.path.join(cfg.out_dir, MANIFEST_NAME)
-    with _writing(manifest_path), suppress(FileNotFoundError):
-        os.remove(manifest_path)
+    _write_manifest(manifest_path, {"incomplete": "simulate did not finish"})
+    resolved_path = os.path.join(cfg.out_dir, RESOLVED_NAME)
+    with _writing(resolved_path), open(resolved_path, "w", newline="\n") as fh:
+        fh.write(serialize_config(cfg))
 
     descriptor = prior_descriptor(cfg.prior)
     runs = []
@@ -278,11 +279,8 @@ def cmd_simulate(args) -> int:
         files += result["files"]
         diverged += result["diverged"]
 
-    # The manifest is written on divergence too: without one, analyze would
-    # read every trace in the directory, an earlier run's among them.
-    resolved_path = os.path.join(cfg.out_dir, RESOLVED_NAME)
-    with _writing(resolved_path), open(resolved_path, "w", newline="\n") as fh:
-        fh.write(serialize_config(cfg))
+    # The manifest is written on divergence too, and lists only the traces
+    # written: an earlier run's file under a diverged run's name is gone.
     diverged.sort(key=lambda item: item[0])
     manifest = {
         "files": sorted(files + [RESOLVED_NAME, MANIFEST_NAME]),
@@ -293,8 +291,7 @@ def cmd_simulate(args) -> int:
         "mu": mu,
         "versions": _versions(),
     }
-    with _writing(manifest_path), open(manifest_path, "w", newline="\n") as fh:
-        fh.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    _write_manifest(manifest_path, manifest)
     for name, _, message in diverged:
         print(f"divergence in run {name}: {message}", file=sys.stderr)
     print(f"wrote {len(files)} traces to {cfg.out_dir}")
@@ -370,7 +367,12 @@ def cmd_analyze(args) -> int:
     if os.path.exists(manifest_path):
         try:
             with open(manifest_path, "r") as fh:
-                files = json.load(fh)["files"]
+                manifest = json.load(fh)
+            if "incomplete" in manifest:
+                print(f"{manifest_path}: the last simulate into {directory} did not finish; "
+                      f"rerun it", file=sys.stderr)
+                return 2
+            files = manifest["files"]
             if not isinstance(files, list) or not all(isinstance(f, str) for f in files):
                 raise TypeError(f"files is not a list of names: {files!r}")
             listed = set(files)
@@ -487,7 +489,8 @@ In a list of numbers, value*count is count copies of value: lower = -1*128 0*896
 <out>/manifest.json lists the written files, mu and, under versions, the
 projdiff, Python and numpy versions and numpy's OpenBLAS (openblas_config,
 openblas_core; null for another BLAS): a rerun with the same config and
-versions writes the same bytes.
+versions writes the same bytes.  A run that stops early leaves a manifest
+holding only "incomplete", and analyze refuses that directory.
 """
     p_sim = sub.add_parser(
         "simulate",

@@ -29,26 +29,33 @@ call per trace row; ``run_recovery`` runs one ``SensingProblem``.  A run's
 trace bytes do not depend on which runs share the block, and so neither on
 ``simulate``'s batches nor on its worker processes (``cli.cmd_simulate``
 says how it cuts its runs), because no computation mixes rows: sums run
-along each row's own axis, and every matrix-vector product is one BLAS
-gemv per row, never a gemm.
+along each row's own axis, and ``_matvec`` makes every operator product of
+a block either one gemv per row or, on large enough operators, gemm over
+tiles of zero-padded rows, in which a row's sums depend on neither its
+position, its companions nor the tile's width.  Its docstrings say on which
+shapes, kernel sets and thread counts that was checked.
 
 Two things keep the operator work small without giving that up.
-``_matvec`` reads a tall matrix in cache-sized slices of whole
-MATVEC_BLOCK-row blocks; its docstring says why the bytes depend neither on
-B, on MATVEC_BYTES nor on the BLAS thread count, and
-``sensing_analysis.spectral_norm`` multiplies through it as well.  A
-projection is exactly zero off its model's ``active_mask``, so
-``run_recoveries`` forms A p from only the FREE_BLOCK-column blocks of A
-that hold a free coordinate.  Each kept column keeps its position modulo
-FREE_BLOCK, which leaves every gemv sum unchanged (FREE_BLOCK says where
-that was checked, and up to which width), so a box run writes the same
-bytes as the same run with ``box_denoiser`` passed as a ``denoise`` callable.
+``_matvec`` reads a tall matrix in slices of whole MATVEC_BLOCK-row blocks,
+which stay in cache, and ``sensing_analysis.spectral_norm`` multiplies
+through it as well.  A projection is exactly zero off its model's
+``active_mask``, so ``run_recoveries`` forms A p from only the
+FREE_BLOCK-column blocks of A that hold a free coordinate.  On the gemv
+path each kept column keeps its position modulo FREE_BLOCK, which leaves
+every sum unchanged (FREE_BLOCK says where that was checked, and up to
+which width), so a box run writes the same bytes as the same run with
+``box_denoiser`` passed as a ``denoise`` callable.  On the gemm path that
+holds when the free coordinates lie in the first 128 columns, as in the
+benchmark's box, and not for scattered ones (see ``_forward``).
 """
 
+import ctypes
 import json
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -84,11 +91,15 @@ BATCH_BYTES = 16 * 2**20
 FREE_BLOCK = 64
 FREE_COLUMNS_MAX_DIM = 2048
 
-# _matvec reads a matrix in slices of whole MATVEC_BLOCK-row blocks, as many
-# as fit in MATVEC_BYTES (at least one), which stay in cache across the rows
-# of a block: 2 slices for both the 256 x 1024 box operator and its transpose.
+# _matvec's gemv path reads a matrix in slices of whole MATVEC_BLOCK-row
+# blocks, as many as fit in MATVEC_BYTES (at least one), which stay in cache
+# across the rows of a block.  Its gemm path multiplies tiles of TILE rows
+# of a block (the last cut down to a multiple of TILE_STEP) by
+# MATVEC_BLOCK-row slices, whatever MATVEC_BYTES is.
 MATVEC_BYTES = 2**20
 MATVEC_BLOCK = 128
+TILE = 32
+TILE_STEP = 8
 
 
 @dataclass(frozen=True)
@@ -150,7 +161,30 @@ def schedule_sigma(schedule: NoiseSchedule, n: int) -> float:
 
 
 def _matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """a @ v for v of shape (d,) or (B, d): one gemv per row, never a gemm.
+    """a @ v for v of shape (d,) or (B, d), with bytes that do not depend on B.
+
+    A (B, d) block meets a matrix of at least MATVEC_BLOCK rows and a
+    multiple of TILE columns through gemm (``_tiled_matvec``).  Every other
+    product, and every single vector (``spectral_norm``, y = A x*, a 1-D
+    ``gpgd_step``), is one gemv per row of v, and a gemm's sums are not a
+    gemv's: on a tile shape a row of a block and the same row alone as a
+    (d,) vector differ in their last bits.  The gemv path's bytes do not
+    change with the BLAS thread count, and the gemm path's are those of
+    one thread, which its callers in this module set, so every operator
+    product that reaches a trace or mu goes through here.
+    """
+    if v.ndim == 2 and _tiles(a):
+        return _tiled_matvec(a, v)
+    return _rowwise_matvec(a, v)
+
+
+def _tiles(a: np.ndarray) -> bool:
+    """Whether ``_matvec`` multiplies a (B, d) block by ``a`` in tiles."""
+    return a.shape[0] >= MATVEC_BLOCK and a.shape[1] % TILE == 0
+
+
+def _rowwise_matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``_matvec``'s gemv path: a @ v as one gemv per row of v, in row slices of a.
 
     A matrix of more than MATVEC_BLOCK rows is read in slices of whole
     MATVEC_BLOCK-row blocks, as many as fit in MATVEC_BYTES (at least one),
@@ -164,14 +198,12 @@ def _matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     one code path or another by where the row sits in its slice: in a run of
     whole groups of rows, or in the tail after them.  Slice bounds on
     multiples of MATVEC_BLOCK keep each row's position modulo MATVEC_BLOCK,
-    and so its path; the tests check this against 128-row slices for A and
-    A^T at six shapes, odd row counts among them.  The slices also keep the
-    bytes off the BLAS thread count: at m = 301, d = 2048 a whole-matrix
-    ``a @ v`` changed with OPENBLAS_NUM_THREADS and this did not, so every
-    operator product that reaches a trace or mu goes through it.
+    and so its path.  The slices also keep the bytes off the BLAS thread
+    count: at m = 301, d = 2048 a whole-matrix ``a @ v`` changed with
+    OPENBLAS_NUM_THREADS and this did not.
     """
-    rows, row_bytes = a.shape[0], a.shape[1] * a.itemsize
-    step = MATVEC_BLOCK * max(1, MATVEC_BYTES // max(1, MATVEC_BLOCK * row_bytes))
+    rows, cols = a.shape
+    step = MATVEC_BLOCK * max(1, MATVEC_BYTES // max(1, MATVEC_BLOCK * cols * a.itemsize))
     starts = range(0, rows - 7, step)
     if len(starts) < 2:
         return np.matmul(a, v[..., None])[..., 0]
@@ -181,19 +213,113 @@ def _matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def _openblas_function(name):
+    """numpy's bundled OpenBLAS's ``<name>`` function through ctypes, or None without one.
+
+    numpy 2's wheels bundle scipy-openblas, whose symbols carry a
+    ``scipy_openblas_`` prefix and a ``64_`` suffix.
+    """
+    try:
+        from numpy._core import _multiarray_umath
+
+        return getattr(ctypes.CDLL(_multiarray_umath.__file__),
+                       f"scipy_openblas_{name}64_", None)
+    except (ImportError, OSError):
+        return None
+
+
+def _openblas_string(name):
+    """What the bundled OpenBLAS's ``get_<name>`` returns, or None without one."""
+    getter = _openblas_function(f"get_{name}")
+    if getter is None:
+        return None
+    getter.restype = ctypes.c_char_p
+    return getter().decode()
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block with the bundled OpenBLAS at one thread, then restore its count.
+
+    Without the bundled OpenBLAS's thread calls, or at one thread already,
+    this does nothing: in a forked child, whose OpenBLAS threads stopped at
+    the fork, setting the count starts them again, and they spin beside the
+    other workers (that cost a box ``simulate`` 10 to 15 % when it was set
+    around every product, and the sparse workload's 24 % when set once per
+    ``run_recoveries`` call).
+    """
+    get, set_ = _openblas_function("get_num_threads"), _openblas_function("set_num_threads")
+    if get is None or set_ is None or get() == 1:
+        yield
+        return
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
+def _tiled_matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """a @ v for each row of a (B, d) block: one gemm per tile of rows and per row slice of a.
+
+    The block is cut into tiles of TILE rows; the last holds the rest,
+    zero-padded to a multiple of TILE_STEP rows and at least 2 TILE_STEP.
+    Each tile meets each MATVEC_BLOCK-row slice of ``a`` (the last slice
+    holds the rest) in one gemm, so that a row's bytes depend on neither
+    its position in its tile, the other rows there, nor the tile's width
+    (16, 24 or 32 rows).  That was checked at one OpenBLAS thread, the
+    count ``run_recoveries`` and ``gpgd_step`` set around their products,
+    for blocks of 1 to 69 rows, 128-row slices with tails of 1 to 104 rows,
+    and column counts that are multiples of TILE up to 4096, on the
+    SkylakeX, Haswell, Sandybridge and Prescott kernels of OpenBLAS 0.3.31.  Outside it the bytes moved: other column counts (129,
+    301, 1000) with the thread count on some kernels, a whole 301-row
+    matrix with the position in the tile, and tiles under 10 rows
+    (SkylakeX) or of an odd width (Haswell, Prescott) with the width, so
+    none of those is used.  More threads than one moved them too, on
+    Prescott's kernels at three or four threads, the box's operator among
+    them.  The count is set once per call of those two, not per product.
+
+    A tile costs about as much whatever number of its rows are live, so
+    the gain over ``_rowwise_matvec`` grows with the rows in a block, and
+    a block of a few rows costs more than their gemvs; README says how
+    many rows a simulate worker's blocks hold.
+    """
+    rows, b = a.shape[0], v.shape[0]
+    whole, rest = divmod(b, TILE)
+    last = max(2 * TILE_STEP, -(-rest // TILE_STEP) * TILE_STEP) if rest else 0
+    padded = np.zeros((whole * TILE + last, a.shape[1]))
+    padded[:b] = v
+    out = np.empty((padded.shape[0], rows))
+    bounds = [*range(0, rows, MATVEC_BLOCK), rows]
+    for lo, hi in zip(bounds, bounds[1:]):
+        block = a[lo:hi].T
+        for t in range(0, padded.shape[0], TILE):
+            np.matmul(padded[t:t + TILE], block, out=out[t:t + TILE, lo:hi])
+    return out[:b]
+
+
 def gpgd_step(denoise, a: np.ndarray, mu: float, y: np.ndarray,
               x: np.ndarray, sigma: float) -> np.ndarray:
-    """x+ = P(x) - mu A^T (A P(x) - y) with P(x) = denoise(x, sigma)."""
+    """x+ = P(x) - mu A^T (A P(x) - y) with P(x) = denoise(x, sigma), at one OpenBLAS thread."""
     p = denoise(x, sigma)
-    return _data_step(a, mu, y, p, _matvec(a, p))
+    with _one_blas_thread():
+        return _data_step(a, mu, y, p, _matvec(a, p))
 
 
 def _forward(a: np.ndarray, model):
     """p -> A p for a (B, d) block of the projections ``model`` makes.
 
     The FREE_BLOCK-column blocks of A that hold a coordinate of the model's
-    ``active_mask`` are gathered once here, and the product equals
-    ``_matvec(a, p)`` bit for bit.  With no free coordinate the gathered
+    ``active_mask`` are gathered once here and multiplied on the path that
+    ``_matvec(a, p)`` takes.  On the gemv path the product equals
+    ``_matvec(a, p)`` bit for bit.  On the tiled path it does when every
+    free coordinate lies in the first 128 columns, as in the benchmark's
+    box: gemm sums the columns of A in panels whose bounds depend on the
+    column count, and the gathered matrix has fewer.  Wider leading blocks
+    (from 192 columns on Prescott's kernels, 320 on Haswell's) and scattered
+    blocks change the last bits.  With no free coordinate the gathered
     matrix has no columns, and A p is 0.
     """
     d = a.shape[1]
@@ -206,7 +332,11 @@ def _forward(a: np.ndarray, model):
     # np.take returns C-ordered arrays, so each row is contiguous as it is
     # in A; a fancy-indexed copy is column-major and its gemv sums otherwise.
     a_free = np.take(a, cols, axis=1)
-    return lambda p: _matvec(a_free, np.take(p, cols, axis=1))
+    # Where A is tiled, so is a_free: it keeps the rows, and its column
+    # count is a multiple of TILE when d is.  Where A is not, a_free is
+    # multiplied row by row too, even if its own shape would be tiled.
+    product = _matvec if _tiles(a) else _rowwise_matvec
+    return lambda p: product(a_free, np.take(p, cols, axis=1))
 
 
 def _row_dots(v: np.ndarray) -> np.ndarray:
@@ -416,30 +546,32 @@ def run_recoveries(a: np.ndarray, mu: float, y: np.ndarray, schedules, n_iters: 
 
     results = [None] * b_runs
     live, y_live = np.arange(b_runs), y  # x, y_live and truth hold the rows of these runs
-    for n in range(rows):
-        sigma_n = sigma[live, n]
-        mse[live, n] = _row_dots(x - truth) / d
-        residual[live, n] = np.sqrt(_row_dots(_matvec(a, x) - y_live))
-        if record_iterates:
-            iterates[live, n] = x
-        if n == n_iters and not k:
-            break
-        p, columns = prior.step(x, sigma_n)
-        if columns is not None:
-            (frontier_gap[live, n], weight_entropy[live, n],
-             nearest[live, n], distances[live, n]) = columns
-        if n == n_iters:
-            break
-        x = _data_step(a, mu, y_live, p, forward(p))
-        finite = np.all(np.isfinite(x), axis=1)
-        if not finite.all():
-            for b in live[~finite]:
-                results[b] = DivergenceError(
-                    f"iterate left the finite range at iteration {n + 1}", n + 1
-                )
-            live, x, y_live, truth = live[finite], x[finite], y_live[finite], truth[finite]
-            if live.size == 0:
+    # The products' bytes are those of one OpenBLAS thread (see _tiled_matvec).
+    with _one_blas_thread():
+        for n in range(rows):
+            sigma_n = sigma[live, n]
+            mse[live, n] = _row_dots(x - truth) / d
+            residual[live, n] = np.sqrt(_row_dots(_matvec(a, x) - y_live))
+            if record_iterates:
+                iterates[live, n] = x
+            if n == n_iters and not k:
                 break
+            p, columns = prior.step(x, sigma_n)
+            if columns is not None:
+                (frontier_gap[live, n], weight_entropy[live, n],
+                 nearest[live, n], distances[live, n]) = columns
+            if n == n_iters:
+                break
+            x = _data_step(a, mu, y_live, p, forward(p))
+            finite = np.all(np.isfinite(x), axis=1)
+            if not finite.all():
+                for b in live[~finite]:
+                    results[b] = DivergenceError(
+                        f"iterate left the finite range at iteration {n + 1}", n + 1
+                    )
+                live, x, y_live, truth = live[finite], x[finite], y_live[finite], truth[finite]
+                if live.size == 0:
+                    break
 
     operator_digest = _operator_digest(a)
     for b in live:

@@ -893,8 +893,8 @@ def test_simulate_divergence_replaces_an_earlier_runs_manifest(tmp_path, capsys)
 
 
 @pytest.mark.parametrize("side", ["parent", "child"])
-def test_an_unwritable_trace_exits_2_and_leaves_no_manifest(tmp_path, monkeypatch, capsys,
-                                                            side):
+def test_an_unwritable_trace_exits_2_and_marks_the_run_incomplete(tmp_path, monkeypatch, capsys,
+                                                                  side):
     """A directory at a trace's path: exit 2 naming it, in this process's share or a child's."""
     cfg_path = write_config(tmp_path, TWO_SCHEDULE_CONFIG)
     out = tmp_path / "o"
@@ -908,7 +908,30 @@ def test_an_unwritable_trace_exits_2_and_leaves_no_manifest(tmp_path, monkeypatc
     assert cli.main(["simulate", cfg_path, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"cannot write {out / name}: Is a directory\n"
     # The earlier run's manifest would list traces this run did not write.
-    assert not (out / "manifest.json").exists()
+    with open(out / "manifest.json") as fh:
+        assert json.load(fh) == {"incomplete": "simulate did not finish"}
+
+
+def test_analyze_refuses_the_traces_of_a_run_that_stopped_early(tmp_path, capsys):
+    """A run that exits 2 on an unwritable trace: analyze must not mix in an earlier run's."""
+    cfg_path = write_config(tmp_path, TWO_SCHEDULE_CONFIG)  # seeds 43 and 44
+    out = tmp_path / "o"
+    assert cli.main(["simulate", cfg_path, "--out", str(out)]) == 0
+    (out / "trace_lin_00051.csv").mkdir()
+    assert cli.main(["simulate", cfg_path, "--out", str(out), "--seed-override", "50"]) == 2
+    assert "trial_seeds = 50 51\n" in (out / "resolved.cfg").read_text()
+    capsys.readouterr()
+    assert cli.main(["analyze", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"{out / 'manifest.json'}: the last simulate into {out} did not finish; "
+                   f"rerun it\n")
+    assert not (out / "rates.csv").exists()
+    # A finished rerun into the same directory is analyzed as usual.
+    os.rmdir(out / "trace_lin_00051.csv")
+    assert cli.main(["simulate", cfg_path, "--out", str(out), "--seed-override", "50"]) == 0
+    assert cli.main(["analyze", str(out)]) == 0
+    with open(out / "rates.csv") as fh:
+        assert sorted(row["seed"] for row in csv.DictReader(fh)) == ["50", "50", "51", "51"]
 
 
 def test_simulate_builds_no_sensing_problem(tmp_path, monkeypatch):
@@ -1069,6 +1092,31 @@ def test_simulate_on_one_cpu_does_not_fork(tmp_path, monkeypatch):
     assert len([f for f in os.listdir(out) if f.startswith("trace_")]) == 4
 
 
+def test_run_forked_runs_workers_at_one_blas_thread_and_restores_the_count():
+    get = recovery_engine._openblas_function("get_num_threads")
+    set_ = recovery_engine._openblas_function("set_num_threads")
+    if get is None or set_ is None:
+        pytest.skip("numpy's BLAS is not its bundled OpenBLAS")
+
+    def fail():
+        raise ValueError("boom")
+
+    before = get()
+    try:
+        set_(2)
+        # Several workers, in this process and in forked children, each at one thread.
+        assert cli._run_forked([get, get, get]) == [1, 1, 1]
+        assert get() == 2
+        with pytest.raises(ValueError, match="boom"):
+            cli._run_forked([fail, get])
+        assert get() == 2
+        # A lone worker runs at one thread too.
+        assert cli._run_forked([get]) == [1]
+        assert get() == 2
+    finally:
+        set_(before)
+
+
 def test_worker_count_follows_the_affinity_mask_and_the_runs(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
     assert [cli._worker_count(n) for n in (1, 3, 4, 80)] == [1, 3, 4, 4]
@@ -1119,14 +1167,14 @@ def test_simulate_box_prior_runs_without_union_columns(tmp_path):
 # The sha256 of that shortened box workload's trace_geometric_07000.csv and
 # trace_geometric_07001.csv, per BLAS core (see cli.blas_core).
 BOX_TRACE_SHA256 = {
-    "SkylakeX": ("1e74ea806010ef784cb66de21ee7ab1aaf386388cb57ad100a9e5060cb588633",
-                 "e753eaf5576c20ed63a94266461668bd98bf05a9d68f0c62c20cc9af68413ee5"),
-    "Haswell": ("2fb84e4044c55e039b0557cc3fd43bea94d60ed128a389b42122bf3ba2157427",
-                "ab142ad7cd13226b77d2b2d46ac4079f7bf9954acfc2ca1b662ad712d08e4381"),
-    "Sandybridge": ("e00784d6954f88134609557f224643d0100b4d77ab2b10b60bb149c156c2e4f8",
-                    "0b203cbedb769d6d3349416c5c41458282f6df3cabdbb3a8558b6228c16c3d42"),
-    "Katmai": ("b78b2e85ce5e4ec053f0a85ac389232f1dad0fb5cda8ed1eeda5d16ee774f079",
-               "4c3dd568adaf87fa62e88d0146fc18692ba87c7060f7dd1d14403f93888203a7"),
+    "SkylakeX": ("7f85c51617a3423efa2269d2e7e4d20e3c907ce289d4f1fc3fb4fdd18be4c4dc",
+                 "b61c724c204fabcba599a6b838193acf1a4c0964a1c89f139f9d32a4b28d6257"),
+    "Haswell": ("0780a2479750fbf5c1bd63b6e2d836d4f39a6ef5b3007b202f990f8ac88ab53a",
+                "05a3b619feae2366409c5ba5b60011c4abf3a1d74cdb98cb8bf2da751715b379"),
+    "Sandybridge": ("86286c1d38d871c56283de7ac87cb643274db2ac5d7336cbed1c64cb7245e234",
+                    "1fdd46d1a1b8adbc7c28daba429e284d2eadc659a64f5be4091953ce843175b8"),
+    "Katmai": ("9fe7f773650ac1727e57f3655da999b69d67a5d676cbf610fe1fc4204f1071b1",
+               "42a4d77a15eeafab766a99e7d2746e9de5cc31ddb3af428feabc98a10691a8b9"),
 }
 
 

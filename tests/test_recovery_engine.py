@@ -390,6 +390,8 @@ def _box_mask(d, kind):
         mask[[3, d // 2 - 1, d // 2, d - 1]] = True
     elif kind == "trailing":
         mask[-5:] = True
+    elif kind == "leading":  # the benchmark's box: the first 128 coordinates
+        mask[:128] = True
     elif kind == "all-free":
         mask[:] = True
     return mask
@@ -400,12 +402,17 @@ def _box(mask):
 
 
 def test_box_trace_bytes_do_not_depend_on_the_batch_or_the_denoise_path(tmp_path):
-    """m > MATVEC_BLOCK and blocks of pinned columns: both cut-down products stay exact."""
+    """m > MATVEC_BLOCK and blocks of pinned columns: both cut-down products stay exact.
+
+    A^T (300 x 160) is tiled and A, no multiple of TILE wide, is not, so a
+    step of one run is ``gpgd_step`` on a one-row block, not on a vector.
+    """
     d, m = 300, 160  # d is no multiple of FREE_BLOCK
     mask = np.zeros(d, dtype=bool)
     mask[[5, 17, 40, 130, 131, 150, 190, 260, 281, 299]] = True  # blocks 1 and 3 are pinned
     box = _box(mask)
     a = pd.gaussian_operator(m, d, np.random.default_rng(5))
+    assert recovery_engine._tiles(a.T) and not recovery_engine._tiles(a)
     mu = 1.9 / pd.spectral_norm(a) ** 2
     schedules = [geometric(30), pd.NoiseSchedule("infinite_geometric", 0.5, a=0.8)]
     runs = []
@@ -429,38 +436,52 @@ def test_box_trace_bytes_do_not_depend_on_the_batch_or_the_denoise_path(tmp_path
     trace = pd.run_recovery(problem, None, schedule, n_iters=30, prior=box,
                             record_iterates=True)
     for n in range(30):
-        step = pd.gpgd_step(denoise, a, mu, problem.y, trace.iterates[n], trace.sigma[n])
-        assert np.array_equal(trace.iterates[n + 1], step), n
+        step = pd.gpgd_step(denoise, a, mu, problem.y, trace.iterates[n][None], trace.sigma[n])
+        assert np.array_equal(trace.iterates[n + 1], step[0]), n
 
 
 @pytest.mark.parametrize("d", [200, 1000, 1024, 2112])
 @pytest.mark.parametrize("m", [12, 130, 256])
 def test_box_free_column_product_equals_the_full_product(d, m):
-    # 2112 is past FREE_COLUMNS_MAX_DIM, where dropped blocks would move the
-    # gemv kernel's chunk bounds, so A must be used whole there.
+    """Exactly where A is not tiled; where it is, for the benchmark's leading block only.
+
+    gemm sums the columns of A in panels whose bounds follow the column
+    count, and the gathered matrix has fewer columns, so scattered free
+    blocks give the same sums up to rounding.  2112 is past
+    FREE_COLUMNS_MAX_DIM, where dropped blocks would move the gemv kernel's
+    chunk bounds, so A must be used whole there.
+    """
     rng = np.random.default_rng(d + m)
     a = pd.gaussian_operator(m, d, rng)
-    for kind in ("scattered", "ragged", "trailing", "all-pinned", "all-free"):
+    gathered_gemm = recovery_engine._tiles(a) and d <= recovery_engine.FREE_COLUMNS_MAX_DIM
+    assert gathered_gemm == (d == 1024 and m >= 130)
+    for kind in ("scattered", "ragged", "trailing", "leading", "all-pinned", "all-free"):
         mask = _box_mask(d, kind)
         p = np.where(mask, rng.standard_normal((9, d)), 0.0)  # a box projection block
-        product = recovery_engine._forward(a, _box(mask))(p)
-        assert np.array_equal(product, recovery_engine._matvec(a, p)), kind
+        with recovery_engine._one_blas_thread():  # as run_recoveries multiplies
+            product = recovery_engine._forward(a, _box(mask))(p)
+            full = recovery_engine._matvec(a, p)
+        if gathered_gemm and kind in ("scattered", "ragged", "trailing"):
+            np.testing.assert_allclose(product, full, rtol=1e-12, atol=1e-12, err_msg=kind)
+        else:
+            assert np.array_equal(product, full), kind
 
 
 @pytest.mark.parametrize("m", [129, 135, 136, 256, 300])
 def test_row_slices_round_like_the_whole_matrix(m):
-    """Row slices (and a short last slice joined to the one before) change no bit."""
+    """Row slices (and a short last slice joined to the one before) change no gemv bit,
+    and a (d,) vector takes the gemv path."""
     rng = np.random.default_rng(m)
     a = pd.gaussian_operator(m, 1024, rng)
     v, w = rng.standard_normal((5, 1024)), rng.standard_normal((5, m))
-    assert np.array_equal(recovery_engine._matvec(a, v), np.matmul(a, v[..., None])[..., 0])
-    assert np.array_equal(recovery_engine._matvec(a.T, w),
-                          np.matmul(a.T, w[..., None])[..., 0])
-    assert np.array_equal(recovery_engine._matvec(a, v[2]), recovery_engine._matvec(a, v)[2])
+    rowwise = recovery_engine._rowwise_matvec
+    assert np.array_equal(rowwise(a, v), np.matmul(a, v[..., None])[..., 0])
+    assert np.array_equal(rowwise(a.T, w), np.matmul(a.T, w[..., None])[..., 0])
+    assert np.array_equal(recovery_engine._matvec(a, v[2]), rowwise(a, v)[2])
 
 
 def _matvec_128(a, v):
-    """_matvec as it sliced before MATVEC_BYTES: always 128 rows a slice."""
+    """_matvec's gemv path as it sliced before MATVEC_BYTES: always 128 rows a slice."""
     starts = range(0, a.shape[0] - 7, 128)
     if len(starts) < 2:
         return np.matmul(a, v[..., None])[..., 0]
@@ -470,17 +491,97 @@ def _matvec_128(a, v):
     return out
 
 
-@pytest.mark.parametrize("m,d", [(256, 1024), (20, 64), (301, 2048), (1000, 300), (77, 513),
-                                 (135, 1024)])
+# The operator products of every workload (flagship 20 x 64, sparse 12 x 16,
+# box 256 x 1024 and its 128 free columns), each with its transpose, and
+# wide, tall and odd-sized ones: 1000 rows leave a 104-row tail, 4096
+# columns are past FREE_COLUMNS_MAX_DIM.
+PRODUCT_SHAPES = [(256, 1024), (20, 64), (12, 16), (256, 128), (301, 2048), (1000, 300),
+                  (77, 513), (135, 1024), (1000, 1024), (256, 4096)]
+# Of those matrices, the ones _matvec multiplies a block by in tiles.
+TILED_SHAPES = {(256, 1024), (1024, 256), (256, 128), (128, 256), (301, 2048), (135, 1024),
+                (1000, 1024), (256, 4096), (4096, 256)}
+
+
+@pytest.mark.parametrize("m,d", PRODUCT_SHAPES)
 def test_byte_sized_slices_round_like_128_row_slices(m, d):
-    """Slices of whole 128-row blocks keep every row's kernel path: the box and
+    """Slices of whole 128-row blocks keep every row's gemv kernel path: the box and
     flagship operators, wide and tall ones, and odd row counts, for A and A^T."""
     rng = np.random.default_rng(m * d)
     a = pd.gaussian_operator(m, d, rng)
     for matrix in (a, a.T):
         v = rng.standard_normal((20, matrix.shape[1]))
-        assert np.array_equal(recovery_engine._matvec(matrix, v), _matvec_128(matrix, v))
+        assert np.array_equal(recovery_engine._rowwise_matvec(matrix, v), _matvec_128(matrix, v))
         assert np.array_equal(recovery_engine._matvec(matrix, v[3]), _matvec_128(matrix, v[3]))
+
+
+@pytest.mark.parametrize("m,d", PRODUCT_SHAPES)
+def test_a_rows_product_does_not_depend_on_its_block(m, d):
+    """A row's bytes alone are its bytes at every position of a whole tile and in the
+    cut-down last tile of a block of any size, among zero or random rows, at one BLAS
+    thread as run_recoveries multiplies; a (d,) vector keeps the gemv bytes."""
+    rng = np.random.default_rng(m + d)
+    a = pd.gaussian_operator(m, d, rng)
+    tile = recovery_engine.TILE
+    places = np.arange(tile) * (tile + 1)  # tile t holds the row at position t
+    for matrix in (a, a.T):
+        assert recovery_engine._tiles(matrix) == (matrix.shape in TILED_SHAPES)
+        row = rng.standard_normal(matrix.shape[1])
+        with recovery_engine._one_blas_thread():
+            alone = recovery_engine._matvec(matrix, row[None])[0]
+            for companions in (np.zeros, rng.standard_normal):
+                block = companions((tile * tile, matrix.shape[1]))
+                block[places] = row
+                for got in recovery_engine._matvec(matrix, block)[places]:
+                    assert np.array_equal(got, alone), matrix.shape
+                for b in range(2, 2 * tile + 2):
+                    block = companions((b, matrix.shape[1]))
+                    block[-1] = row
+                    assert np.array_equal(recovery_engine._matvec(matrix, block)[-1], alone), b
+        assert np.array_equal(recovery_engine._matvec(matrix, row), _matvec_128(matrix, row))
+
+
+def test_the_engine_multiplies_at_one_blas_thread(monkeypatch):
+    """run_recoveries and gpgd_step, whatever the caller's OpenBLAS thread count, which it
+    gets back: on Prescott's kernels three or four threads gave the box's operator other
+    bytes."""
+    get = recovery_engine._openblas_function("get_num_threads")
+    set_ = recovery_engine._openblas_function("set_num_threads")
+    if get is None or set_ is None:
+        pytest.skip("numpy's BLAS is not its bundled OpenBLAS")
+    box = _box(np.arange(256) < 32)
+    a = pd.gaussian_operator(128, 256, np.random.default_rng(0))  # A and A^T are tiled
+    x = pd.sample_box(box, np.random.default_rng(1), 3)
+    matmul, seen = np.matmul, []
+
+    def counting_matmul(*args, **kwargs):
+        seen.append(get())
+        return matmul(*args, **kwargs)
+
+    before = get()
+    try:
+        set_(3)
+        monkeypatch.setattr(np, "matmul", counting_matmul)
+        recovery_engine.run_recoveries(a, 0.01, x @ a.T, [geometric(5)] * len(x), 5, box)
+        pd.gpgd_step(lambda z, sigma: z, a, 0.01, x @ a.T, x, 0.1)
+        monkeypatch.undo()
+        assert seen and set(seen) == {1}
+        assert get() == 3
+    finally:
+        set_(before)
+
+
+def test_one_blas_thread_leaves_a_single_thread_alone(monkeypatch):
+    """In a forked child, setting the count restarts OpenBLAS's threads, which then spin."""
+    calls = []
+    counts = {"get_num_threads": lambda: 1, "set_num_threads": calls.append}
+    monkeypatch.setattr(recovery_engine, "_openblas_function", counts.get)
+    with recovery_engine._one_blas_thread():
+        pass
+    assert calls == []
+    counts["get_num_threads"] = lambda: 2
+    with recovery_engine._one_blas_thread():
+        assert calls == [1]
+    assert calls == [1, 2]
 
 
 def test_an_all_pinned_box_runs_to_finite_traces():
