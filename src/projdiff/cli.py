@@ -83,17 +83,26 @@ def _trace_name(schedule_name: str, seed: int) -> str:
 
 
 def _simulate_share(cfg, model, operator, mu, runs, width) -> dict:
-    """Run ``runs`` (name, seed, y, x_true, schedule, metadata tuples) in batches of ``width``.
+    """Run ``runs`` (name, seed, schedule, metadata tuples) in batches of ``width``.
 
-    A batch's traces are written before the next batch starts.  Returns the
-    written trace names, the diverged [name, iteration, message] entries and
-    the message of a trace that could not be written, where the share stops.
+    A batch draws its runs' truths, y = A x* and true components, once per
+    seed, and its traces are written before the next batch starts.  Returns
+    the written trace names, the diverged [name, iteration, message] entries
+    and the message of a trace that could not be written, where the share
+    stops.
     """
-    from .recovery_engine import run_recoveries
+    from .recovery_engine import _matvec, run_recoveries
 
     files, diverged = [], []
     for start in range(0, len(runs), width):
-        names, seeds, y, x_true, schedules, metadata = zip(*runs[start:start + width])
+        names, seeds, schedules, metadata = zip(*runs[start:start + width])
+        drawn = dict.fromkeys(seeds)
+        for seed in drawn:
+            x = model.sample(np.random.default_rng(seed))
+            drawn[seed] = x, _matvec(operator, x), model.true_component(x)
+        x_true, y, components = zip(*map(drawn.get, seeds))
+        metadata = [meta if component is None else {**meta, "true_component": component}
+                    for meta, component in zip(metadata, components)]
         # overflow inside a diverging run is reported via DivergenceError
         with np.errstate(over="ignore", invalid="ignore"):
             results = run_recoveries(operator, mu, y, schedules, cfg.n_iters, model,
@@ -232,7 +241,7 @@ def _write_manifest(path, manifest: dict) -> None:
 
 def cmd_simulate(args) -> int:
     from .config import build, load_config, prior_descriptor, serialize_config
-    from .recovery_engine import _matvec, batch_width
+    from .recovery_engine import batch_width
 
     try:
         cfg = _apply_overrides(load_config(args.config), args)
@@ -251,22 +260,17 @@ def cmd_simulate(args) -> int:
         fh.write(serialize_config(cfg))
 
     descriptor = prior_descriptor(cfg.prior)
-    runs = []
-    for seed in cfg.trial_seeds:
-        x_true = model.sample(np.random.default_rng(seed))
-        y = _matvec(operator, x_true)
-        component = model.true_component(x_true)
-        for schedule_name, schedule in cfg.schedules:
-            meta = {"schedule_name": schedule_name, "trial_seed": seed, "prior": descriptor}
-            if component is not None:
-                meta["true_component"] = component
-            runs.append((_trace_name(schedule_name, seed), seed, y, x_true, schedule, meta))
+    runs = [(_trace_name(schedule_name, seed), seed, schedule,
+             {"schedule_name": schedule_name, "trial_seed": seed, "prior": descriptor})
+            for seed in cfg.trial_seeds for schedule_name, schedule in cfg.schedules]
     # The runs, in seed-major order, are cut into one contiguous share per
     # worker (_worker_count: one per CPU this process may run on, so taskset
     # restricts it).  This process runs share 0 and forked children the rest.
-    # A worker runs its share in batches that fit BATCH_BYTES and writes a
-    # batch's traces before the next starts, so memory is one batch per
-    # worker.  Trace bytes depend on neither the batching nor the workers.
+    # A worker runs its share in batches that fit BATCH_BYTES: a batch draws
+    # its truths and measurements, and writes its traces before the next
+    # starts, so memory is one batch per worker besides each run's name,
+    # seed and schedule.  Trace bytes depend on neither the batching nor the
+    # workers.
     width = batch_width(model, model.ambient_dim, cfg.n_iters)
     workers = _worker_count(len(runs))
     bounds = [len(runs) * i // workers for i in range(workers + 1)]

@@ -10,10 +10,6 @@ class ConfigError(ValueError):
     """Invalid configuration; the message names the offending section/key."""
 
 
-class UnsupportedCaseError(ValueError):
-    """A well-formed input hits a case the operation does not define."""
-
-
 class ResourceLimitError(ValueError):
     """Requested construction exceeds a configured size cap."""
 

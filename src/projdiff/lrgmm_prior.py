@@ -29,12 +29,11 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import FrontierError, ResourceLimitError, UnsupportedCaseError
+from .errors import FrontierError, ResourceLimitError
 from .model_sets import (
     UnionOfSubspaces,
     component_parts,
     gap_from_norms,
-    project_union,
     random_union,
     _check_positive,
     _check_vector,
@@ -271,29 +270,6 @@ def score(prior: LrGmmPrior, x: np.ndarray, sigma) -> np.ndarray:
     """
     value = denoiser(prior, x, sigma).value
     return (value - x) / np.expand_dims(np.square(sigma), -1)
-
-
-def limiting_projection(prior: LrGmmPrior, x: np.ndarray) -> np.ndarray:
-    """Small-noise limit of the denoiser.
-
-    Off the tie frontier this is the nearest-component projection.  On the
-    frontier of an equal-rank union the weights converge to the renormalised
-    mixture weights of the tied components, so the limit is their
-    pi-weighted average of projections.  Frontier ties between components of
-    different rank have no single limit and are rejected.
-    """
-    x = _check_vector(x, prior.ambient_dim)
-    point, argmin_set = project_union(prior.union, x)
-    if len(argmin_set) == 1:
-        return point
-    if len(set(prior.union.ranks[argmin_set])) != 1:
-        raise UnsupportedCaseError(
-            "limiting projection is multi-valued for a rank-mixed tie "
-            f"(components {argmin_set})"
-        )
-    pi = np.exp(prior.log_pi[argmin_set])
-    pi = pi / pi.sum()
-    return pi @ component_parts(prior.union, x)[0][argmin_set]
 
 
 sample = LrGmmPrior.sample  # sample(prior, rng)

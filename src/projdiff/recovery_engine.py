@@ -31,8 +31,8 @@ trace bytes do not depend on which runs share the block, and so neither on
 says how it cuts its runs), because no computation mixes rows: sums run
 along each row's own axis, and ``_matvec`` makes every operator product of
 a block either one gemv per row or, on large enough operators, gemm over
-tiles of zero-padded rows, in which a row's sums depend on neither its
-position, its companions nor the tile's width.  Its docstrings say on which
+whole tiles of TILE rows, zero-padded, in which a row's sums depend on
+neither its position nor its companions.  Its docstrings say on which
 shapes, kernel sets and thread counts that was checked.
 
 Two things keep the operator work small without giving that up.
@@ -93,13 +93,12 @@ FREE_COLUMNS_MAX_DIM = 2048
 
 # _matvec's gemv path reads a matrix in slices of whole MATVEC_BLOCK-row
 # blocks, as many as fit in MATVEC_BYTES (at least one), which stay in cache
-# across the rows of a block.  Its gemm path multiplies tiles of TILE rows
-# of a block (the last cut down to a multiple of TILE_STEP) by
-# MATVEC_BLOCK-row slices, whatever MATVEC_BYTES is.
+# across the rows of a block.  Its gemm path multiplies whole tiles of TILE
+# rows of a block, the last zero-padded, by MATVEC_BLOCK-row slices,
+# whatever MATVEC_BYTES is.
 MATVEC_BYTES = 2**20
 MATVEC_BLOCK = 128
 TILE = 32
-TILE_STEP = 8
 
 
 @dataclass(frozen=True)
@@ -264,22 +263,23 @@ def _one_blas_thread():
 def _tiled_matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     """a @ v for each row of a (B, d) block: one gemm per tile of rows and per row slice of a.
 
-    The block is cut into tiles of TILE rows; the last holds the rest,
-    zero-padded to a multiple of TILE_STEP rows and at least 2 TILE_STEP.
-    Each tile meets each MATVEC_BLOCK-row slice of ``a`` (the last slice
-    holds the rest) in one gemm, so that a row's bytes depend on neither
-    its position in its tile, the other rows there, nor the tile's width
-    (16, 24 or 32 rows).  That was checked at one OpenBLAS thread, the
-    count ``run_recoveries`` and ``gpgd_step`` set around their products,
-    for blocks of 1 to 69 rows, 128-row slices with tails of 1 to 104 rows,
-    and column counts that are multiples of TILE up to 4096, on the
-    SkylakeX, Haswell, Sandybridge and Prescott kernels of OpenBLAS 0.3.31.  Outside it the bytes moved: other column counts (129,
-    301, 1000) with the thread count on some kernels, a whole 301-row
-    matrix with the position in the tile, and tiles under 10 rows
-    (SkylakeX) or of an odd width (Haswell, Prescott) with the width, so
-    none of those is used.  More threads than one moved them too, on
-    Prescott's kernels at three or four threads, the box's operator among
-    them.  The count is set once per call of those two, not per product.
+    The block is zero-padded to whole tiles of TILE rows, and each tile
+    meets each MATVEC_BLOCK-row slice of ``a`` (the last slice holds the
+    rest) in one gemm.  A slice of ``a`` thus always meets one gemm shape,
+    and a row's bytes depend on neither its position in its tile nor the
+    other rows there.  That was checked at one OpenBLAS thread, the count
+    ``run_recoveries`` and ``gpgd_step`` set around their products, for
+    every position in a tile among zero or random rows, 128-row slices
+    with tails of 1 to 127 rows, column counts that are multiples of TILE
+    up to 4096, and matrices in C and in Fortran order, on the SkylakeX,
+    Haswell, Sandybridge and Prescott kernels of OpenBLAS 0.3.31.  Outside
+    it the bytes moved: other column counts (129, 301, 1000) with the
+    thread count on some kernels, a whole 301-row matrix with the position
+    in the tile, and, on SkylakeX, tiles of fewer than TILE rows with the
+    tile's width for some slice tails, so none of those is used.  More
+    threads than one moved them too, on Prescott's kernels at three or
+    four threads, the box's operator among them.  The count is set once
+    per call of those two, not per product.
 
     A tile costs about as much whatever number of its rows are live, so
     the gain over ``_rowwise_matvec`` grows with the rows in a block, and
@@ -287,9 +287,7 @@ def _tiled_matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     many rows a simulate worker's blocks hold.
     """
     rows, b = a.shape[0], v.shape[0]
-    whole, rest = divmod(b, TILE)
-    last = max(2 * TILE_STEP, -(-rest // TILE_STEP) * TILE_STEP) if rest else 0
-    padded = np.zeros((whole * TILE + last, a.shape[1]))
+    padded = np.zeros((-(-b // TILE) * TILE, a.shape[1]))
     padded[:b] = v
     out = np.empty((padded.shape[0], rows))
     bounds = [*range(0, rows, MATVEC_BLOCK), rows]

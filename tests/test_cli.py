@@ -992,8 +992,37 @@ def _engine_calling(action, in_parent):
     return patched
 
 
-def test_simulate_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
-    cfg_path = write_config(tmp_path, FLAGSHIP_SHAPED_CONFIG)
+# A tiled operator, 300 x 128, whose 128-row slices leave a 44-row tail.  There a
+# 16-row tile rounds otherwise than a 32-row one on SkylakeX kernels, so the 15- or
+# 10-run shares of 2 or 3 workers must meet the tile that one worker's 30 runs do.
+TILED_TAIL_CONFIG = """\
+[prior]
+kind = lrgmm
+d = 128
+r = 4
+k = 3
+seed = 101
+
+[sensing]
+m = 300
+seed = 202
+
+[schedule.geometric]
+sigma_max = 0.5
+sigma_min = 1e-4
+horizon = 12
+
+[run]
+n_iters = 12
+trials = 30
+"""
+
+
+@pytest.mark.parametrize("config,n_files", [(FLAGSHIP_SHAPED_CONFIG, 9), (TILED_TAIL_CONFIG, 31)],
+                         ids=["flagship-shaped", "tiled-tail"])
+def test_simulate_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, config,
+                                                          n_files):
+    cfg_path = write_config(tmp_path, config)
     real_fork = os.fork
     forks = []
 
@@ -1011,9 +1040,35 @@ def test_simulate_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeypatch)
         assert len(forks) == workers - 1
         outs[workers] = {name: data for name, data in read_files(out).items()
                          if name != "resolved.cfg"}  # it names its out_dir
-    assert len(outs[1]) == 9  # 8 traces and manifest.json
+    assert len(outs[1]) == n_files  # the traces and manifest.json
     assert outs[2] == outs[1]
     assert outs[3] == outs[1]
+
+
+def test_simulate_draws_the_truths_of_one_batch_at_a_time(tmp_path, monkeypatch):
+    """Memory at the first batch does not grow with the runs: the truths of 4,000 trials
+    of a d = 1024 box take 32 MB, and a batch draws only its own."""
+    text = ("[prior]\nkind = box\nlower = -1*128 0*896\nupper = 1*128 0*896\n"
+            "[sensing]\nm = 8\nseed = 4\n"
+            "[schedule.geometric]\nsigma_max = 0.5\nsigma_min = 1e-4\nhorizon = 1\n"
+            "[run]\nn_iters = 1\ntrials = 4000\n")
+
+    class FirstBatch(Exception):
+        pass
+
+    def first_batch(*args, **kwargs):
+        raise FirstBatch(tracemalloc.get_traced_memory()[0])
+
+    monkeypatch.setattr(cli, "_worker_count", lambda n_runs: 1)
+    monkeypatch.setattr(recovery_engine, "run_recoveries", first_batch)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FirstBatch) as info:
+            cli.main(["simulate", write_config(tmp_path, text), "--out", str(tmp_path / "o")])
+    finally:
+        tracemalloc.stop()
+    truths = 4000 * 1024 * 8
+    assert info.value.args[0] < truths / 4
 
 
 def test_simulate_merges_a_divergence_from_a_childs_share(tmp_path, monkeypatch, capsys):

@@ -293,42 +293,31 @@ def test_score_block_rows_match_single_calls(shape):
     assert np.array_equal(pd.score(prior, block, 0.5)[1], pd.score(prior, block[1], 0.5))
 
 
-# --------------------------------------------------- limiting projection
+# ------------------------------------------------------ small-noise limit
 
 
-def test_limiting_projection_off_frontier_is_nearest_projection():
+def test_denoiser_off_frontier_converges_to_the_nearest_projection():
     r = np.random.default_rng(303)
     union = pd.random_union(6, [2, 2, 2], np.random.default_rng(304))
     prior = pd.LrGmmPrior(union, [0.2, 0.5, 0.3])
     x = r.normal(size=6)
-    lim = pd.limiting_projection(prior, x)
     point, ties = pd.project_union(union, x)
     assert ties == [int(np.argmax(pd.squared_projection_norms(union, x)))]
-    assert np.array_equal(lim, point)
-    # denoiser converges to the limit as sigma -> 0
     last = math.inf
     for sigma in (1e-1, 1e-2, 1e-3, 1e-4):
-        dist = float(np.linalg.norm(pd.denoiser(prior, x, sigma).value - lim))
+        dist = float(np.linalg.norm(pd.denoiser(prior, x, sigma).value - point))
         assert dist < last
         last = dist
     assert last <= 1e-7
 
 
-def test_limiting_projection_on_frontier_averages_by_pi():
+def test_denoiser_on_frontier_converges_to_the_pi_average():
+    """On a tie of equal-rank components the weights tend to the tied pi, renormalised."""
     prior = axes_prior(pi=(0.3, 0.7))
     x = np.array([1.0, 1.0])
-    lim = pd.limiting_projection(prior, x)
-    assert lim == pytest.approx([0.3, 0.7], abs=1e-15)
+    assert pd.project_union(prior.union, x)[1] == [0, 1]
     dv = pd.denoiser(prior, x, 1e-5).value
-    assert dv == pytest.approx(lim, abs=1e-9)
-
-
-def test_limiting_projection_rejects_rank_mixed_tie():
-    union = UnionOfSubspaces([pd.coordinate_subspace(3, [0]), pd.coordinate_subspace(3, [1, 2])])
-    prior = pd.LrGmmPrior(union)
-    x = np.array([1.0, math.sqrt(0.5), math.sqrt(0.5)])
-    with pytest.raises(pd.UnsupportedCaseError):
-        pd.limiting_projection(prior, x)
+    assert dv == pytest.approx([0.3, 0.7], abs=1e-9)
 
 
 # ---------------------------------------------------------------- sampling

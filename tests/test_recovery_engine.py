@@ -493,13 +493,14 @@ def _matvec_128(a, v):
 
 # The operator products of every workload (flagship 20 x 64, sparse 12 x 16,
 # box 256 x 1024 and its 128 free columns), each with its transpose, and
-# wide, tall and odd-sized ones: 1000 rows leave a 104-row tail, 4096
-# columns are past FREE_COLUMNS_MAX_DIM.
+# wide, tall and odd-sized ones: 1000 rows leave a 104-row tail, 300 rows a
+# 44-row tail and 166 rows a 38-row one, and 4096 columns are past
+# FREE_COLUMNS_MAX_DIM.
 PRODUCT_SHAPES = [(256, 1024), (20, 64), (12, 16), (256, 128), (301, 2048), (1000, 300),
-                  (77, 513), (135, 1024), (1000, 1024), (256, 4096)]
+                  (77, 513), (135, 1024), (1000, 1024), (256, 4096), (300, 128), (166, 1024)]
 # Of those matrices, the ones _matvec multiplies a block by in tiles.
 TILED_SHAPES = {(256, 1024), (1024, 256), (256, 128), (128, 256), (301, 2048), (135, 1024),
-                (1000, 1024), (256, 4096), (4096, 256)}
+                (1000, 1024), (256, 4096), (4096, 256), (300, 128), (166, 1024)}
 
 
 @pytest.mark.parametrize("m,d", PRODUCT_SHAPES)
@@ -516,9 +517,10 @@ def test_byte_sized_slices_round_like_128_row_slices(m, d):
 
 @pytest.mark.parametrize("m,d", PRODUCT_SHAPES)
 def test_a_rows_product_does_not_depend_on_its_block(m, d):
-    """A row's bytes alone are its bytes at every position of a whole tile and in the
-    cut-down last tile of a block of any size, among zero or random rows, at one BLAS
-    thread as run_recoveries multiplies; a (d,) vector keeps the gemv bytes."""
+    """A row's bytes alone are its bytes at every position of a tile and last in a
+    block of any size, among zero or random rows, at one BLAS thread as run_recoveries
+    multiplies: every block is padded to whole tiles, so a row meets one gemm shape
+    whatever its block holds.  A (d,) vector keeps the gemv bytes."""
     rng = np.random.default_rng(m + d)
     a = pd.gaussian_operator(m, d, rng)
     tile = recovery_engine.TILE
