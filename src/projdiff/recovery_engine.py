@@ -30,23 +30,23 @@ trace bytes do not depend on which runs share the block, and so neither on
 ``simulate``'s batches nor on its worker processes (``cli.cmd_simulate``
 says how it cuts its runs), because no computation mixes rows: sums run
 along each row's own axis, and ``_matvec`` makes every operator product of
-a block either one gemv per row or, on large enough operators, gemm over
-whole tiles of TILE rows, zero-padded, in which a row's sums depend on
-neither its position nor its companions.  Its docstrings say on which
-shapes, kernel sets and thread counts that was checked.
+a block one gemv per row, whose sums depend on neither the row's position
+nor its companions.
 
-Two things keep the operator work small without giving that up.
-``_matvec`` reads a tall matrix in slices of whole MATVEC_BLOCK-row blocks,
-which stay in cache, and ``sensing_analysis.spectral_norm`` multiplies
-through it as well.  A projection is exactly zero off its model's
-``active_mask``, so ``run_recoveries`` forms A p from only the
-FREE_BLOCK-column blocks of A that hold a free coordinate.  On the gemv
-path each kept column keeps its position modulo FREE_BLOCK, which leaves
-every sum unchanged (FREE_BLOCK says where that was checked, and up to
-which width), so a box run writes the same bytes as the same run with
-``box_denoiser`` passed as a ``denoise`` callable.  On the gemm path that
-holds when the free coordinates lie in the first 128 columns, as in the
-benchmark's box, and not for scattered ones (see ``_forward``).
+Three things keep the operator work small without giving that up.  A step
+makes its own residual r = A p - y, and with x+ = p - mu A^T r the next
+iterate's residual is A x+ - y = r - mu G r, G = A A^T, so no step
+multiplies by A x+: ``run_recoveries`` builds G once and the trace's
+residual column is the norm of that carried residual, which agrees with
+||A x_n - y|| to rounding.  ``_matvec`` reads a tall matrix in slices of
+whole MATVEC_BLOCK-row blocks, which stay in cache, and
+``sensing_analysis.spectral_norm`` multiplies through it as well.  A
+projection is exactly zero off its model's ``active_mask``, so
+``run_recoveries`` forms A p from only the FREE_BLOCK-column blocks of A
+that hold a free coordinate.  Each kept column keeps its position modulo
+FREE_BLOCK, which leaves every sum unchanged (FREE_BLOCK says where that
+was checked, and up to which width), so a box run writes the same bytes as
+the same run with ``box_denoiser`` passed as a ``denoise`` callable.
 """
 
 import ctypes
@@ -84,21 +84,18 @@ BATCH_BYTES = 16 * 2**20
 
 # A box's A p drops the blocks of this many columns of A that hold no free
 # coordinate.  Each kept column keeps its position modulo FREE_BLOCK, and on
-# OpenBLAS 0.3.31 (SkylakeX kernels) that leaves every gemv sum unchanged to
-# the bit.  Past FREE_COLUMNS_MAX_DIM columns the kernel sums a row in
-# chunks whose bounds the dropped blocks would move, and the sums change, so
-# wider operators are multiplied whole.
+# OpenBLAS 0.3.31 (SkylakeX, Haswell, Sandybridge and Prescott kernels) that
+# leaves every gemv sum unchanged to the bit.  Past FREE_COLUMNS_MAX_DIM
+# columns the kernel sums a row in chunks whose bounds the dropped blocks
+# would move, and the sums change, so wider operators are multiplied whole.
 FREE_BLOCK = 64
 FREE_COLUMNS_MAX_DIM = 2048
 
-# _matvec's gemv path reads a matrix in slices of whole MATVEC_BLOCK-row
-# blocks, as many as fit in MATVEC_BYTES (at least one), which stay in cache
-# across the rows of a block.  Its gemm path multiplies whole tiles of TILE
-# rows of a block, the last zero-padded, by MATVEC_BLOCK-row slices,
-# whatever MATVEC_BYTES is.
+# _matvec reads a matrix in slices of whole MATVEC_BLOCK-row blocks, as many
+# as fit in MATVEC_BYTES (at least one), which stay in cache across the rows
+# of a block.
 MATVEC_BYTES = 2**20
 MATVEC_BLOCK = 128
-TILE = 32
 
 
 @dataclass(frozen=True)
@@ -160,38 +157,16 @@ def schedule_sigma(schedule: NoiseSchedule, n: int) -> float:
 
 
 def _matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """a @ v for v of shape (d,) or (B, d), with bytes that do not depend on B.
-
-    A (B, d) block meets a matrix of at least MATVEC_BLOCK rows and a
-    multiple of TILE columns through gemm (``_tiled_matvec``).  Every other
-    product, and every single vector (``spectral_norm``, y = A x*, a 1-D
-    ``gpgd_step``), is one gemv per row of v, and a gemm's sums are not a
-    gemv's: on a tile shape a row of a block and the same row alone as a
-    (d,) vector differ in their last bits.  The gemv path's bytes do not
-    change with the BLAS thread count, and the gemm path's are those of
-    one thread, which its callers in this module set, so every operator
-    product that reaches a trace or mu goes through here.
-    """
-    if v.ndim == 2 and _tiles(a):
-        return _tiled_matvec(a, v)
-    return _rowwise_matvec(a, v)
-
-
-def _tiles(a: np.ndarray) -> bool:
-    """Whether ``_matvec`` multiplies a (B, d) block by ``a`` in tiles."""
-    return a.shape[0] >= MATVEC_BLOCK and a.shape[1] % TILE == 0
-
-
-def _rowwise_matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``_matvec``'s gemv path: a @ v as one gemv per row of v, in row slices of a.
+    """a @ v for v of shape (d,) or (B, d): one gemv per row of v, in row slices of a.
 
     A matrix of more than MATVEC_BLOCK rows is read in slices of whole
     MATVEC_BLOCK-row blocks, as many as fit in MATVEC_BYTES (at least one),
     and every row of v meets one slice before the next slice is read, so the
     slice stays in cache.  Each output is still one gemv's dot product over
-    one matrix row, and the slices do not depend on how many rows v has.  A
-    last slice under 8 rows joins the one before it: numpy hands a one-row
-    matrix to dot, not gemv, which sums in another order.
+    one matrix row, and the slices do not depend on how many rows v has, so
+    a row's bytes are the same alone as a (d,) vector and anywhere in a
+    block.  A last slice under 8 rows joins the one before it: numpy hands a
+    one-row matrix to dot, not gemv, which sums in another order.
 
     The bytes are those of 128-row slices.  A gemv kernel sums a row through
     one code path or another by where the row sits in its slice: in a run of
@@ -199,7 +174,8 @@ def _rowwise_matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     multiples of MATVEC_BLOCK keep each row's position modulo MATVEC_BLOCK,
     and so its path.  The slices also keep the bytes off the BLAS thread
     count: at m = 301, d = 2048 a whole-matrix ``a @ v`` changed with
-    OPENBLAS_NUM_THREADS and this did not.
+    OPENBLAS_NUM_THREADS and this did not.  Every operator product that
+    reaches a trace or mu goes through here.
     """
     rows, cols = a.shape
     step = MATVEC_BLOCK * max(1, MATVEC_BYTES // max(1, MATVEC_BLOCK * cols * a.itemsize))
@@ -241,6 +217,13 @@ def _openblas_string(name):
 def _one_blas_thread():
     """Run the block with the bundled OpenBLAS at one thread, then restore its count.
 
+    The products' bytes do not depend on the thread count (see
+    ``_matvec``); the pin is for speed.  ``simulate`` runs one worker per
+    CPU, and workers that each ran OpenBLAS's own threads would
+    oversubscribe the CPUs they split: without this pin and
+    ``cli._run_forked``'s, the benchmark's box ``simulate`` on 2 CPUs took
+    0.565 s against 0.528 s (medians of 10, alternating).
+
     Without the bundled OpenBLAS's thread calls, or at one thread already,
     this does nothing: in a forked child, whose OpenBLAS threads stopped at
     the fork, setting the count starts them again, and they spin beside the
@@ -260,65 +243,21 @@ def _one_blas_thread():
         set_(before)
 
 
-def _tiled_matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """a @ v for each row of a (B, d) block: one gemm per tile of rows and per row slice of a.
-
-    The block is zero-padded to whole tiles of TILE rows, and each tile
-    meets each MATVEC_BLOCK-row slice of ``a`` (the last slice holds the
-    rest) in one gemm.  A slice of ``a`` thus always meets one gemm shape,
-    and a row's bytes depend on neither its position in its tile nor the
-    other rows there.  That was checked at one OpenBLAS thread, the count
-    ``run_recoveries`` and ``gpgd_step`` set around their products, for
-    every position in a tile among zero or random rows, 128-row slices
-    with tails of 1 to 127 rows, column counts that are multiples of TILE
-    up to 4096, and matrices in C and in Fortran order, on the SkylakeX,
-    Haswell, Sandybridge and Prescott kernels of OpenBLAS 0.3.31.  Outside
-    it the bytes moved: other column counts (129, 301, 1000) with the
-    thread count on some kernels, a whole 301-row matrix with the position
-    in the tile, and, on SkylakeX, tiles of fewer than TILE rows with the
-    tile's width for some slice tails, so none of those is used.  More
-    threads than one moved them too, on Prescott's kernels at three or
-    four threads, the box's operator among them.  The count is set once
-    per call of those two, not per product.
-
-    A tile costs about as much whatever number of its rows are live, so
-    the gain over ``_rowwise_matvec`` grows with the rows in a block, and
-    a block of a few rows costs more than their gemvs; README says how
-    many rows a simulate worker's blocks hold.
-    """
-    rows, b = a.shape[0], v.shape[0]
-    padded = np.zeros((-(-b // TILE) * TILE, a.shape[1]))
-    padded[:b] = v
-    out = np.empty((padded.shape[0], rows))
-    bounds = [*range(0, rows, MATVEC_BLOCK), rows]
-    for lo, hi in zip(bounds, bounds[1:]):
-        block = a[lo:hi].T
-        for t in range(0, padded.shape[0], TILE):
-            np.matmul(padded[t:t + TILE], block, out=out[t:t + TILE, lo:hi])
-    return out[:b]
-
-
 def gpgd_step(denoise, a: np.ndarray, mu: float, y: np.ndarray,
               x: np.ndarray, sigma: float) -> np.ndarray:
     """x+ = P(x) - mu A^T (A P(x) - y) with P(x) = denoise(x, sigma), at one OpenBLAS thread."""
     p = denoise(x, sigma)
     with _one_blas_thread():
-        return _data_step(a, mu, y, p, _matvec(a, p))
+        return p - mu * _matvec(a.T, _matvec(a, p) - y)
 
 
 def _forward(a: np.ndarray, model):
-    """p -> A p for a (B, d) block of the projections ``model`` makes.
+    """p -> A p for a (B, d) block of the projections ``model`` makes, bit for bit.
 
     The FREE_BLOCK-column blocks of A that hold a coordinate of the model's
-    ``active_mask`` are gathered once here and multiplied on the path that
-    ``_matvec(a, p)`` takes.  On the gemv path the product equals
-    ``_matvec(a, p)`` bit for bit.  On the tiled path it does when every
-    free coordinate lies in the first 128 columns, as in the benchmark's
-    box: gemm sums the columns of A in panels whose bounds depend on the
-    column count, and the gathered matrix has fewer.  Wider leading blocks
-    (from 192 columns on Prescott's kernels, 320 on Haswell's) and scattered
-    blocks change the last bits.  With no free coordinate the gathered
-    matrix has no columns, and A p is 0.
+    ``active_mask`` are gathered once here, and the product with them
+    equals ``_matvec(a, p)`` bit for bit.  With no free coordinate the
+    gathered matrix has no columns, and A p is 0.
     """
     d = a.shape[1]
     if model.active_mask is None or d > FREE_COLUMNS_MAX_DIM:
@@ -330,22 +269,12 @@ def _forward(a: np.ndarray, model):
     # np.take returns C-ordered arrays, so each row is contiguous as it is
     # in A; a fancy-indexed copy is column-major and its gemv sums otherwise.
     a_free = np.take(a, cols, axis=1)
-    # Where A is tiled, so is a_free: it keeps the rows, and its column
-    # count is a multiple of TILE when d is.  Where A is not, a_free is
-    # multiplied row by row too, even if its own shape would be tiled.
-    product = _matvec if _tiles(a) else _rowwise_matvec
-    return lambda p: product(a_free, np.take(p, cols, axis=1))
+    return lambda p: _matvec(a_free, np.take(p, cols, axis=1))
 
 
 def _row_dots(v: np.ndarray) -> np.ndarray:
     """v_b . v_b for each row of a (B, d) block, one BLAS dot per row."""
     return np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0]
-
-
-def _data_step(a: np.ndarray, mu: float, y: np.ndarray, p: np.ndarray,
-               ap: np.ndarray) -> np.ndarray:
-    """p - mu A^T (ap - y), with ap = A p, for one vector p or for each row of a block."""
-    return p - mu * _matvec(a.T, ap - y)
 
 
 def kadkhodaie_step(prior, a: np.ndarray, y: np.ndarray,
@@ -506,11 +435,12 @@ def run_recoveries(a: np.ndarray, mu: float, y: np.ndarray, schedules, n_iters: 
     and ``metadata`` None or B values.  ``prior`` is the model whose
     ``step`` makes every projection.  Each iteration is one pass over the
     (B, d) block of iterates: mse and residual, one ``prior.step``, whose
-    columns fill the trace row, and the data step.  A model with no columns
-    is not stepped on the last row.  A finite schedule's horizon may not be
-    below ``n_iters`` (``schedule_sigma`` raises).  ``record_iterates``
-    keeps each run's (n_iters + 1, d) iterates in its trace, outside what
-    ``batch_width`` budgets.
+    columns fill the trace row, and the data step, which carries each run's
+    residual A x - y forward through G = A A^T (see the module docstring).
+    A model with no columns is not stepped on the last row.  A finite
+    schedule's horizon may not be below ``n_iters`` (``schedule_sigma``
+    raises).  ``record_iterates`` keeps each run's (n_iters + 1, d)
+    iterates in its trace, outside what ``batch_width`` budgets.
 
     Returns one entry per run: its RecoveryTrace, or the DivergenceError of
     a run whose iterate left the finite range.  That run leaves the block
@@ -543,13 +473,14 @@ def run_recoveries(a: np.ndarray, mu: float, y: np.ndarray, schedules, n_iters: 
     iterates = np.empty((b_runs, rows, d)) if record_iterates else None
 
     results = [None] * b_runs
-    live, y_live = np.arange(b_runs), y  # x, y_live and truth hold the rows of these runs
-    # The products' bytes are those of one OpenBLAS thread (see _tiled_matvec).
+    live, y_live = np.arange(b_runs), y  # x, r, y_live and truth hold the rows of these runs
     with _one_blas_thread():
+        g = _matvec(a, a)  # G = A A^T: A x+ - y = r - mu G r for r = A p - y
+        r = _matvec(a, x) - y_live
         for n in range(rows):
             sigma_n = sigma[live, n]
             mse[live, n] = _row_dots(x - truth) / d
-            residual[live, n] = np.sqrt(_row_dots(_matvec(a, x) - y_live))
+            residual[live, n] = np.sqrt(_row_dots(r))
             if record_iterates:
                 iterates[live, n] = x
             if n == n_iters and not k:
@@ -560,14 +491,17 @@ def run_recoveries(a: np.ndarray, mu: float, y: np.ndarray, schedules, n_iters: 
                  nearest[live, n], distances[live, n]) = columns
             if n == n_iters:
                 break
-            x = _data_step(a, mu, y_live, p, forward(p))
+            r = forward(p) - y_live
+            x = p - mu * _matvec(a.T, r)
+            r = r - mu * _matvec(g, r)
             finite = np.all(np.isfinite(x), axis=1)
             if not finite.all():
                 for b in live[~finite]:
                     results[b] = DivergenceError(
                         f"iterate left the finite range at iteration {n + 1}", n + 1
                     )
-                live, x, y_live, truth = live[finite], x[finite], y_live[finite], truth[finite]
+                live, x, r = live[finite], x[finite], r[finite]
+                y_live, truth = y_live[finite], truth[finite]
                 if live.size == 0:
                     break
 

@@ -992,9 +992,9 @@ def _engine_calling(action, in_parent):
     return patched
 
 
-# A tiled operator, 300 x 128, whose 128-row slices leave a 44-row tail.  There a
-# 16-row tile rounds otherwise than a 32-row one on SkylakeX kernels, so the 15- or
-# 10-run shares of 2 or 3 workers must meet the tile that one worker's 30 runs do.
+# An operator of 300 x 128, multiplied by gemv in 128-row slices with a 44-row
+# tail: the 15- or 10-run shares of 2 or 3 workers must write the bytes that one
+# worker's 30 runs do.
 TILED_TAIL_CONFIG = """\
 [prior]
 kind = lrgmm
@@ -1222,14 +1222,14 @@ def test_simulate_box_prior_runs_without_union_columns(tmp_path):
 # The sha256 of that shortened box workload's trace_geometric_07000.csv and
 # trace_geometric_07001.csv, per BLAS core (see cli.blas_core).
 BOX_TRACE_SHA256 = {
-    "SkylakeX": ("7f85c51617a3423efa2269d2e7e4d20e3c907ce289d4f1fc3fb4fdd18be4c4dc",
-                 "b61c724c204fabcba599a6b838193acf1a4c0964a1c89f139f9d32a4b28d6257"),
-    "Haswell": ("0780a2479750fbf5c1bd63b6e2d836d4f39a6ef5b3007b202f990f8ac88ab53a",
-                "05a3b619feae2366409c5ba5b60011c4abf3a1d74cdb98cb8bf2da751715b379"),
-    "Sandybridge": ("86286c1d38d871c56283de7ac87cb643274db2ac5d7336cbed1c64cb7245e234",
-                    "1fdd46d1a1b8adbc7c28daba429e284d2eadc659a64f5be4091953ce843175b8"),
-    "Katmai": ("9fe7f773650ac1727e57f3655da999b69d67a5d676cbf610fe1fc4204f1071b1",
-               "42a4d77a15eeafab766a99e7d2746e9de5cc31ddb3af428feabc98a10691a8b9"),
+    "SkylakeX": ("6e2d4495d648c82511fee744db18c33d76af3afaac3ac7109138d9aac46c0565",
+                 "75c6201f3191f5ae92c63bc7059025eda6d95e7cae96e2ee7661e5a24b83b4bd"),
+    "Haswell": ("dc95255340b8cc6a915cceb24b61d41ffd2201c505b95b4725fb5232dacc627b",
+                "dff40193355f57436bbf30a13fe6b5eb2a7c52e142418c67edbb57d6666087b3"),
+    "Sandybridge": ("c73cef924e0430a1af75e526709ef197932e240e18e168b5bb5ba9b021f38a20",
+                    "95c8fe8e79927d24b5592a23248376a54cea94f683e30893b23333c5c04f5980"),
+    "Katmai": ("bcef89f83c85913b345080899c7842b7a5a098e2c8f98d19ffaf8fd5d1665baa",
+               "bbe4460bda4b33bc3411b6b8f97dcf043bdf80b5c20aa4125bd4f21b4f89bc75"),
 }
 
 

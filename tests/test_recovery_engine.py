@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 import re
 import tracemalloc
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 import projdiff as pd
 from projdiff import checks, cli, lrgmm_prior, recovery_engine
+from projdiff.config import build
 from projdiff.model_sets import UnionOfSubspaces, component_parts
 from projdiff.recovery_engine import TRACE_COLUMNS, TRACE_FORMAT_LINE
 
@@ -307,9 +309,10 @@ def test_run_recovery_trace_rows_recompute_from_iterates():
         x = trace.iterates[i]
         diff = x - problem.x_true
         assert trace.mse[i] == float(diff @ diff) / 6.0
-        assert trace.residual[i] == float(
-            np.linalg.norm(problem.operator @ x - problem.y)
-        )
+        # The engine carries the residual through G = A A^T (see
+        # test_the_residual_column_is_the_recomputed_residual).
+        recomputed = np.linalg.norm(problem.operator @ x - problem.y)
+        assert abs(trace.residual[i] - recomputed) <= RESIDUAL_ULPS * np.linalg.norm(problem.y)
         assert trace.frontier_gap[i] == pd.frontier_gap(union, x)
         w = pd.weights(prior, x, trace.sigma[i] ** 2)
         positive = w[w > 0.0]
@@ -353,6 +356,41 @@ def test_run_recovery_makes_one_union_pass_per_row(monkeypatch):
     assert len(passes) == 21
     for name in ("component_parts", "_posterior", "BoxSet", "box_denoiser"):
         assert not hasattr(recovery_engine, name), name
+
+
+# How far a trace's residual, carried from step to step as r - mu G r, may lie
+# from ||A x_n - y|| recomputed from the iterate, in units of ||y||: four unit
+# roundoffs of double precision.
+RESIDUAL_ULPS = 4 * 2.0**-52
+BOX_CFG = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "workloads", "box.cfg")
+
+
+@pytest.mark.parametrize("workload", ["box", "flagship"])
+def test_the_residual_column_is_the_recomputed_residual(workload, flagship_setup):
+    """residual[n] is ||A x_n - y|| to within RESIDUAL_ULPS ||y||, on the benchmark's box
+    (256 x 1024, the first 128 coordinates free) and on the flagship, in rows near ||y||
+    and in rows below 1e-8 ||y||: a third run starts 1e-9 off its truth at a small sigma."""
+    if workload == "box":
+        model, a, mu = build(pd.load_config(BOX_CFG))
+    else:
+        model, a, mu = flagship_setup.prior, flagship_setup.operator, flagship_setup.mu
+    rng = np.random.default_rng(3)
+    truths = np.array([model.sample(rng) for _ in range(3)])
+    y = truths @ a.T
+    free = np.ones(a.shape[1], dtype=bool) if model.active_mask is None else model.active_mask
+    x0 = np.zeros_like(truths)
+    x0[2] = truths[2] + 1e-9 * np.where(free, rng.standard_normal(a.shape[1]), 0.0)
+    schedules = [geometric(60), pd.NoiseSchedule("infinite_geometric", 0.5, a=0.8),
+                 pd.NoiseSchedule("infinite_geometric", 1e-9, a=0.8)]
+    traces = recovery_engine.run_recoveries(a, mu, y, schedules, 60, model, x_true=truths,
+                                            x0=x0, record_iterates=True)
+    small = 0
+    for trace, y_b in zip(traces, y):
+        norm_y = np.linalg.norm(y_b)
+        recomputed = np.linalg.norm(trace.iterates @ a.T - y_b, axis=1)
+        assert np.all(np.abs(trace.residual - recomputed) <= RESIDUAL_ULPS * norm_y)
+        small += np.count_nonzero(recomputed < 1e-8 * norm_y)
+    assert small >= 30
 
 
 def _written(trace, tmp_path, name):
@@ -402,69 +440,64 @@ def _box(mask):
 
 
 def test_box_trace_bytes_do_not_depend_on_the_batch_or_the_denoise_path(tmp_path):
-    """m > MATVEC_BLOCK and blocks of pinned columns: both cut-down products stay exact.
+    """A box run writes the same bytes in any batch and with ``box_denoiser`` as a bare
+    ``denoise`` callable, whose model has no ``active_mask`` and so multiplies A whole.
 
-    A^T (300 x 160) is tiled and A, no multiple of TILE wide, is not, so a
-    step of one run is ``gpgd_step`` on a one-row block, not on a vector.
+    ``bench/probe.py replay`` times the box workload through that bare callable and
+    requires its traces to equal ``simulate``'s byte for byte, so a change that lets the
+    free-column product or the residual differ between the two paths fails here first.
+    Two operators: the benchmark box's shape, 256 x 1024 with the first 128 coordinates
+    free, and one of m > MATVEC_BLOCK and d no multiple of FREE_BLOCK whose blocks 1 and
+    3 are pinned.  Each step is also ``gpgd_step`` on a one-row block.
     """
-    d, m = 300, 160  # d is no multiple of FREE_BLOCK
-    mask = np.zeros(d, dtype=bool)
-    mask[[5, 17, 40, 130, 131, 150, 190, 260, 281, 299]] = True  # blocks 1 and 3 are pinned
-    box = _box(mask)
-    a = pd.gaussian_operator(m, d, np.random.default_rng(5))
-    assert recovery_engine._tiles(a.T) and not recovery_engine._tiles(a)
-    mu = 1.9 / pd.spectral_norm(a) ** 2
-    schedules = [geometric(30), pd.NoiseSchedule("infinite_geometric", 0.5, a=0.8)]
-    runs = []
-    for seed in range(8):
-        x_true = pd.sample_box(box, np.random.default_rng(seed))[0]
-        problem = pd.SensingProblem(a, mu, a @ x_true, x_true=x_true, seed=seed)
-        runs += [(problem, schedule) for schedule in schedules]
-    target = 9
-    problem, schedule = runs[target]
-    alone = _written(pd.run_recovery(problem, None, schedule, n_iters=30, prior=box),
-                     tmp_path, "alone.csv")
-    for width, start in ((7, target - 3), (len(runs), 0)):
-        batch = runs[start:start + width]
-        traces = recovery_engine.run_recoveries(
-            a, mu, [p.y for p, _ in batch], [sch for _, sch in batch], 30, box,
-            x_true=[p.x_true for p, _ in batch], seeds=[p.seed for p, _ in batch])
-        assert _written(traces[target - start], tmp_path, f"w{width}.csv") == alone, width
-    denoise = lambda z, sg: pd.box_denoiser(box, z, sg)  # noqa: E731
-    via_denoise = pd.run_recovery(problem, denoise, schedule, n_iters=30)
-    assert _written(via_denoise, tmp_path, "denoise.csv") == alone
-    trace = pd.run_recovery(problem, None, schedule, n_iters=30, prior=box,
-                            record_iterates=True)
-    for n in range(30):
-        step = pd.gpgd_step(denoise, a, mu, problem.y, trace.iterates[n][None], trace.sigma[n])
-        assert np.array_equal(trace.iterates[n + 1], step[0]), n
+    scattered = np.zeros(300, dtype=bool)
+    scattered[[5, 17, 40, 130, 131, 150, 190, 260, 281, 299]] = True
+    cases = [(np.arange(1024) < 128, pd.gaussian_operator(256, 1024, np.random.default_rng(6)),
+              4, 12),
+             (scattered, pd.gaussian_operator(160, 300, np.random.default_rng(5)), 8, 30)]
+    for mask, a, n_seeds, n_iters in cases:
+        box = _box(mask)
+        mu = 1.9 / pd.spectral_norm(a) ** 2
+        schedules = [geometric(30), pd.NoiseSchedule("infinite_geometric", 0.5, a=0.8)]
+        runs = []
+        for seed in range(n_seeds):
+            x_true = pd.sample_box(box, np.random.default_rng(seed))[0]
+            problem = pd.SensingProblem(a, mu, a @ x_true, x_true=x_true, seed=seed)
+            runs += [(problem, schedule) for schedule in schedules]
+        target = len(runs) // 2 + 1
+        problem, schedule = runs[target]
+        alone = _written(pd.run_recovery(problem, None, schedule, n_iters=n_iters, prior=box),
+                         tmp_path, "alone.csv")
+        for width, start in ((7, target - 3), (len(runs), 0)):
+            batch = runs[start:start + width]
+            traces = recovery_engine.run_recoveries(
+                a, mu, [p.y for p, _ in batch], [sch for _, sch in batch], n_iters, box,
+                x_true=[p.x_true for p, _ in batch], seeds=[p.seed for p, _ in batch])
+            assert _written(traces[target - start], tmp_path, f"w{width}.csv") == alone, width
+        denoise = lambda z, sg: pd.box_denoiser(box, z, sg)  # noqa: E731
+        via_denoise = pd.run_recovery(problem, denoise, schedule, n_iters=n_iters)
+        assert _written(via_denoise, tmp_path, "denoise.csv") == alone, a.shape
+        trace = pd.run_recovery(problem, None, schedule, n_iters=n_iters, prior=box,
+                                record_iterates=True)
+        for n in range(n_iters):
+            step = pd.gpgd_step(denoise, a, mu, problem.y, trace.iterates[n][None],
+                                trace.sigma[n])
+            assert np.array_equal(trace.iterates[n + 1], step[0]), (a.shape, n)
 
 
 @pytest.mark.parametrize("d", [200, 1000, 1024, 2112])
 @pytest.mark.parametrize("m", [12, 130, 256])
 def test_box_free_column_product_equals_the_full_product(d, m):
-    """Exactly where A is not tiled; where it is, for the benchmark's leading block only.
-
-    gemm sums the columns of A in panels whose bounds follow the column
-    count, and the gathered matrix has fewer columns, so scattered free
-    blocks give the same sums up to rounding.  2112 is past
-    FREE_COLUMNS_MAX_DIM, where dropped blocks would move the gemv kernel's
-    chunk bounds, so A must be used whole there.
-    """
+    """Exactly, for every placement of the free blocks.  2112 is past
+    FREE_COLUMNS_MAX_DIM, where dropped blocks would move the gemv kernel's chunk bounds,
+    so A must be used whole there."""
     rng = np.random.default_rng(d + m)
     a = pd.gaussian_operator(m, d, rng)
-    gathered_gemm = recovery_engine._tiles(a) and d <= recovery_engine.FREE_COLUMNS_MAX_DIM
-    assert gathered_gemm == (d == 1024 and m >= 130)
     for kind in ("scattered", "ragged", "trailing", "leading", "all-pinned", "all-free"):
         mask = _box_mask(d, kind)
         p = np.where(mask, rng.standard_normal((9, d)), 0.0)  # a box projection block
-        with recovery_engine._one_blas_thread():  # as run_recoveries multiplies
-            product = recovery_engine._forward(a, _box(mask))(p)
-            full = recovery_engine._matvec(a, p)
-        if gathered_gemm and kind in ("scattered", "ragged", "trailing"):
-            np.testing.assert_allclose(product, full, rtol=1e-12, atol=1e-12, err_msg=kind)
-        else:
-            assert np.array_equal(product, full), kind
+        product = recovery_engine._forward(a, _box(mask))(p)
+        assert np.array_equal(product, recovery_engine._matvec(a, p)), kind
 
 
 @pytest.mark.parametrize("m", [129, 135, 136, 256, 300])
@@ -474,14 +507,14 @@ def test_row_slices_round_like_the_whole_matrix(m):
     rng = np.random.default_rng(m)
     a = pd.gaussian_operator(m, 1024, rng)
     v, w = rng.standard_normal((5, 1024)), rng.standard_normal((5, m))
-    rowwise = recovery_engine._rowwise_matvec
-    assert np.array_equal(rowwise(a, v), np.matmul(a, v[..., None])[..., 0])
-    assert np.array_equal(rowwise(a.T, w), np.matmul(a.T, w[..., None])[..., 0])
-    assert np.array_equal(recovery_engine._matvec(a, v[2]), rowwise(a, v)[2])
+    matvec = recovery_engine._matvec
+    assert np.array_equal(matvec(a, v), np.matmul(a, v[..., None])[..., 0])
+    assert np.array_equal(matvec(a.T, w), np.matmul(a.T, w[..., None])[..., 0])
+    assert np.array_equal(matvec(a, v[2]), matvec(a, v)[2])
 
 
 def _matvec_128(a, v):
-    """_matvec's gemv path as it sliced before MATVEC_BYTES: always 128 rows a slice."""
+    """_matvec as it sliced before MATVEC_BYTES: always 128 rows a slice."""
     starts = range(0, a.shape[0] - 7, 128)
     if len(starts) < 2:
         return np.matmul(a, v[..., None])[..., 0]
@@ -498,9 +531,6 @@ def _matvec_128(a, v):
 # FREE_COLUMNS_MAX_DIM.
 PRODUCT_SHAPES = [(256, 1024), (20, 64), (12, 16), (256, 128), (301, 2048), (1000, 300),
                   (77, 513), (135, 1024), (1000, 1024), (256, 4096), (300, 128), (166, 1024)]
-# Of those matrices, the ones _matvec multiplies a block by in tiles.
-TILED_SHAPES = {(256, 1024), (1024, 256), (256, 128), (128, 256), (301, 2048), (135, 1024),
-                (1000, 1024), (256, 4096), (4096, 256), (300, 128), (166, 1024)}
 
 
 @pytest.mark.parametrize("m,d", PRODUCT_SHAPES)
@@ -511,31 +541,28 @@ def test_byte_sized_slices_round_like_128_row_slices(m, d):
     a = pd.gaussian_operator(m, d, rng)
     for matrix in (a, a.T):
         v = rng.standard_normal((20, matrix.shape[1]))
-        assert np.array_equal(recovery_engine._rowwise_matvec(matrix, v), _matvec_128(matrix, v))
+        assert np.array_equal(recovery_engine._matvec(matrix, v), _matvec_128(matrix, v))
         assert np.array_equal(recovery_engine._matvec(matrix, v[3]), _matvec_128(matrix, v[3]))
 
 
 @pytest.mark.parametrize("m,d", PRODUCT_SHAPES)
 def test_a_rows_product_does_not_depend_on_its_block(m, d):
-    """A row's bytes alone are its bytes at every position of a tile and last in a
-    block of any size, among zero or random rows, at one BLAS thread as run_recoveries
-    multiplies: every block is padded to whole tiles, so a row meets one gemm shape
-    whatever its block holds.  A (d,) vector keeps the gemv bytes."""
+    """A row's bytes alone are its bytes at every position of a block and last in a
+    block of any size, among zero or random rows: each row is its own gemv.  A (d,)
+    vector has the same bytes."""
     rng = np.random.default_rng(m + d)
     a = pd.gaussian_operator(m, d, rng)
-    tile = recovery_engine.TILE
-    places = np.arange(tile) * (tile + 1)  # tile t holds the row at position t
+    places = np.arange(33) * 34  # a block of 33 * 34 rows holds the row 33 times
     for matrix in (a, a.T):
-        assert recovery_engine._tiles(matrix) == (matrix.shape in TILED_SHAPES)
         row = rng.standard_normal(matrix.shape[1])
         with recovery_engine._one_blas_thread():
             alone = recovery_engine._matvec(matrix, row[None])[0]
             for companions in (np.zeros, rng.standard_normal):
-                block = companions((tile * tile, matrix.shape[1]))
+                block = companions((33 * 34, matrix.shape[1]))
                 block[places] = row
                 for got in recovery_engine._matvec(matrix, block)[places]:
                     assert np.array_equal(got, alone), matrix.shape
-                for b in range(2, 2 * tile + 2):
+                for b in range(2, 66):
                     block = companions((b, matrix.shape[1]))
                     block[-1] = row
                     assert np.array_equal(recovery_engine._matvec(matrix, block)[-1], alone), b
@@ -543,15 +570,15 @@ def test_a_rows_product_does_not_depend_on_its_block(m, d):
 
 
 def test_the_engine_multiplies_at_one_blas_thread(monkeypatch):
-    """run_recoveries and gpgd_step, whatever the caller's OpenBLAS thread count, which it
-    gets back: on Prescott's kernels three or four threads gave the box's operator other
-    bytes."""
+    """run_recoveries, G = A A^T included, and gpgd_step, whatever the caller's OpenBLAS
+    thread count, which it gets back: a simulate worker's own BLAS threads would
+    oversubscribe the CPUs that the workers split."""
     get = recovery_engine._openblas_function("get_num_threads")
     set_ = recovery_engine._openblas_function("set_num_threads")
     if get is None or set_ is None:
         pytest.skip("numpy's BLAS is not its bundled OpenBLAS")
     box = _box(np.arange(256) < 32)
-    a = pd.gaussian_operator(128, 256, np.random.default_rng(0))  # A and A^T are tiled
+    a = pd.gaussian_operator(128, 256, np.random.default_rng(0))
     x = pd.sample_box(box, np.random.default_rng(1), 3)
     matmul, seen = np.matmul, []
 
