@@ -8,8 +8,10 @@ Subcommands:
 
 Exit codes: 0 ok, 2 config error or unwritable output, 3 divergence, 4 check failures.
 
-Each command imports the layers it runs inside itself: ``analyze`` loads
-no model, sensing or check module, and only ``check`` loads ``checks``.
+Each command imports the layers it runs inside itself, numpy included:
+``analyze`` reads traces through ``traces`` and fits them in
+``diagnostics``, and loads no numpy, no model, sensing or check module;
+only ``check`` loads ``checks``.
 ``config.build`` turns a config into its model, operator and mu, and
 ``config.generate_model`` a gen-model spec into its model.
 """
@@ -19,19 +21,16 @@ import json
 import os
 import signal
 import sys
-import traceback
 from contextlib import contextmanager
 from dataclasses import replace
 from functools import partial
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from .errors import ConfigError, DivergenceError, InsufficientDataError
 
 if TYPE_CHECKING:
     from .config import ExperimentConfig
-    from .recovery_engine import RecoveryTrace
+    from .traces import TraceColumns
 
 MANIFEST_NAME = "manifest.json"
 RESOLVED_NAME = "resolved.cfg"
@@ -91,6 +90,8 @@ def _simulate_share(cfg, model, operator, mu, runs, width) -> dict:
     and the message of a trace that could not be written, where the share
     stops.
     """
+    import numpy as np
+
     from .recovery_engine import _matvec, run_recoveries
 
     files, diverged = [], []
@@ -143,6 +144,8 @@ def _versions() -> dict:
     """The library versions that, with the BLAS core, fix a simulate's bytes."""
     import platform
 
+    import numpy as np
+
     from . import __version__
     from .recovery_engine import _openblas_string
 
@@ -174,6 +177,8 @@ def _child(task, write_fd):
         try:
             reply, code = {"result": task()}, 0
         except BaseException:
+            import traceback
+
             reply = {"error": traceback.format_exc()}
         with os.fdopen(write_fd, "w") as fh:
             json.dump(reply, fh)
@@ -329,7 +334,7 @@ def _cell(value) -> str:
     return format(value, ".17g") if isinstance(value, float) else str(value)
 
 
-def _fit_row(trace: "RecoveryTrace", fname: str) -> dict:
+def _fit_row(trace: "TraceColumns", fname: str) -> dict:
     """The rates.csv fields of one trace, keyed by RATES_COLUMNS, None where absent."""
     from .diagnostics import detect_burn_in, fit_linear_rate
 
@@ -355,7 +360,7 @@ def cmd_analyze(args) -> int:
     import csv
     import statistics
 
-    from .recovery_engine import RecoveryTrace
+    from .traces import parse_trace
 
     directory = args.dir
     if not os.path.isdir(directory):
@@ -398,7 +403,7 @@ def cmd_analyze(args) -> int:
             print(f"skipping {fname}: not listed in {MANIFEST_NAME}", file=sys.stderr)
             continue
         try:
-            trace = RecoveryTrace.read_csv(os.path.join(directory, fname))
+            trace = parse_trace(os.path.join(directory, fname))
         except (OSError, ValueError) as exc:
             print(f"skipping {fname}: {exc}", file=sys.stderr)
             continue

@@ -66,7 +66,10 @@ MAX_N_ITERS = 10**6
 
 # The most entries K * d * r_max that a prior's stacked bases may hold
 # (800 MB per float64 copy), checked before anything is built; also the
-# longest that a list written with ``value*count`` may expand to.
+# longest that a list written with ``value*count`` may expand to, and the
+# most entries m * m of the Gram matrix G = A A^T that every simulate
+# worker holds (so [sensing] m is at most 10,000), checked when the config
+# is parsed.
 MAX_BASIS_ENTRIES = 10**8
 
 # The keys each prior kind takes besides ``kind``, in resolved.cfg order.
@@ -277,6 +280,9 @@ def _parse_sensing(values) -> SensingSpec:
     m = _get("sensing", values, "m")
     if m < 1:
         raise _fail("sensing", "m", f"must be >= 1, got {m}")
+    if m * m > MAX_BASIS_ENTRIES:
+        raise _fail("sensing", "m", f"m*m = {m}*{m} = {m * m} entries of G = A A^T "
+                                    f"exceed the cap of {MAX_BASIS_ENTRIES}")
     return SensingSpec(
         m=m,
         seed=_get_seed("sensing", values, "seed", DEFAULT_SENSING_SEED),

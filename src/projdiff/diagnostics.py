@@ -1,23 +1,30 @@
 """Quantitative checks on traces: burn-in detection and rate fits.
 
-This module reads traces only; the denoiser-vs-projection gap envelope sits
-beside the denoiser, in ``lrgmm_prior``.
+This module reads traces only, and loads no numpy: each function takes a
+``traces.TraceColumns``, which is what ``traces.parse_trace`` returns and
+what a ``recovery_engine.RecoveryTrace`` is, with lists or arrays as its
+columns, and the fits share one pure-Python least-squares line.  The
+denoiser-vs-projection gap envelope sits beside the denoiser, in
+``lrgmm_prior``.
 """
 
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InsufficientDataError
-from .recovery_engine import RecoveryTrace
+from .traces import TraceColumns
 
 MSE_FLOOR = 1e-28
 
 MIN_FIT_POINTS = 5
 
 
-def detect_burn_in(trace: RecoveryTrace, true_component: int):
+def _values(column) -> list:
+    """A column as a list: an array's ``tolist()``, which is faster to walk than the array."""
+    return column.tolist() if hasattr(column, "tolist") else column
+
+
+def detect_burn_in(trace: TraceColumns, true_component: int):
     """First row index from which the nearest component stays the true one.
 
     A row counts only when the true component is the strict minimiser:
@@ -29,10 +36,12 @@ def detect_burn_in(trace: RecoveryTrace, true_component: int):
     """
     if trace.nearest is None:
         raise ValueError("trace has no nearest-component columns")
-    pair = trace.subspace_distances
-    aligned = (trace.nearest == int(true_component)) & (pair[:, 0] < pair[:, 1])
-    misaligned = np.flatnonzero(~aligned)
-    first_stable = int(misaligned[-1]) + 1 if misaligned.size else 0
+    k = int(true_component)
+    first_stable = 0
+    for row, (nearest, (dist, second)) in enumerate(zip(_values(trace.nearest),
+                                                        _values(trace.subspace_distances)), 1):
+        if not (nearest == k and dist < second):
+            first_stable = row
     return first_stable if first_stable < trace.n_rows else None
 
 
@@ -44,39 +53,51 @@ class RateFit:
     n_points: int
 
 
-def _least_squares_line(xs: np.ndarray, ys: np.ndarray):
-    slope, intercept = np.polyfit(xs, ys, 1)
-    fitted = slope * xs + intercept
-    ss_res = float(np.sum((ys - fitted) ** 2))
-    ss_tot = float(np.sum((ys - np.mean(ys)) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return float(slope), r2
+def _least_squares_line(xs: list, ys: list):
+    """Slope and r2 of the least-squares line through the points (xs, ys).
+
+    The sums are taken about the means, each one correctly rounded
+    (``math.fsum``).  Points that share one x have no slope.
+    """
+    count = len(xs)
+    x_mean, y_mean = math.fsum(xs) / count, math.fsum(ys) / count
+    dxs = [x - x_mean for x in xs]
+    dys = [y - y_mean for y in ys]
+    sxx = math.fsum([dx * dx for dx in dxs])
+    if sxx == 0.0:
+        raise InsufficientDataError(f"all {count} points share x = {xs[0]!r}; a slope needs two")
+    slope = math.fsum([dx * dy for dx, dy in zip(dxs, dys)]) / sxx
+    ss_res = math.fsum([(dy - slope * dx) ** 2 for dx, dy in zip(dxs, dys)])
+    ss_tot = math.fsum([dy * dy for dy in dys])
+    # Equal ys lie on a flat line, though their mean, fsum(ys) / count, may
+    # miss their value by an ulp and leave ss_res = ss_tot > 0.
+    flat = min(ys) == max(ys)
+    r2 = 1.0 if flat or ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    return slope, r2
 
 
-def fit_linear_rate(trace: RecoveryTrace, from_n: int = 0) -> RateFit:
+def fit_linear_rate(trace: TraceColumns, from_n: int = 0) -> RateFit:
     """Per-iteration contraction factor of the root-mse, from a log-linear fit.
 
     Fits 0.5*log(mse_n) against n from ``from_n`` to the end of the trace,
     stopping before the first entry that is below the float floor of 1e-28
     or not finite.
     """
-    mse = trace.mse
     from_n = int(from_n)
     if not 0 <= from_n < trace.n_rows:
         raise ValueError(f"from_n {from_n} outside trace rows")
-    end = trace.n_rows
-    for i in range(from_n, trace.n_rows):
-        if not MSE_FLOOR <= mse[i] < math.inf:  # also stops on NaN
-            end = i
+    ys = []
+    for mse in _values(trace.mse)[from_n:]:
+        if not MSE_FLOOR <= mse < math.inf:  # also stops on NaN
             break
-    ns = trace.n[from_n:end].astype(float)
-    if ns.shape[0] < MIN_FIT_POINTS:
+        ys.append(0.5 * math.log(mse))
+    if len(ys) < MIN_FIT_POINTS:
         raise InsufficientDataError(
-            f"only {ns.shape[0]} usable mse points from n={from_n}; need {MIN_FIT_POINTS}"
+            f"only {len(ys)} usable mse points from n={from_n}; need {MIN_FIT_POINTS}"
         )
-    ys = 0.5 * np.log(mse[from_n:end])
+    ns = [float(n) for n in _values(trace.n)[from_n:from_n + len(ys)]]
     slope, r2 = _least_squares_line(ns, ys)
-    return RateFit(rate=math.exp(slope), slope=slope, r2=r2, n_points=int(ns.shape[0]))
+    return RateFit(rate=math.exp(slope), slope=slope, r2=r2, n_points=len(ys))
 
 
 def fit_convex_rate(curve) -> RateFit:
@@ -91,11 +112,9 @@ def fit_convex_rate(curve) -> RateFit:
         raise InsufficientDataError(
             f"only {len(pts)} positive-gap points; need {MIN_FIT_POINTS}"
         )
-    sigmas = np.array([s for s, _ in pts])
-    gaps = np.array([g for _, g in pts])
-    if np.any(sigmas >= 1.0):
-        raise ValueError("sigmas must be < 1 so that log(1/sigma) is positive")
-    xs = np.log(sigmas * np.sqrt(np.log(1.0 / sigmas)))
-    ys = np.log(gaps)
+    if not all(0.0 < s < 1.0 for s, _ in pts):
+        raise ValueError("sigmas must be > 0 and < 1 so that log(1/sigma) is positive")
+    xs = [math.log(s * math.sqrt(math.log(1.0 / s))) for s, _ in pts]
+    ys = [math.log(g) for _, g in pts]
     slope, r2 = _least_squares_line(xs, ys)
     return RateFit(rate=math.exp(slope), slope=slope, r2=r2, n_points=len(pts))

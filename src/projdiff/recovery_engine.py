@@ -54,12 +54,13 @@ import json
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import DivergenceError
+from .traces import NEAREST_COLUMNS, TRACE_COLUMNS, TRACE_FORMAT_LINE, TraceColumns, parse_trace
 
 # The fields each schedule kind takes besides ``kind``, in the order that
 # ``to_dict`` and a config's [schedule.<name>] section write them.
@@ -71,12 +72,6 @@ SCHEDULE_FIELDS = {
     "infinite_geometric": ("sigma_max", "a"),
 }
 SCHEDULE_KINDS = tuple(SCHEDULE_FIELDS)
-
-TRACE_FORMAT_LINE = "# projdiff-trace v2"
-
-# A trace's columns in file order: TRACE_COLUMNS, then NEAREST_COLUMNS if it has them.
-TRACE_COLUMNS = ("n", "sigma", "mse", "residual", "frontier_gap", "weight_entropy")
-NEAREST_COLUMNS = ("nearest", "dist_nearest", "dist_second")
 
 # simulate splits its runs into batches whose per-run arrays take about this
 # many bytes, so its memory does not grow with the number of runs.
@@ -292,33 +287,18 @@ def kadkhodaie_step(prior, a: np.ndarray, y: np.ndarray,
 
 
 @dataclass
-class RecoveryTrace:
-    """Per-iteration record of a recovery run.
+class RecoveryTrace(TraceColumns):
+    """Per-iteration record of a recovery run, its columns held as arrays.
 
     Row n holds the iterate x_n together with the schedule value sigma_n
     consumed by the step that produces x_{n+1}; the final row is the last
     iterate.  Columns that need unavailable context (mse without x_true,
-    weight entropy without a mixture prior) hold NaN.
+    weight entropy without a mixture prior) hold NaN.  ``nearest`` is
+    (rows,) and ``subspace_distances`` (rows, 2) when a union is known, and
+    ``iterates`` (rows, d) when recorded.
     """
 
-    n: np.ndarray
-    sigma: np.ndarray
-    mse: np.ndarray
-    residual: np.ndarray
-    frontier_gap: np.ndarray
-    weight_entropy: np.ndarray
-    nearest: np.ndarray = None             # (rows,) when a union is known
-    subspace_distances: np.ndarray = None  # (rows, 2): dist_nearest, dist_second
-    iterates: np.ndarray = None            # (rows, d) when recorded
-    metadata: dict = field(default_factory=dict)
-
-    @property
-    def n_rows(self) -> int:
-        return self.n.shape[0]
-
-    @property
-    def final_mse(self) -> float:
-        return float(self.mse[-1])
+    iterates: np.ndarray = None
 
     def write_csv(self, path) -> None:
         """Write the trace; a reader never sees a partly written file at ``path``."""
@@ -343,42 +323,13 @@ class RecoveryTrace:
 
     @classmethod
     def read_csv(cls, path) -> "RecoveryTrace":
-        with open(path, "r", newline="") as fh:
-            lines = fh.read().splitlines()
-        if lines and lines[0] == "# projdiff-trace v1":
-            raise ValueError(f"{path}: a v1 trace, no longer read; rerun simulate to write v2")
-        if not lines or lines[0] != TRACE_FORMAT_LINE:
-            raise ValueError(f"{path}: not a trace file (missing format line)")
-        if len(lines) < 3 or not lines[1].startswith("# "):
-            raise ValueError(f"{path}: missing metadata line")
-        metadata = json.loads(lines[1][2:])
-        if not isinstance(metadata, dict):
-            raise ValueError(f"{path}: metadata line is not a JSON object")
-        header = lines[2].split(",")
-        if header not in (list(TRACE_COLUMNS), list(TRACE_COLUMNS + NEAREST_COLUMNS)):
-            raise ValueError(f"{path}: unexpected columns {header}")
-        rows = [line for line in lines[3:] if line]
-        try:
-            # One C-level parse; it reads each value as float() does, bit for bit.
-            data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2) if rows else None
-        except ValueError:
-            data = None
-        if data is None or data.shape[1] != len(header):
-            raise ValueError(f"{path}: malformed data rows")
-        n, count = data[:, 0], np.arange(len(data))
-        if not np.array_equal(n, count):
-            row = int(np.argmax(n != count))
-            raise ValueError(f"{path}: malformed data rows: column n holds {float(n[row])!r}, "
-                             f"not an iteration number: data row {row} must hold n = {row}")
-        fixed = {name: data[:, i] for i, name in enumerate(TRACE_COLUMNS)}
-        fixed["n"] = count
-        nearest = dists = None
-        if len(header) > len(TRACE_COLUMNS):
-            nearest, dists = data[:, len(TRACE_COLUMNS)], data[:, len(TRACE_COLUMNS) + 1:]
-            if not np.all((nearest >= 0) & (nearest < 2**31) & (nearest == np.floor(nearest))):
-                raise ValueError(f"{path}: malformed data rows: column nearest holds a non-index")
-            nearest = nearest.astype(np.intp)
-        return cls(**fixed, nearest=nearest, subspace_distances=dists, metadata=metadata)
+        """The trace at ``path``: ``traces.parse_trace``, one array per column."""
+        parsed = parse_trace(path)
+        columns = {name: np.array(getattr(parsed, name)) for name in TRACE_COLUMNS}
+        if parsed.nearest is not None:
+            columns["nearest"] = np.array(parsed.nearest, dtype=np.intp)
+            columns["subspace_distances"] = np.array(parsed.subspace_distances)
+        return cls(**columns, metadata=parsed.metadata)
 
 
 def _operator_digest(operator: np.ndarray):

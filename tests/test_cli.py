@@ -447,6 +447,21 @@ def test_oversize_priors_exit_2_before_allocating(tmp_path, capsys, prior, messa
     assert not out.exists()
 
 
+def test_an_oversize_sensing_m_exits_2_before_anything_is_built(tmp_path, capsys):
+    """Every simulate worker holds G = A A^T, m x m: m*m is capped as a prior's bases are."""
+    assert pd.parse_config(SMALL_CONFIG.replace("m = 16", "m = 10000")).sensing.m == 10000
+    text = SMALL_CONFIG.replace("m = 16", "m = 10001")
+    message = ("[sensing] m: m*m = 10001*10001 = 100020001 entries of G = A A^T exceed the cap "
+               "of 100000000")
+    with pytest.raises(pd.ConfigError) as exc:
+        pd.parse_config(text)
+    assert str(exc.value) == message
+    out = tmp_path / "o"
+    assert cli.main(["simulate", write_config(tmp_path, text), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
 def _bound():
     return st.one_of(st.just(math.nan), st.floats(-2.0, 2.0))
 
@@ -784,7 +799,7 @@ def _out_of_memory(*args, **kwargs):
 
 @pytest.mark.parametrize("module,name,key,edit", [
     (lrgmm_prior, "random_lrgmm", "[prior] d", ("d = 16", "d = 4096")),
-    (sensing_analysis, "gaussian_operator", "[sensing] m", ("m = 16", "m = 1000000000000")),
+    (sensing_analysis, "gaussian_operator", "[sensing] m", ("m = 16", "m = 10000")),
     (modelio, "union_from_text", "[prior] path", None),
 ])
 def test_simulate_reports_an_oversize_build_as_exit_2(tmp_path, monkeypatch, capsys,

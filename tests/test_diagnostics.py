@@ -192,6 +192,20 @@ def test_linear_rate_recovers_exact_geometric_decay():
     assert fit.n_points == 12
 
 
+@pytest.mark.parametrize("backing", [np.array, list])
+def test_linear_rate_of_a_flat_trace_is_1_with_r2_1(backing):
+    """A flat mse is fitted exactly by a flat line: rate 1 and r2 1.
+
+    At mse = 0.03 over 12 rows the mean of the twelve equal log values
+    misses them by an ulp, and r2 came out 0.0 (0.083 at mse = 0.1 with
+    np.polyfit).
+    """
+    trace = synthetic_trace(np.full(12, 0.03))
+    trace.mse = backing(trace.mse)
+    fit = pd.fit_linear_rate(trace)
+    assert (fit.rate, fit.slope, fit.r2, fit.n_points) == (1.0, 0.0, 1.0, 12)
+
+
 def test_linear_rate_stops_at_the_float_floor():
     mse = np.array([1.0, 1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-30, 1e-32])
     fit = pd.fit_linear_rate(synthetic_trace(mse))

@@ -15,6 +15,7 @@ from projdiff import checks, cli, lrgmm_prior, recovery_engine
 from projdiff.config import build
 from projdiff.model_sets import UnionOfSubspaces, component_parts
 from projdiff.recovery_engine import TRACE_COLUMNS, TRACE_FORMAT_LINE
+from projdiff.traces import parse_trace
 
 V2_HEADER = "n,sigma,mse,residual,frontier_gap,weight_entropy,nearest,dist_nearest,dist_second"
 
@@ -854,6 +855,33 @@ def test_trace_reader_parses_values_as_float_does(tmp_path):
     for i, name in enumerate(recovery_engine.TRACE_COLUMNS[1:], start=1):
         expected = np.array([float(row[i]) for row in rows])
         assert getattr(trace, name).tobytes() == expected.tobytes(), name
+
+
+@pytest.mark.parametrize("text", [
+    "1_0", " 1.5", "1.5 ", "nan", "+inf", "-Infinity", "0x10", "1e5", "",
+    "\x1f1.5", "1.5\u3000", "\u0661", "1e400", "-0",
+])
+def test_trace_reader_accepts_a_field_as_loadtxt_does(tmp_path, text):
+    """numpy.loadtxt, which read traces before, is the oracle for each field.
+
+    float() reads 1_0 as 10.0 and the Arabic-Indic digit one as 1.0, and
+    does not strip \x1f; loadtxt refuses the first two and strips the last.
+    The parser must accept what loadtxt accepts, to the same bits, and
+    refuse what it refuses; so must ``RecoveryTrace.read_csv``.
+    """
+    try:
+        want = np.loadtxt([f"0,{text}"], delimiter=",", comments=None, ndmin=2)[0, 1]
+    except ValueError:
+        want = None
+    path = tmp_path / "t.csv"
+    path.write_text("\n".join([TRACE_FORMAT_LINE, "# {}", ",".join(TRACE_COLUMNS),
+                               f"0,{text},1,0,0,0"]) + "\n", encoding="utf-8")
+    for read in (parse_trace, pd.RecoveryTrace.read_csv):
+        if want is None:
+            with pytest.raises(ValueError, match="malformed data rows$"):
+                read(path)
+        else:
+            assert np.float64(read(path).sigma[0]).tobytes() == want.tobytes(), read
 
 
 def test_trace_file_starts_with_format_line(tmp_path):
