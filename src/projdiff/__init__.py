@@ -31,10 +31,11 @@ _SOURCES = {
                    "project_union", "random_subspace", "random_union",
                    "squared_projection_norms"),
     "modelio": ("load_model", "save_model"),
-    "recovery_engine": ("NoiseSchedule", "RecoveryTrace", "SensingProblem", "gpgd_step",
-                        "kadkhodaie_step", "run_recoveries", "run_recovery", "schedule_sigma"),
+    "recovery_engine": ("NoiseSchedule", "SensingProblem", "gpgd_step", "kadkhodaie_step",
+                        "run_recoveries", "run_recovery", "schedule_sigma"),
     "sensing_analysis": ("gaussian_operator", "restricted_lipschitz_estimate", "ric_union",
                          "spectral_norm"),
+    "traces": ("RecoveryTrace",),
 }
 _SUBMODULE = {name: module for module, names in _SOURCES.items() for name in names}
 

@@ -24,9 +24,10 @@ from .errors import FrontierError
 from .lrgmm_prior import projection_gap
 from .convex_prior import BoxSet, project_box
 from .model_sets import UnionOfSubspaces, coordinate_subspace, project_union, random_union
-from .recovery_engine import TRACE_COLUMNS, NoiseSchedule, RecoveryTrace, SensingProblem, \
-    gpgd_step, kadkhodaie_step, run_recovery, schedule_sigma
+from .recovery_engine import NoiseSchedule, SensingProblem, gpgd_step, kadkhodaie_step, \
+    run_recovery, schedule_sigma
 from .sensing_analysis import gaussian_operator, ric_union
+from .traces import TRACE_COLUMNS, RecoveryTrace
 
 CHECK_LEVELS = ("fast", "full")
 
@@ -220,7 +221,6 @@ def ric_probe_defect() -> float:
 def rate_fit_defect() -> float:
     """Error of fit_linear_rate on an exact 0.5-per-step decay."""
     trace = RecoveryTrace(
-        n=np.arange(12),
         sigma=np.geomspace(0.5, 1e-4, 12),
         mse=0.25 ** np.arange(12),
         residual=np.zeros(12),
@@ -231,25 +231,25 @@ def rate_fit_defect() -> float:
 
 
 def trace_roundtrip_mismatches() -> int:
-    """Trace fields that differ after a CSV write and read."""
+    """Fields that differ after a trace's CSV write and read, plus 1 if its rewrite differs."""
     prior = lrgmm_prior.random_lrgmm(5, 1, 2, np.random.default_rng(303))
     a = gaussian_operator(3, 5, np.random.default_rng(304))
     x_true = lrgmm_prior.sample(prior, np.random.default_rng(305))
     problem = SensingProblem(a, 1.0 / 50.0, a @ x_true, x_true=x_true, seed=305)
     trace = run_recovery(problem, None, NoiseSchedule("geometric", 0.5, 1e-3, 10), prior=prior)
-    fd, path = tempfile.mkstemp(suffix=".csv")
-    os.close(fd)
-    try:
-        trace.write_csv(path)
-        back = RecoveryTrace.read_csv(path)
-    finally:
-        os.unlink(path)
+    with tempfile.TemporaryDirectory() as tmp:
+        first, again = os.path.join(tmp, "first.csv"), os.path.join(tmp, "again.csv")
+        trace.write_csv(first)
+        back = RecoveryTrace.read_csv(first)
+        back.write_csv(again)
+        with open(first, "rb") as fh_first, open(again, "rb") as fh_again:
+            rewritten = fh_first.read() != fh_again.read()
     columns = TRACE_COLUMNS + ("nearest", "subspace_distances")
     mismatches = sum(
         not np.array_equal(getattr(trace, col), getattr(back, col), equal_nan=True)
         for col in columns
     )
-    return mismatches + (trace.metadata != back.metadata)
+    return mismatches + (trace.metadata != back.metadata) + rewritten
 
 
 # (name, measurement, fast-level arguments, full-level arguments, bound)

@@ -9,9 +9,9 @@ Subcommands:
 Exit codes: 0 ok, 2 config error or unwritable output, 3 divergence, 4 check failures.
 
 Each command imports the layers it runs inside itself, numpy included:
-``analyze`` reads traces through ``traces`` and fits them in
-``diagnostics``, and loads no numpy, no model, sensing or check module;
-only ``check`` loads ``checks``.
+``analyze`` reads what ``simulate`` wrote through ``traces``, the format's
+one writer and reader, fits it in ``diagnostics``, and loads no numpy, no
+model, sensing or check module; only ``check`` loads ``checks``.
 ``config.build`` turns a config into its model, operator and mu, and
 ``config.generate_model`` a gen-model spec into its model.
 """
@@ -30,7 +30,7 @@ from .errors import ConfigError, DivergenceError, InsufficientDataError
 
 if TYPE_CHECKING:
     from .config import ExperimentConfig
-    from .traces import TraceColumns
+    from .traces import RecoveryTrace
 
 MANIFEST_NAME = "manifest.json"
 RESOLVED_NAME = "resolved.cfg"
@@ -334,7 +334,7 @@ def _cell(value) -> str:
     return format(value, ".17g") if isinstance(value, float) else str(value)
 
 
-def _fit_row(trace: "TraceColumns", fname: str) -> dict:
+def _fit_row(trace: "RecoveryTrace", fname: str) -> dict:
     """The rates.csv fields of one trace, keyed by RATES_COLUMNS, None where absent."""
     from .diagnostics import detect_burn_in, fit_linear_rate
 
@@ -385,7 +385,7 @@ def cmd_analyze(args) -> int:
             if not isinstance(files, list) or not all(isinstance(f, str) for f in files):
                 raise TypeError(f"files is not a list of names: {files!r}")
             listed = set(files)
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+        except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
             print(f"unreadable {MANIFEST_NAME}: {exc!r}", file=sys.stderr)
             return 2
 
@@ -440,17 +440,19 @@ def cmd_analyze(args) -> int:
 
 
 def _parse_model_spec(spec: str) -> dict:
-    """``kind:key=v|v,...`` as a config section: lists become space-separated."""
+    """``kind:key=v|v,...``, each key once, as a config section: lists become space-separated."""
     kind, sep, rest = spec.partition(":")
     if not sep:
         raise ConfigError(f"model spec needs kind:key=value,..., got {spec!r}")
-    fields = {}
+    fields = {"kind": kind.strip()}
     for item in filter(None, rest.split(",")):
         key, sep, value = item.partition("=")
         if not sep:
             raise ConfigError(f"model spec item {item!r} is not key=value")
-        fields[key.strip()] = value.strip().replace("|", " ")
-    fields["kind"] = kind.strip()
+        key = key.strip()
+        if key in fields:
+            raise ConfigError(f"model spec gives {key!r} twice")
+        fields[key] = value.strip().replace("|", " ")
     return fields
 
 

@@ -1,8 +1,8 @@
 """Quantitative checks on traces: burn-in detection and rate fits.
 
 This module reads traces only, and loads no numpy: each function takes a
-``traces.TraceColumns``, which is what ``traces.parse_trace`` returns and
-what a ``recovery_engine.RecoveryTrace`` is, with lists or arrays as its
+``traces.RecoveryTrace``, with the lists that ``traces.parse_trace`` reads
+or the arrays that ``recovery_engine.run_recoveries`` builds as its
 columns, and the fits share one pure-Python least-squares line.  The
 denoiser-vs-projection gap envelope sits beside the denoiser, in
 ``lrgmm_prior``.
@@ -12,19 +12,14 @@ import math
 from dataclasses import dataclass
 
 from .errors import InsufficientDataError
-from .traces import TraceColumns
+from .traces import RecoveryTrace, _values
 
 MSE_FLOOR = 1e-28
 
 MIN_FIT_POINTS = 5
 
 
-def _values(column) -> list:
-    """A column as a list: an array's ``tolist()``, which is faster to walk than the array."""
-    return column.tolist() if hasattr(column, "tolist") else column
-
-
-def detect_burn_in(trace: TraceColumns, true_component: int):
+def detect_burn_in(trace: RecoveryTrace, true_component: int):
     """First row index from which the nearest component stays the true one.
 
     A row counts only when the true component is the strict minimiser:
@@ -76,7 +71,7 @@ def _least_squares_line(xs: list, ys: list):
     return slope, r2
 
 
-def fit_linear_rate(trace: TraceColumns, from_n: int = 0) -> RateFit:
+def fit_linear_rate(trace: RecoveryTrace, from_n: int = 0) -> RateFit:
     """Per-iteration contraction factor of the root-mse, from a log-linear fit.
 
     Fits 0.5*log(mse_n) against n from ``from_n`` to the end of the trace,
@@ -95,7 +90,7 @@ def fit_linear_rate(trace: TraceColumns, from_n: int = 0) -> RateFit:
         raise InsufficientDataError(
             f"only {len(ys)} usable mse points from n={from_n}; need {MIN_FIT_POINTS}"
         )
-    ns = [float(n) for n in _values(trace.n)[from_n:from_n + len(ys)]]
+    ns = [float(n) for n in range(from_n, from_n + len(ys))]
     slope, r2 = _least_squares_line(ns, ys)
     return RateFit(rate=math.exp(slope), slope=slope, r2=r2, n_points=len(ys))
 

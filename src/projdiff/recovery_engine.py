@@ -25,7 +25,9 @@ members (LrGmmPrior and BoxSet have them; this module names neither):
 ``run_recoveries`` is the one implementation of the iteration.  It takes
 the operator A and mu once for a batch and advances a (B, d) block of
 iterates, one row per run with its own y and sigma_n, with one ``step``
-call per trace row; ``run_recovery`` runs one ``SensingProblem``.  A run's
+call per trace row; ``run_recovery`` runs one ``SensingProblem``.  Each
+run's record is a ``traces.RecoveryTrace`` whose columns are arrays;
+``traces`` alone writes and reads the trace file.  A run's
 trace bytes do not depend on which runs share the block, and so neither on
 ``simulate``'s batches nor on its worker processes (``cli.cmd_simulate``
 says how it cuts its runs), because no computation mixes rows: sums run
@@ -50,9 +52,7 @@ the same run with ``box_denoiser`` passed as a ``denoise`` callable.
 """
 
 import ctypes
-import json
 import math
-import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
@@ -60,7 +60,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DivergenceError
-from .traces import NEAREST_COLUMNS, TRACE_COLUMNS, TRACE_FORMAT_LINE, TraceColumns, parse_trace
+from .traces import RecoveryTrace
 
 # The fields each schedule kind takes besides ``kind``, in the order that
 # ``to_dict`` and a config's [schedule.<name>] section write them.
@@ -286,52 +286,6 @@ def kadkhodaie_step(prior, a: np.ndarray, y: np.ndarray,
     return x - data_fit - prior_dir
 
 
-@dataclass
-class RecoveryTrace(TraceColumns):
-    """Per-iteration record of a recovery run, its columns held as arrays.
-
-    Row n holds the iterate x_n together with the schedule value sigma_n
-    consumed by the step that produces x_{n+1}; the final row is the last
-    iterate.  Columns that need unavailable context (mse without x_true,
-    weight entropy without a mixture prior) hold NaN.  ``nearest`` is
-    (rows,) and ``subspace_distances`` (rows, 2) when a union is known, and
-    ``iterates`` (rows, d) when recorded.
-    """
-
-    iterates: np.ndarray = None
-
-    def write_csv(self, path) -> None:
-        """Write the trace; a reader never sees a partly written file at ``path``."""
-        names = TRACE_COLUMNS + (NEAREST_COLUMNS if self.nearest is not None else ())
-        cols = [getattr(self, name)[:, None] for name in TRACE_COLUMNS[1:]]
-        if self.nearest is not None:
-            cols += [self.nearest[:, None], self.subspace_distances]
-        values = np.hstack(cols)
-        row_format = ",".join("%d" if name in ("n", "nearest") else "%.17g" for name in names)
-        header = [TRACE_FORMAT_LINE, "# " + json.dumps(self.metadata, sort_keys=True),
-                  ",".join(names)]
-        tmp = f"{path}.{os.getpid()}.tmp"  # not *.csv, so analyze never picks it up
-        try:
-            with open(tmp, "w", newline="\n") as fh:
-                fh.write("\n".join(header) + "\n")
-                fh.writelines(row_format % (n, *row.tolist()) + "\n"
-                              for n, row in zip(self.n.tolist(), values))
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):
-                os.remove(tmp)
-
-    @classmethod
-    def read_csv(cls, path) -> "RecoveryTrace":
-        """The trace at ``path``: ``traces.parse_trace``, one array per column."""
-        parsed = parse_trace(path)
-        columns = {name: np.array(getattr(parsed, name)) for name in TRACE_COLUMNS}
-        if parsed.nearest is not None:
-            columns["nearest"] = np.array(parsed.nearest, dtype=np.intp)
-            columns["subspace_distances"] = np.array(parsed.subspace_distances)
-        return cls(**columns, metadata=parsed.metadata)
-
-
 def _operator_digest(operator: np.ndarray):
     """The sha256 state after the operator's bytes, the prefix of every ``_problem_hash``.
 
@@ -459,7 +413,6 @@ def run_recoveries(a: np.ndarray, mu: float, y: np.ndarray, schedules, n_iters: 
     operator_digest = _operator_digest(a)
     for b in live:
         trace = RecoveryTrace(
-            n=np.arange(rows),
             sigma=sigma[b],
             mse=mse[b],
             residual=residual[b],

@@ -1,14 +1,15 @@
-"""The trace file format and its one parser, without numpy.
+"""The trace, its v2 file format and the format's one writer and reader, without numpy.
 
 A v2 trace file is the line TRACE_FORMAT_LINE, a ``# `` line holding the
 run's metadata as a JSON object, a header naming TRACE_COLUMNS, then
 NEAREST_COLUMNS if the run had a union, and one comma-separated row per
-iterate.  ``recovery_engine.RecoveryTrace`` writes it and reads it through
-``parse_trace``; ``analyze`` reads it here alone, so it loads no numpy.
+iterate.  ``RecoveryTrace.write_csv`` writes it and ``parse_trace`` reads
+it, for ``simulate`` and ``analyze`` alike; ``analyze`` loads no numpy.
 """
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 
 TRACE_FORMAT_LINE = "# projdiff-trace v2"
@@ -18,18 +19,25 @@ TRACE_COLUMNS = ("n", "sigma", "mse", "residual", "frontier_gap", "weight_entrop
 NEAREST_COLUMNS = ("nearest", "dist_nearest", "dist_second")
 
 
-@dataclass
-class TraceColumns:
-    """A trace's columns, one entry per row, and its metadata.
+def _values(column) -> list:
+    """A column as a list: an array's ``tolist()``, which is faster to walk than the array."""
+    return column.tolist() if hasattr(column, "tolist") else column
 
-    ``parse_trace`` fills the columns with lists: ints in ``n`` and
-    ``nearest``, floats elsewhere, and (dist_nearest, dist_second) pairs in
-    ``subspace_distances``.  ``recovery_engine.RecoveryTrace`` holds the
-    same columns as arrays.  ``nearest`` and ``subspace_distances`` are None
-    for a trace without the nearest-component columns.
+
+@dataclass
+class RecoveryTrace:
+    """Per-iteration record of a recovery run, one entry per row in each column.
+
+    Row n, n its index, holds the iterate x_n together with the schedule
+    value sigma_n consumed by the step that produces x_{n+1}; the final row
+    is the last iterate.  Columns that need unavailable context (mse without
+    x_true, weight entropy without a mixture prior) hold NaN.  ``nearest``
+    and ``subspace_distances`` (distance pairs) are None without a union, and
+    ``iterates`` (rows, d) unless recorded.  ``run_recoveries`` fills the
+    columns with arrays; ``read_csv`` gives lists, which ``np.asarray`` makes
+    arrays.
     """
 
-    n: list
     sigma: list
     mse: list
     residual: list
@@ -38,23 +46,55 @@ class TraceColumns:
     nearest: list = None
     subspace_distances: list = None
     metadata: dict = field(default_factory=dict)
+    iterates: object = None
 
     @property
     def n_rows(self) -> int:
-        return len(self.n)
+        return len(self.sigma)
+
+    @property
+    def n(self) -> range:
+        return range(self.n_rows)
 
     @property
     def final_mse(self) -> float:
         return float(self.mse[-1])
 
+    def write_csv(self, path) -> None:
+        """Write the trace; a reader never sees a partly written file at ``path``."""
+        names = TRACE_COLUMNS + (NEAREST_COLUMNS if self.nearest is not None else ())
+        columns = [_values(getattr(self, name)) for name in TRACE_COLUMNS[1:]]
+        if self.nearest is not None:
+            columns += [_values(self.nearest), *zip(*_values(self.subspace_distances))]
+        row_format = ",".join("%d" if name in ("n", "nearest") else "%.17g"
+                              for name in names) + "\n"
+        header = [TRACE_FORMAT_LINE, "# " + json.dumps(self.metadata, sort_keys=True),
+                  ",".join(names)]
+        tmp = f"{path}.{os.getpid()}.tmp"  # not *.csv, so analyze never picks it up
+        try:
+            with open(tmp, "w", newline="\n") as fh:
+                fh.write("\n".join(header) + "\n")
+                fh.writelines(row_format % row for row in zip(self.n, *columns, strict=True))
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
 
-def parse_trace(path) -> TraceColumns:
-    """The columns and metadata of the v2 trace file at ``path``.
+    @classmethod
+    def read_csv(cls, path) -> "RecoveryTrace":
+        """The trace at ``path``, as ``parse_trace`` reads it: its columns are lists."""
+        return parse_trace(path)
+
+
+def parse_trace(path) -> RecoveryTrace:
+    """The trace in the v2 file at ``path``: lists of floats, ints in ``nearest``.
 
     Raises ValueError, naming the path and the fault, for a file that is not
-    a v2 trace, for malformed data rows (a field that is no number, a row
-    of the wrong width, no rows), for a column n that does not count 0, 1,
-    2, ..., and for a column nearest that holds no component index.  Each
+    a v2 trace, for a metadata line that is no JSON object (one nested too
+    deeply to decode included), for malformed data rows (a field that is no
+    number, a row of the wrong width, no rows), for a column n that does not
+    count 0, 1, 2, ..., and for a column nearest that holds no component
+    index.  Each
     field is stripped of whitespace as ``str.strip`` strips it and read as
     float() reads it, but only ASCII without ``_``: the rules of numpy's
     text reader, which read traces before.  Empty lines are skipped.
@@ -67,7 +107,10 @@ def parse_trace(path) -> TraceColumns:
         raise ValueError(f"{path}: not a trace file (missing format line)")
     if len(lines) < 3 or not lines[1].startswith("# "):
         raise ValueError(f"{path}: missing metadata line")
-    metadata = json.loads(lines[1][2:])
+    try:
+        metadata = json.loads(lines[1][2:])
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"{path}: metadata line is not JSON: {exc}") from None
     if not isinstance(metadata, dict):
         raise ValueError(f"{path}: metadata line is not a JSON object")
     header = lines[2].split(",")
@@ -91,8 +134,7 @@ def parse_trace(path) -> TraceColumns:
         values = [list(map(float, column)) for column in columns]
     except ValueError:
         raise ValueError(f"{path}: malformed data rows") from None
-    n = values[0]
-    for row, value in enumerate(n):
+    for row, value in enumerate(values[0]):
         if value != row:
             raise ValueError(f"{path}: malformed data rows: column n holds {value!r}, "
                              f"not an iteration number: data row {row} must hold n = {row}")
@@ -103,5 +145,5 @@ def parse_trace(path) -> TraceColumns:
             raise ValueError(f"{path}: malformed data rows: column nearest holds a non-index")
         nearest = list(map(int, nearest))
         pairs = list(zip(*values[len(TRACE_COLUMNS) + 1:]))
-    return TraceColumns(list(range(len(n))), *values[1:len(TRACE_COLUMNS)], nearest=nearest,
-                        subspace_distances=pairs, metadata=metadata)
+    return RecoveryTrace(*values[1:len(TRACE_COLUMNS)], nearest=nearest,
+                         subspace_distances=pairs, metadata=metadata)

@@ -644,7 +644,7 @@ def test_simulate_recovers_and_reports_metadata(tmp_path):
     assert trace.metadata["trial_seed"] == 13
     assert trace.metadata["schedule"]["kind"] == "geometric"
     assert 0 <= trace.metadata["true_component"] < 4
-    assert trace.nearest.shape == (121,) and trace.subspace_distances.shape == (121, 2)
+    assert np.shape(trace.nearest) == (121,) and np.shape(trace.subspace_distances) == (121, 2)
     assert trace.nearest[-1] == trace.metadata["true_component"]
 
 
@@ -1234,6 +1234,25 @@ def test_simulate_box_prior_runs_without_union_columns(tmp_path):
     assert np.isfinite(trace.final_mse)
 
 
+@pytest.mark.parametrize("config", [
+    FLAGSHIP_SHAPED_CONFIG,
+    "[prior]\nkind = box\nlower = -1*12 0*4\nupper = 1*12 0*4\n[sensing]\nm = 10\nseed = 4\n"
+    "[schedule.geometric]\nsigma_max = 0.5\nsigma_min = 1e-4\nhorizon = 30\n"
+    "[run]\nn_iters = 30\ntrials = 4\n",
+], ids=["flagship-shaped", "box"])
+def test_a_simulate_trace_read_and_written_back_keeps_its_bytes(tmp_path, config):
+    """``read_csv`` gives lists where ``simulate`` wrote arrays; ``write_csv`` takes either."""
+    box = "kind = box" in config
+    out = _simulated(tmp_path, config)
+    traces = {name: data for name, data in read_files(out).items() if name.startswith("trace_")}
+    assert len(traces) == (4 if box else 8)
+    for name, data in traces.items():
+        trace = pd.RecoveryTrace.read_csv(os.path.join(out, name))
+        assert isinstance(trace.sigma, list) and (trace.nearest is None) == box
+        trace.write_csv(tmp_path / name)
+        assert (tmp_path / name).read_bytes() == data, name
+
+
 # The sha256 of that shortened box workload's trace_geometric_07000.csv and
 # trace_geometric_07001.csv, per BLAS core (see cli.blas_core).
 BOX_TRACE_SHA256 = {
@@ -1274,7 +1293,7 @@ def test_simulate_file_prior_wraps_a_saved_union(tmp_path):
     )
     out = _simulated(tmp_path, text, name="filep")
     trace = pd.RecoveryTrace.read_csv(os.path.join(out, "trace_geometric_00021.csv"))
-    assert set(trace.nearest.tolist()) <= {0, 1}
+    assert set(trace.nearest) <= {0, 1}
     assert trace.final_mse < 1e-12
 
 
@@ -1377,7 +1396,7 @@ def test_analyze_quotes_a_comma_in_a_file_or_schedule_name(tmp_path):
     """
     for name, schedule in (("trace_a,b.csv", "plain"), ("trace_plain_00001.csv", "a,b")):
         pd.RecoveryTrace(
-            n=np.arange(3), sigma=np.full(3, 0.5), mse=0.25 ** np.arange(3.0),
+            sigma=np.full(3, 0.5), mse=0.25 ** np.arange(3.0),
             residual=np.zeros(3), frontier_gap=np.full(3, np.nan),
             weight_entropy=np.full(3, np.nan), metadata={"schedule_name": schedule},
         ).write_csv(str(tmp_path / name))
@@ -1434,16 +1453,20 @@ def test_analyze_names_each_listed_trace_that_is_missing(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("manifest", [
-    {"files": "trace_lin_00043.csv"},
-    {"files": ["trace_lin_00043.csv", 7]},
-    {"files": {"trace_lin_00043.csv": 1}},
-    ["trace_lin_00043.csv"],
-    {},
-], ids=["string", "non-string-entry", "object", "list", "no-files"])
+    json.dumps({"files": "trace_lin_00043.csv"}),
+    json.dumps({"files": ["trace_lin_00043.csv", 7]}),
+    json.dumps({"files": {"trace_lin_00043.csv": 1}}),
+    json.dumps(["trace_lin_00043.csv"]),
+    json.dumps({}),
+    "[" * 200_000 + "]" * 200_000,
+], ids=["string", "non-string-entry", "object", "list", "no-files", "deeply-nested"])
 def test_analyze_rejects_a_malformed_manifest(tmp_path, capsys, manifest):
-    """``files`` must be a list of names: a string is not read as its set of characters."""
+    """``files`` must be a list of names: a string is not read as its set of characters.
+
+    JSON nested too deeply for the decoder is unreadable too, not a traceback.
+    """
     out = _simulated(tmp_path, TWO_SCHEDULE_CONFIG, name="bad")
-    (tmp_path / "bad" / "manifest.json").write_text(json.dumps(manifest))
+    (tmp_path / "bad" / "manifest.json").write_text(manifest)
     capsys.readouterr()
     assert cli.main(["analyze", out]) == 2
     err = capsys.readouterr().err
@@ -1470,7 +1493,6 @@ def test_analyze_skips_a_trace_whose_n_does_not_count_up(tmp_path, capsys):
 def test_analyze_recovers_a_planted_linear_rate(tmp_path):
     rows = 14
     trace = pd.RecoveryTrace(
-        n=np.arange(rows),
         sigma=np.geomspace(0.5, 1e-4, rows),
         mse=0.25 ** np.arange(rows, dtype=float),
         residual=np.zeros(rows),
@@ -1687,6 +1709,8 @@ def test_gen_model_prior_kinds_take_the_config_keys(tmp_path):
         ("matrix:m=2,d=3", "unknown model kind 'matrix'"),
         ("lrgmm:d=4,r=1,k=2,seed=-1", "[prior] seed: seeds must be >= 0, got -1"),
         ("union:d=8,ranks=2|3,seed=-1", "[union] seed: seeds must be >= 0, got -1"),
+        ("lrgmm:d=4,r=2,k=2,seed=1,seed=2", "model spec gives 'seed' twice"),
+        ("lrgmm:kind=box,d=4,r=2,k=2,seed=1", "model spec gives 'kind' twice"),
     ],
 )
 def test_gen_model_rejects_bad_specs(tmp_path, spec, message, capsys, monkeypatch):

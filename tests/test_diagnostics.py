@@ -24,7 +24,6 @@ def synthetic_trace(mse=None, distances=None):
         nearest = np.argmin(distances, axis=1)
         pair = np.sort(np.hstack([distances, np.full((rows, 1), np.inf)]), axis=1)[:, :2]
     return pd.RecoveryTrace(
-        n=np.arange(rows),
         sigma=np.geomspace(0.5, 1e-4, rows),
         mse=mse,
         residual=np.zeros(rows),

@@ -93,6 +93,28 @@ def test_analyze_runs_where_numpy_cannot_be_imported(flagship_traces, tmp_path, 
         assert (tmp_path / "blocked" / name).read_bytes() == (tmp_path / "free" / name).read_bytes()
 
 
+def test_traces_are_read_and_written_where_numpy_cannot_be_imported(flagship_traces, tmp_path,
+                                                                   package_env):
+    """``projdiff.RecoveryTrace`` reads a simulate trace and writes its bytes back without numpy."""
+    assert pd._SUBMODULE["RecoveryTrace"] == "traces"
+    code = ("import os, sys\n"
+            "sys.modules['numpy'] = None  # any import of numpy raises ImportError\n"
+            "import projdiff\n"
+            "source, target = sys.argv[1:]\n"
+            "for name in sorted(os.listdir(source)):\n"
+            "    if name.startswith('trace_'):\n"
+            "        trace = projdiff.RecoveryTrace.read_csv(os.path.join(source, name))\n"
+            "        trace.write_csv(os.path.join(target, name))\n")
+    proc = subprocess.run([sys.executable, "-c", code, flagship_traces.out, str(tmp_path)],
+                          capture_output=True, text=True, env=package_env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    written = sorted(path.name for path in tmp_path.iterdir())
+    assert len(written) == 80
+    for name in written:
+        source = pathlib.Path(flagship_traces.out, name)
+        assert (tmp_path / name).read_bytes() == source.read_bytes(), name
+
+
 def test_a_simulate_worker_imports_nothing(tmp_path, package_env):
     """Every module a run uses is loaded before simulate forks its workers."""
     code = (

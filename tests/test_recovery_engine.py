@@ -14,8 +14,7 @@ import projdiff as pd
 from projdiff import checks, cli, lrgmm_prior, recovery_engine
 from projdiff.config import build
 from projdiff.model_sets import UnionOfSubspaces, component_parts
-from projdiff.recovery_engine import TRACE_COLUMNS, TRACE_FORMAT_LINE
-from projdiff.traces import parse_trace
+from projdiff.traces import TRACE_COLUMNS, TRACE_FORMAT_LINE, parse_trace
 
 V2_HEADER = "n,sigma,mse,residual,frontier_gap,weight_entropy,nearest,dist_nearest,dist_second"
 
@@ -820,7 +819,6 @@ def test_trace_rows_match_per_element_formatting(tmp_path):
     rows = 6
     special = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 2.2250738585072014e-308])
     trace = pd.RecoveryTrace(
-        n=np.arange(rows),
         sigma=np.geomspace(0.5, 1e-4, rows),
         mse=special,
         residual=special[::-1].copy(),
@@ -832,7 +830,7 @@ def test_trace_rows_match_per_element_formatting(tmp_path):
     )
     path = tmp_path / "t.csv"
     trace.write_csv(path)
-    cols = [getattr(trace, name) for name in recovery_engine.TRACE_COLUMNS[1:]]
+    cols = [getattr(trace, name) for name in TRACE_COLUMNS[1:]]
     lines = [TRACE_FORMAT_LINE, "# " + json.dumps(trace.metadata, sort_keys=True),
              V2_HEADER]
     lines += [",".join([str(i)] + [format(c[i], ".17g") for c in cols] + [str(trace.nearest[i])]
@@ -847,14 +845,14 @@ def test_trace_reader_parses_values_as_float_does(tmp_path):
              "0.10000000000000001", "-1.2345678901234567e-05", "1.7976931348623157e+308",
              "3", "-nan", "0"]
     rows = [texts[i:i + 6] for i in range(0, len(texts), 6)]
-    lines = [TRACE_FORMAT_LINE, "# {}", ",".join(recovery_engine.TRACE_COLUMNS)]
+    lines = [TRACE_FORMAT_LINE, "# {}", ",".join(TRACE_COLUMNS)]
     lines += [",".join([str(n), *row[1:]]) for n, row in enumerate(rows)]
     path = tmp_path / "t.csv"
     path.write_text("\n".join(lines) + "\n")
     trace = pd.RecoveryTrace.read_csv(path)
-    for i, name in enumerate(recovery_engine.TRACE_COLUMNS[1:], start=1):
+    for i, name in enumerate(TRACE_COLUMNS[1:], start=1):
         expected = np.array([float(row[i]) for row in rows])
-        assert getattr(trace, name).tobytes() == expected.tobytes(), name
+        assert np.array(getattr(trace, name)).tobytes() == expected.tobytes(), name
 
 
 @pytest.mark.parametrize("text", [
@@ -988,6 +986,11 @@ def test_trace_reader_requires_n_to_count_from_0(tmp_path, ns, row, value):
             ],
             "column nearest holds a non-index",
         ),
+        ([TRACE_FORMAT_LINE, "# " + "[" * 200_000 + "]" * 200_000,
+          "n,sigma,mse,residual,frontier_gap,weight_entropy", "0,0,0,0,0,0"],
+         "bad.csv: metadata line is not JSON: maximum recursion depth exceeded"),
+        ([TRACE_FORMAT_LINE, "# {bad", "n,sigma,mse,residual,frontier_gap,weight_entropy",
+          "0,0,0,0,0,0"], "bad.csv: metadata line is not JSON: Expecting property name"),
     ],
 )
 def test_trace_reader_rejects_malformed_files(tmp_path, lines, message):
