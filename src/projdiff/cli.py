@@ -8,32 +8,31 @@ Subcommands:
 
 Exit codes: 0 ok, 2 config error or unwritable output, 3 divergence, 4 check failures.
 
-Each command imports the layers it runs inside itself, numpy included:
+Each command imports the layers it runs inside itself, numpy included.
+This module holds the parser, what several commands share, and
+``analyze``; ``simulate``'s orchestration is the ``simulate`` module, and
+only ``check`` loads ``checks``.  ``config.build`` turns a config into
+its model, operator and mu, and ``config.generate_model`` a gen-model
+spec into its model.
+
 ``analyze`` reads what ``simulate`` wrote through ``traces``, the format's
-one writer and reader, fits it in ``diagnostics``, and loads no numpy, no
-model, sensing or check module; only ``check`` loads ``checks``.
-``config.build`` turns a config into its model, operator and mu, and
-``config.generate_model`` a gen-model spec into its model.
+one writer and reader, and fits it in ``diagnostics``.  A sweep analyses
+many small directories, each in a fresh process, so its start-up is most
+of its time, and it loads only the code it runs: this module, ``errors``,
+``traces`` and ``diagnostics``, with no numpy, no model, sensing or check
+module, and no ``dataclasses``, ``statistics``, ``signal`` or
+``simulate``.  Its reports are UTF-8, each written whole or not at all.
 """
 
 import argparse
 import json
 import os
-import signal
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
-from functools import partial
-from typing import TYPE_CHECKING
 
-from .errors import ConfigError, DivergenceError, InsufficientDataError
-
-if TYPE_CHECKING:
-    from .config import ExperimentConfig
-    from .traces import RecoveryTrace
+from .errors import ConfigError, InsufficientDataError
 
 MANIFEST_NAME = "manifest.json"
-RESOLVED_NAME = "resolved.cfg"
 REPORT_NAME = "check_report.csv"
 ANALYZE_OUTPUTS = ("rates.csv", "summary.csv")
 RATES_COLUMNS = ("file", "schedule", "seed", "burn_in", "rate", "r2", "final_mse")
@@ -41,18 +40,6 @@ SUMMARY_COLUMNS = ("schedule", "n_traces", "mean_final_mse", "median_final_mse",
                    "n_converged")
 # summary.csv's n_converged counts the traces whose final mse is below this.
 CONVERGED_MSE = 1e-6
-
-
-def _apply_overrides(cfg: "ExperimentConfig", args) -> "ExperimentConfig":
-    changes = {}
-    if args.out is not None:
-        changes["out_dir"] = args.out
-    seed = args.seed_override
-    if seed is not None:
-        if seed < 0:
-            raise ConfigError(f"--seed-override: seeds must be >= 0, got {seed}")
-        changes["trial_seeds"] = tuple(range(seed, seed + len(cfg.trial_seeds)))
-    return replace(cfg, **changes)
 
 
 class _Unwritable(Exception):
@@ -77,234 +64,10 @@ def _writing(path):
         raise _Unwritable(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-def _trace_name(schedule_name: str, seed: int) -> str:
-    return f"trace_{schedule_name}_{seed:05d}.csv"
-
-
-def _simulate_share(cfg, model, operator, mu, runs, width) -> dict:
-    """Run ``runs`` (name, seed, schedule, metadata tuples) in batches of ``width``.
-
-    A batch draws its runs' truths, y = A x* and true components, once per
-    seed, and its traces are written before the next batch starts.  Returns
-    the written trace names, the diverged [name, iteration, message] entries
-    and the message of a trace that could not be written, where the share
-    stops.
-    """
-    import numpy as np
-
-    from .recovery_engine import _matvec, run_recoveries
-
-    files, diverged = [], []
-    for start in range(0, len(runs), width):
-        names, seeds, schedules, metadata = zip(*runs[start:start + width])
-        drawn = dict.fromkeys(seeds)
-        for seed in drawn:
-            x = model.sample(np.random.default_rng(seed))
-            drawn[seed] = x, _matvec(operator, x), model.true_component(x)
-        x_true, y, components = zip(*map(drawn.get, seeds))
-        metadata = [meta if component is None else {**meta, "true_component": component}
-                    for meta, component in zip(metadata, components)]
-        # overflow inside a diverging run is reported via DivergenceError
-        with np.errstate(over="ignore", invalid="ignore"):
-            results = run_recoveries(operator, mu, y, schedules, cfg.n_iters, model,
-                                     x_true=x_true, seeds=seeds, metadata=metadata)
-        for name, result in zip(names, results):
-            path = os.path.join(cfg.out_dir, name)
-            try:
-                with _writing(path):
-                    if isinstance(result, DivergenceError):
-                        diverged.append([name, result.iteration, str(result)])
-                        # An earlier run's file under this name is not this run's result.
-                        if os.path.exists(path):
-                            os.remove(path)
-                        continue
-                    result.write_csv(path)
-            except _Unwritable as exc:
-                return {"files": files, "diverged": diverged, "unwritable": str(exc)}
-            files.append(name)
-    return {"files": files, "diverged": diverged, "unwritable": None}
-
-
-def blas_core():
-    """The kernel set numpy's OpenBLAS runs, as OpenBLAS names it (``'SkylakeX'``).
-
-    OpenBLAS picks its kernels when it loads, and ``OPENBLAS_CORETYPE``
-    forces a choice.  Kernel sets round differently, so an exact digest of
-    BLAS or LAPACK output holds on one of them.  Some report another name
-    than the one forced: in numpy 2.4's OpenBLAS 0.3.31, ``Zen`` reports
-    (and runs) ``Haswell``, and ``Prescott`` reports ``Katmai``.  None if
-    numpy's BLAS is not its bundled OpenBLAS.
-    """
-    from .recovery_engine import _openblas_string
-
-    return _openblas_string("corename")
-
-
-def _versions() -> dict:
-    """The library versions that, with the BLAS core, fix a simulate's bytes."""
-    import platform
-
-    import numpy as np
-
-    from . import __version__
-    from .recovery_engine import _openblas_string
-
-    return {"projdiff": __version__, "python": platform.python_version(),
-            "numpy": np.__version__, "openblas_config": _openblas_string("config"),
-            "openblas_core": blas_core()}
-
-
-def _worker_count(n_runs: int) -> int:
-    """How many processes simulate splits ``n_runs`` runs over.
-
-    One per CPU in this process's affinity mask (so ``taskset`` restricts
-    it), never more than the runs, and 1 where the platform cannot fork or
-    report its affinity.
-    """
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)), n_runs))
-
-
-def _child(task, write_fd):
-    """In a forked child: run ``task``, send its JSON reply on ``write_fd``, and leave.
-
-    os._exit skips the parent's atexit handlers and unflushed buffers, which
-    the child holds copies of.
-    """
-    code = 1
-    try:
-        try:
-            reply, code = {"result": task()}, 0
-        except BaseException:
-            import traceback
-
-            reply = {"error": traceback.format_exc()}
-        with os.fdopen(write_fd, "w") as fh:
-            json.dump(reply, fh)
-    finally:
-        os._exit(code)
-
-
-def _run_forked(tasks) -> list:
-    """The results of ``tasks`` (callables returning JSON values), in order.
-
-    tasks[1:] run in forked children and tasks[0] in this process.  A child
-    that fails raises RuntimeError here with the child's traceback.  On any
-    exit, a child not yet reaped is killed and reaped: none outlives the call.
-    Forked, not spawned: a child shares the parent's operator and runs
-    without pickling or a second numpy import, and the command's only other
-    threads are OpenBLAS's, which it winds down around fork itself.  Every
-    task runs with OpenBLAS at one thread, and this process gets its thread
-    count back on any exit: workers that each ran OpenBLAS's own threads
-    would oversubscribe the CPUs they split.
-    """
-    from .recovery_engine import _one_blas_thread
-
-    pending, readers = [], []
-    with _one_blas_thread():
-        try:
-            for task in tasks[1:]:
-                read_fd, write_fd = os.pipe()
-                readers.append(os.fdopen(read_fd, "r"))
-                try:
-                    pid = os.fork()
-                    if pid == 0:
-                        _child(task, write_fd)
-                finally:
-                    os.close(write_fd)
-                pending.append(pid)
-            results = [tasks[0]()]
-            for pid, reader in zip(list(pending), readers):
-                payload = reader.read()
-                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                pending.remove(pid)
-                try:
-                    reply = json.loads(payload)
-                except ValueError:
-                    reply = {}
-                if status != 0 or "result" not in reply:
-                    raise RuntimeError(f"simulate worker {pid} failed (exit status {status})"
-                                       + (f":\n{reply['error']}" if "error" in reply else ""))
-                results.append(reply["result"])
-            return results
-        finally:
-            for reader in readers:
-                reader.close()
-            for pid in pending:
-                try:
-                    os.kill(pid, signal.SIGKILL)
-                except ProcessLookupError:
-                    pass
-                os.waitpid(pid, 0)
-
-
-def _write_manifest(path, manifest: dict) -> None:
-    with _writing(path), open(path, "w", newline="\n") as fh:
-        fh.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-
-
 def cmd_simulate(args) -> int:
-    from .config import build, load_config, prior_descriptor, serialize_config
-    from .recovery_engine import batch_width
+    from .simulate import run
 
-    try:
-        cfg = _apply_overrides(load_config(args.config), args)
-        model, operator, mu = build(cfg)
-    except (ValueError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    _make_out_dir(cfg.out_dir, "--out" if args.out is not None else "[run] out_dir")
-    # Until the run ends, the manifest says that it has not: one that stops
-    # early leaves it, and analyze refuses the directory rather than take an
-    # earlier run's traces for this run's.
-    manifest_path = os.path.join(cfg.out_dir, MANIFEST_NAME)
-    _write_manifest(manifest_path, {"incomplete": "simulate did not finish"})
-    resolved_path = os.path.join(cfg.out_dir, RESOLVED_NAME)
-    with _writing(resolved_path), open(resolved_path, "w", newline="\n") as fh:
-        fh.write(serialize_config(cfg))
-
-    descriptor = prior_descriptor(cfg.prior)
-    runs = [(_trace_name(schedule_name, seed), seed, schedule,
-             {"schedule_name": schedule_name, "trial_seed": seed, "prior": descriptor})
-            for seed in cfg.trial_seeds for schedule_name, schedule in cfg.schedules]
-    # The runs, in seed-major order, are cut into one contiguous share per
-    # worker (_worker_count: one per CPU this process may run on, so taskset
-    # restricts it).  This process runs share 0 and forked children the rest.
-    # A worker runs its share in batches that fit BATCH_BYTES: a batch draws
-    # its truths and measurements, and writes its traces before the next
-    # starts, so memory is one batch per worker besides each run's name,
-    # seed and schedule.  Trace bytes depend on neither the batching nor the
-    # workers.
-    width = batch_width(model, model.ambient_dim, cfg.n_iters)
-    workers = _worker_count(len(runs))
-    bounds = [len(runs) * i // workers for i in range(workers + 1)]
-    shares = [runs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    files, diverged = [], []
-    for result in _run_forked([partial(_simulate_share, cfg, model, operator, mu, share, width)
-                               for share in shares]):
-        if result["unwritable"]:
-            raise _Unwritable(result["unwritable"])
-        files += result["files"]
-        diverged += result["diverged"]
-
-    # The manifest is written on divergence too, and lists only the traces
-    # written: an earlier run's file under a diverged run's name is gone.
-    diverged.sort(key=lambda item: item[0])
-    manifest = {
-        "files": sorted(files + [RESOLVED_NAME, MANIFEST_NAME]),
-        "diverged": [{"file": name, "iteration": iteration} for name, iteration, _ in diverged],
-        "prior": descriptor,
-        "sensing_seed": cfg.sensing.seed,
-        "trial_seeds": list(cfg.trial_seeds),
-        "mu": mu,
-        "versions": _versions(),
-    }
-    _write_manifest(manifest_path, manifest)
-    for name, _, message in diverged:
-        print(f"divergence in run {name}: {message}", file=sys.stderr)
-    print(f"wrote {len(files)} traces to {cfg.out_dir}")
-    return 3 if diverged else 0
+    return run(args)
 
 
 def cmd_check(args) -> int:
@@ -334,8 +97,8 @@ def _cell(value) -> str:
     return format(value, ".17g") if isinstance(value, float) else str(value)
 
 
-def _fit_row(trace: "RecoveryTrace", fname: str) -> dict:
-    """The rates.csv fields of one trace, keyed by RATES_COLUMNS, None where absent."""
+def _fit_row(trace, fname: str) -> dict:
+    """The rates.csv fields of one RecoveryTrace, keyed by RATES_COLUMNS, None where absent."""
     from .diagnostics import detect_burn_in, fit_linear_rate
 
     # Metadata is whatever JSON the file holds: a field of the wrong type
@@ -356,11 +119,25 @@ def _fit_row(trace: "RecoveryTrace", fname: str) -> dict:
             "rate": rate, "r2": r2, "final_mse": trace.final_mse}
 
 
-def cmd_analyze(args) -> int:
-    import csv
-    import statistics
+def _csv_text(header, rows) -> str:
+    """CSV lines of ``header`` and then ``rows``, each ended by a newline.
 
-    from .traces import parse_trace
+    Names and schedules come from untrusted files: the writer quotes a field
+    that holds a comma, a quote or a line break, and no other.
+    """
+    import csv
+    import io
+
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return text.getvalue()
+
+
+def cmd_analyze(args) -> int:
+    from .diagnostics import mean, median
+    from .traces import parse_trace, write_atomically
 
     directory = args.dir
     if not os.path.isdir(directory):
@@ -403,6 +180,9 @@ def cmd_analyze(args) -> int:
             print(f"skipping {fname}: not listed in {MANIFEST_NAME}", file=sys.stderr)
             continue
         try:
+            # rates.csv is UTF-8: a name that is not (undecodable bytes come
+            # back as lone surrogates) could not be written there.
+            fname.encode("utf-8")
             trace = parse_trace(os.path.join(directory, fname))
         except (OSError, ValueError) as exc:
             print(f"skipping {fname}: {exc}", file=sys.stderr)
@@ -412,29 +192,29 @@ def cmd_analyze(args) -> int:
         print(f"no readable traces in {directory}", file=sys.stderr)
         return 2
 
-    # Names and schedules come from untrusted files: the writer quotes a
-    # field that holds a comma, a quote or a line break, and no other.
-    rates_path = os.path.join(out_dir, "rates.csv")
-    with _writing(rates_path), open(rates_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RATES_COLUMNS)
-        writer.writerows([_cell(row[key]) for key in RATES_COLUMNS] for row in rows)
-
     by_schedule = {}
     for row in rows:
         by_schedule.setdefault(row["schedule"], []).append(row)
-    summary_path = os.path.join(out_dir, "summary.csv")
-    with _writing(summary_path), open(summary_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SUMMARY_COLUMNS)
-        for schedule in sorted(by_schedule):
-            group = by_schedule[schedule]
-            mses = [row["final_mse"] for row in group]
-            burns = [row["burn_in"] for row in group if row["burn_in"] is not None]
-            fields = (schedule, len(group), statistics.mean(mses), statistics.median(mses),
-                      float(statistics.mean(burns)) if burns else None,
-                      sum(1 for mse in mses if mse < CONVERGED_MSE))
-            writer.writerow(map(_cell, fields))
+    summary = []
+    for schedule in sorted(by_schedule):
+        group = by_schedule[schedule]
+        mses = [row["final_mse"] for row in group]
+        burns = [row["burn_in"] for row in group if row["burn_in"] is not None]
+        summary.append((schedule, len(group), mean(mses), median(mses),
+                        mean(burns) if burns else None,
+                        sum(1 for mse in mses if mse < CONVERGED_MSE)))
+    # Both reports are made before either is written, and each replaces its
+    # file whole: a failure leaves no report half written.
+    reports = {
+        os.path.join(out_dir, "rates.csv"): _csv_text(
+            RATES_COLUMNS, ([_cell(row[key]) for key in RATES_COLUMNS] for row in rows)),
+        os.path.join(out_dir, "summary.csv"): _csv_text(
+            SUMMARY_COLUMNS, (map(_cell, fields) for fields in summary)),
+    }
+    for path, text in reports.items():
+        with _writing(path):
+            write_atomically(path, text)
+    rates_path, summary_path = reports
     print(f"analyzed {len(rows)} traces; wrote {rates_path} and {summary_path}")
     return 0
 

@@ -1,15 +1,17 @@
-"""Quantitative checks on traces: burn-in detection and rate fits.
+"""Quantitative checks on traces: burn-in detection, rate fits and summary statistics.
 
 This module reads traces only, and loads no numpy: each function takes a
 ``traces.RecoveryTrace``, with the lists that ``traces.parse_trace`` reads
 or the arrays that ``recovery_engine.run_recoveries`` builds as its
-columns, and the fits share one pure-Python least-squares line.  The
-denoiser-vs-projection gap envelope sits beside the denoiser, in
-``lrgmm_prior``.
+columns, and the fits share one pure-Python least-squares line.  ``mean``
+and ``median`` give what ``statistics`` gives, bit for bit, without its
+import of ``fractions`` and ``decimal``; ``RateFit`` is a namedtuple, not a
+dataclass, for the same reason.  The denoiser-vs-projection gap envelope
+sits beside the denoiser, in ``lrgmm_prior``.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import InsufficientDataError
 from .traces import RecoveryTrace, _values
@@ -40,12 +42,50 @@ def detect_burn_in(trace: RecoveryTrace, true_component: int):
     return first_stable if first_stable < trace.n_rows else None
 
 
-@dataclass(frozen=True)
-class RateFit:
-    rate: float
-    slope: float
-    r2: float
-    n_points: int
+# A namedtuple: iterable, and equal to the tuple (rate, slope, r2, n_points).
+RateFit = namedtuple("RateFit", ("rate", "slope", "r2", "n_points"))
+
+
+def mean(values) -> float:
+    """The mean of ``values`` (floats or ints) as ``float(statistics.mean(values))``.
+
+    The finite values are summed exactly, as integers over a common
+    denominator, and the sum is divided by the count in one correctly
+    rounded int true division.  If any value is inf or nan, the result is
+    instead the sum of those values alone, in order, over the count, as in
+    ``statistics``: [1e308, 1e308, -inf] gives -inf, not nan.  The result
+    is that of ``statistics`` bit for bit, but for the sign of a nan, which
+    CPython's float addition does not keep fixed.
+    """
+    ratios, special = [], []
+    for value in values:
+        try:
+            ratios.append(value.as_integer_ratio())
+        except (OverflowError, ValueError):  # inf, nan
+            special.append(value)
+    count = len(ratios) + len(special)
+    if count == 0:
+        raise ValueError("mean of no values")
+    if special:
+        total = 0
+        for value in special:
+            total += value
+        return total / count
+    denominator = math.lcm(*[den for _, den in ratios])
+    return sum(num * (denominator // den) for num, den in ratios) / (denominator * count)
+
+
+def median(values):
+    """The median of ``values`` as ``statistics.median`` gives it.
+
+    The middle of the sorted values, or the mean (a + b) / 2 of the two in
+    the middle.
+    """
+    ordered = sorted(values)
+    if not ordered:
+        raise ValueError("median of no values")
+    half = len(ordered) // 2
+    return ordered[half] if len(ordered) % 2 else (ordered[half - 1] + ordered[half]) / 2
 
 
 def _least_squares_line(xs: list, ys: list):

@@ -29,7 +29,7 @@ call per trace row; ``run_recovery`` runs one ``SensingProblem``.  Each
 run's record is a ``traces.RecoveryTrace`` whose columns are arrays;
 ``traces`` alone writes and reads the trace file.  A run's
 trace bytes do not depend on which runs share the block, and so neither on
-``simulate``'s batches nor on its worker processes (``cli.cmd_simulate``
+``simulate``'s batches nor on its worker processes (``simulate.run``
 says how it cuts its runs), because no computation mixes rows: sums run
 along each row's own axis, and ``_matvec`` makes every operator product of
 a block one gemv per row, whose sums depend on neither the row's position
@@ -216,7 +216,7 @@ def _one_blas_thread():
     ``_matvec``); the pin is for speed.  ``simulate`` runs one worker per
     CPU, and workers that each ran OpenBLAS's own threads would
     oversubscribe the CPUs they split: without this pin and
-    ``cli._run_forked``'s, the benchmark's box ``simulate`` on 2 CPUs took
+    ``simulate._run_forked``'s, the benchmark's box ``simulate`` on 2 CPUs took
     0.565 s against 0.528 s (medians of 10, alternating).
 
     Without the bundled OpenBLAS's thread calls, or at one thread already,

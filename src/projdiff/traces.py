@@ -4,13 +4,16 @@ A v2 trace file is the line TRACE_FORMAT_LINE, a ``# `` line holding the
 run's metadata as a JSON object, a header naming TRACE_COLUMNS, then
 NEAREST_COLUMNS if the run had a union, and one comma-separated row per
 iterate.  ``RecoveryTrace.write_csv`` writes it and ``parse_trace`` reads
-it, for ``simulate`` and ``analyze`` alike; ``analyze`` loads no numpy.
+it, for ``simulate`` and ``analyze`` alike.  ``analyze`` imports this
+module on its start-up path, so it loads only ``json``, ``math`` and
+``os``: no numpy, and no ``dataclasses``, whose import of ``inspect`` costs
+more than the module itself.  ``write_atomically`` is the one temp-file
+writer, for traces and for analyze's reports.
 """
 
 import json
 import math
 import os
-from dataclasses import dataclass, field
 
 TRACE_FORMAT_LINE = "# projdiff-trace v2"
 
@@ -24,7 +27,23 @@ def _values(column) -> list:
     return column.tolist() if hasattr(column, "tolist") else column
 
 
-@dataclass
+def write_atomically(path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8; a reader never sees a partly written file there.
+
+    The text is encoded before any file is opened, so a text that UTF-8
+    cannot hold raises UnicodeEncodeError and leaves ``path`` as it was.
+    """
+    data = text.encode("utf-8")
+    tmp = f"{path}.{os.getpid()}.tmp"  # not *.csv, so analyze never picks it up
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 class RecoveryTrace:
     """Per-iteration record of a recovery run, one entry per row in each column.
 
@@ -33,20 +52,22 @@ class RecoveryTrace:
     is the last iterate.  Columns that need unavailable context (mse without
     x_true, weight entropy without a mixture prior) hold NaN.  ``nearest``
     and ``subspace_distances`` (distance pairs) are None without a union, and
-    ``iterates`` (rows, d) unless recorded.  ``run_recoveries`` fills the
-    columns with arrays; ``read_csv`` gives lists, which ``np.asarray`` makes
-    arrays.
+    ``iterates`` (rows, d) unless recorded.  ``metadata`` is a new empty
+    dict unless given.  ``run_recoveries`` fills the columns with arrays;
+    ``read_csv`` gives lists, which ``np.asarray`` makes arrays.
     """
 
-    sigma: list
-    mse: list
-    residual: list
-    frontier_gap: list
-    weight_entropy: list
-    nearest: list = None
-    subspace_distances: list = None
-    metadata: dict = field(default_factory=dict)
-    iterates: object = None
+    def __init__(self, sigma, mse, residual, frontier_gap, weight_entropy, nearest=None,
+                 subspace_distances=None, metadata=None, iterates=None):
+        self.sigma = sigma
+        self.mse = mse
+        self.residual = residual
+        self.frontier_gap = frontier_gap
+        self.weight_entropy = weight_entropy
+        self.nearest = nearest
+        self.subspace_distances = subspace_distances
+        self.metadata = {} if metadata is None else metadata
+        self.iterates = iterates
 
     @property
     def n_rows(self) -> int:
@@ -70,15 +91,8 @@ class RecoveryTrace:
                               for name in names) + "\n"
         header = [TRACE_FORMAT_LINE, "# " + json.dumps(self.metadata, sort_keys=True),
                   ",".join(names)]
-        tmp = f"{path}.{os.getpid()}.tmp"  # not *.csv, so analyze never picks it up
-        try:
-            with open(tmp, "w", newline="\n") as fh:
-                fh.write("\n".join(header) + "\n")
-                fh.writelines(row_format % row for row in zip(self.n, *columns, strict=True))
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):
-                os.remove(tmp)
+        write_atomically(path, "\n".join(header) + "\n" + "".join(
+            row_format % row for row in zip(self.n, *columns, strict=True)))
 
     @classmethod
     def read_csv(cls, path) -> "RecoveryTrace":
@@ -91,13 +105,13 @@ def parse_trace(path) -> RecoveryTrace:
 
     Raises ValueError, naming the path and the fault, for a file that is not
     a v2 trace, for a metadata line that is no JSON object (one nested too
-    deeply to decode included), for malformed data rows (a field that is no
-    number, a row of the wrong width, no rows), for a column n that does not
-    count 0, 1, 2, ..., and for a column nearest that holds no component
-    index.  Each
-    field is stripped of whitespace as ``str.strip`` strips it and read as
-    float() reads it, but only ASCII without ``_``: the rules of numpy's
-    text reader, which read traces before.  Empty lines are skipped.
+    deeply to decode included) or that holds a lone surrogate, for malformed
+    data rows (a field that is no number, a row of the wrong width, no
+    rows), for a column n that does not count 0, 1, 2, ..., and for a column
+    nearest that holds no component index.  Each field is stripped of
+    whitespace as ``str.strip`` strips it and read as float() reads it, but
+    only ASCII without ``_``: the rules of numpy's text reader, which read
+    traces before.  Empty lines are skipped.
     """
     with open(path, "r", newline="") as fh:
         lines = fh.read().splitlines()
@@ -113,6 +127,14 @@ def parse_trace(path) -> RecoveryTrace:
         raise ValueError(f"{path}: metadata line is not JSON: {exc}") from None
     if not isinstance(metadata, dict):
         raise ValueError(f"{path}: metadata line is not a JSON object")
+    # An escape such as \ud800 decodes to a lone surrogate, which no UTF-8
+    # file, analyze's reports included, can hold.
+    if "\\u" in lines[1]:
+        try:
+            json.dumps(metadata, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError(f"{path}: metadata line holds a lone surrogate escape "
+                             f"(\\ud800 to \\udfff), which UTF-8 cannot encode") from None
     header = lines[2].split(",")
     if header not in (list(TRACE_COLUMNS), list(TRACE_COLUMNS + NEAREST_COLUMNS)):
         raise ValueError(f"{path}: unexpected columns {header}")

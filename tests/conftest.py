@@ -7,7 +7,7 @@ session, whose traces every test that inspects them reads back.
 
 ``log_component_density`` is a one-component oracle for the library's
 stacked posterior, and ``assert_pinned`` checks an exact value recorded per
-BLAS core (``cli.blas_core``, which simulate's manifest records); tests
+BLAS core (``simulate.blas_core``, which simulate's manifest records); tests
 import them with ``from conftest import ...``.
 """
 
@@ -19,8 +19,8 @@ from types import SimpleNamespace
 import pytest
 
 import projdiff as pd
-from projdiff import cli
-from projdiff.cli import blas_core
+from projdiff import cli, simulate
+from projdiff.simulate import blas_core
 from projdiff.config import build
 
 FLAGSHIP_CFG = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -91,7 +91,8 @@ def flagship_traces(flagship_setup, tmp_path_factory):
     assert cli.main(["simulate", FLAGSHIP_CFG, "--out", out]) == 0
     elapsed = time.monotonic() - start
     traces = {
-        (name, seed): pd.RecoveryTrace.read_csv(os.path.join(out, cli._trace_name(name, seed)))
+        (name, seed): pd.RecoveryTrace.read_csv(
+            os.path.join(out, simulate._trace_name(name, seed)))
         for seed in s.trial_seeds
         for name in s.schedules
     }

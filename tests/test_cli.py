@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import projdiff as pd
 from conftest import assert_pinned, log_component_density
 from projdiff import checks, cli, config, lrgmm_prior, model_sets, modelio, recovery_engine, \
-    sensing_analysis
+    sensing_analysis, simulate
 from projdiff.checks import run_checks
 from projdiff.config import (
     _PRIOR_KEYS,
@@ -676,7 +676,7 @@ def test_simulate_manifest_lists_every_output(tmp_path):
         "trace_lin_00044.csv",
     }
     # It names what the bytes depend on besides the config.
-    versions, core = manifest["versions"], cli.blas_core()
+    versions, core = manifest["versions"], simulate.blas_core()
     assert versions == {"projdiff": pd.__version__, "python": platform.python_version(),
                         "numpy": np.__version__, "openblas_config": versions["openblas_config"],
                         "openblas_core": core}
@@ -918,7 +918,7 @@ def test_an_unwritable_trace_exits_2_and_marks_the_run_incomplete(tmp_path, monk
     name = "trace_geometric_00043.csv" if side == "parent" else "trace_lin_00044.csv"
     (out / name).unlink()
     (out / name).mkdir()
-    monkeypatch.setattr(cli, "_worker_count", lambda n_runs: 2)
+    monkeypatch.setattr(simulate, "_worker_count", lambda n_runs: 2)
     capsys.readouterr()
     assert cli.main(["simulate", cfg_path, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"cannot write {out / name}: Is a directory\n"
@@ -1048,7 +1048,7 @@ def test_simulate_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeypatch,
     monkeypatch.setattr(os, "fork", counted_fork)
     outs = {}
     for workers in (1, 2, 3):
-        monkeypatch.setattr(cli, "_worker_count", lambda n_runs: workers)
+        monkeypatch.setattr(simulate, "_worker_count", lambda n_runs: workers)
         forks.clear()
         out = str(tmp_path / f"w{workers}")
         assert cli.main(["simulate", cfg_path, "--out", out]) == 0
@@ -1074,7 +1074,7 @@ def test_simulate_draws_the_truths_of_one_batch_at_a_time(tmp_path, monkeypatch)
     def first_batch(*args, **kwargs):
         raise FirstBatch(tracemalloc.get_traced_memory()[0])
 
-    monkeypatch.setattr(cli, "_worker_count", lambda n_runs: 1)
+    monkeypatch.setattr(simulate, "_worker_count", lambda n_runs: 1)
     monkeypatch.setattr(recovery_engine, "run_recoveries", first_batch)
     tracemalloc.start()
     try:
@@ -1097,7 +1097,7 @@ def test_simulate_merges_a_divergence_from_a_childs_share(tmp_path, monkeypatch,
             if (meta["schedule_name"], meta["trial_seed"]) == ("lin", 44):
                 results[i] = pd.DivergenceError("iterate left the finite range", 7)
 
-    monkeypatch.setattr(cli, "_worker_count", lambda n_runs: 2)
+    monkeypatch.setattr(simulate, "_worker_count", lambda n_runs: 2)
     monkeypatch.setattr(recovery_engine, "run_recoveries",
                         _engine_calling(diverge, in_parent=False))
     capsys.readouterr()
@@ -1116,7 +1116,7 @@ def test_a_failing_worker_fails_simulate_and_leaves_no_child(tmp_path, monkeypat
     def boom(metadata, results):
         raise ValueError(f"boom in the {side}")
 
-    monkeypatch.setattr(cli, "_worker_count", lambda n_runs: 3)
+    monkeypatch.setattr(simulate, "_worker_count", lambda n_runs: 3)
     monkeypatch.setattr(recovery_engine, "run_recoveries", _engine_calling(boom, side == "parent"))
     cfg_path = write_config(tmp_path, FLAGSHIP_SHAPED_CONFIG)
     with pytest.raises((RuntimeError, ValueError), match=f"boom in the {side}") as info:
@@ -1132,14 +1132,14 @@ def test_a_failing_worker_fails_simulate_and_leaves_no_child(tmp_path, monkeypat
 def test_a_failing_child_makes_the_command_exit_1_with_its_traceback(tmp_path, package_env):
     code = (
         "import os, sys\n"
-        "from projdiff import cli, recovery_engine\n"
+        "from projdiff import cli, recovery_engine, simulate\n"
         "parent = os.getpid()\n"
         "def broken(*args, **kwargs):\n"
         "    if os.getpid() != parent:\n"
         "        raise KeyError('no such run')\n"
         "    return real(*args, **kwargs)\n"
         "real, recovery_engine.run_recoveries = recovery_engine.run_recoveries, broken\n"
-        "cli._worker_count = lambda n_runs: 2\n"
+        "simulate._worker_count = lambda n_runs: 2\n"
         "sys.exit(cli.main(sys.argv[1:]))\n"
     )
     cfg_path = write_config(tmp_path, TWO_SCHEDULE_CONFIG)
@@ -1157,7 +1157,7 @@ def test_simulate_on_one_cpu_does_not_fork(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     monkeypatch.setattr(os, "fork", no_fork)
-    assert cli._worker_count(8) == 1
+    assert simulate._worker_count(8) == 1
     out = _simulated(tmp_path, TWO_SCHEDULE_CONFIG)
     assert len([f for f in os.listdir(out) if f.startswith("trace_")]) == 4
 
@@ -1175,13 +1175,13 @@ def test_run_forked_runs_workers_at_one_blas_thread_and_restores_the_count():
     try:
         set_(2)
         # Several workers, in this process and in forked children, each at one thread.
-        assert cli._run_forked([get, get, get]) == [1, 1, 1]
+        assert simulate._run_forked([get, get, get]) == [1, 1, 1]
         assert get() == 2
         with pytest.raises(ValueError, match="boom"):
-            cli._run_forked([fail, get])
+            simulate._run_forked([fail, get])
         assert get() == 2
         # A lone worker runs at one thread too.
-        assert cli._run_forked([get]) == [1]
+        assert simulate._run_forked([get]) == [1]
         assert get() == 2
     finally:
         set_(before)
@@ -1189,9 +1189,9 @@ def test_run_forked_runs_workers_at_one_blas_thread_and_restores_the_count():
 
 def test_worker_count_follows_the_affinity_mask_and_the_runs(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-    assert [cli._worker_count(n) for n in (1, 3, 4, 80)] == [1, 3, 4, 4]
+    assert [simulate._worker_count(n) for n in (1, 3, 4, 80)] == [1, 3, 4, 4]
     monkeypatch.delattr(os, "sched_getaffinity")
-    assert cli._worker_count(80) == 1
+    assert simulate._worker_count(80) == 1
 
 
 def test_simulate_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, package_env):
@@ -1254,7 +1254,7 @@ def test_a_simulate_trace_read_and_written_back_keeps_its_bytes(tmp_path, config
 
 
 # The sha256 of that shortened box workload's trace_geometric_07000.csv and
-# trace_geometric_07001.csv, per BLAS core (see cli.blas_core).
+# trace_geometric_07001.csv, per BLAS core (see simulate.blas_core).
 BOX_TRACE_SHA256 = {
     "SkylakeX": ("6e2d4495d648c82511fee744db18c33d76af3afaac3ac7109138d9aac46c0565",
                  "75c6201f3191f5ae92c63bc7059025eda6d95e7cae96e2ee7661e5a24b83b4bd"),
@@ -1555,6 +1555,74 @@ def test_analyze_treats_mistyped_metadata_as_absent(tmp_path, metadata, capsys):
     assert float(row[4]) == pytest.approx(0.5, rel=1e-12)
 
 
+def _hand_trace(path, metadata_line):
+    """A six-row v2 trace whose metadata line is ``metadata_line``, as it stands in the file."""
+    lines = ["# projdiff-trace v2", "# " + metadata_line,
+             "n,sigma,mse,residual,frontier_gap,weight_entropy"]
+    lines += [f"{n},0.5,{0.25 ** n!r},0,nan,nan" for n in range(6)]
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("metadata_line", [
+    '{"schedule_name": "\\ud800"}',
+    '{"trial_seed": 1, "prior": {"\\udfff": 2}}',
+], ids=["value", "nested-key"])
+def test_analyze_skips_a_trace_whose_metadata_holds_a_lone_surrogate(tmp_path, capsys,
+                                                                     metadata_line):
+    """A lone surrogate escape is valid JSON, but no UTF-8 report can hold it.
+
+    It used to end analyze in UnicodeEncodeError, exit 1, with rates.csv
+    written up to that trace's row.
+    """
+    _hand_trace(tmp_path / "trace_bad_00001.csv", metadata_line)
+    _hand_trace(tmp_path / "trace_good_00001.csv", '{"schedule_name": "good \\u00e9"}')
+    assert cli.main(["analyze", str(tmp_path)]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("skipping trace_bad_00001.csv: ")
+    assert "lone surrogate" in err and "trace_good" not in err
+    with open(tmp_path / "rates.csv", encoding="utf-8") as fh:
+        assert [row["schedule"] for row in csv.DictReader(fh)] == ["good \u00e9"]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="needs a file system that takes any bytes")
+def test_analyze_skips_a_trace_whose_name_is_not_utf8(tmp_path, package_env):
+    """A name with undecodable bytes lists as lone surrogates, which no UTF-8 report can hold.
+
+    Run as a command, whose stderr prints such a name escaped.
+    """
+    _hand_trace(tmp_path / "trace_good_00001.csv", "{}")
+    with open(os.path.join(os.fsencode(tmp_path), b"trace_\xff_00001.csv"), "wb") as fh:
+        fh.write((tmp_path / "trace_good_00001.csv").read_bytes())
+    proc = subprocess.run([sys.executable, "-m", "projdiff", "analyze", str(tmp_path)],
+                          capture_output=True, text=True, env=package_env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.startswith("skipping trace_\\udcff_00001.csv: ")
+    with open(tmp_path / "rates.csv", encoding="utf-8") as fh:
+        assert [row["file"] for row in csv.DictReader(fh)] == ["trace_good_00001.csv"]
+
+
+def test_analyze_leaves_no_report_half_written(tmp_path, capsys, monkeypatch):
+    """A report is replaced whole or not at all: a failed write leaves the old file and no temp."""
+    out = _simulated(tmp_path, TWO_SCHEDULE_CONFIG, name="two")
+    for name in ("rates.csv", "summary.csv"):
+        with open(os.path.join(out, name), "w") as fh:
+            fh.write("old report\n")
+    before = sorted(os.listdir(out))
+
+    def refuse(src, dst):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    capsys.readouterr()
+    assert cli.main(["analyze", out]) == 2
+    assert capsys.readouterr().err == (
+        f"cannot write {os.path.join(out, 'rates.csv')}: No space left on device\n")
+    assert sorted(os.listdir(out)) == before
+    for name in ("rates.csv", "summary.csv"):
+        with open(os.path.join(out, name)) as fh:
+            assert fh.read() == "old report\n"
+
+
 def test_analyze_exits_2_when_nothing_is_readable(tmp_path, capsys):
     (tmp_path / "garbage.csv").write_text("not a trace\n")
     assert cli.main(["analyze", str(tmp_path)]) == 2
@@ -1614,7 +1682,7 @@ def test_gen_model_lrgmm_and_box(tmp_path):
 # Other runs read these files back, so their bytes are pinned.  The
 # rank-mixed union writes each component's own columns of the zero-padded
 # stack, not its padding.  Its bases come from a LAPACK QR, so its bytes are
-# recorded per BLAS core (see cli.blas_core); the sparse file makes no
+# recorded per BLAS core (see simulate.blas_core); the sparse file makes no
 # BLAS call.
 GEN_MODEL_SHA256 = {
     "union:d=8,ranks=2|3,seed=5": {

@@ -1,10 +1,15 @@
 import math
+import statistics
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import projdiff as pd
 from projdiff import recovery_engine
+from projdiff.diagnostics import mean, median
 from projdiff.model_sets import UnionOfSubspaces, component_parts
 
 
@@ -280,3 +285,59 @@ def test_convex_rate_rejects_sigma_at_or_above_one():
     curve = [(1.5, 1.0), (0.5, 0.5), (0.25, 0.2), (0.1, 0.1), (0.05, 0.04)]
     with pytest.raises(ValueError, match="< 1"):
         pd.fit_convex_rate(curve)
+
+
+# ------------------------------------------- summary.csv's mean and median
+
+# Any float, subnormals, -0.0, inf and nan among them, with extra weight on
+# the magnitudes whose exact sum needs a wide common denominator.
+FLOATS = st.one_of(st.floats(), st.floats(1e-300, 1e300), st.floats(-1e300, -1e-300),
+                   st.sampled_from([0.0, -0.0, 5e-324, math.inf, -math.inf, math.nan]))
+# Burn-ins are row indices; wider ints check the exact sum too.
+INTS = st.one_of(st.integers(0, 2**31 - 1), st.integers(-2**64, 2**64))
+
+
+def _bits(value):
+    """``value``'s type and, for a float, its IEEE bits, -0.0 included; every nan alike.
+
+    summary.csv writes any nan as nan, and the sign of nan + nan in CPython
+    3.11 changes once the interpreter specializes the addition (inf + -inf,
+    then + nan: +nan on a loop's first pass, -nan on later ones).
+    """
+    if isinstance(value, float):
+        return float, "nan" if math.isnan(value) else struct.pack("<d", value)
+    return type(value), value
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(FLOATS, min_size=1, max_size=40))
+def test_summary_mean_and_median_of_floats_are_statistics_bit_for_bit(values):
+    assert _bits(mean(values)) == _bits(statistics.mean(values))
+    assert _bits(median(values)) == _bits(statistics.median(values))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(INTS, min_size=1, max_size=40))
+def test_summary_mean_and_median_of_ints_are_statistics_bit_for_bit(values):
+    """summary.csv writes a mean burn-in as a float, so ``mean`` always gives one."""
+    assert _bits(mean(values)) == _bits(float(statistics.mean(values)))
+    assert _bits(median(values)) == _bits(statistics.median(values))
+
+
+def test_summary_mean_is_the_correctly_rounded_exact_mean():
+    # fsum rounds the sum before the division, and ends one ulp higher.
+    values = [3.9335362306983956e-20, 4.802269730176029e-09, 4.143139993007743e-16]
+    assert mean(values) == statistics.mean(values) == 1.6007567148431212e-09
+    assert math.fsum(values) / 3 == 1.6007567148431214e-09
+    # Only the non-finite values are summed: a plain sum overflows to inf and gives nan.
+    values = [1e308, 1e308, -math.inf]
+    assert mean(values) == statistics.mean(values) == -math.inf
+    assert math.isnan(sum(values) / 3)
+    assert _bits(mean([-0.0, -0.0])) == _bits(statistics.mean([-0.0, -0.0])) == _bits(0.0)
+
+
+def test_summary_mean_and_median_refuse_no_values():
+    with pytest.raises(ValueError):
+        mean([])
+    with pytest.raises(ValueError):
+        median([])

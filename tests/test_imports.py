@@ -58,14 +58,19 @@ def test_each_command_imports_only_the_layers_it_runs(tmp_path, package_env):
     sim = str(tmp_path / "sim")
     simulated = _projdiff_modules(_imported(package_env, "-m", "projdiff", "simulate", str(cfg),
                                             "--out", sim))
-    assert "projdiff.sensing_analysis" in simulated
+    assert {"projdiff.sensing_analysis", "projdiff.simulate"} <= simulated
     assert not simulated & {"projdiff.checks", "projdiff.diagnostics", "projdiff.modelio"}
 
+    # analyze loads only what it runs: beyond what a bare interpreter loads
+    # here, no numpy, no dataclasses (which loads inspect), no statistics
+    # (which loads fractions and decimal) and nothing of simulate's.
     analyzed = _imported(package_env, "-m", "projdiff", "analyze", sim)
     assert _projdiff_modules(analyzed) == {"projdiff", "projdiff.cli", "projdiff.errors",
                                            "projdiff.traces", "projdiff.diagnostics"}
-    assert {name for name in analyzed if name.split(".")[0] == "numpy"} == set()
-    assert "hashlib" not in analyzed
+    added = analyzed - _imported(package_env, "-c", "pass")
+    assert {name for name in added if name.split(".")[0] == "numpy"} == set()
+    assert not added & {"dataclasses", "inspect", "statistics", "fractions", "decimal", "signal",
+                        "hashlib"}
 
     # Every name of the namespace is the object that its submodule defines.
     assert set(pd.__all__) <= set(dir(pd))
@@ -119,8 +124,8 @@ def test_a_simulate_worker_imports_nothing(tmp_path, package_env):
     """Every module a run uses is loaded before simulate forks its workers."""
     code = (
         "import json, sys\n"
-        "from projdiff import cli\n"
-        "real = cli._run_forked\n"
+        "from projdiff import cli, simulate\n"
+        "real = simulate._run_forked\n"
         "def run_forked(tasks):\n"
         "    loaded = set(sys.modules)\n"
         "    def watched(task):\n"
@@ -130,8 +135,8 @@ def test_a_simulate_worker_imports_nothing(tmp_path, package_env):
         "    results = real([watched(task) for task in tasks])\n"
         "    print(json.dumps([result['new'] for result in results]))\n"
         "    return results\n"
-        "cli._run_forked = run_forked\n"
-        "cli._worker_count = lambda n_runs: 2\n"
+        "simulate._run_forked = run_forked\n"
+        "simulate._worker_count = lambda n_runs: 2\n"
         "sys.exit(cli.main(sys.argv[1:]))\n"
     )
     cfg = tmp_path / "lrgmm.cfg"

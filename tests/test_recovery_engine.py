@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import projdiff as pd
-from projdiff import checks, cli, lrgmm_prior, recovery_engine
+from projdiff import checks, cli, lrgmm_prior, recovery_engine, simulate
 from projdiff.config import build
 from projdiff.model_sets import UnionOfSubspaces, component_parts
 from projdiff.traces import TRACE_COLUMNS, TRACE_FORMAT_LINE, parse_trace
@@ -708,7 +708,7 @@ def test_simulate_trace_bytes_do_not_depend_on_its_batches(tmp_path, monkeypatch
 
     monkeypatch.setattr(recovery_engine, "run_recoveries", counted)
     # One worker, so every run_recoveries call is made, and counted, here.
-    monkeypatch.setattr(cli, "_worker_count", lambda n_runs: 1)
+    monkeypatch.setattr(simulate, "_worker_count", lambda n_runs: 1)
     outs = {}
     with monkeypatch.context() as patch:
         outs["one batch"] = tmp_path / "one"

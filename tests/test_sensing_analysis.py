@@ -199,7 +199,7 @@ def test_lipschitz_rejects_zero_samples():
 
 
 # delta and the seed-0 beta of the flagship, per BLAS core (see
-# cli.blas_core).  The SkylakeX pair is bench/reference.json's.
+# simulate.blas_core).  The SkylakeX pair is bench/reference.json's.
 FLAGSHIP_CONSTANTS = {
     "SkylakeX": (0.9913499581206303, 1.4292752057311193),
     "Haswell": (0.9913499581206304, 1.4292752057311193),
