@@ -31,8 +31,8 @@ _SOURCES = {
                    "project_union", "random_subspace", "random_union",
                    "squared_projection_norms"),
     "modelio": ("load_model", "save_model"),
-    "recovery_engine": ("NoiseSchedule", "SensingProblem", "gpgd_step", "kadkhodaie_step",
-                        "run_recoveries", "run_recovery", "schedule_sigma"),
+    "recovery_engine": ("NoiseSchedule", "SensingProblem", "kadkhodaie_step", "run_recoveries",
+                        "run_recovery", "schedule_sigma"),
     "sensing_analysis": ("gaussian_operator", "restricted_lipschitz_estimate", "ric_union",
                          "spectral_norm"),
     "traces": ("RecoveryTrace",),

@@ -4,11 +4,7 @@ Each invariant is one measurement function that returns one number; this
 module is its only implementation.  ``run_checks`` compares each number with
 the bound in ``CHECKS`` and reports a flat CSV, and ``tests/test_acceptance.py``
 calls the same functions at the ``--full`` sizes against its own fixed
-bounds.  The two measurements most likely to catch a silent regression
-(the posterior-mean identity and weight normalisation at tiny noise) take
-the implementation they measure as a parameter, the library's by default:
-that is how the tests confirm that a broken build actually trips them.
-``run_checks`` always measures the library's own.
+bounds.
 """
 
 import math
@@ -24,8 +20,7 @@ from .errors import FrontierError
 from .lrgmm_prior import projection_gap
 from .convex_prior import BoxSet, project_box
 from .model_sets import UnionOfSubspaces, coordinate_subspace, project_union, random_union
-from .recovery_engine import NoiseSchedule, SensingProblem, gpgd_step, kadkhodaie_step, \
-    run_recovery, schedule_sigma
+from .recovery_engine import NoiseSchedule, kadkhodaie_step, run_recoveries, schedule_sigma
 from .sensing_analysis import gaussian_operator, ric_union
 from .traces import TRACE_COLUMNS, RecoveryTrace
 
@@ -49,7 +44,7 @@ def worst_case(values) -> float:
     return max(values, default=0.0) if all(map(math.isfinite, values)) else math.inf
 
 
-def tweedie_defect(n_instances, denoiser_fn=lrgmm_prior.denoiser) -> float:
+def tweedie_defect(n_instances) -> float:
     """Worst relative gap between sigma^2 * grad log-density and D(x) - x."""
     r = np.random.default_rng(31337)
     defects = []
@@ -63,13 +58,13 @@ def tweedie_defect(n_instances, denoiser_fn=lrgmm_prior.denoiser) -> float:
         )
         x = r.normal(size=d) * float(10 ** r.uniform(-0.5, 0.5))
         sigma = [0.1, 0.5, 1.0][trial % 3]
-        ev = denoiser_fn(prior, x, sigma)
+        ev = lrgmm_prior.denoiser(prior, x, sigma)
         h = 1e-5
         grad = np.empty(d)
         for i, e in enumerate(np.eye(d) * h):
             grad[i] = (
-                denoiser_fn(prior, x + e, sigma).log_density
-                - denoiser_fn(prior, x - e, sigma).log_density
+                lrgmm_prior.denoiser(prior, x + e, sigma).log_density
+                - lrgmm_prior.denoiser(prior, x - e, sigma).log_density
             ) / (2 * h)
         lhs = sigma * sigma * grad
         rhs = ev.value - x
@@ -77,7 +72,7 @@ def tweedie_defect(n_instances, denoiser_fn=lrgmm_prior.denoiser) -> float:
     return worst_case(defects)
 
 
-def weight_sum_defect(weights_fn=lrgmm_prior.weights) -> float:
+def weight_sum_defect() -> float:
     """Worst |sum of posterior weights - 1| at t = 1e-8 and 1e-10."""
     r = np.random.default_rng(808)
     defects = []
@@ -91,7 +86,7 @@ def weight_sum_defect(weights_fn=lrgmm_prior.weights) -> float:
             x = r.normal(size=d) * scale
             for t in (1e-8, 1e-10):
                 # A non-finite weight makes the sum, hence the defect, non-finite.
-                w = np.asarray(weights_fn(prior, x, t), dtype=float)
+                w = np.asarray(lrgmm_prior.weights(prior, x, t), dtype=float)
                 defects.append(abs(float(np.sum(w)) - 1.0))
     return worst_case(defects)
 
@@ -169,17 +164,19 @@ def schedule_increases() -> int:
 
 
 def step_form_defect(n_states) -> float:
-    """Worst gap between the one-shot step and the callback step at mu = 1."""
+    """Worst gap between the unit-step form and one block ``run_recoveries`` step at mu = 1."""
     prior = lrgmm_prior.random_lrgmm(16, 2, 3, np.random.default_rng(61))
     a = gaussian_operator(8, 16, np.random.default_rng(67))
     xs = np.random.default_rng(71).normal(size=(n_states, 16))
     y = a @ lrgmm_prior.sample(prior, np.random.default_rng(73))
-    denoise = lambda z, sg: lrgmm_prior.denoiser(prior, z, sg).value
+    schedules = [NoiseSchedule("infinite_geometric", 0.25, a=0.5)] * n_states
+    runs = run_recoveries(a, 1.0, np.tile(y, (n_states, 1)), schedules, 1, prior, x0=xs,
+                          record_iterates=True)
     defects = []
-    for x in xs:
+    for x, run in zip(xs, runs):
+        step = run.iterates[1] if isinstance(run, RecoveryTrace) else np.nan  # diverged
         lhs = kadkhodaie_step(prior, a, y, x, 0.25)
-        rhs = gpgd_step(denoise, a, 1.0, y, x, 0.25)
-        defects.append(float(np.max(np.abs(lhs - rhs))) / (1.0 + float(np.linalg.norm(x))))
+        defects.append(float(np.max(np.abs(lhs - step))) / (1.0 + float(np.linalg.norm(x))))
     return worst_case(defects)
 
 
@@ -235,8 +232,9 @@ def trace_roundtrip_mismatches() -> int:
     prior = lrgmm_prior.random_lrgmm(5, 1, 2, np.random.default_rng(303))
     a = gaussian_operator(3, 5, np.random.default_rng(304))
     x_true = lrgmm_prior.sample(prior, np.random.default_rng(305))
-    problem = SensingProblem(a, 1.0 / 50.0, a @ x_true, x_true=x_true, seed=305)
-    trace = run_recovery(problem, None, NoiseSchedule("geometric", 0.5, 1e-3, 10), prior=prior)
+    (trace,) = run_recoveries(a, 1.0 / 50.0, (a @ x_true)[None],
+                              [NoiseSchedule("geometric", 0.5, 1e-3, 10)], 10, prior,
+                              x_true=x_true[None], seeds=[305])
     with tempfile.TemporaryDirectory() as tmp:
         first, again = os.path.join(tmp, "first.csv"), os.path.join(tmp, "again.csv")
         trace.write_csv(first)

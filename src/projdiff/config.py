@@ -50,7 +50,8 @@ import numpy as np
 from .errors import ConfigError, NumericFailureError, ResourceLimitError
 from .lrgmm_prior import SPARSE_COMPONENT_CAP, log_mixture_weights, sparse_component_count
 from .convex_prior import BoxSet
-from .recovery_engine import SCHEDULE_FIELDS, SCHEDULE_KINDS, NoiseSchedule, schedule_sigma
+from .recovery_engine import SCHEDULE_FIELDS, SCHEDULE_KINDS, NoiseSchedule, _one_blas_thread, \
+    schedule_sigma
 
 MU_AUTO = "auto_1.9"
 
@@ -184,6 +185,13 @@ def _get_seed(section, values, key, default=None):
     return seed
 
 
+def _get_positive(section, values, key):
+    value = _get(section, values, key)
+    if value < 1:
+        raise _fail(section, key, f"must be >= 1, got {value}")
+    return value
+
+
 def _get_floats(section, values, key):
     floats = _get(section, values, key, _FLOATS)
     if not all(math.isfinite(v) for v in floats):
@@ -224,12 +232,10 @@ def _parse_prior(values) -> PriorSpec:
         raise _fail("prior", "kind", f"must be one of {PRIOR_KINDS}, got {kind!r}")
     _check_keys("prior", values, ("kind",) + _PRIOR_KEYS[kind])
     if kind == "lrgmm":
-        d, r = _get("prior", values, "d"), _get("prior", values, "r")
+        d, r = _get_positive("prior", values, "d"), _get("prior", values, "r")
         if not 1 <= r <= d:
             raise _fail("prior", "r", f"must be between 1 and d = {d}, got {r}")
-        k = _get("prior", values, "k")
-        if k < 1:
-            raise _fail("prior", "k", f"must be >= 1, got {k}")
+        k = _get_positive("prior", values, "k")
         _check_size("prior", "k", k, d, r)
         return PriorSpec(
             kind=kind,
@@ -240,7 +246,7 @@ def _parse_prior(values) -> PriorSpec:
             pi=_get_pi(values, k),
         )
     if kind == "sparse":
-        d, s = _get("prior", values, "d"), _get("prior", values, "s")
+        d, s = _get_positive("prior", values, "d"), _get("prior", values, "s")
         if not 1 <= s <= d:
             raise _fail("prior", "s", f"must be between 1 and d = {d}, got {s}")
         try:
@@ -277,9 +283,7 @@ def _parse_sensing(values) -> SensingSpec:
         mu = _get("sensing", values, "mu", (float, f"{MU_AUTO!r} or a number"))
         if not 0.0 < mu < math.inf:
             raise _fail("sensing", "mu", f"must be positive and finite, got {mu}")
-    m = _get("sensing", values, "m")
-    if m < 1:
-        raise _fail("sensing", "m", f"must be >= 1, got {m}")
+    m = _get_positive("sensing", values, "m")
     if m * m > MAX_BASIS_ENTRIES:
         raise _fail("sensing", "m", f"m*m = {m}*{m} = {m * m} entries of G = A A^T "
                                     f"exceed the cap of {MAX_BASIS_ENTRIES}")
@@ -318,9 +322,7 @@ def _parse_run(values):
         if any(seed < 0 for seed in seeds):
             raise _fail("run", "trial_seeds", f"seeds must be >= 0, got {min(seeds)}")
     elif "trials" in values:
-        count = _get("run", values, "trials")
-        if count < 1:
-            raise _fail("run", "trials", f"must be >= 1, got {count}")
+        count = _get_positive("run", values, "trials")
         if count > MAX_TRIALS:
             raise _fail("run", "trials", f"{count} trials exceed the cap of {MAX_TRIALS}")
         base = _get_seed("run", values, "base_seed", DEFAULT_BASE_SEED)
@@ -440,21 +442,23 @@ def _build_prior(spec: PriorSpec):
 def build(cfg: ExperimentConfig) -> tuple:
     """The (model, operator, mu) that ``cfg`` describes, built as ``simulate`` runs them.
 
-    Running out of memory, an unreadable model file and an auto_1.9 mu
-    whose operator norm cannot be computed raise ConfigError naming the key.
+    They are built at one OpenBLAS thread, which fixes their bytes.  Running
+    out of memory, an unreadable model file and an auto_1.9 mu whose
+    operator norm cannot be computed raise ConfigError naming the key.
     """
     from .sensing_analysis import gaussian_operator, spectral_norm
 
-    model = _allocated("prior", "path" if cfg.prior.kind == "file" else "d",
-                       _build_prior, cfg.prior)
-    operator = _allocated("sensing", "m", gaussian_operator, cfg.sensing.m, model.ambient_dim,
-                          np.random.default_rng(cfg.sensing.seed))
-    if cfg.sensing.mu != MU_AUTO:
-        return model, operator, float(cfg.sensing.mu)
-    try:
-        return model, operator, 1.9 / spectral_norm(operator) ** 2
-    except NumericFailureError as exc:
-        raise _fail("sensing", "mu", f"{MU_AUTO} needs the operator norm: {exc}") from None
+    with _one_blas_thread():
+        model = _allocated("prior", "path" if cfg.prior.kind == "file" else "d",
+                           _build_prior, cfg.prior)
+        operator = _allocated("sensing", "m", gaussian_operator, cfg.sensing.m,
+                              model.ambient_dim, np.random.default_rng(cfg.sensing.seed))
+        if cfg.sensing.mu != MU_AUTO:
+            return model, operator, float(cfg.sensing.mu)
+        try:
+            return model, operator, 1.9 / spectral_norm(operator) ** 2
+        except NumericFailureError as exc:
+            raise _fail("sensing", "mu", f"{MU_AUTO} needs the operator norm: {exc}") from None
 
 
 def prior_descriptor(spec: PriorSpec) -> dict:
@@ -468,7 +472,7 @@ def _build_union(fields):
     from .model_sets import random_union
 
     _check_keys("union", fields, ("kind", "d", "ranks", "seed"))
-    d, ranks = _get("union", fields, "d"), _get("union", fields, "ranks", _INTS)
+    d, ranks = _get_positive("union", fields, "d"), _get("union", fields, "ranks", _INTS)
     if not ranks or not all(1 <= r <= d for r in ranks):
         raise _fail("union", "ranks", f"need ranks between 1 and d = {d}, got {fields['ranks']!r}")
     _check_size("union", "ranks", len(ranks), d, max(ranks))
@@ -481,16 +485,18 @@ def generate_model(fields: dict, seed):
 
     The kinds are ``union`` and every prior kind but ``file``, which read and
     check their keys as ``[union]`` and ``[prior]``.  A ``seed`` that is not
-    None replaces the spec's seed for the kinds that have one.
+    None replaces the spec's seed for the kinds that have one.  Built at one
+    OpenBLAS thread, as ``build`` builds.
     """
     kind = fields.get("kind")
     if seed is not None and (kind == "union" or "seed" in _PRIOR_KEYS.get(kind, ())):
         fields = dict(fields, seed=str(seed))
-    if kind == "union":
-        return _build_union(fields)
-    if kind not in PRIOR_KINDS or kind == "file":
-        raise ConfigError(f"unknown model kind {kind!r}")
-    return _allocated("prior", "d", _build_prior, _parse_prior(fields))
+    with _one_blas_thread():
+        if kind == "union":
+            return _build_union(fields)
+        if kind not in PRIOR_KINDS or kind == "file":
+            raise ConfigError(f"unknown model kind {kind!r}")
+        return _allocated("prior", "d", _build_prior, _parse_prior(fields))
 
 
 def _fmt(value) -> str:

@@ -4,7 +4,8 @@ One step reads x+ = D(x, sigma_n) - mu A^T (A D(x, sigma_n) - y): the
 denoiser acts as a soft projection whose target set sharpens as sigma_n
 decreases along a schedule.  With mu = 1 the same update can be written as a
 data-fit direction plus a prior direction restricted to the measurement
-null space; both forms are provided and agree to rounding.
+null space (``kadkhodaie_step``); the PGD form is ``run_recoveries``' step,
+and the two agree to rounding.
 
 The iteration takes D from a model.  A model is any object with these
 members (LrGmmPrior and BoxSet have them; this module names neither):
@@ -145,7 +146,7 @@ def schedule_sigma(schedule: NoiseSchedule, n: int) -> float:
         return schedule.sigma_max * (schedule.sigma_min / schedule.sigma_max) ** frac
     if schedule.kind == "linear":
         lo, hi = schedule.sigma_min**2, schedule.sigma_max**2
-        return math.sqrt(hi + frac * (lo - hi))
+        return math.sqrt((1.0 - frac) * hi + frac * lo)
     # cosine
     half_range = 0.5 * (schedule.sigma_max - schedule.sigma_min)
     return schedule.sigma_min + half_range * (1.0 + math.cos(math.pi * frac))
@@ -167,10 +168,10 @@ def _matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     one code path or another by where the row sits in its slice: in a run of
     whole groups of rows, or in the tail after them.  Slice bounds on
     multiples of MATVEC_BLOCK keep each row's position modulo MATVEC_BLOCK,
-    and so its path.  The slices also keep the bytes off the BLAS thread
-    count: at m = 301, d = 2048 a whole-matrix ``a @ v`` changed with
-    OPENBLAS_NUM_THREADS and this did not.  Every operator product that
-    reaches a trace or mu goes through here.
+    and so its path.  The bytes still depend on the BLAS thread count, which
+    splits a gemv: a 130 x 20000 product, one slice, changed with
+    OPENBLAS_NUM_THREADS.  Every operator product that reaches a trace or mu
+    goes through here, at one OpenBLAS thread (``_one_blas_thread``).
     """
     rows, cols = a.shape
     step = MATVEC_BLOCK * max(1, MATVEC_BYTES // max(1, MATVEC_BLOCK * cols * a.itemsize))
@@ -212,9 +213,10 @@ def _openblas_string(name):
 def _one_blas_thread():
     """Run the block with the bundled OpenBLAS at one thread, then restore its count.
 
-    The products' bytes do not depend on the thread count (see
-    ``_matvec``); the pin is for speed.  ``simulate`` runs one worker per
-    CPU, and workers that each ran OpenBLAS's own threads would
+    The pin fixes the bytes: a long gemv, dot or norm sums in another order
+    at another thread count (a 130 x 20000 ``_matvec`` did), so a command
+    builds its model, operator and mu and runs its steps inside this.  It
+    is also for speed: workers that each ran OpenBLAS's own threads would
     oversubscribe the CPUs they split: without this pin and
     ``simulate._run_forked``'s, the benchmark's box ``simulate`` on 2 CPUs took
     0.565 s against 0.528 s (medians of 10, alternating).
@@ -236,14 +238,6 @@ def _one_blas_thread():
         yield
     finally:
         set_(before)
-
-
-def gpgd_step(denoise, a: np.ndarray, mu: float, y: np.ndarray,
-              x: np.ndarray, sigma: float) -> np.ndarray:
-    """x+ = P(x) - mu A^T (A P(x) - y) with P(x) = denoise(x, sigma), at one OpenBLAS thread."""
-    p = denoise(x, sigma)
-    with _one_blas_thread():
-        return p - mu * _matvec(a.T, _matvec(a, p) - y)
 
 
 def _forward(a: np.ndarray, model):
@@ -278,7 +272,7 @@ def kadkhodaie_step(prior, a: np.ndarray, y: np.ndarray,
 
     The prior direction is the residual of the model's step at one (d,)
     vector x, projected onto the complement of A^T A; algebraically
-    identical to gpgd_step at mu = 1.
+    identical to ``run_recoveries``' step at mu = 1.
     """
     data_fit = a.T @ (a @ x - y)
     residual = x - prior.step(x[None], np.array([sigma]))[0][0]

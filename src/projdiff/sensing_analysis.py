@@ -41,8 +41,9 @@ def spectral_norm(a: np.ndarray) -> float:
     vector is substituted.  Raises NumericFailureError when the estimate has
     not stabilised to relative tolerance POWER_ITERATION_TOL within
     POWER_ITERATION_MAX_ITER sweeps.
-    The products go through ``_matvec``, so the estimate does not depend on
-    the BLAS thread count.
+    The products go through ``_matvec``.  They, ``v @ w`` and the norms
+    change with the BLAS thread count on long vectors, so ``config.build``
+    calls this at one OpenBLAS thread.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:

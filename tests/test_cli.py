@@ -215,6 +215,14 @@ def test_serialize_parse_is_a_fixed_point():
          "[schedule.geometric]\nsigma_max = 0.5\nsigma_min = 1e-4\nhorizon = 10\n"
          "[run]\ntrials = 1\n",
          r"\[prior\] r: must be between 1 and d = 8, got 9"),
+        ("[prior]\nkind = lrgmm\nd = 0\nr = 1\nk = 1\n[sensing]\nm = 2\n"
+         "[schedule.geometric]\nsigma_max = 0.5\nsigma_min = 1e-4\nhorizon = 10\n"
+         "[run]\ntrials = 1\n",
+         r"^\[prior\] d: must be >= 1, got 0$"),
+        ("[prior]\nkind = sparse\nd = -3\ns = 1\n[sensing]\nm = 2\n"
+         "[schedule.geometric]\nsigma_max = 0.5\nsigma_min = 1e-4\nhorizon = 10\n"
+         "[run]\ntrials = 1\n",
+         r"^\[prior\] d: must be >= 1, got -3$"),
         ("[prior]\nkind = lrgmm\nd = 8\nr = 1\nk = 0\n[sensing]\nm = 2\n"
          "[schedule.geometric]\nsigma_max = 0.5\nsigma_min = 1e-4\nhorizon = 10\n"
          "[run]\ntrials = 1\n",
@@ -565,18 +573,21 @@ def test_check_full_hands_each_measurement_its_full_arguments(tmp_path, monkeypa
             assert len(fh.read().splitlines()) == 1 + len(original)
 
 
-def _measure(name, **implementation):
-    """The fast-level value of check ``name`` on ``implementation``, and whether it passes."""
+def _measure(name):
+    """The fast-level value of check ``name``, and whether it passes."""
     ((measure, args, bound),) = [(measure, fast, bound)
                                  for check, measure, fast, _, bound in checks.CHECKS
                                  if check == name]
-    value = float(measure(*args, **implementation))
+    value = float(measure(*args))
     return value, value <= bound
 
 
-def test_checks_catch_a_denoiser_without_shrinkage():
+def test_checks_catch_a_denoiser_without_shrinkage(monkeypatch):
+    # Taken before the patch: pd.denoiser would resolve through the patched module.
+    denoiser = lrgmm_prior.denoiser
+
     def shrinkless(prior, x, sigma):
-        ev = pd.denoiser(prior, x, sigma)
+        ev = denoiser(prior, x, sigma)
 
         class Ev:
             value = ev.value * (1.0 + sigma * sigma)
@@ -592,7 +603,8 @@ def test_checks_catch_a_denoiser_without_shrinkage():
         return Ev
 
     for broken in (shrinkless, all_nan):
-        value, passed = _measure("tweedie_identity", denoiser_fn=broken)
+        monkeypatch.setattr(lrgmm_prior, "denoiser", broken)
+        value, passed = _measure("tweedie_identity")
         assert not passed, broken.__name__
     assert value == math.inf
 
@@ -608,7 +620,7 @@ def test_check_maxima_do_not_drop_nan(monkeypatch):
     assert checks.gap_envelope_violations(5) == 5
 
 
-def test_checks_catch_weights_computed_without_log_stabilisation():
+def test_checks_catch_weights_computed_without_log_stabilisation(monkeypatch):
     def naive(prior, x, t):
         logs = np.array(
             [log_component_density(prior, k, x, t) for k in range(prior.n_components)]
@@ -617,7 +629,8 @@ def test_checks_catch_weights_computed_without_log_stabilisation():
             w = np.exp(logs)
             return w / w.sum()
 
-    assert not _measure("weight_stability", weights_fn=naive)[1]
+    monkeypatch.setattr(lrgmm_prior, "weights", naive)
+    assert not _measure("weight_stability")[1]
 
 
 def test_check_report_formats():
@@ -1195,10 +1208,13 @@ def test_worker_count_follows_the_affinity_mask_and_the_runs(monkeypatch):
 
 
 def test_simulate_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, package_env):
-    """y and mu at m = 301, d = 2048 used to change with OPENBLAS_NUM_THREADS."""
+    """Nor gen-model's.  Each of these used to change with OPENBLAS_NUM_THREADS: a box's y
+    and mu at m = 301, d = 2048; mu at m = 130, d = 8192, whose power iteration multiplies
+    by the whole matrix at once; and the traces and the model file of 4096 x 128 bases,
+    whose QR ran at the caller's thread count."""
     d = 2048
     free = [i % 7 == 0 for i in range(d)]
-    text = (
+    box = (
         "[prior]\nkind = box\n"
         f"lower = {' '.join('-1' if f else '0' for f in free)}\n"
         f"upper = {' '.join('1' if f else '0' for f in free)}\n"
@@ -1206,17 +1222,33 @@ def test_simulate_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, package
         "[schedule.geometric]\nsigma_max = 0.5\nsigma_min = 1e-4\nhorizon = 30\n"
         "[run]\nn_iters = 30\ntrials = 4\nbase_seed = 9\n"
     )
-    cfg_path = write_config(tmp_path, text)
+    lrgmm = (
+        "[prior]\nkind = lrgmm\nd = {d}\nr = {r}\nk = 1\nseed = 3\n"
+        "[sensing]\nm = {m}\nseed = 4\n"
+        "[schedule.geometric]\nsigma_max = 0.5\nsigma_min = 1e-3\nhorizon = 2\n"
+        "[run]\ntrials = 1\nbase_seed = 7\n"
+    )
+    texts = {"box": box, "mu": lrgmm.format(d=8192, r=1, m=130),
+             "bases": lrgmm.format(d=4096, r=128, m=64)}
     outs = {}
     for threads in ("1", "2"):
-        out = str(tmp_path / f"t{threads}")
-        subprocess.run([sys.executable, "-m", "projdiff", "simulate", cfg_path, "--out", out],
-                       env=dict(package_env, OPENBLAS_NUM_THREADS=threads), check=True,
-                       capture_output=True, timeout=300)
-        outs[threads] = {name: data for name, data in read_files(out).items()
-                         if name != "resolved.cfg"}
-    assert len(outs["1"]) == 5  # 4 traces and manifest.json
-    assert outs["2"] == outs["1"]
+        env = dict(package_env, OPENBLAS_NUM_THREADS=threads)
+        for name, text in texts.items():
+            out = str(tmp_path / f"{name}{threads}")
+            subprocess.run([sys.executable, "-m", "projdiff", "simulate",
+                            write_config(tmp_path, text, f"{name}.cfg"), "--out", out],
+                           env=env, check=True, capture_output=True, timeout=300)
+            outs[name, threads] = {file: data for file, data in read_files(out).items()
+                                   if file != "resolved.cfg"}
+        model = str(tmp_path / f"model{threads}")
+        subprocess.run([sys.executable, "-m", "projdiff", "gen-model",
+                        "lrgmm:d=4096,r=128,k=1,seed=3", "-o", model],
+                       env=env, check=True, capture_output=True, timeout=300)
+        with open(model, "rb") as fh:
+            outs["model", threads] = fh.read()
+    assert len(outs["box", "1"]) == 5  # 4 traces and manifest.json
+    for name in (*texts, "model"):
+        assert outs[name, "2"] == outs[name, "1"], name
 
 
 def test_simulate_box_prior_runs_without_union_columns(tmp_path):
@@ -1753,6 +1785,9 @@ def test_gen_model_prior_kinds_take_the_config_keys(tmp_path):
         ("file:path=x.model", "unknown model kind 'file'"),
         ("lrgmm:d=x,r=1,k=1,seed=1", "[prior] d: expected an integer"),
         ("lrgmm:d=4,r=9,k=2,seed=1", "[prior] r: must be between 1 and d = 4, got 9"),
+        ("lrgmm:d=0,r=1,k=2,seed=1", "[prior] d: must be >= 1, got 0"),
+        ("sparse:d=0,s=1", "[prior] d: must be >= 1, got 0"),
+        ("union:d=0,ranks=1,seed=5", "[union] d: must be >= 1, got 0"),
         ("lrgmm:d=4,r=1,k=2,pi=0.5|0.6", "[prior] pi: mixture weights must sum to 1"),
         ("box:lower=-1|-1", "[prior] upper: required key is missing"),
         ("box:lower=1|-1,upper=2|1", "[prior] lower: active coordinates must contain the origin"),

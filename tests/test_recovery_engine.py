@@ -121,23 +121,48 @@ def test_infinite_schedule_is_decreasing(a, n):
     assert pd.schedule_sigma(sched, n + 1) < pd.schedule_sigma(sched, n)
 
 
+def test_linear_schedule_ends_exactly_at_sigma_min():
+    """sigma_max^2 + (sigma_min^2 - sigma_max^2) lost sigma_min^2 to rounding: it gave 0.0
+    and 1.19e-7 here, and parse_config refused the first as an underflow."""
+    assert pd.schedule_sigma(pd.NoiseSchedule("linear", 1.0, 1e-9, 10), 10) == 1e-9
+    assert pd.schedule_sigma(pd.NoiseSchedule("linear", 10.0, 1e-7, 150), 150) == 1e-7
+    cfg = pd.parse_config("[prior]\nkind = lrgmm\nd = 4\nr = 1\nk = 1\n[sensing]\nm = 2\n"
+                          "[schedule.linear]\nsigma_max = 1\nsigma_min = 1e-9\nhorizon = 10\n"
+                          "[run]\ntrials = 1\n")
+    assert cfg.n_iters == 10
+
+
 # -------------------------------------------------------------- single step
 
 
-def test_gpgd_step_identity_operator_unit_mu_lands_on_y():
+def _one_step(denoise, a, mu, y, x, sigma):
+    """The iterate after x of a one-step ``run_recovery`` at sigma_0 = sigma."""
+    trace = pd.run_recovery(pd.SensingProblem(a, mu, y), denoise,
+                            pd.NoiseSchedule("infinite_geometric", sigma, a=0.5), x0=x,
+                            n_iters=1, record_iterates=True)
+    return trace.iterates[1]
+
+
+def _pgd_step(p, a, mu, y):
+    """p - mu A^T (A p - y), the engine's step from the projection p, at one OpenBLAS thread."""
+    with recovery_engine._one_blas_thread():
+        return p - mu * recovery_engine._matvec(a.T, recovery_engine._matvec(a, p) - y)
+
+
+def test_pgd_step_identity_operator_unit_mu_lands_on_y():
     y = np.array([2.0, -1.0])
     denoise = lambda z, sg: z
-    out = pd.gpgd_step(denoise, np.eye(2), 1.0, y, np.array([5.0, 5.0]), 0.1)
+    out = _one_step(denoise, np.eye(2), 1.0, y, np.array([5.0, 5.0]), 0.1)
     assert np.array_equal(out, y)
 
 
-def test_gpgd_step_identity_callback_is_gradient_step():
+def test_pgd_step_identity_callback_is_gradient_step():
     rng = np.random.default_rng(3)
     a = rng.normal(size=(3, 5))
     x = rng.normal(size=5)
     y = rng.normal(size=3)
     mu = 0.05
-    out = pd.gpgd_step(lambda z, sg: z, a, mu, y, x, 0.2)
+    out = _one_step(lambda z, sg: z, a, mu, y, x, 0.2)
     want = x - mu * (a.T @ (a @ x - y))
     assert np.array_equal(out, want)
 
@@ -155,6 +180,14 @@ def test_step_forms_agree_at_unit_mu():
     assert checks.step_form_defect(100) <= 1e-10
 
 
+def test_step_form_check_catches_a_wrong_engine_step(monkeypatch):
+    """The check measures run_recoveries' own step, so an A p off by 1e-6 relative trips it."""
+    forward = recovery_engine._forward
+    monkeypatch.setattr(recovery_engine, "_forward",
+                        lambda a, model: lambda p: forward(a, model)(p) * (1.0 + 1e-6))
+    assert checks.step_form_defect(5) > 1e-10
+
+
 def test_union_points_are_fixed_points_of_the_oracle_step():
     union = UnionOfSubspaces([pd.coordinate_subspace(6, [0, 1]), pd.coordinate_subspace(6, [3, 4])])
     prior = pd.LrGmmPrior(union)
@@ -162,7 +195,7 @@ def test_union_points_are_fixed_points_of_the_oracle_step():
     a = pd.gaussian_operator(4, 6, np.random.default_rng(82))
     y = a @ x_hat
     denoise = lambda z, sg: pd.project_union(union, z)[0]
-    out = pd.gpgd_step(denoise, a, 0.01, y, x_hat, 1e-3)
+    out = _one_step(denoise, a, 0.01, y, x_hat, 1e-3)
     assert np.array_equal(out, x_hat)
 
 
@@ -302,8 +335,8 @@ def test_run_recovery_trace_rows_recompute_from_iterates():
     trace = pd.run_recovery(problem, denoise, sched, prior=prior, record_iterates=True)
     union = prior.union
     for n in range(20):
-        step = pd.gpgd_step(denoise, problem.operator, problem.mu, problem.y,
-                            trace.iterates[n], trace.sigma[n])
+        step = _pgd_step(denoise(trace.iterates[n], trace.sigma[n]), problem.operator,
+                         problem.mu, problem.y)
         assert np.array_equal(trace.iterates[n + 1], step)
     for i in (0, 7, 20):
         x = trace.iterates[i]
@@ -448,7 +481,7 @@ def test_box_trace_bytes_do_not_depend_on_the_batch_or_the_denoise_path(tmp_path
     free-column product or the residual differ between the two paths fails here first.
     Two operators: the benchmark box's shape, 256 x 1024 with the first 128 coordinates
     free, and one of m > MATVEC_BLOCK and d no multiple of FREE_BLOCK whose blocks 1 and
-    3 are pinned.  Each step is also ``gpgd_step`` on a one-row block.
+    3 are pinned.  Each step is also p - mu A^T (A p - y) on a one-row block, A whole.
     """
     scattered = np.zeros(300, dtype=bool)
     scattered[[5, 17, 40, 130, 131, 150, 190, 260, 281, 299]] = True
@@ -480,8 +513,8 @@ def test_box_trace_bytes_do_not_depend_on_the_batch_or_the_denoise_path(tmp_path
         trace = pd.run_recovery(problem, None, schedule, n_iters=n_iters, prior=box,
                                 record_iterates=True)
         for n in range(n_iters):
-            step = pd.gpgd_step(denoise, a, mu, problem.y, trace.iterates[n][None],
-                                trace.sigma[n])
+            step = _pgd_step(denoise(trace.iterates[n][None], trace.sigma[n]), a, mu,
+                             problem.y)
             assert np.array_equal(trace.iterates[n + 1], step[0]), (a.shape, n)
 
 
@@ -570,9 +603,9 @@ def test_a_rows_product_does_not_depend_on_its_block(m, d):
 
 
 def test_the_engine_multiplies_at_one_blas_thread(monkeypatch):
-    """run_recoveries, G = A A^T included, and gpgd_step, whatever the caller's OpenBLAS
-    thread count, which it gets back: a simulate worker's own BLAS threads would
-    oversubscribe the CPUs that the workers split."""
+    """run_recoveries, G = A A^T included, with a model or a bare denoise callable, whatever
+    the caller's OpenBLAS thread count, which it gets back: a simulate worker's own BLAS
+    threads would oversubscribe the CPUs that the workers split."""
     get = recovery_engine._openblas_function("get_num_threads")
     set_ = recovery_engine._openblas_function("set_num_threads")
     if get is None or set_ is None:
@@ -591,7 +624,7 @@ def test_the_engine_multiplies_at_one_blas_thread(monkeypatch):
         set_(3)
         monkeypatch.setattr(np, "matmul", counting_matmul)
         recovery_engine.run_recoveries(a, 0.01, x @ a.T, [geometric(5)] * len(x), 5, box)
-        pd.gpgd_step(lambda z, sigma: z, a, 0.01, x @ a.T, x, 0.1)
+        _one_step(lambda z, sigma: z, a, 0.01, a @ x[0], x[0], 0.1)
         monkeypatch.undo()
         assert seen and set(seen) == {1}
         assert get() == 3
