@@ -24,7 +24,8 @@ _SOURCES = {
                      "project_box", "sample_box", "truncated_normal_mean"),
     "diagnostics": ("RateFit", "detect_burn_in", "fit_convex_rate", "fit_linear_rate"),
     "errors": ("ConfigError", "DegenerateWeightsError", "DivergenceError", "FrontierError",
-               "InsufficientDataError", "NumericFailureError", "ResourceLimitError"),
+               "InsufficientDataError", "NumericFailureError", "ResourceLimitError",
+               "UnwritableError"),
     "lrgmm_prior": ("DenoiserEval", "LrGmmPrior", "ProjectionGap", "denoiser", "projection_gap",
                     "random_lrgmm", "sample", "score", "sparse_gmm", "weights"),
     "model_sets": ("UnionOfSubspaces", "coordinate_subspace", "frontier_gap", "hard_threshold",

@@ -21,16 +21,17 @@ many small directories, each in a fresh process, so its start-up is most
 of its time, and it loads only the code it runs: this module, ``errors``,
 ``traces`` and ``diagnostics``, with no numpy, no model, sensing or check
 module, and no ``dataclasses``, ``statistics``, ``signal`` or
-``simulate``.  Its reports are UTF-8, each written whole or not at all.
+``simulate``.  Every file goes through ``traces.write_atomically``, whole
+or not at all, and ``main`` exits 2 on its UnwritableError.
 """
 
 import argparse
 import json
 import os
 import sys
-from contextlib import contextmanager
 
-from .errors import ConfigError, InsufficientDataError
+from .errors import ConfigError, InsufficientDataError, UnwritableError
+from .traces import parse_trace, write_atomically
 
 MANIFEST_NAME = "manifest.json"
 REPORT_NAME = "check_report.csv"
@@ -42,26 +43,13 @@ SUMMARY_COLUMNS = ("schedule", "n_traces", "mean_final_mse", "median_final_mse",
 CONVERGED_MSE = 1e-6
 
 
-class _Unwritable(Exception):
-    """An output that cannot be created or written: ``main`` prints the message and exits 2."""
-
-
 def _make_out_dir(path: str, source: str) -> None:
-    """Create the output directory ``path``, or raise _Unwritable naming ``source``."""
+    """Create the output directory ``path``, or raise UnwritableError naming ``source``."""
     try:
         os.makedirs(path, exist_ok=True)
     except OSError as exc:
-        raise _Unwritable(f"{source}: cannot create output directory {path!r}: "
-                          f"{exc.strerror or exc}") from None
-
-
-@contextmanager
-def _writing(path):
-    """Raise an OSError met while writing ``path`` as _Unwritable, naming the path."""
-    try:
-        yield
-    except OSError as exc:
-        raise _Unwritable(f"cannot write {path}: {exc.strerror or exc}") from None
+        raise UnwritableError(f"{source}: cannot create output directory {path!r}: "
+                              f"{exc.strerror or exc}") from None
 
 
 def cmd_simulate(args) -> int:
@@ -77,8 +65,7 @@ def cmd_check(args) -> int:
     _make_out_dir(out_dir, "--out")
     results = run_checks("full" if args.full else "fast")
     report_path = os.path.join(out_dir, REPORT_NAME)
-    with _writing(report_path), open(report_path, "w", newline="\n") as fh:
-        fh.write(report_csv(results))
+    write_atomically(report_path, report_csv(results))
     print(report_table(results), end="")
     print(f"report: {report_path}")
     return 0 if all(res.passed for res in results) else 4
@@ -137,7 +124,6 @@ def _csv_text(header, rows) -> str:
 
 def cmd_analyze(args) -> int:
     from .diagnostics import mean, median
-    from .traces import parse_trace, write_atomically
 
     directory = args.dir
     if not os.path.isdir(directory):
@@ -212,8 +198,7 @@ def cmd_analyze(args) -> int:
             SUMMARY_COLUMNS, (map(_cell, fields) for fields in summary)),
     }
     for path, text in reports.items():
-        with _writing(path):
-            write_atomically(path, text)
+        write_atomically(path, text)
     rates_path, summary_path = reports
     print(f"analyzed {len(rows)} traces; wrote {rates_path} and {summary_path}")
     return 0
@@ -321,6 +306,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _Unwritable as exc:
+    except UnwritableError as exc:
         print(exc, file=sys.stderr)
         return 2

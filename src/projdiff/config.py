@@ -83,7 +83,6 @@ _PRIOR_KEYS = {
 
 PRIOR_KINDS = tuple(_PRIOR_KEYS)
 
-_SCHEDULE_KEYS = {"kind"}.union(*SCHEDULE_FIELDS.values())
 # A schedule name becomes a trace file name and a field of analyze's CSV reports.
 _SCHEDULE_NAME = re.compile(r"[A-Za-z0-9_-]+")
 
@@ -298,13 +297,14 @@ def _parse_schedule(section, values) -> NoiseSchedule:
     name = section.split(".", 1)[1]
     if not _SCHEDULE_NAME.fullmatch(name):
         raise _fail(section, None, "a schedule name may use only letters, digits, '_' and '-'")
-    _check_keys(section, values, _SCHEDULE_KEYS)
     kind = values.get("kind", name if name in SCHEDULE_KINDS else None)
     if kind is None:
         raise _fail(section, "kind", "required key is missing")
-    # An unknown kind reads a finite schedule's keys, and NoiseSchedule rejects it.
+    if kind not in SCHEDULE_KINDS:
+        raise _fail(section, "kind", f"must be one of {SCHEDULE_KINDS}, got {kind!r}")
+    _check_keys(section, values, ("kind",) + SCHEDULE_FIELDS[kind])
     fields = {key: _get(section, values, key, _INT if key == "horizon" else _FLOAT)
-              for key in SCHEDULE_FIELDS.get(kind, SCHEDULE_FIELDS["geometric"])}
+              for key in SCHEDULE_FIELDS[kind]}
     try:
         return NoiseSchedule(kind=kind, **fields)
     except ValueError as exc:
@@ -314,8 +314,9 @@ def _parse_schedule(section, values) -> NoiseSchedule:
 def _parse_run(values):
     _check_keys("run", values, _RUN_KEYS)
     if "trial_seeds" in values:
-        if "trials" in values:
-            raise _fail("run", "trials", "give either trials or trial_seeds, not both")
+        for key in ("trials", "base_seed"):
+            if key in values:
+                raise _fail("run", key, f"give either {key} or trial_seeds, not both")
         seeds = _get("run", values, "trial_seeds", _INTS)
         if len(seeds) > MAX_TRIALS:
             raise _fail("run", "trial_seeds", f"{len(seeds)} seeds exceed the cap of {MAX_TRIALS}")

@@ -41,3 +41,7 @@ class FrontierError(ValueError):
 
 class InsufficientDataError(ValueError):
     """Not enough usable points for the requested fit."""
+
+
+class UnwritableError(OSError):
+    """An output that cannot be written; the message names it and why (exit 2)."""

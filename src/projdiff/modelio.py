@@ -9,6 +9,8 @@ significant digits, which round-trips IEEE doubles exactly.
     pi <K values>            optional trailing row turns a union into a prior
 
     box d=<d>                followed by a lower row and an upper row
+
+``save_model`` replaces a file whole or not at all (``traces.write_atomically``).
 """
 
 import numpy as np
@@ -16,6 +18,7 @@ import numpy as np
 from .convex_prior import BoxSet
 from .lrgmm_prior import LrGmmPrior
 from .model_sets import UnionOfSubspaces
+from .traces import write_atomically
 
 
 def _format_row(values) -> str:
@@ -139,5 +142,4 @@ def save_model(path, obj) -> None:
         text = box_to_text(obj)
     else:
         raise TypeError(f"cannot serialise {type(obj)!r}")
-    with open(path, "w", newline="\n") as fh:
-        fh.write(text)
+    write_atomically(path, text)

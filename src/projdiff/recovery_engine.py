@@ -54,7 +54,6 @@ the same run with ``box_denoiser`` passed as a ``denoise`` callable.
 
 import ctypes
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -209,8 +208,7 @@ def _openblas_string(name):
     return getter().decode()
 
 
-@contextmanager
-def _one_blas_thread():
+class _one_blas_thread:
     """Run the block with the bundled OpenBLAS at one thread, then restore its count.
 
     The pin fixes the bytes: a long gemv, dot or norm sums in another order
@@ -228,16 +226,16 @@ def _one_blas_thread():
     around every product, and the sparse workload's 24 % when set once per
     ``run_recoveries`` call).
     """
-    get, set_ = _openblas_function("get_num_threads"), _openblas_function("set_num_threads")
-    if get is None or set_ is None or get() == 1:
-        yield
-        return
-    before = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(before)
+
+    def __enter__(self):
+        get, self._set = map(_openblas_function, ("get_num_threads", "set_num_threads"))
+        self._before = 1 if get is None or self._set is None else get()
+        if self._before != 1:
+            self._set(1)
+
+    def __exit__(self, *exc_info):
+        if self._before != 1:
+            self._set(self._before)
 
 
 def _forward(a: np.ndarray, model):

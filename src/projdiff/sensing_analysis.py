@@ -18,7 +18,7 @@ import numpy as np
 from .errors import NumericFailureError
 from .model_sets import UnionOfSubspaces
 from .randomness import normal_matrix, normal_stream
-from .recovery_engine import _matvec
+from .recovery_engine import _matvec, _one_blas_thread
 
 POWER_ITERATION_TOL = 1e-10
 POWER_ITERATION_MAX_ITER = 10_000
@@ -42,8 +42,8 @@ def spectral_norm(a: np.ndarray) -> float:
     not stabilised to relative tolerance POWER_ITERATION_TOL within
     POWER_ITERATION_MAX_ITER sweeps.
     The products go through ``_matvec``.  They, ``v @ w`` and the norms
-    change with the BLAS thread count on long vectors, so ``config.build``
-    calls this at one OpenBLAS thread.
+    change with the BLAS thread count on long vectors, so the iteration runs
+    at one OpenBLAS thread, whatever the caller's count.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
@@ -54,20 +54,21 @@ def spectral_norm(a: np.ndarray) -> float:
     v = np.full(d, 1.0 / math.sqrt(d))
     estimate = 0.0
     gap = np.inf
-    for _ in range(POWER_ITERATION_MAX_ITER):
-        w = _matvec(a.T, _matvec(a, v))
-        norm_w = np.linalg.norm(w)
-        if norm_w == 0.0:
-            # All-ones start sat in the null space; restart deterministically.
-            v = np.arange(1.0, d + 1.0)
-            v /= np.linalg.norm(v)
-            continue
-        new_estimate = math.sqrt(float(v @ w))
-        gap = abs(new_estimate - estimate)
-        estimate = new_estimate
-        v = w / norm_w
-        if gap <= POWER_ITERATION_TOL * max(estimate, 1e-300):
-            return estimate
+    with _one_blas_thread():
+        for _ in range(POWER_ITERATION_MAX_ITER):
+            w = _matvec(a.T, _matvec(a, v))
+            norm_w = np.linalg.norm(w)
+            if norm_w == 0.0:
+                # All-ones start sat in the null space; restart deterministically.
+                v = np.arange(1.0, d + 1.0)
+                v /= np.linalg.norm(v)
+                continue
+            new_estimate = math.sqrt(float(v @ w))
+            gap = abs(new_estimate - estimate)
+            estimate = new_estimate
+            v = w / norm_w
+            if gap <= POWER_ITERATION_TOL * max(estimate, 1e-300):
+                return estimate
     raise NumericFailureError(
         f"power iteration did not reach tol={POWER_ITERATION_TOL} in "
         f"{POWER_ITERATION_MAX_ITER} iterations "

@@ -6,7 +6,8 @@ and mu through ``config``, splits the runs over one worker per CPU
 (``_worker_count``, ``_run_forked``), and each worker runs its share
 through ``recovery_engine.run_recoveries`` in batches (``_simulate_share``).
 The manifest names what the trace bytes depend on besides the config
-(``_versions``, ``blas_core``).
+(``_versions``, ``blas_core``); a run cut short leaves the one that says it
+did not finish, as every file goes through ``traces.write_atomically``.
 """
 
 import json
@@ -16,8 +17,9 @@ import sys
 from dataclasses import replace
 from functools import partial
 
-from .cli import MANIFEST_NAME, _make_out_dir, _Unwritable, _writing
-from .errors import ConfigError, DivergenceError
+from .cli import MANIFEST_NAME, _make_out_dir
+from .errors import ConfigError, DivergenceError, UnwritableError
+from .traces import write_atomically
 
 RESOLVED_NAME = "resolved.cfg"
 
@@ -69,16 +71,18 @@ def _simulate_share(cfg, model, operator, mu, runs, width) -> dict:
         for name, result in zip(names, results):
             path = os.path.join(cfg.out_dir, name)
             try:
-                with _writing(path):
-                    if isinstance(result, DivergenceError):
-                        diverged.append([name, result.iteration, str(result)])
-                        # An earlier run's file under this name is not this run's result.
-                        if os.path.exists(path):
-                            os.remove(path)
-                        continue
-                    result.write_csv(path)
-            except _Unwritable as exc:
+                if isinstance(result, DivergenceError):
+                    diverged.append([name, result.iteration, str(result)])
+                    # An earlier run's file under this name is not this run's result.
+                    if os.path.exists(path):
+                        os.remove(path)
+                    continue
+                result.write_csv(path)
+            except UnwritableError as exc:
                 return {"files": files, "diverged": diverged, "unwritable": str(exc)}
+            except OSError as exc:  # the earlier run's file could not be removed
+                return {"files": files, "diverged": diverged,
+                        "unwritable": f"cannot write {path}: {exc.strerror or exc}"}
             files.append(name)
     return {"files": files, "diverged": diverged, "unwritable": None}
 
@@ -198,8 +202,7 @@ def _run_forked(tasks) -> list:
 
 
 def _write_manifest(path, manifest: dict) -> None:
-    with _writing(path), open(path, "w", newline="\n") as fh:
-        fh.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    write_atomically(path, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
 def run(args) -> int:
@@ -219,9 +222,7 @@ def run(args) -> int:
     # earlier run's traces for this run's.
     manifest_path = os.path.join(cfg.out_dir, MANIFEST_NAME)
     _write_manifest(manifest_path, {"incomplete": "simulate did not finish"})
-    resolved_path = os.path.join(cfg.out_dir, RESOLVED_NAME)
-    with _writing(resolved_path), open(resolved_path, "w", newline="\n") as fh:
-        fh.write(serialize_config(cfg))
+    write_atomically(os.path.join(cfg.out_dir, RESOLVED_NAME), serialize_config(cfg))
 
     descriptor = prior_descriptor(cfg.prior)
     runs = [(_trace_name(schedule_name, seed), seed, schedule,
@@ -243,7 +244,7 @@ def run(args) -> int:
     for result in _run_forked([partial(_simulate_share, cfg, model, operator, mu, share, width)
                                for share in shares]):
         if result["unwritable"]:
-            raise _Unwritable(result["unwritable"])
+            raise UnwritableError(result["unwritable"])
         files += result["files"]
         diverged += result["diverged"]
 

@@ -7,13 +7,16 @@ iterate.  ``RecoveryTrace.write_csv`` writes it and ``parse_trace`` reads
 it, for ``simulate`` and ``analyze`` alike.  ``analyze`` imports this
 module on its start-up path, so it loads only ``json``, ``math`` and
 ``os``: no numpy, and no ``dataclasses``, whose import of ``inspect`` costs
-more than the module itself.  ``write_atomically`` is the one temp-file
-writer, for traces and for analyze's reports.
+more than the module itself.  ``write_atomically`` is the one writer, for
+every file projdiff writes: a file is replaced whole or not at all, and a
+failure is an UnwritableError naming the path.
 """
 
 import json
 import math
 import os
+
+from .errors import UnwritableError
 
 TRACE_FORMAT_LINE = "# projdiff-trace v2"
 
@@ -30,15 +33,18 @@ def _values(column) -> list:
 def write_atomically(path, text: str) -> None:
     """Write ``text`` to ``path`` as UTF-8; a reader never sees a partly written file there.
 
-    The text is encoded before any file is opened, so a text that UTF-8
-    cannot hold raises UnicodeEncodeError and leaves ``path`` as it was.
+    Any failure, a text that UTF-8 cannot encode included, raises
+    UnwritableError(``cannot write <path>: <reason>``), and leaves ``path``
+    as it was and no temp file.
     """
-    data = text.encode("utf-8")
     tmp = f"{path}.{os.getpid()}.tmp"  # not *.csv, so analyze never picks it up
     try:
         with open(tmp, "wb") as fh:
-            fh.write(data)
+            fh.write(text.encode("utf-8"))
         os.replace(tmp, path)
+    except (OSError, UnicodeEncodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise UnwritableError(f"cannot write {path}: {reason}") from None
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)

@@ -321,6 +321,23 @@ def test_serialize_parse_is_a_fixed_point():
          "[schedule.geometric]\nsigma_max = 0.5\nsigma_min = 1e-4\nhorizon = 10\n"
          "[run]\ntrial_seeds = 1 2 3 4 5\n",
          r"^\[run\] trial_seeds: 5 seeds exceed the cap of 4$"),
+        # A schedule takes only its own kind's keys, and [run] only the seed keys it reads.
+        ("[prior]\nkind = lrgmm\nd = 4\nr = 1\nk = 1\n[sensing]\nm = 2\n"
+         "[schedule.geometric]\nsigma_max = 0.5\nsigma_min = 1e-4\nhorizon = 10\na = 0.9\n"
+         "[run]\ntrials = 1\n",
+         r"^\[schedule\.geometric\] a: unknown key$"),
+        ("[prior]\nkind = lrgmm\nd = 4\nr = 1\nk = 1\n[sensing]\nm = 2\n"
+         "[schedule.infinite_geometric]\nsigma_max = 0.5\na = 0.9\nhorizon = 7\nsigma_min = 3\n"
+         "[run]\ntrials = 1\nn_iters = 5\n",
+         r"^\[schedule\.infinite_geometric\] horizon: unknown key$"),
+        ("[prior]\nkind = lrgmm\nd = 4\nr = 1\nk = 1\n[sensing]\nm = 2\n"
+         "[schedule.s]\nkind = quadratic\nsigma_max = 0.5\na = 0.9\n"
+         "[run]\ntrials = 1\nn_iters = 5\n",
+         r"^\[schedule\.s\] kind: must be one of \('geometric', .*\), got 'quadratic'$"),
+        ("[prior]\nkind = lrgmm\nd = 4\nr = 1\nk = 1\n[sensing]\nm = 2\n"
+         "[schedule.geometric]\nsigma_max = 0.5\nsigma_min = 1e-4\nhorizon = 10\n"
+         "[run]\ntrial_seeds = 5 6\nbase_seed = 100\n",
+         r"^\[run\] base_seed: give either base_seed or trial_seeds, not both$"),
     ],
 )
 def test_config_errors_name_the_offender(text, match, monkeypatch):
@@ -920,17 +937,21 @@ def test_simulate_divergence_replaces_an_earlier_runs_manifest(tmp_path, capsys)
     assert not os.path.exists(os.path.join(out, "rates.csv"))
 
 
-@pytest.mark.parametrize("side", ["parent", "child"])
+@pytest.mark.parametrize("side", ["parent", "child", "diverged"])
 def test_an_unwritable_trace_exits_2_and_marks_the_run_incomplete(tmp_path, monkeypatch, capsys,
                                                                   side):
-    """A directory at a trace's path: exit 2 naming it, in this process's share or a child's."""
+    """A directory at a trace's path: exit 2 naming it, in this process's share or a child's,
+    or where a diverged run must remove an earlier run's file."""
     cfg_path = write_config(tmp_path, TWO_SCHEDULE_CONFIG)
     out = tmp_path / "o"
     assert cli.main(["simulate", cfg_path, "--out", str(out)]) == 0
     # Of two shares, this process runs the first (seed 43) and a child the second.
-    name = "trace_geometric_00043.csv" if side == "parent" else "trace_lin_00044.csv"
+    name = "trace_lin_00044.csv" if side == "child" else "trace_geometric_00043.csv"
     (out / name).unlink()
     (out / name).mkdir()
+    if side == "diverged":
+        cfg_path = write_config(
+            tmp_path, TWO_SCHEDULE_CONFIG.replace("seed = 42", "seed = 42\nmu = 1e6"), "bad.cfg")
     monkeypatch.setattr(simulate, "_worker_count", lambda n_runs: 2)
     capsys.readouterr()
     assert cli.main(["simulate", cfg_path, "--out", str(out)]) == 2
@@ -938,6 +959,26 @@ def test_an_unwritable_trace_exits_2_and_marks_the_run_incomplete(tmp_path, monk
     # The earlier run's manifest would list traces this run did not write.
     with open(out / "manifest.json") as fh:
         assert json.load(fh) == {"incomplete": "simulate did not finish"}
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="needs a file system that takes any bytes")
+def test_simulate_into_a_directory_whose_name_is_not_utf8_exits_2(tmp_path, package_env):
+    """resolved.cfg names its out_dir, and UTF-8 cannot encode an undecodable byte there.
+
+    It used to end in UnicodeEncodeError, with a traceback and exit 1.  Run
+    as a command, as the byte reaches the command line as bytes.
+    """
+    cfg_path = write_config(tmp_path, TWO_SCHEDULE_CONFIG)
+    out = os.path.join(os.fsencode(tmp_path), b"out\xff")
+    proc = subprocess.run([sys.executable, "-m", "projdiff", "simulate", cfg_path, "--out", out],
+                          capture_output=True, text=True, env=package_env, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(f"cannot write {tmp_path}/out\\udcff/resolved.cfg: 'utf-8' "
+                                  f"codec can't encode character '\\udcff'"), proc.stderr
+    assert "Traceback" not in proc.stderr
+    with open(os.path.join(out, b"manifest.json")) as fh:
+        assert json.load(fh) == {"incomplete": "simulate did not finish"}
+    assert sorted(os.listdir(out)) == [b"manifest.json"]
 
 
 def test_analyze_refuses_the_traces_of_a_run_that_stopped_early(tmp_path, capsys):
@@ -1633,26 +1674,60 @@ def test_analyze_skips_a_trace_whose_name_is_not_utf8(tmp_path, package_env):
         assert [row["file"] for row in csv.DictReader(fh)] == ["trace_good_00001.csv"]
 
 
-def test_analyze_leaves_no_report_half_written(tmp_path, capsys, monkeypatch):
-    """A report is replaced whole or not at all: a failed write leaves the old file and no temp."""
-    out = _simulated(tmp_path, TWO_SCHEDULE_CONFIG, name="two")
-    for name in ("rates.csv", "summary.csv"):
-        with open(os.path.join(out, name), "w") as fh:
+@pytest.mark.parametrize("command", ["analyze", "simulate", "check", "gen-model"])
+def test_analyze_leaves_no_report_half_written(tmp_path, capsys, monkeypatch, command):
+    """An output is replaced whole or not at all: a failed write leaves the old file and no temp.
+
+    os.replace fails where the command writes ``target``.  For simulate that
+    is its final manifest, after the one that says the run has not finished,
+    which stays, so analyze refuses the directory.
+    """
+    from projdiff.checks import CheckResult
+
+    out = str(tmp_path / "out")
+    if command in ("analyze", "simulate"):
+        _simulated(tmp_path, TWO_SCHEDULE_CONFIG, name="out")
+    else:
+        os.mkdir(out)
+    if command == "analyze":
+        for name in ("rates.csv", "summary.csv"):
+            with open(os.path.join(out, name), "w") as fh:
+                fh.write("old report\n")
+        argv, target = ["analyze", out], "rates.csv"
+    elif command == "simulate":
+        argv, target = ["simulate", str(tmp_path / "out.cfg"), "--out", out], "manifest.json"
+    elif command == "check":
+        monkeypatch.setattr(checks, "run_checks", lambda level: [
+            CheckResult(name="synthetic", value=0.0, bound=0.5, passed=True)])
+        with open(os.path.join(out, "check_report.csv"), "w") as fh:
             fh.write("old report\n")
-    before = sorted(os.listdir(out))
+        argv, target = ["check", "--out", out], "check_report.csv"
+    else:
+        model = os.path.join(out, "u.model")
+        assert cli.main(["gen-model", "union:d=8,ranks=2|3,seed=5", "-o", model]) == 0
+        argv, target = ["gen-model", "union:d=8,ranks=2|3,seed=6", "-o", model], "u.model"
+    target = os.path.join(out, target)
+    before = read_files(out)
+    replace, seen = os.replace, []
 
     def refuse(src, dst):
-        raise OSError(28, "No space left on device")
+        seen.append(dst)
+        if dst == target and (command != "simulate" or seen.count(dst) == 2):
+            raise OSError(28, "No space left on device")
+        replace(src, dst)
 
     monkeypatch.setattr(os, "replace", refuse)
     capsys.readouterr()
-    assert cli.main(["analyze", out]) == 2
-    assert capsys.readouterr().err == (
-        f"cannot write {os.path.join(out, 'rates.csv')}: No space left on device\n")
-    assert sorted(os.listdir(out)) == before
-    for name in ("rates.csv", "summary.csv"):
-        with open(os.path.join(out, name)) as fh:
-            assert fh.read() == "old report\n"
+    assert cli.main(argv) == 2
+    prefix = "gen-model error: " if command == "gen-model" else ""
+    assert capsys.readouterr().err == f"{prefix}cannot write {target}: No space left on device\n"
+    after = read_files(out)
+    if command == "simulate":
+        assert json.loads(after.pop("manifest.json")) == {"incomplete": "simulate did not finish"}
+        del before["manifest.json"]
+        assert cli.main(["analyze", out]) == 2
+        assert "did not finish" in capsys.readouterr().err
+    assert after == before
 
 
 def test_analyze_exits_2_when_nothing_is_readable(tmp_path, capsys):

@@ -77,6 +77,30 @@ def test_spectral_norm_rejects_zero_matrix():
         pd.spectral_norm(np.zeros((3, 3)))
 
 
+def test_spectral_norm_does_not_depend_on_the_callers_blas_thread_count():
+    """The README and the benchmark call it outside ``config.build``'s pin.
+
+    Unpinned, this operator's norm read 101.969372146198 at one OpenBLAS
+    thread and 101.96937214619801 at two.  The caller gets its count back.
+    """
+    from projdiff import recovery_engine
+
+    get = recovery_engine._openblas_function("get_num_threads")
+    set_ = recovery_engine._openblas_function("set_num_threads")
+    if get is None or set_ is None:
+        pytest.skip("numpy's BLAS is not its bundled OpenBLAS")
+    a = pd.gaussian_operator(130, 8192, np.random.default_rng(4))
+    before, norms = get(), []
+    try:
+        for threads in (1, 2):
+            set_(threads)
+            norms.append(pd.spectral_norm(a))
+            assert get() == threads
+    finally:
+        set_(before)
+    assert norms[0] == norms[1]
+
+
 # --------------------------------------------------------------- ric_union
 
 
